@@ -12,18 +12,12 @@ perf-trajectory artefact CI uploads next to ``BENCH_scenarios.json``::
 ``--smoke`` measures one (app, strategy) cell; the full mode covers all
 five Fig. 5 configurations.
 
-On top of the engine-vs-engine cells the artefact carries the two axes
-added with the substrate layer:
-
-* **per-substrate cells** — the same batched campaign re-timed on every
-  available array substrate (numpy always; numba / cupy where
-  installed), with campaign means checked against the numpy reference;
-* **seeds-vs-memory scaling** — streamed campaigns at growing seed
-  counts under the default block size, recording the
-  ``repro_batch_peak_bytes`` working-set high-water mark.  The memory
-  gate asserts a million-seed streamed campaign stays under a fixed
-  byte budget: out-of-core blocking means memory is O(block), not
-  O(seeds).
+On top of the engine-vs-engine cells the artefact carries a
+**seeds-vs-memory scaling** curve: streamed campaigns at growing seed
+counts under the default block size, recording the
+``repro_batch_peak_bytes`` working-set high-water mark.  The memory gate
+asserts a million-seed streamed campaign stays under a fixed byte
+budget: out-of-core blocking means memory is O(block), not O(seeds).
 """
 
 from __future__ import annotations
@@ -44,7 +38,6 @@ from repro.batch.streaming import (
     peak_bytes,
     reset_block_metrics,
 )
-from repro.batch.substrate import available_substrates, substrate_available
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -122,55 +115,6 @@ def _run_cell(strategy: str, params: dict, runs: int, jobs: int) -> dict:
         "agreement": agreement,
         "max_z": round(max(row["z"] for row in agreement), 2),
     }
-
-
-def _substrate_cells(runs: int) -> list[dict]:
-    """Re-time the batched campaign on every available array substrate.
-
-    The numpy row is the reference; other substrates must reproduce its
-    campaign means to the substrate layer's equivalence bound (integer
-    streams are bit-identical, the float energy column is held to 1e-9
-    relative here, far looser than the 1e-12 test-suite bound).
-    """
-    session = Session()
-    cells = []
-    reference = None
-    for name in available_substrates():
-        if not substrate_available(name):
-            cells.append({"substrate": name, "available": False})
-            continue
-        spec = CampaignSpec(
-            base=ExperimentSpec(
-                app=BENCH_APP,
-                strategy="hybrid-optimal",
-                engine="batched",
-                substrate=name,
-            ),
-            runs=runs,
-        )
-        start = time.perf_counter()
-        report = session.campaign(spec)
-        seconds = time.perf_counter() - start
-        means = {metric: report[metric].mean for metric in CHECKED_METRICS}
-        drift = 0.0
-        if reference is not None:
-            drift = max(
-                abs(means[m] - reference[m]) / (abs(reference[m]) or 1.0)
-                for m in CHECKED_METRICS
-            )
-        else:
-            reference = means
-        cells.append(
-            {
-                "substrate": name,
-                "available": True,
-                "runs": runs,
-                "seconds": round(seconds, 4),
-                "means": means,
-                "max_relative_drift": drift,
-            }
-        )
-    return cells
 
 
 def _memory_scaling(seed_counts: tuple[int, ...]) -> list[dict]:
@@ -258,16 +202,6 @@ def main(argv: list[str] | None = None) -> int:
             f"-> {cell['speedup']:.0f}x, max |z| = {cell['max_z']:.2f}"
         )
 
-    substrate_cells = _substrate_cells(CAMPAIGN_RUNS)
-    for cell in substrate_cells:
-        if cell["available"]:
-            print(
-                f"substrate {cell['substrate']}: {cell['seconds'] * 1000:.0f}ms "
-                f"for {cell['runs']} runs (drift {cell['max_relative_drift']:.2e})"
-            )
-        else:
-            print(f"substrate {cell['substrate']}: not available here")
-
     scaling = _memory_scaling(SCALING_SEEDS)
     for point in scaling:
         print(
@@ -286,7 +220,6 @@ def main(argv: list[str] | None = None) -> int:
         "min_speedup": min(speedups),
         "median_speedup": statistics.median(speedups),
         "cells": cells,
-        "substrate_cells": substrate_cells,
         "memory_scaling": scaling,
         "memory_budget_bytes": MEMORY_BUDGET_BYTES,
     }
@@ -311,12 +244,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{MEMORY_BUDGET_BYTES / 2**20:.0f} MiB budget",
             file=sys.stderr,
         )
-        return 1
-    drifts = [
-        cell["max_relative_drift"] for cell in substrate_cells if cell["available"]
-    ]
-    if any(drift > 1e-9 for drift in drifts):
-        print("FAIL: substrate campaign means drift beyond 1e-9", file=sys.stderr)
         return 1
     return 0
 

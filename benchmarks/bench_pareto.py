@@ -19,11 +19,10 @@ redirected to a temporary directory (hermetic), characterizations are
 computed once up front (shared by both engines), and per-engine timings
 are best-of-N so the speedup isolates the engines themselves.
 
-The artefact also carries the substrate layer's axes for the first app:
-the grid explorer re-timed on every available array substrate (fronts
-must be identical to the numpy reference) and a blocked run
-(``block=256``) whose front must equal the unblocked one bit for bit —
-the out-of-core streaming front is a pure partition of the same work.
+The artefact also carries a blocked run of the first app's grid
+explorer (``block=256``), whose front must equal the unblocked one bit
+for bit — the out-of-core streaming front is a pure partition of the
+same work.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ import time
 from pathlib import Path
 
 from repro.batch.pareto import grid_pareto_front, reference_pareto_front
-from repro.batch.substrate import available_substrates, substrate_available
 from repro.runtime.executor import characterize_app
 from repro.runtime.profile_cache import ENV_CACHE_DIR, default_cache
 
@@ -103,45 +101,23 @@ def _measure_cells(apps: tuple[str, ...], repeats: int) -> list[dict]:
     return cells
 
 
-def _substrate_cells(characterization, repeats: int) -> list[dict]:
-    """Re-time the grid explorer per available substrate plus one blocked run.
+def _blocked_cell(characterization, repeats: int) -> dict:
+    """Re-time the grid explorer in 256-point blocks.
 
-    Every variant must reproduce the numpy reference front exactly —
-    dominance is set-determined, so substrate and block size may change
-    only the wall clock, never a point.
+    The blocked front must equal the unblocked one exactly: dominance is
+    set-determined, so the block size may change only the wall clock,
+    never a point.
     """
     reference = grid_pareto_front(characterization)
-    cells = []
-    for name in available_substrates():
-        if not substrate_available(name):
-            cells.append({"substrate": name, "available": False})
-            continue
-        seconds, front = _best_of(
-            repeats,
-            lambda c=characterization, n=name: grid_pareto_front(c, substrate=n),
-        )
-        cells.append(
-            {
-                "substrate": name,
-                "available": True,
-                "grid_seconds": round(seconds, 4),
-                "front_identical": front == reference,
-            }
-        )
     block = 256
     seconds, blocked = _best_of(
         repeats, lambda c=characterization: grid_pareto_front(c, block=block)
     )
-    cells.append(
-        {
-            "substrate": "numpy",
-            "available": True,
-            "block": block,
-            "grid_seconds": round(seconds, 4),
-            "front_identical": blocked == reference,
-        }
-    )
-    return cells
+    return {
+        "block": block,
+        "grid_seconds": round(seconds, 4),
+        "front_identical": blocked == reference,
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -182,30 +158,16 @@ def main(argv: list[str] | None = None) -> int:
         cells = _measure_cells(apps, args.repeats)
         from repro.apps.registry import get_application
 
-        substrate_cells = _substrate_cells(
-            characterize_app(get_application(apps[0]), 0), args.repeats
-        )
+        blocked = _blocked_cell(characterize_app(get_application(apps[0]), 0), args.repeats)
 
-    for cell in substrate_cells:
-        if not cell["available"]:
-            print(f"substrate {cell['substrate']}: not available here")
-            continue
-        label = cell["substrate"] + (
-            f" (block={cell['block']})" if "block" in cell else ""
-        )
-        print(
-            f"substrate {label}: grid {cell['grid_seconds'] * 1000:.0f}ms, "
-            f"front identical: {cell['front_identical']}"
-        )
+    print(
+        f"block={blocked['block']}: grid {blocked['grid_seconds'] * 1000:.0f}ms, "
+        f"front identical: {blocked['front_identical']}"
+    )
 
     problems = [problem for cell in cells for problem in cell["problems"]]
-    problems += [
-        f"substrate {cell['substrate']}"
-        + (f" block={cell['block']}" if "block" in cell else "")
-        + " front differs from the numpy reference"
-        for cell in substrate_cells
-        if cell["available"] and not cell["front_identical"]
-    ]
+    if not blocked["front_identical"]:
+        problems.append(f"block={blocked['block']} front differs from the unblocked front")
     for cell in cells:
         print(
             f"{cell['application']}: reference {cell['reference_seconds'] * 1000:.0f}ms, "
@@ -223,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
         "min_speedup": min(speedups),
         "median_speedup": statistics.median(speedups),
         "cells": cells,
-        "substrate_cells": substrate_cells,
+        "blocked_cell": blocked,
     }
     output = Path(args.output)
     output.parent.mkdir(parents=True, exist_ok=True)

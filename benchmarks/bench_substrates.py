@@ -4,23 +4,13 @@ These measure the throughput of the pieces every experiment leans on —
 ECC encode/decode, the SRAM estimator, the codecs and one behavioural
 task execution — so performance regressions in the substrates are visible
 independently of the paper-level harnesses.
-
-The second half benchmarks the **array substrates** of
-:mod:`repro.batch.substrate`: the counter-based sampling kernels and the
-dominance sweep, parametrized over every registered backend.  Backends
-whose library is absent are skipped — the CI ``substrates`` job installs
-numba so the accelerated rows really get measured there.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from repro.apps.adpcm import AdpcmEncodeApp, AdpcmState, encode_block
 from repro.apps.datagen import natural_image, speech_like_pcm
 from repro.apps.jpeg import decode_image, encode_image
-from repro.batch.substrate import available_substrates, get_substrate, substrate_available
 from repro.core.strategies import HybridStrategy
 from repro.ecc import InterleavedSecDedCode, SecDedCode
 from repro.memmodel import estimate_sram
@@ -87,39 +77,3 @@ def test_bench_behavioural_task_execution(benchmark):
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.stats.fully_mitigated
-
-
-def _array_substrate(name):
-    if not substrate_available(name):
-        pytest.skip(f"array substrate {name!r} is not available here")
-    return get_substrate(name)
-
-
-@pytest.mark.parametrize("name", available_substrates())
-def test_bench_substrate_sampling_kernels(benchmark, name):
-    """Counter-based Poisson + binomial draws for a 100k-run block."""
-    sub = _array_substrate(name)
-    runs = 100_000
-    lam = np.full(runs, 0.7)
-
-    def sample():
-        streams = sub.make_streams(range(runs), tag=1)
-        counts = sub.poisson(streams, lam)
-        return int(sub.to_numpy(sub.binomial(streams, counts, 0.4)).sum())
-
-    # Warm once so numba's JIT compile stays out of the measurement.
-    sample()
-    assert benchmark(sample) > 0
-
-
-@pytest.mark.parametrize("name", available_substrates())
-def test_bench_substrate_dominance_sweep(benchmark, name):
-    """Non-dominated mask over a 20k x 4 quantized objective grid."""
-    sub = _array_substrate(name)
-    rng = np.random.default_rng(0)
-    values = np.round(rng.uniform(size=(20_000, 4)), 2)
-
-    sub.non_dominated_mask(values)  # JIT warm-up
-    mask = benchmark(sub.non_dominated_mask, values)
-    reference = get_substrate("numpy").non_dominated_mask(values)
-    np.testing.assert_array_equal(np.asarray(mask), reference)

@@ -204,10 +204,6 @@ def _execute_pareto(spec: ExperimentSpec) -> RunOutcome:
     # Both engines are bit-identical (tests/batch/test_pareto.py); the
     # scalar reference exists for exact-equality testing.
     explore = grid_pareto_front if spec.engine == "batched" else reference_pareto_front
-    if spec.engine == "batched":
-        # The vectorized explorer runs its dominance sweeps on the spec's
-        # substrate (the scalar reference is host-only by definition).
-        kwargs["substrate"] = spec.substrate
     front = explore(
         app,
         constraints=spec.constraints,
@@ -234,7 +230,6 @@ def _build_batch_model(spec: ExperimentSpec, profile_seed: int = 0) -> BatchTask
         fault_model=fault_model,
         scenario=scenario,
         profile_seed=profile_seed,
-        substrate=spec.substrate,
     )
 
 

@@ -320,7 +320,6 @@ class Session:
         fault_model: str | None = None,
         fault_params: dict | None = None,
         engine: str = "batched",
-        substrate: str | None = None,
         executor: Executor | None = None,
         jobs: int | None = None,
     ):
@@ -339,9 +338,7 @@ class Session:
         single rate level (the environment you asked about); otherwise the
         explorer's default levels apply.  The default ``engine="batched"``
         evaluates the grid vectorized; ``"behavioural"`` walks it point by
-        point — the fronts are bit-identical either way.  ``substrate``
-        picks the array backend for the vectorized dominance sweeps
-        (``None`` = ``REPRO_SUBSTRATE`` or NumPy).
+        point — the fronts are bit-identical either way.
 
         Examples
         --------
@@ -372,6 +369,5 @@ class Session:
             params=params,
             seed=seed,
             engine=engine,
-            substrate=substrate,
         )
         return self.run(spec, executor=executor, jobs=jobs).artifact

@@ -33,7 +33,6 @@ from typing import Any
 
 from ..apps.base import StreamingApplication
 from ..apps.registry import canonical_name, get_application
-from ..batch.substrate import available_substrates, substrate_known
 from ..core.config import DesignConstraints, PAPER_OPERATING_POINT
 from ..scenarios.base import Scenario
 from ..scenarios.registry import available_scenarios, scenario_known
@@ -120,14 +119,6 @@ class ExperimentSpec:
         statistically equivalent (and much faster) for many-seed
         campaigns, *bit-identical* (and much faster) for design-space
         kinds.
-    substrate:
-        Array substrate for the batched engines (``"numpy"``, ``"numba"``
-        or ``"cupy"``; see :mod:`repro.batch.substrate`).  ``None``
-        resolves to ``REPRO_SUBSTRATE`` or ``"numpy"`` at execution time,
-        keeping specs portable across machines with different
-        accelerators.  The name must be registered; *availability*
-        (importable backend, visible device) is checked when the spec
-        executes.  Ignored by the behavioural engine.
     """
 
     app: str | StreamingApplication | None = None
@@ -143,16 +134,12 @@ class ExperimentSpec:
     seed: int = 0
     collect_trace: bool = False
     engine: str = "behavioural"
-    substrate: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
-        if self.substrate is not None and not substrate_known(self.substrate):
-            known = ", ".join(available_substrates())
-            raise ValueError(f"unknown substrate {self.substrate!r}; known substrates: {known}")
         if self.engine == "batched" and self.collect_trace:
             raise ValueError("the batched engine does not record execution traces")
         if isinstance(self.app, str):
@@ -265,7 +252,6 @@ class ExperimentSpec:
             "seed": self.seed,
             "collect_trace": self.collect_trace,
             "engine": self.engine,
-            "substrate": self.substrate,
         }
 
     @classmethod

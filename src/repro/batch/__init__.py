@@ -39,16 +39,12 @@ per-upset decode outcomes come from a status-level classifier that is
 exact for every registered strategy code (see
 :func:`classify_outcomes`).
 
-Two orthogonal execution knobs sit under all of the above:
-
-* the **array substrate** (:mod:`repro.batch.substrate`) — the
-  campaign engine's sampling loops and the pareto dominance sweeps run
-  on a pluggable backend (NumPy reference, Numba JIT kernels, CuPy
-  GPU), selected per spec / ``REPRO_SUBSTRATE`` / ``--substrate``;
-* **out-of-core blocking** (:mod:`repro.batch.streaming`) — campaigns
-  and grids execute in fixed-size blocks (``REPRO_BATCH_BLOCK``) folded
-  through :class:`StreamingAggregator`, bounding memory by the block
-  size while emitting bit-identical numbers for every block size.
+Underneath, :mod:`repro.batch.substrate` holds the counter-based fault
+sampler and the Pareto dominance sweep, and :mod:`repro.batch.streaming`
+executes campaigns and grids out of core, in fixed-size blocks
+(``REPRO_BATCH_BLOCK``) folded through :class:`StreamingAggregator`,
+bounding memory by the block size while emitting bit-identical numbers
+for every block size.
 """
 
 from .design import (
@@ -66,14 +62,7 @@ from .pareto import (
     uncorrectable_upset_fraction,
 )
 from .streaming import StreamingAggregator, batch_block_size, iter_blocks
-from .substrate import (
-    Substrate,
-    SubstrateUnavailableError,
-    available_substrates,
-    default_substrate_name,
-    get_substrate,
-    substrate_available,
-)
+from .substrate import Substrate
 
 __all__ = [
     "BatchTaskModel",
@@ -83,12 +72,8 @@ __all__ = [
     "ParetoFront",
     "StreamingAggregator",
     "Substrate",
-    "SubstrateUnavailableError",
-    "available_substrates",
     "batch_block_size",
     "classify_outcomes",
-    "default_substrate_name",
-    "get_substrate",
     "grid_feasible_region",
     "grid_optimal_chunks_for_rates",
     "grid_optimize",
@@ -96,6 +81,5 @@ __all__ = [
     "grid_pareto_front",
     "iter_blocks",
     "reference_pareto_front",
-    "substrate_available",
     "uncorrectable_upset_fraction",
 ]

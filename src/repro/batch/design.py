@@ -34,15 +34,9 @@ Shared profiles: :func:`grid_optimize` characterizes the workload through
 content-keyed profile cache, so the expensive step-walk happens once per
 (app, params, input) across both engines and every campaign path.
 
-Substrates and blocking: the bit-identity contract above pins the design
-grids' transcendental calls to host libm, so these functions always
-evaluate on the host exact namespace
-(:attr:`repro.batch.substrate.Substrate.exact_xp` — NumPy on every
-substrate); alternate substrates accelerate the campaign engine and the
-Pareto dominance sweeps instead.  What the design grids do share with
-the rest of the batch layer is *out-of-core blocking*:
-:func:`grid_optimal_chunks_for_rates` evaluates the rate axis in
-``REPRO_BATCH_BLOCK``-sized row blocks (the cost model is elementwise
+Blocking: like the rest of the batch layer, the design grids run out
+of core.  :func:`grid_optimal_chunks_for_rates` evaluates the rate axis
+in ``REPRO_BATCH_BLOCK``-sized row blocks (the cost model is elementwise
 along that axis, so blocking changes no emitted number), reporting
 ``repro_batch_blocks_total{kind="rategrid"}`` and its accounted
 working-set high-water mark to ``repro_batch_peak_bytes``.

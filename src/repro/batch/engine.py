@@ -24,9 +24,8 @@ measured from the platform's ECC code, and distinct-corrupted-word counts
 are drawn from their exact marginal distribution (the per-word Poisson
 split of a uniform strike pattern).
 
-Execution is *blocked and substrate-driven*: arrays live in the model's
-:mod:`~repro.batch.substrate` namespace (NumPy / Numba-JIT / CuPy), fault
-sampling runs on counter-based per-run streams, and
+Execution is *blocked*: fault sampling runs on counter-based per-run
+streams (:mod:`~repro.batch.substrate`), and
 :func:`simulate_columns` / :func:`iter_column_blocks` walk the seed list
 in :func:`~repro.batch.streaming.batch_block_size`-sized blocks so the
 working set is ``O(block)``, not ``O(seeds)``.  Because each run's stream
@@ -45,7 +44,7 @@ from ..core.strategies import RecoveryPolicy
 from ..runtime.executor import MAX_ROLLBACK_ATTEMPTS
 from .model import BatchTaskModel, OutcomeProbabilities, RunLayout
 from .streaming import iter_blocks, note_blocks, note_peak_bytes
-from .substrate import RunStreams
+from .substrate import SUBSTRATE, RunStreams
 
 #: Order (and exact key spelling) of the per-run metric columns; the
 #: behavioural ``execute_spec`` worker produces the same keys.
@@ -83,37 +82,37 @@ def _split_outcomes(
     consume stream draws depends only on the model's (constant) outcome
     probabilities, so consumption stays identical across runs.
     """
-    sub = model.substrate
     probs: OutcomeProbabilities = model.outcomes
-    xp = sub.xp
-    zeros = xp.zeros(counts.shape, dtype=xp.int64)
-    detected = sub.binomial(streams, counts, probs.detected, idx) if probs.detected > 0 else zeros
+    zeros = np.zeros(counts.shape, dtype=np.int64)
+
+    def thin(trials, p: float):
+        return SUBSTRATE.binomial(streams, trials, min(p, 1.0), idx) if p > 0 else zeros
+
+    detected = thin(counts, probs.detected)
     rest = counts - detected
     denom = 1.0 - probs.detected
-    p_corr = probs.corrected / denom if denom > 0 else 0.0
-    corrected = sub.binomial(streams, rest, min(p_corr, 1.0), idx) if p_corr > 0 else zeros
+    corrected = thin(rest, probs.corrected / denom if denom > 0 else 0.0)
     rest = rest - corrected
     denom -= probs.corrected
-    p_silent = probs.silent / denom if denom > 0 else 0.0
-    silent = sub.binomial(streams, rest, min(p_silent, 1.0), idx) if p_silent > 0 else zeros
+    silent = thin(rest, probs.silent / denom if denom > 0 else 0.0)
     return detected, corrected, silent
 
 
 class _RunTotals:
     """Mutable per-run accumulators for one simulated block."""
 
-    def __init__(self, runs: int, xp) -> None:
-        self.clock = xp.zeros(runs, dtype=xp.int64)
-        self.energy = xp.zeros(runs, dtype=xp.float64)
-        self.recovery_cycles = xp.zeros(runs, dtype=xp.int64)
-        self.checkpoint_cycles = xp.zeros(runs, dtype=xp.int64)
-        self.upsets = xp.zeros(runs, dtype=xp.int64)
-        self.errors_detected = xp.zeros(runs, dtype=xp.int64)
-        self.corrected = xp.zeros(runs, dtype=xp.int64)
-        self.rollbacks = xp.zeros(runs, dtype=xp.int64)
-        self.restarts = xp.zeros(runs, dtype=xp.int64)
-        self.silent = xp.zeros(runs, dtype=xp.int64)
-        self.checkpoints = xp.zeros(runs, dtype=xp.int64)
+    def __init__(self, runs: int) -> None:
+        self.clock = np.zeros(runs, dtype=np.int64)
+        self.energy = np.zeros(runs, dtype=np.float64)
+        self.recovery_cycles = np.zeros(runs, dtype=np.int64)
+        self.checkpoint_cycles = np.zeros(runs, dtype=np.int64)
+        self.upsets = np.zeros(runs, dtype=np.int64)
+        self.errors_detected = np.zeros(runs, dtype=np.int64)
+        self.corrected = np.zeros(runs, dtype=np.int64)
+        self.rollbacks = np.zeros(runs, dtype=np.int64)
+        self.restarts = np.zeros(runs, dtype=np.int64)
+        self.silent = np.zeros(runs, dtype=np.int64)
+        self.checkpoints = np.zeros(runs, dtype=np.int64)
 
     @property
     def nbytes(self) -> int:
@@ -131,14 +130,8 @@ def _sample_attempt(
     idx=None,
 ) -> tuple:
     """Upset counts and outcome split for one exposure window per run."""
-    sub = model.substrate
-    if layout.rate.per_run:
-        lam = words * layout.rate.integral(
-            window_end - live, window_end, substrate=sub, runs=idx
-        )
-    else:
-        lam = words * layout.rate.integral(window_end - live, window_end, substrate=sub)
-    counts = sub.poisson(streams, lam, idx)
+    lam = words * layout.rate.integral(window_end - live, window_end, runs=idx)
+    counts = SUBSTRATE.poisson(streams, lam, idx)
     detected, corrected, silent = _split_outcomes(model, streams, counts, idx)
     return counts, detected, corrected, silent
 
@@ -149,8 +142,6 @@ def _sample_attempt(
 def _simulate_phase_loop(
     model: BatchTaskModel, layout: RunLayout, streams: RunStreams, totals: _RunTotals
 ) -> None:
-    sub = model.substrate
-    xp = sub.xp
     costs = layout.costs
     max_attempts = (
         MAX_ROLLBACK_ATTEMPTS
@@ -173,7 +164,7 @@ def _simulate_phase_loop(
         totals.clock += drain_c
         totals.energy += exec_e + drain_e
         totals.upsets += counts
-        totals.corrected += sub.distinct_words(streams, corrected, words)
+        totals.corrected += SUBSTRATE.distinct_words(streams, corrected, words)
         last_detected = detected
         last_silent = silent
         failed = detected > 0
@@ -181,7 +172,7 @@ def _simulate_phase_loop(
         for _attempt in range(max_attempts):
             if not bool(failed.any()):
                 break
-            failed_idx = xp.flatnonzero(failed)
+            failed_idx = np.flatnonzero(failed)
             totals.errors_detected[failed] += 1
             totals.rollbacks[failed] += 1
             totals.clock[failed] += layout.isr_cycles
@@ -196,7 +187,7 @@ def _simulate_phase_loop(
             totals.energy[failed] += exec_e + drain_e
             totals.recovery_cycles[failed] += exec_c + drain_c
             totals.upsets[failed] += counts
-            totals.corrected[failed] += sub.distinct_words(
+            totals.corrected[failed] += SUBSTRATE.distinct_words(
                 streams, corrected, words, failed_idx
             )
             last_detected[failed] = detected
@@ -209,8 +200,8 @@ def _simulate_phase_loop(
         # detection, no further retry); everyone else consumes only the
         # silently corrupted words of their last (successful) attempt.
         totals.errors_detected[failed] += 1
-        consumed = xp.where(failed, last_detected, 0) + last_silent
-        totals.silent += sub.distinct_words(streams, consumed, words)
+        consumed = np.where(failed, last_detected, 0) + last_silent
+        totals.silent += SUBSTRATE.distinct_words(streams, consumed, words)
 
         if commits:
             totals.clock += int(costs.checkpoint_cycles[p])
@@ -225,24 +216,22 @@ def _simulate_phase_loop(
 def _simulate_restart(
     model: BatchTaskModel, layout: RunLayout, streams: RunStreams, totals: _RunTotals
 ) -> None:
-    sub = model.substrate
-    xp = sub.xp
     costs = layout.costs
     runs = totals.clock.shape[0]
     max_restarts = int(getattr(model.strategy, "max_restarts", 1))
-    committed = xp.zeros(runs, dtype=bool)
+    committed = np.zeros(runs, dtype=bool)
 
     while not bool(committed.all()):
         active = ~committed
         accept = active & (totals.restarts >= max_restarts)
         in_recovery = active & (totals.restarts > 0)
         running = active.copy()
-        pass_silent = xp.zeros(runs, dtype=xp.int64)
+        pass_silent = np.zeros(runs, dtype=np.int64)
 
         for p in range(layout.num_phases):
             if not bool(running.any()):
                 break
-            running_idx = xp.flatnonzero(running)
+            running_idx = np.flatnonzero(running)
             words = int(costs.words[p])
             exec_c = int(costs.exec_cycles[p])
             drain_c = int(costs.drain_cycles[p])
@@ -259,11 +248,11 @@ def _simulate_restart(
             rec = running & in_recovery
             totals.recovery_cycles[rec] += exec_c + drain_c
             totals.upsets[running] += counts
-            totals.corrected[running] += sub.distinct_words(
+            totals.corrected[running] += SUBSTRATE.distinct_words(
                 streams, corrected, words, running_idx
             )
 
-            failed_here = xp.zeros(runs, dtype=bool)
+            failed_here = np.zeros(runs, dtype=bool)
             failed_here[running] = detected > 0
             failed_here &= ~accept
             totals.errors_detected[failed_here] += 1
@@ -272,8 +261,8 @@ def _simulate_restart(
             # corrupted words.  On the final best-effort pass that includes
             # the detected-uncorrectable ones; on a clean pass only silent
             # flips remain (a normal run with detections restarts instead).
-            mismatches = xp.zeros(runs, dtype=xp.int64)
-            mismatches[running] = sub.distinct_words(
+            mismatches = np.zeros(runs, dtype=np.int64)
+            mismatches[running] = SUBSTRATE.distinct_words(
                 streams, detected + silent, words, running_idx
             )
             mismatches[failed_here] = 0
@@ -319,19 +308,18 @@ def _simulate_layout_block(
     model: BatchTaskModel, layout: RunLayout, seeds: Sequence[int]
 ) -> dict[str, np.ndarray]:
     """Simulate one block of seeds that share a single run layout."""
-    sub = model.substrate
     streams = model.make_streams(seeds)
-    totals = _RunTotals(len(seeds), sub.xp)
+    totals = _RunTotals(len(seeds))
     if model.strategy.recovery == RecoveryPolicy.RESTART:
         _simulate_restart(model, layout, streams, totals)
     else:
         _simulate_phase_loop(model, layout, streams, totals)
 
-    clock = sub.to_numpy(totals.clock)
-    energy = sub.to_numpy(totals.energy) + (
+    clock = totals.clock
+    energy = totals.energy + (
         layout.leakage_mw * clock.astype(np.float64) / model.frequency_hz * 1e9
     )
-    silent = sub.to_numpy(totals.silent)
+    silent = totals.silent
     correct = (silent == 0).astype(np.float64)
     if model.deadline_cycles == 0:
         deadline_met = np.ones(len(seeds), dtype=np.float64)
@@ -341,17 +329,17 @@ def _simulate_layout_block(
         "seed": np.asarray([int(s) for s in seeds], dtype=np.float64),
         "total_cycles": clock.astype(np.float64),
         "useful_cycles": np.full(len(seeds), float(model.useful_cycles)),
-        "checkpoint_cycles": sub.to_numpy(totals.checkpoint_cycles).astype(np.float64),
-        "recovery_cycles": sub.to_numpy(totals.recovery_cycles).astype(np.float64),
+        "checkpoint_cycles": totals.checkpoint_cycles.astype(np.float64),
+        "recovery_cycles": totals.recovery_cycles.astype(np.float64),
         "energy_pj": energy,
-        "upsets_injected": sub.to_numpy(totals.upsets).astype(np.float64),
-        "errors_detected": sub.to_numpy(totals.errors_detected).astype(np.float64),
-        "errors_corrected_inline": sub.to_numpy(totals.corrected).astype(np.float64),
-        "rollbacks": sub.to_numpy(totals.rollbacks).astype(np.float64),
-        "task_restarts": sub.to_numpy(totals.restarts).astype(np.float64),
+        "upsets_injected": totals.upsets.astype(np.float64),
+        "errors_detected": totals.errors_detected.astype(np.float64),
+        "errors_corrected_inline": totals.corrected.astype(np.float64),
+        "rollbacks": totals.rollbacks.astype(np.float64),
+        "task_restarts": totals.restarts.astype(np.float64),
         "output_correct": correct,
         "silent_corruptions": silent.astype(np.float64),
-        "checkpoints_committed": sub.to_numpy(totals.checkpoints).astype(np.float64),
+        "checkpoints_committed": totals.checkpoints.astype(np.float64),
         "energy_nj": energy * 1e-3,
         "deadline_met": deadline_met,
         "fully_mitigated": correct.copy(),

@@ -28,9 +28,9 @@ Fidelity contract (verified by ``tests/batch/``):
   see its caveats for exotic code/fault-model pairs).
 * **Per-seed rows are composition-invariant.**  Fault sampling runs on
   counter-based per-run streams (:meth:`BatchTaskModel.make_streams`,
-  backed by the configured :mod:`repro.batch.substrate`): a seed's row
-  is a pure function of ``(spec, seed)`` and does not depend on which
-  other seeds share its batch, its execution block, shard or executor.
+  see :mod:`repro.batch.substrate`): a seed's row is a pure function of
+  ``(spec, seed)`` and does not depend on which other seeds share its
+  batch, its execution block, shard or executor.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from ..faults.models import FaultModel, default_smu_model
 from ..runtime.executor import profile_task
 from ..scenarios.base import Scenario
 from ..soc.interrupt import DEFAULT_ENTRY_CYCLES, DEFAULT_EXIT_CYCLES
-from .substrate import RunStreams, Substrate, get_substrate
+from .substrate import SUBSTRATE, RunStreams
 
 #: Domain-separation tag mixed into the campaign RNG seed so the batched
 #: stream never collides with the behavioural injector streams.
@@ -145,71 +145,55 @@ class CumulativeRate:
         self._run_rates = rates
         self._horizon = horizon
 
-    def _cum_at_runs(self, t, rows, xp):
+    def _cum_at_runs(self, t, rows):
         """Cumulative integral at times ``t`` along rows ``rows``."""
-        breaks = xp.asarray(self._breaks)
-        cum = xp.asarray(self._cum)
-        rates = xp.asarray(self._run_rates)
-        row_breaks = breaks[rows]
-        row_cum = cum[rows]
-        row_rates = rates[rows]
+        row_breaks = self._breaks[rows]
+        row_cum = self._cum[rows]
+        row_rates = self._run_rates[rows]
         width = row_rates.shape[1]
-        index = xp.clip(
-            xp.sum(row_breaks <= t[:, None], axis=1) - 1, 0, width - 1
+        index = np.clip(
+            np.sum(row_breaks <= t[:, None], axis=1) - 1, 0, width - 1
         )
-        gather = xp.take_along_axis
+        gather = np.take_along_axis
         base_break = gather(row_breaks, index[:, None], axis=1)[:, 0]
         base_cum = gather(row_cum, index[:, None], axis=1)[:, 0]
         rate = gather(row_rates, index[:, None], axis=1)[:, 0]
         return base_cum + (t - base_break) * rate
 
-    def integral(
-        self,
-        start,
-        end,
-        substrate: Substrate | None = None,
-        runs=None,
-    ) -> np.ndarray:
+    def integral(self, start, end, runs=None) -> np.ndarray:
         """``∫ rate dt`` over ``[start, end)``, elementwise over arrays.
 
         Windows must be well-formed: every ``end`` must be ``>= start``
         (a reversed window would silently return a negative integral,
         which the Poisson sampler downstream would reject much less
-        legibly).  Passing a :class:`~repro.batch.substrate.Substrate`
-        evaluates the lookup in that backend's array namespace, keeping
-        device arrays on the device.  In per-run mode ``runs`` holds the
-        row index of each window (``None`` means window ``i`` belongs to
-        run ``i``).
+        legibly).  In per-run mode ``runs`` holds the row index of each
+        window (``None`` means window ``i`` belongs to run ``i``);
+        otherwise it is ignored.
         """
-        xp = substrate.xp if substrate is not None else np
-        start = xp.asarray(start, dtype=xp.float64)
-        end = xp.asarray(end, dtype=xp.float64)
-        if bool(xp.any(end < start)):
+        start = np.asarray(start, dtype=np.float64)
+        end = np.asarray(end, dtype=np.float64)
+        if bool(np.any(end < start)):
             raise ValueError("integral window is reversed: every end must be >= start")
         if self._run_scenarios is not None:
             top = float(end.max()) if end.size else 0.0
             while top > self._horizon:
                 self._extend_runs(max(int(top * 2) + 1, self._horizon * 2))
-            start = xp.atleast_1d(start)
-            end = xp.atleast_1d(end)
+            start = np.atleast_1d(start)
+            end = np.atleast_1d(end)
             if runs is None:
                 if start.shape[0] != len(self._run_scenarios):
                     raise ValueError(
                         "per-run integral needs one window per run (or explicit runs)"
                     )
-                rows = xp.arange(len(self._run_scenarios))
+                rows = np.arange(len(self._run_scenarios))
             else:
-                rows = xp.asarray(runs)
-            return self._cum_at_runs(end, rows, xp) - self._cum_at_runs(start, rows, xp)
+                rows = np.asarray(runs)
+            return self._cum_at_runs(end, rows) - self._cum_at_runs(start, rows)
         if self.scenario is None:
             return self.fixed_rate * (end - start)
         top = float(end.max()) if end.size else 0.0
         while top > self._horizon:
             self._extend(max(int(top * 2) + 1, self._horizon * 2))
-        if substrate is not None:
-            return substrate.interp(end, self._breaks, self._cum) - substrate.interp(
-                start, self._breaks, self._cum
-            )
         return np.interp(end, self._breaks, self._cum) - np.interp(
             start, self._breaks, self._cum
         )
@@ -337,10 +321,6 @@ class BatchTaskModel:
     Parameters mirror :class:`~repro.runtime.executor.TaskExecutor`;
     ``profile_seed`` selects the workload input whose profile is shared by
     every simulated run (see the module docstring for the approximation).
-    ``substrate`` selects the array backend the campaign engine computes
-    on — a registered name, a :class:`~repro.batch.substrate.Substrate`
-    instance, or ``None`` for the process default (``REPRO_SUBSTRATE``,
-    falling back to NumPy).
     """
 
     def __init__(
@@ -351,7 +331,6 @@ class BatchTaskModel:
         fault_model: FaultModel | None = None,
         scenario: Scenario | None = None,
         profile_seed: int = 0,
-        substrate: Substrate | str | None = None,
     ) -> None:
         self.app = app
         self.strategy = strategy
@@ -359,10 +338,6 @@ class BatchTaskModel:
         self.fault_model = fault_model if fault_model is not None else default_smu_model()
         self.scenario = scenario
         self.profile_seed = profile_seed
-        if isinstance(substrate, Substrate):
-            self.substrate = substrate
-        else:
-            self.substrate = get_substrate(substrate)
         self._build()
 
     # ------------------------------------------------------------------ #
@@ -587,4 +562,4 @@ class BatchTaskModel:
         service split batched campaigns into shards without changing a
         single emitted number.
         """
-        return self.substrate.make_streams(seeds, _STREAM_TAG)
+        return SUBSTRATE.make_streams(seeds, _STREAM_TAG)

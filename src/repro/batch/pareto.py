@@ -63,7 +63,7 @@ from ..faults.models import FaultModel, MixedUpset, MultiBitUpset, SingleBitUpse
 from ..memmodel.technology import TechnologyNode, available_nodes, get_node
 from .design import _GridCostModel, _model_nbytes
 from .streaming import iter_blocks, note_blocks, note_peak_bytes
-from .substrate import Substrate, get_substrate
+from .substrate import SUBSTRATE
 
 #: Objective names understood by the explorer, all minimized.
 OBJECTIVES: tuple[str, ...] = ("energy", "runtime", "area", "failure")
@@ -405,19 +405,14 @@ def reference_non_dominated(values: list[tuple[float, ...]]) -> list[int]:
     return front
 
 
-def grid_non_dominated_mask(
-    values: np.ndarray, substrate: Substrate | str | None = None
-) -> np.ndarray:
+def grid_non_dominated_mask(values: np.ndarray) -> np.ndarray:
     """Boolean mask of the non-dominated rows of ``values``, in array ops.
 
     Same weak-dominance semantics as :func:`reference_non_dominated`
-    (exactly equal rows are all kept).  The sweep runs on the configured
-    :mod:`~repro.batch.substrate` (NumPy compacting sweep / Numba njit
-    kernel / CuPy device sweep); non-dominatedness is a property of the
-    point set, so every substrate returns the identical mask.
+    (exactly equal rows are all kept); the compacting sweep is
+    :meth:`repro.batch.substrate.Substrate.non_dominated_mask`.
     """
-    sub = substrate if isinstance(substrate, Substrate) else get_substrate(substrate)
-    return sub.non_dominated_mask(values)
+    return SUBSTRATE.non_dominated_mask(values)
 
 
 # ---------------------------------------------------------------------- #
@@ -560,17 +555,6 @@ def _resolve_grid(
     )
 
 
-def _filter_per_rate(
-    rates: np.ndarray, values: np.ndarray, substrate: Substrate | str | None = None
-) -> np.ndarray:
-    """Non-dominated mask with dominance restricted to same-rate groups."""
-    mask = np.zeros(values.shape[0], dtype=bool)
-    for rate in np.unique(rates):
-        group = np.flatnonzero(rates == rate)
-        mask[group[grid_non_dominated_mask(values[group], substrate)]] = True
-    return mask
-
-
 class _StreamingFront:
     """Running non-dominated set of one rate level, folded block by block.
 
@@ -582,8 +566,7 @@ class _StreamingFront:
     have pruned is also pruned by whatever pruned the survivor.
     """
 
-    def __init__(self, substrate: Substrate) -> None:
-        self.substrate = substrate
+    def __init__(self) -> None:
         self.values: np.ndarray | None = None
         self.payload: dict[str, np.ndarray] = {}
 
@@ -598,7 +581,7 @@ class _StreamingFront:
                 name: np.concatenate([self.payload[name], payload[name]])
                 for name in self.payload
             }
-        mask = self.substrate.non_dominated_mask(candidates)
+        mask = SUBSTRATE.non_dominated_mask(candidates)
         self.values = candidates[mask]
         self.payload = {name: column[mask] for name, column in merged.items()}
 
@@ -627,7 +610,6 @@ def grid_pareto_front(
     chunk_stride: int = 1,
     fault_model: FaultModel | None = None,
     seed: int = 0,
-    substrate: Substrate | str | None = None,
     block: int | None = None,
 ) -> ParetoFront:
     """Explore the cross-technology design space on the array grid engine.
@@ -637,10 +619,9 @@ def grid_pareto_front(
     array passes (``block=None`` resolves ``REPRO_BATCH_BLOCK``), folding
     each block into a per-rate streaming non-dominated front — the
     working set is ``O(block + front)``, not ``O(grid)``, which is what
-    lets 10^7-point grids run in bounded memory.  Dominance sweeps run on
-    the configured :mod:`~repro.batch.substrate`.  The result is
+    lets 10^7-point grids run in bounded memory.  The result is
     bit-identical to :func:`reference_pareto_front` for every block size
-    and substrate (the cost model is elementwise along the chunk axis and
+    (the cost model is elementwise along the chunk axis and
     non-dominatedness is set-determined).
 
     Examples
@@ -655,13 +636,12 @@ def grid_pareto_front(
         app, objectives, nodes, schemes, correctable_bits, rate_levels,
         constraints, max_chunk_words, chunk_stride, fault_model, seed,
     )
-    sub = substrate if isinstance(substrate, Substrate) else get_substrate(substrate)
     chunks = np.asarray(grid.chunks, dtype=np.int64)
     rate_array = np.asarray(grid.rate_levels, dtype=np.float64)
     cells = grid.cells()
     num_rates = len(grid.rate_levels)
 
-    fronts = [_StreamingFront(sub) for _ in range(num_rates)]
+    fronts = [_StreamingFront() for _ in range(num_rates)]
     evaluated = 0
     triple_index = 0
     for node in grid.nodes:

@@ -1,103 +1,38 @@
-"""Pluggable array substrates for the batch engines.
+"""The NumPy sampler and dominance sweep under the batch engines.
 
-A *substrate* is the array backend the vectorized engines
-(:mod:`repro.batch.engine`, :mod:`repro.batch.design`,
-:mod:`repro.batch.pareto`) compute on.  It bundles
-
-* ``xp`` — a NumPy-compatible array namespace the campaign engine
-  allocates its per-run accumulators in (NumPy on the CPU substrates,
-  CuPy on the GPU one);
-* the handful of engine-specific ops: :meth:`Substrate.interp` (the
-  cumulative-rate lookup), counter-based fault sampling
-  (:meth:`~Substrate.uniform` / :meth:`~Substrate.poisson` /
-  :meth:`~Substrate.binomial` / :meth:`~Substrate.distinct_words`) and
-  the Pareto dominance sweep (:meth:`~Substrate.non_dominated_mask`).
-
-Three substrates are registered, selected per spec
-(``ExperimentSpec.substrate``), per process (``REPRO_SUBSTRATE``) or per
-CLI invocation (``--substrate``):
-
-* ``"numpy"`` — the reference implementation.  Always available, and the
-  engines' bit-identity contracts (golden fixtures, cross-engine
-  equivalence, block-size invariance) are stated against it.
-* ``"numba"`` — import-gated JIT backend: the hot per-run sampling loops
-  (Poisson inversion, binomial thinning, distinct-word occupancy) and the
-  dominance compacting sweep run as ``@njit`` kernels over the same
-  counter-based streams.  Identical integer stream math; held to the
-  golden fixtures' confidence bounds (in practice it matches the NumPy
-  path to the last bit except for sub-ulp ``exp`` boundary cases).
-* ``"cupy"`` — import-gated GPU backend (CuPy was chosen over JAX
-  because the campaign engine relies on in-place masked scatter, which
-  JAX arrays do not support).  Campaign accumulators and fault sampling
-  live on the device; dominance sweeps ship the value matrix over,
-  filter there and return a host mask.  Held to the same confidence
-  bounds as numba.
-
-The design-space grids (:mod:`repro.batch.design`) additionally promise
-*bit-identity with the scalar Python model*, which pins their
-transcendental calls to libm on the host; they therefore always compute
-on :attr:`Substrate.exact_xp` (NumPy on every substrate) and use the
-substrate only for reductions that are set-determined, like the
-dominance sweep.
+:class:`Substrate` holds the array operations the vectorized engines
+(:mod:`repro.batch.engine`, :mod:`repro.batch.pareto`) share:
+counter-based fault sampling (:meth:`~Substrate.uniform`,
+:meth:`~Substrate.poisson`, :meth:`~Substrate.binomial`,
+:meth:`~Substrate.distinct_words`) and the Pareto dominance sweep
+(:meth:`~Substrate.non_dominated_mask`).  Every engine uses the one
+shared instance, :data:`SUBSTRATE`.
 
 Counter-based fault streams
 ---------------------------
 :meth:`Substrate.make_streams` derives one independent stream per run
-from ``(tag, seed)`` via a splitmix64-style hash; every draw is a pure
-function of ``(key, counter)``.  This is what makes batched results
-independent of batch composition and block size: simulating seeds
-``[3]``, ``[0..9]`` or any block partition of them produces the same
-per-seed rows bit for bit on a given substrate — the foundation of the
+from ``(tag, seed)``; every draw is a pure function of ``(key, counter)``.
+The stream format (key schedule, uniform extraction, Poisson rule) is
+owned by :mod:`repro.utils.rng`, so these streams draw exactly what
+:class:`~repro.utils.rng.CounterStream` draws for the same key.  This is
+what makes batched results independent of batch composition and block
+size: simulating seeds ``[3]``, ``[0..9]`` or any block partition of them
+produces the same per-seed rows bit for bit — the foundation of the
 streaming/blocked execution layer (:mod:`repro.batch.streaming`), the
 warehouse's per-block delta units and the service's batched shards.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
-#: Environment variable naming the default substrate ("numpy" when unset).
-ENV_SUBSTRATE = "REPRO_SUBSTRATE"
-
-#: splitmix64 increment (golden-ratio) constant.
-_GAMMA = 0x9E3779B97F4A7C15
-_MASK64 = 0xFFFFFFFFFFFFFFFF
+from ..utils.rng import counter_uniforms, poisson_from_uniforms, stream_keys
 
 #: Saturation threshold of the distinct-word occupancy recurrence:
 #: beyond ``8 * words`` strikes, P(any word unstruck) < words * e^-8.
 _OCCUPANCY_SATURATION = 8
-
-
-class SubstrateUnavailableError(RuntimeError):
-    """A registered substrate's backing library is not importable."""
-
-
-def _mix_int(value: int) -> int:
-    """Scalar splitmix64 finalizer on Python ints (for key derivation)."""
-    z = value & _MASK64
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-    return z ^ (z >> 31)
-
-
-def _mix(xp: Any, z: Any) -> Any:
-    """Vectorized splitmix64 finalizer on a uint64 array (wraps mod 2^64)."""
-    z = z ^ (z >> xp.uint64(30))
-    z = z * xp.uint64(0xBF58476D1CE4E5B9)
-    z = z ^ (z >> xp.uint64(27))
-    z = z * xp.uint64(0x94D049BB133111EB)
-    return z ^ (z >> xp.uint64(31))
-
-
-def _hash_u64(xp: Any, keys: Any, counters: Any) -> Any:
-    """The draw value of each ``(key, counter)`` pair as a uint64 array."""
-    scrambled = _mix(xp, (counters + xp.uint64(1)) * xp.uint64(_GAMMA))
-    return _mix(xp, keys ^ scrambled)
 
 
 @dataclass
@@ -111,8 +46,8 @@ class RunStreams:
     shards, warehouse deltas — replays identically.
     """
 
-    keys: Any
-    counters: Any
+    keys: np.ndarray
+    counters: np.ndarray
 
     def __len__(self) -> int:
         return int(self.keys.shape[0])
@@ -124,108 +59,56 @@ class RunStreams:
 
 
 class Substrate:
-    """The NumPy reference substrate (and base class of the others).
+    """Counter-based sampling and the dominance sweep, on NumPy arrays.
 
-    Subclasses override :meth:`_check_available` plus whichever ops they
-    accelerate; the sampling semantics (which run consumes how many
-    uniforms at which counter) are part of the protocol and must not
-    change between substrates — they define the streams' identity.
+    The sampling semantics — which run consumes how many uniforms at
+    which counter — define the streams' identity: every row the batch
+    engines emit depends on them.
     """
-
-    #: Registry name.
-    name = "numpy"
-    #: One-line description for registry listings.
-    description = "NumPy reference backend (always available, bit-exact contract)"
-
-    def __init__(self) -> None:
-        self.xp = np
-        self._check_available()
-
-    # ------------------------------------------------------------------ #
-    # Availability / array plumbing
-    # ------------------------------------------------------------------ #
-    def _check_available(self) -> None:
-        """Raise :class:`SubstrateUnavailableError` when deps are missing."""
-
-    @property
-    def exact_xp(self) -> Any:
-        """The host NumPy namespace for bit-exactness-pinned computations."""
-        return np
-
-    def asarray(self, values: Any, dtype: Any = None) -> Any:
-        """Convert to this substrate's array type."""
-        return self.xp.asarray(values, dtype=dtype)
-
-    def to_numpy(self, values: Any) -> np.ndarray:
-        """Bring an ``xp`` array back to host NumPy."""
-        return np.asarray(values)
-
-    def interp(self, x: Any, xs: np.ndarray, fs: np.ndarray) -> Any:
-        """Piecewise-linear table lookup (``np.interp`` semantics)."""
-        return self.xp.interp(x, self.asarray(xs), self.asarray(fs))
 
     # ------------------------------------------------------------------ #
     # Counter-based sampling
     # ------------------------------------------------------------------ #
-    def make_streams(self, seeds: Any, tag: int) -> RunStreams:
+    def make_streams(self, seeds, tag: int) -> RunStreams:
         """One independent counter-based stream per seed (see module docs)."""
-        tag_mix = _mix_int(tag * _GAMMA)
-        raw = np.asarray([int(s) & _MASK64 for s in seeds], dtype=np.uint64)
-        xp = self.xp
-        keys = _mix(xp, _mix(xp, self.asarray(raw) ^ xp.uint64(tag_mix)) + xp.uint64(_GAMMA))
-        return RunStreams(keys=keys, counters=xp.zeros(raw.shape[0], dtype=xp.uint64))
+        keys = stream_keys(seeds, tag)
+        return RunStreams(keys=keys, counters=np.zeros(keys.shape[0], dtype=np.uint64))
 
-    def _select(self, streams: RunStreams, idx: Any) -> Any:
+    @staticmethod
+    def _select(streams: RunStreams, idx) -> np.ndarray:
         """Indices addressed by one sampling call (``None`` = every run)."""
         if idx is None:
-            return self.xp.arange(len(streams))
+            return np.arange(len(streams))
         return idx
 
-    def uniform(self, streams: RunStreams, idx: Any = None) -> Any:
+    def uniform(self, streams: RunStreams, idx=None) -> np.ndarray:
         """One uniform in ``[0, 1)`` per addressed run (advances counters)."""
         sel = self._select(streams, idx)
-        value = _hash_u64(self.xp, streams.keys[sel], streams.counters[sel])
-        streams.counters[sel] += self.xp.uint64(1)
-        return (value >> self.xp.uint64(11)).astype(self.xp.float64) * 2.0**-53
+        value = counter_uniforms(streams.keys[sel], streams.counters[sel])
+        streams.counters[sel] += np.uint64(1)
+        return value
 
-    def poisson(self, streams: RunStreams, lam: Any, idx: Any = None) -> Any:
-        """Exact Poisson draw per addressed run, by CDF inversion.
+    def poisson(self, streams: RunStreams, lam, idx=None) -> np.ndarray:
+        """Poisson draw per addressed run, one uniform each.
 
-        Consumes exactly one uniform per run regardless of the outcome,
-        so the stream advance is data-independent.  The inversion loop
-        runs ``max(k)`` vectorized steps; registered workloads keep the
-        per-window mean well below one, so it terminates almost
-        immediately, and underflow of the pmf term cuts the (provably
-        negligible) far tail deterministically.
+        The rule is :func:`repro.utils.rng.poisson_from_uniforms`.
+        Consuming exactly one uniform per run regardless of the outcome
+        keeps the stream advance data-independent.
         """
-        xp = self.xp
         sel = self._select(streams, idx)
-        lam = xp.broadcast_to(xp.asarray(lam, dtype=xp.float64), sel.shape).copy()
-        u = self.uniform(streams, sel)
-        k = xp.zeros(sel.shape, dtype=xp.int64)
-        pmf = xp.exp(-lam)
-        cdf = pmf.copy()
-        active = u > cdf
-        while bool(active.any()):
-            k[active] += 1
-            step = pmf[active] * (lam[active] / k[active].astype(xp.float64))
-            pmf[active] = step
-            cdf[active] += step
-            active = active & (u > cdf) & (pmf > 0.0)
-        return k
+        return poisson_from_uniforms(lam, self.uniform(streams, sel))
 
-    def binomial(self, streams: RunStreams, counts: Any, p: float, idx: Any = None) -> Any:
+    def binomial(self, streams: RunStreams, counts, p: float, idx=None) -> np.ndarray:
         """Exact Binomial(count, p) per run, as a Bernoulli sum.
 
         Consumes ``count`` uniforms per run; degenerate probabilities
-        (``p <= 0`` or ``p >= 1``) short-circuit without consuming, a
-        convention every substrate shares.  Counts here are per-window
-        upset counts (0–2 at paper rates), so the trial loop is short.
+        (``p <= 0`` or ``p >= 1``) short-circuit without consuming.
+        Counts here are per-window upset counts (0–2 at paper rates), so
+        the trial loop is short.
         """
-        xp = self.xp
         sel = self._select(streams, idx)
-        counts = xp.asarray(counts, dtype=xp.int64)
-        out = xp.zeros(sel.shape, dtype=xp.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        out = np.zeros(sel.shape, dtype=np.int64)
         if p <= 0.0:
             return out
         if p >= 1.0:
@@ -234,14 +117,12 @@ class Substrate:
         active = pending > 0
         while bool(active.any()):
             u = self.uniform(streams, sel[active])
-            out[active] += (u < p).astype(xp.int64)
+            out[active] += (u < p).astype(np.int64)
             pending[active] -= 1
             active = pending > 0
         return out
 
-    def distinct_words(
-        self, streams: RunStreams, counts: Any, words: int, idx: Any = None
-    ) -> Any:
+    def distinct_words(self, streams: RunStreams, counts, words: int, idx=None) -> np.ndarray:
         """Distinct words struck by ``counts`` uniform upsets, per run.
 
         Samples the exact occupancy distribution by the sequential-throw
@@ -249,59 +130,44 @@ class Substrate:
         uniform per (unsaturated) strike.  Counts far beyond the word
         pool saturate it without consuming.
         """
-        xp = self.xp
         sel = self._select(streams, idx)
-        counts = xp.asarray(counts, dtype=xp.int64)
+        counts = np.asarray(counts, dtype=np.int64)
         if words <= 0:
-            return xp.zeros(sel.shape, dtype=xp.int64)
+            return np.zeros(sel.shape, dtype=np.int64)
         if words == 1:
-            return (counts > 0).astype(xp.int64)
-        distinct = xp.zeros(sel.shape, dtype=xp.int64)
+            return (counts > 0).astype(np.int64)
+        distinct = np.zeros(sel.shape, dtype=np.int64)
         saturated = counts > _OCCUPANCY_SATURATION * words
         distinct[saturated] = words
-        remaining = xp.where(saturated, 0, counts)
+        remaining = np.where(saturated, 0, counts)
         active = remaining > 0
         while bool(active.any()):
             u = self.uniform(streams, sel[active])
-            fresh = u < (1.0 - distinct[active].astype(xp.float64) / words)
-            distinct[active] += fresh.astype(xp.int64)
+            fresh = u < (1.0 - distinct[active].astype(np.float64) / words)
+            distinct[active] += fresh.astype(np.int64)
             remaining[active] -= 1
             active = remaining > 0
         return distinct
 
     # ------------------------------------------------------------------ #
-    # Dominance sweep (host array in, host mask out)
+    # Dominance sweep
     # ------------------------------------------------------------------ #
     def non_dominated_mask(self, values: np.ndarray) -> np.ndarray:
         """Boolean mask of the weakly non-dominated rows of ``values``.
 
         Semantics match :func:`repro.batch.pareto.reference_non_dominated`
-        (exactly equal rows are all kept).  The mask is set-determined —
-        non-dominatedness is a property of the point set — so every
-        substrate returns the identical mask; only the sweep's execution
-        differs.
+        (exactly equal rows are all kept).  A weakly dominating point
+        always has a strictly smaller objective sum, so visiting pivots in
+        ascending-sum order lets each known-non-dominated pivot prune its
+        dominated successors in one compacting sweep.
         """
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2:
             raise ValueError("values must be a 2-D (points x objectives) array")
         n = values.shape[0]
-        if n == 0:
-            return np.zeros(0, dtype=bool)
         order = np.argsort(values.sum(axis=1), kind="stable")
-        alive_sorted = self._sweep_sorted(values[order])
-        mask = np.zeros(n, dtype=bool)
-        mask[order[alive_sorted]] = True
-        return mask
-
-    def _sweep_sorted(self, costs: np.ndarray) -> np.ndarray:
-        """Surviving positions of a sum-ascending cost matrix.
-
-        A weakly dominating point always has a strictly smaller
-        objective sum, so visiting pivots in ascending-sum order lets
-        each known-non-dominated pivot prune its dominated successors in
-        one compacting sweep.
-        """
-        alive = np.arange(costs.shape[0])
+        costs = values[order]
+        alive = np.arange(n)
         i = 0
         while i < costs.shape[0]:
             pivot = costs[i]
@@ -309,306 +175,15 @@ class Substrate:
             costs = costs[keep]
             alive = alive[keep]
             i = int(np.count_nonzero(keep[:i])) + 1
-        return alive
-
-
-# ---------------------------------------------------------------------- #
-# Numba substrate
-# ---------------------------------------------------------------------- #
-_NUMBA_KERNELS: dict[str, Any] = {}
-_NUMBA_LOCK = threading.Lock()
-
-
-def _build_numba_kernels() -> dict[str, Any]:
-    """Compile (once per process) the njit sampling and sweep kernels."""
-    with _NUMBA_LOCK:
-        if _NUMBA_KERNELS:
-            return _NUMBA_KERNELS
-        import numba  # noqa: PLC0415 - deferred, import-gated backend
-
-        @numba.njit(cache=True)
-        def _mix_nb(z):
-            z = z ^ (z >> np.uint64(30))
-            z = z * np.uint64(0xBF58476D1CE4E5B9)
-            z = z ^ (z >> np.uint64(27))
-            z = z * np.uint64(0x94D049BB133111EB)
-            return z ^ (z >> np.uint64(31))
-
-        @numba.njit(cache=True)
-        def _u01_nb(key, counter):
-            scrambled = _mix_nb((counter + np.uint64(1)) * np.uint64(_GAMMA))
-            return np.float64(_mix_nb(key ^ scrambled) >> np.uint64(11)) * 2.0**-53
-
-        @numba.njit(cache=True)
-        def poisson_kernel(keys, counters, lam):
-            n = keys.shape[0]
-            out = np.zeros(n, dtype=np.int64)
-            for r in range(n):
-                u = _u01_nb(keys[r], counters[r])
-                counters[r] += np.uint64(1)
-                k = 0
-                pmf = np.exp(-lam[r])
-                cdf = pmf
-                while u > cdf and pmf > 0.0:
-                    k += 1
-                    pmf = pmf * (lam[r] / np.float64(k))
-                    cdf += pmf
-                out[r] = k
-            return out
-
-        @numba.njit(cache=True)
-        def binomial_kernel(keys, counters, counts, p):
-            n = keys.shape[0]
-            out = np.zeros(n, dtype=np.int64)
-            for r in range(n):
-                hits = 0
-                for _ in range(counts[r]):
-                    if _u01_nb(keys[r], counters[r]) < p:
-                        hits += 1
-                    counters[r] += np.uint64(1)
-                out[r] = hits
-            return out
-
-        @numba.njit(cache=True)
-        def distinct_kernel(keys, counters, counts, words, saturation):
-            n = keys.shape[0]
-            out = np.zeros(n, dtype=np.int64)
-            for r in range(n):
-                if counts[r] > saturation * words:
-                    out[r] = words
-                    continue
-                distinct = 0
-                for _ in range(counts[r]):
-                    u = _u01_nb(keys[r], counters[r])
-                    counters[r] += np.uint64(1)
-                    if u < 1.0 - np.float64(distinct) / np.float64(words):
-                        distinct += 1
-                out[r] = distinct
-            return out
-
-        @numba.njit(cache=True)
-        def sweep_kernel(costs):
-            n, m = costs.shape
-            alive = np.ones(n, dtype=np.bool_)
-            for i in range(n):
-                if not alive[i]:
-                    continue
-                for j in range(i + 1, n):
-                    if not alive[j]:
-                        continue
-                    dominated = True
-                    all_equal = True
-                    for k in range(m):
-                        a = costs[i, k]
-                        b = costs[j, k]
-                        if b < a:
-                            dominated = False
-                            break
-                        if b != a:
-                            all_equal = False
-                    if dominated and not all_equal:
-                        alive[j] = False
-            return alive
-
-        _NUMBA_KERNELS.update(
-            poisson=poisson_kernel,
-            binomial=binomial_kernel,
-            distinct=distinct_kernel,
-            sweep=sweep_kernel,
-        )
-        return _NUMBA_KERNELS
-
-
-class NumbaSubstrate(Substrate):
-    """JIT substrate: njit kernels over the same counter-based streams."""
-
-    name = "numba"
-    description = "Numba-JIT backend (njit sampling + dominance kernels)"
-
-    def _check_available(self) -> None:
-        try:
-            import numba  # noqa: F401, PLC0415 - availability probe
-        except ImportError as error:
-            raise SubstrateUnavailableError(
-                "substrate 'numba' needs the numba package (pip install numba)"
-            ) from error
-        self._kernels = _build_numba_kernels()
-
-    def poisson(self, streams: RunStreams, lam: Any, idx: Any = None) -> Any:
-        """Poisson inversion as a fused per-run njit loop."""
-        sel = self._select(streams, idx)
-        lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), sel.shape)
-        keys = streams.keys[sel]
-        counters = streams.counters[sel]
-        out = self._kernels["poisson"](keys, counters, np.ascontiguousarray(lam))
-        streams.counters[sel] = counters
-        return out
-
-    def binomial(self, streams: RunStreams, counts: Any, p: float, idx: Any = None) -> Any:
-        """Bernoulli-sum binomial as a fused per-run njit loop."""
-        sel = self._select(streams, idx)
-        counts = np.asarray(counts, dtype=np.int64)
-        if p <= 0.0:
-            return np.zeros(sel.shape, dtype=np.int64)
-        if p >= 1.0:
-            return counts.copy()
-        keys = streams.keys[sel]
-        counters = streams.counters[sel]
-        out = self._kernels["binomial"](keys, counters, counts, float(p))
-        streams.counters[sel] = counters
-        return out
-
-    def distinct_words(
-        self, streams: RunStreams, counts: Any, words: int, idx: Any = None
-    ) -> Any:
-        """Occupancy recurrence as a fused per-run njit loop."""
-        sel = self._select(streams, idx)
-        counts = np.asarray(counts, dtype=np.int64)
-        if words <= 0:
-            return np.zeros(sel.shape, dtype=np.int64)
-        if words == 1:
-            return (counts > 0).astype(np.int64)
-        keys = streams.keys[sel]
-        counters = streams.counters[sel]
-        out = self._kernels["distinct"](
-            keys, counters, counts, int(words), int(_OCCUPANCY_SATURATION)
-        )
-        streams.counters[sel] = counters
-        return out
-
-    def _sweep_sorted(self, costs: np.ndarray) -> np.ndarray:
-        """Dominance sweep as an njit pairwise-pruning kernel."""
-        alive = self._kernels["sweep"](np.ascontiguousarray(costs))
-        return np.flatnonzero(alive)
-
-
-# ---------------------------------------------------------------------- #
-# CuPy substrate
-# ---------------------------------------------------------------------- #
-class CupySubstrate(Substrate):
-    """GPU substrate: accumulators, sampling and sweeps on the device.
-
-    CuPy mirrors NumPy's in-place masked scatter, which the campaign
-    engine relies on (JAX arrays are immutable, which is why the GPU
-    backend is CuPy rather than JAX).  Results are held to the golden
-    fixtures' confidence bounds, not bit-identity: device libm kernels
-    may differ from the host in the last ulp.
-    """
-
-    name = "cupy"
-    description = "CuPy GPU backend (device sampling + dominance sweeps)"
-
-    def _check_available(self) -> None:
-        try:
-            import cupy  # noqa: PLC0415 - deferred, import-gated backend
-        except ImportError as error:
-            raise SubstrateUnavailableError(
-                "substrate 'cupy' needs the cupy package (pip install cupy-cuda12x)"
-            ) from error
-        try:
-            cupy.cuda.runtime.getDeviceCount()
-        except Exception as error:  # pragma: no cover - needs broken CUDA
-            raise SubstrateUnavailableError(
-                f"substrate 'cupy' found no usable CUDA device ({error})"
-            ) from error
-        self.xp = cupy
-
-    def __init__(self) -> None:  # pragma: no cover - needs a GPU
-        self.xp = np  # replaced by _check_available on success
-        self._check_available()
-
-    def to_numpy(self, values: Any) -> np.ndarray:  # pragma: no cover - needs a GPU
-        """Copy a device array back to the host."""
-        return self.xp.asnumpy(values)
-
-    def non_dominated_mask(self, values: np.ndarray) -> np.ndarray:  # pragma: no cover
-        """Compacting sweep on the device; identical host mask out."""
-        xp = self.xp
-        host = np.asarray(values, dtype=np.float64)
-        if host.ndim != 2:
-            raise ValueError("values must be a 2-D (points x objectives) array")
-        n = host.shape[0]
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        order = np.argsort(host.sum(axis=1), kind="stable")
-        costs = xp.asarray(host[order])
-        alive = xp.arange(n)
-        i = 0
-        while i < costs.shape[0]:
-            pivot = costs[i]
-            keep = xp.any(costs < pivot, axis=1) | xp.all(costs == pivot, axis=1)
-            costs = costs[keep]
-            alive = alive[keep]
-            i = int(xp.count_nonzero(keep[:i])) + 1
         mask = np.zeros(n, dtype=bool)
-        mask[order[self.to_numpy(alive)]] = True
+        mask[order[alive]] = True
         return mask
 
 
-# ---------------------------------------------------------------------- #
-# Registry
-# ---------------------------------------------------------------------- #
-_SUBSTRATES: dict[str, type[Substrate]] = {
-    cls.name: cls for cls in (Substrate, NumbaSubstrate, CupySubstrate)
-}
-_INSTANCES: dict[str, Substrate] = {}
-_INSTANCE_LOCK = threading.Lock()
-
-
-def available_substrates() -> tuple[str, ...]:
-    """Registered substrate names (independent of importability)."""
-    return tuple(_SUBSTRATES)
-
-
-def substrate_known(name: str) -> bool:
-    """Whether ``name`` is a registered substrate."""
-    return name in _SUBSTRATES
-
-
-def substrate_description(name: str) -> str:
-    """One-line description of a registered substrate."""
-    return _SUBSTRATES[name].description
-
-
-def substrate_available(name: str) -> bool:
-    """Whether a registered substrate can actually be instantiated here."""
-    try:
-        get_substrate(name)
-    except (KeyError, SubstrateUnavailableError):
-        return False
-    return True
+#: The instance every batched engine samples and sweeps on.
+SUBSTRATE = Substrate()
 
 
 def default_substrate_name() -> str:
-    """The process default: ``REPRO_SUBSTRATE`` when set, else ``"numpy"``."""
-    name = os.environ.get(ENV_SUBSTRATE, "").strip()
-    if not name:
-        return "numpy"
-    if name not in _SUBSTRATES:
-        known = ", ".join(_SUBSTRATES)
-        raise ValueError(
-            f"{ENV_SUBSTRATE}={name!r} names an unknown substrate; known: {known}"
-        )
-    return name
-
-
-def get_substrate(name: str | None = None) -> Substrate:
-    """The (cached) substrate instance for ``name``.
-
-    ``None`` resolves through :func:`default_substrate_name`.  Unknown
-    names raise ``KeyError`` with the registered choices; known-but-
-    uninstallable backends raise :class:`SubstrateUnavailableError` with
-    the installation hint.
-    """
-    if name is None:
-        name = default_substrate_name()
-    cls = _SUBSTRATES.get(name)
-    if cls is None:
-        known = ", ".join(_SUBSTRATES)
-        raise KeyError(f"unknown substrate {name!r}; known substrates: {known}")
-    with _INSTANCE_LOCK:
-        instance = _INSTANCES.get(name)
-        if instance is None:
-            instance = cls()
-            _INSTANCES[name] = instance
-        return instance
+    """Name of the array backend the batched engines run on."""
+    return "numpy"

@@ -85,12 +85,6 @@ from .batch.pareto import (
     DEFAULT_SCHEMES,
     OBJECTIVES,
 )
-from .batch.substrate import (
-    SubstrateUnavailableError,
-    available_substrates,
-    substrate_available,
-    substrate_description,
-)
 from .core.config import PAPER_OPERATING_POINT
 from .ecc.redundancy import available_schemes
 from .memmodel.technology import available_nodes
@@ -175,15 +169,6 @@ def _add_engine_option(
         "the design space point by point, 'batched' vectorizes campaigns "
         "(all seeds at once) and design-space sweeps (whole grid at once, "
         f"bit-identical) (default: {default})",
-    )
-    parser.add_argument(
-        "--substrate",
-        choices=available_substrates(),
-        default=None,
-        help="array backend for the batched engines: 'numpy' (reference), "
-        "'numba' (JIT-compiled sampling/dominance kernels) or 'cupy' "
-        "(GPU); default: the REPRO_SUBSTRATE environment variable, else "
-        "'numpy' (see 'repro-experiments list' for availability)",
     )
 
 
@@ -719,7 +704,6 @@ def _spec_from_args(args: argparse.Namespace, kind: str = "execute") -> Experime
         scenario_params=_parse_kv_params(getattr(args, "scenario_param", None)),
         seed=getattr(args, "seed", 0),
         engine=getattr(args, "engine", "behavioural"),
-        substrate=getattr(args, "substrate", None),
     )
 
 
@@ -738,15 +722,6 @@ def _registry_listing() -> ResultSet:
                 "registry": "scenario",
                 "name": scenario,
                 "description": scenario_description(scenario),
-            }
-        )
-    for name in available_substrates():
-        status = "available" if substrate_available(name) else "unavailable here"
-        records.append(
-            {
-                "registry": "substrate",
-                "name": name,
-                "description": f"{substrate_description(name)} [{status}]",
             }
         )
     return ResultSet.from_records(
@@ -1115,7 +1090,6 @@ def _run_sections(args: argparse.Namespace) -> list:
             constraints=_constraints_from_args(args),
             fault_model=args.fault_model,
             engine=args.engine,
-            substrate=getattr(args, "substrate", None),
             jobs=args.jobs,
         )
         return [front.to_result_set()]
@@ -1155,10 +1129,9 @@ def main(argv: list[str] | None = None) -> int:
 
             return _stats_watch(args, ServiceClient(args.url or _default_service_url()))
         sections = _run_sections(args)
-    except (KeyError, ValueError, SubstrateUnavailableError) as error:
-        # Spec construction / registry lookup / substrate availability
-        # problems carry a readable message; surface it as a CLI error
-        # instead of a traceback.
+    except (KeyError, ValueError) as error:
+        # Spec construction / registry lookup problems carry a readable
+        # message; surface it as a CLI error instead of a traceback.
         message = error.args[0] if error.args else str(error)
         print(f"repro-experiments: error: {message}", file=sys.stderr)
         return 2

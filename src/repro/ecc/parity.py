@@ -14,8 +14,8 @@ from .base import Code, DecodeResult, DecodeStatus
 class ParityCode(Code):
     """Even parity over ``data_bits`` data bits (1 check bit).
 
-    Codeword layout: ``[parity_bit | data]`` with the data word occupying
-    the least-significant ``data_bits`` bits.
+    Codeword layout: ``[parity_bit | data]`` with the data word in the
+    least-significant ``data_bits`` bits.
     """
 
     def __init__(self, data_bits: int = 32) -> None:

@@ -22,8 +22,7 @@ Modules: :mod:`~repro.service.wire` (payload validation),
 :mod:`~repro.service.scaling` (Parsl-style elastic policy),
 :mod:`~repro.service.pool` (worker pool),
 :mod:`~repro.service.server` (stdlib HTTP server),
-:mod:`~repro.service.client` (urllib client + remote executor),
-:mod:`~repro.service.fastapi_app` (optional FastAPI adapter).
+:mod:`~repro.service.client` (urllib client + remote executor).
 """
 
 from .client import RemoteExecutor, ServiceClient, ServiceError

@@ -1,8 +1,7 @@
 """The experiment server: campaigns as a service over plain HTTP.
 
 Built on :class:`http.server.ThreadingHTTPServer` — no dependency beyond
-the standard library (see :mod:`repro.service.fastapi_app` for the
-optional FastAPI adapter).  Endpoints:
+the standard library.  Endpoints:
 
 ========  ==============================  =======================================
 Method    Path                            Purpose

@@ -103,9 +103,10 @@ def unit_key(spec_dicts: list[dict[str, Any]], fingerprint: str) -> str:
     """Extended canonical hash of one warehouse unit.
 
     ``spec_dicts`` is the ordered list of spec payloads the unit covers —
-    one entry for a solo spec, the whole ordered seed group for a batched
-    campaign unit (the batch engine derives one fault stream per group,
-    so the group composition *is* part of the result identity).
+    one entry for a solo spec, the ordered seed block for a batched
+    campaign unit.  Batched rows are composition-invariant (each seed
+    draws from its own counter-based stream), so a block's rows equal
+    its seeds' solo rows; the block only decides how they are stored.
     """
     return canonical_sha256(
         {"fingerprint": fingerprint, "specs": list(spec_dicts)}

@@ -88,26 +88,12 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             spec.with_overrides(**{"seed.nested": 1})
 
-    def test_substrate_round_trips_and_defaults_to_none(self):
-        # None means "resolve REPRO_SUBSTRATE at execution time", so the
-        # spec stays portable across machines with different accelerators.
-        spec = ExperimentSpec(app="adpcm-encode", engine="batched")
-        assert spec.substrate is None
-        assert ExperimentSpec.from_dict(spec.to_dict()).substrate is None
-        pinned = spec.with_overrides(substrate="numba")
-        assert pinned.substrate == "numba"
-        assert ExperimentSpec.from_json(pinned.to_json()).substrate == "numba"
-
-    def test_unknown_substrate_rejected_by_name(self):
-        # Validation is name-only: "numba" is accepted even where the
-        # library is absent; availability is checked when the spec runs.
-        with pytest.raises(ValueError, match="known substrates"):
-            ExperimentSpec(app="adpcm-encode", substrate="fortran")
-
-    def test_old_payloads_without_substrate_still_load(self):
-        data = ExperimentSpec(app="adpcm-encode").to_dict()
-        del data["substrate"]
-        assert ExperimentSpec.from_dict(data).substrate is None
+    def test_substrate_is_not_a_spec_field(self):
+        # The batched engines run on NumPy only; there is nothing to select.
+        data = ExperimentSpec(app="adpcm-encode", engine="batched").to_dict()
+        assert "substrate" not in data
+        with pytest.raises(ValueError, match="unknown spec fields"):
+            ExperimentSpec.from_dict({**data, "substrate": "numpy"})
 
 
 class TestSweepSpec:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.batch import BatchTaskModel, CumulativeRate, classify_outcomes
-from repro.batch.substrate import get_substrate
+from repro.batch.substrate import SUBSTRATE
 from repro.core.config import PAPER_OPERATING_POINT
 from repro.core.strategies import (
     DefaultStrategy,
@@ -166,12 +166,12 @@ class TestOutcomeClassification:
 
 class TestDistinctWords:
     def test_zero_upsets_strike_nothing(self):
-        sub = get_substrate("numpy")
+        sub = SUBSTRATE
         streams = sub.make_streams(np.arange(4), tag=0)
         assert sub.distinct_words(streams, np.zeros(4, dtype=np.int64), 64).sum() == 0
 
     def test_mean_matches_occupancy_formula(self):
-        sub = get_substrate("numpy")
+        sub = SUBSTRATE
         streams = sub.make_streams(np.arange(20_000), tag=1)
         counts = np.full(20_000, 8, dtype=np.int64)
         words = 16

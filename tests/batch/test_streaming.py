@@ -1,7 +1,7 @@
 """Out-of-core blocking and streaming aggregation.
 
-The load-bearing property (satellite of the substrate tentpole): **the
-block partition changes no emitted number**.  Campaign metric columns,
+The load-bearing property: **the block partition changes no emitted
+number**.  Campaign metric columns,
 Pareto fronts and rate-grid optima must be *bit-identical* for block
 sizes 1, 7, 64 and "everything in one block" — including ragged last
 blocks — because the engines' fault streams are counter-based per run

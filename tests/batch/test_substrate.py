@@ -1,20 +1,14 @@
-"""The pluggable array substrate layer.
+"""The NumPy sampler and dominance sweep under the batch engines.
 
-Two groups of contracts live here:
+Three groups of contracts live here:
 
-* the **numpy reference substrate's** semantics — counter-based stream
-  identity (composition invariance), exact sampling distributions, the
-  shared consumption conventions every substrate must honour, and the
-  weak-dominance sweep against a brute-force reference;
-* the **cross-substrate equivalence matrix** — for every registered
-  accelerated backend that is importable here (numba, cupy), full
-  campaign records and Pareto dominance masks must match the numpy
-  reference.  Sampling is bit-identical by construction (integer stream
-  math); the matrix asserts exact equality on integer outputs and
-  tight relative tolerance on the float energy column, which is the
-  explicit equivalence bound of :mod:`repro.batch.substrate`.
-  Unavailable backends are skipped, not failed — the CI ``substrates``
-  job installs numba so the matrix really runs there.
+* counter-based stream identity (composition invariance) and the
+  consumption conventions the batched rows depend on;
+* exact sampling distributions and the weak-dominance sweep against a
+  brute-force reference;
+* agreement with the scalar streams of :mod:`repro.utils.rng`: for the
+  same ``(seed, tag)`` the array sampler draws the keys, uniforms and
+  Poisson variates that :class:`~repro.utils.rng.CounterStream` draws.
 """
 
 from __future__ import annotations
@@ -22,77 +16,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.batch.engine import simulate_columns
-from repro.batch.model import BatchTaskModel
 from repro.batch.pareto import reference_non_dominated
-from repro.batch.substrate import (
-    ENV_SUBSTRATE,
-    Substrate,
-    SubstrateUnavailableError,
-    available_substrates,
-    default_substrate_name,
-    get_substrate,
-    substrate_available,
-    substrate_description,
-    substrate_known,
+from repro.batch.substrate import SUBSTRATE, default_substrate_name
+from repro.utils.rng import (
+    CounterStream,
+    poisson_from_uniform,
+    poisson_from_uniforms,
+    stream_key,
 )
-from repro.core.config import PAPER_OPERATING_POINT
-from repro.core.strategies import HybridStrategy
 
-#: The accelerated backends of the equivalence matrix.  Each entry is
-#: skipped when its library is absent (substrate_available is False).
-ACCELERATED = ("numba", "cupy")
-
-STRESS = PAPER_OPERATING_POINT.with_overrides(error_rate=2e-4)
-
-
-def _require(name: str) -> Substrate:
-    if not substrate_available(name):
-        pytest.skip(f"substrate {name!r} is not available in this environment")
-    return get_substrate(name)
-
-
-class TestRegistry:
-    def test_registered_names(self):
-        assert available_substrates() == ("numpy", "numba", "cupy")
-        for name in available_substrates():
-            assert substrate_known(name)
-            assert substrate_description(name)
-        assert not substrate_known("jax")
-
-    def test_numpy_always_available(self):
-        assert substrate_available("numpy")
-        sub = get_substrate("numpy")
-        assert sub.name == "numpy"
-        assert sub.xp is np
-        assert sub.exact_xp is np
-        assert get_substrate("numpy") is sub  # cached instance
-
-    def test_unknown_name_raises_keyerror(self):
-        with pytest.raises(KeyError, match="known substrates"):
-            get_substrate("fortran")
-        assert not substrate_available("fortran")
-
-    def test_unavailable_backend_raises_with_hint(self):
-        for name in ACCELERATED:
-            if substrate_available(name):
-                continue
-            with pytest.raises(SubstrateUnavailableError, match="pip install"):
-                get_substrate(name)
-
-    def test_default_name_from_environment(self, monkeypatch):
-        monkeypatch.delenv(ENV_SUBSTRATE, raising=False)
-        assert default_substrate_name() == "numpy"
-        monkeypatch.setenv(ENV_SUBSTRATE, "numba")
-        assert default_substrate_name() == "numba"
-        monkeypatch.setenv(ENV_SUBSTRATE, "tpu")
-        with pytest.raises(ValueError, match="unknown substrate"):
-            default_substrate_name()
+sub = SUBSTRATE
 
 
 class TestCounterStreams:
     def test_streams_are_deterministic(self):
-        sub = get_substrate("numpy")
         a = sub.make_streams([0, 1, 2], tag=7)
         b = sub.make_streams([0, 1, 2], tag=7)
         np.testing.assert_array_equal(a.keys, b.keys)
@@ -101,20 +38,17 @@ class TestCounterStreams:
     def test_stream_identity_is_composition_invariant(self):
         # The key of seed 3 is the same whether simulated solo or in a
         # batch — the property behind block/shard/warehouse invariance.
-        sub = get_substrate("numpy")
         solo = sub.make_streams([3], tag=7)
         batch = sub.make_streams(range(10), tag=7)
         assert int(solo.keys[0]) == int(batch.keys[3])
 
     def test_distinct_seeds_and_tags_decorrelate(self):
-        sub = get_substrate("numpy")
         keys = sub.make_streams(range(1000), tag=1).keys
         assert len(set(keys.tolist())) == 1000
         other = sub.make_streams(range(1000), tag=2).keys
         assert not np.any(keys == other)
 
     def test_uniform_advances_counters(self):
-        sub = get_substrate("numpy")
         streams = sub.make_streams([5, 6], tag=0)
         u1 = sub.uniform(streams)
         u2 = sub.uniform(streams)
@@ -123,23 +57,23 @@ class TestCounterStreams:
         assert np.all((u1 >= 0.0) & (u1 < 1.0))
 
     def test_subset_addressing_leaves_others_untouched(self):
-        sub = get_substrate("numpy")
         streams = sub.make_streams([0, 1, 2, 3], tag=0)
         sub.uniform(streams, idx=np.asarray([1, 3]))
         assert streams.counters.tolist() == [0, 1, 0, 1]
 
     def test_replay_at_same_counter_is_identical(self):
-        sub = get_substrate("numpy")
         a = sub.make_streams([9], tag=3)
         b = sub.make_streams([9], tag=3)
         sub.uniform(a)
         sub.uniform(b)
         assert float(sub.uniform(a)[0]) == float(sub.uniform(b)[0])
 
+    def test_default_substrate_name_is_numpy(self):
+        assert default_substrate_name() == "numpy"
+
 
 class TestSamplingDistributions:
     def test_poisson_moments_and_consumption(self):
-        sub = get_substrate("numpy")
         streams = sub.make_streams(range(200_000), tag=11)
         lam = 0.8
         draws = sub.poisson(streams, np.full(200_000, lam))
@@ -150,14 +84,27 @@ class TestSamplingDistributions:
     def test_poisson_zero_rate_still_consumes(self):
         # Data-independent stream advance: lam=0 runs consume their
         # uniform too, so downstream draws stay aligned across scenarios.
-        sub = get_substrate("numpy")
         streams = sub.make_streams([1, 2], tag=0)
         draws = sub.poisson(streams, np.zeros(2))
         assert draws.tolist() == [0, 0]
         assert streams.counters.tolist() == [1, 1]
 
+    @pytest.mark.parametrize("lam", [746.0, 2048.0])
+    def test_poisson_large_means_keep_their_mean(self, lam):
+        # exp(-lam) underflows here, so CDF inversion alone would stop at 1.
+        streams = sub.make_streams(range(20_000), tag=5)
+        draws = sub.poisson(streams, lam)
+        assert draws.mean() == pytest.approx(lam, rel=0.005)
+        assert draws.std() == pytest.approx(lam**0.5, rel=0.05)
+
+    def test_poisson_rejects_negative_means(self):
+        streams = sub.make_streams([0, 1], tag=0)
+        with pytest.raises(ValueError, match="non-negative"):
+            sub.poisson(streams, np.asarray([1.0, -0.5]))
+        with pytest.raises(ValueError, match="non-negative"):
+            CounterStream(1).poisson(-0.5)
+
     def test_binomial_moments_and_consumption(self):
-        sub = get_substrate("numpy")
         streams = sub.make_streams(range(100_000), tag=13)
         counts = np.full(100_000, 4, dtype=np.int64)
         draws = sub.binomial(streams, counts, 0.3)
@@ -166,7 +113,6 @@ class TestSamplingDistributions:
         assert draws.max() <= 4
 
     def test_binomial_degenerate_p_consumes_nothing(self):
-        sub = get_substrate("numpy")
         streams = sub.make_streams([1, 2], tag=0)
         counts = np.asarray([3, 5], dtype=np.int64)
         assert sub.binomial(streams, counts, 0.0).tolist() == [0, 0]
@@ -174,14 +120,12 @@ class TestSamplingDistributions:
         assert streams.counters.tolist() == [0, 0]
 
     def test_distinct_words_saturates_without_consuming(self):
-        sub = get_substrate("numpy")
         streams = sub.make_streams([0], tag=0)
         counts = np.asarray([10_000], dtype=np.int64)
         assert sub.distinct_words(streams, counts, 8).tolist() == [8]
         assert streams.counters.tolist() == [0]
 
     def test_distinct_words_single_word_pool(self):
-        sub = get_substrate("numpy")
         streams = sub.make_streams([0, 1], tag=0)
         counts = np.asarray([0, 5], dtype=np.int64)
         assert sub.distinct_words(streams, counts, 1).tolist() == [0, 1]
@@ -201,79 +145,56 @@ class TestDominanceSweep:
         values = rng.uniform(size=(120, 3))
         # Quantize to force ties and duplicated rows into the set.
         values = np.round(values, 1)
-        mask = get_substrate("numpy").non_dominated_mask(values)
+        mask = sub.non_dominated_mask(values)
         np.testing.assert_array_equal(mask, self._brute_force(values))
 
     def test_duplicates_are_all_kept(self):
         values = np.asarray([[1.0, 2.0], [1.0, 2.0], [0.5, 3.0], [2.0, 2.0]])
-        mask = get_substrate("numpy").non_dominated_mask(values)
+        mask = sub.non_dominated_mask(values)
         assert mask.tolist() == [True, True, True, False]
 
     def test_empty_and_bad_shapes(self):
-        sub = get_substrate("numpy")
         assert sub.non_dominated_mask(np.zeros((0, 3))).shape == (0,)
         with pytest.raises(ValueError, match="2-D"):
             sub.non_dominated_mask(np.zeros(4))
 
 
-# ---------------------------------------------------------------------- #
-# Cross-substrate equivalence matrix
-# ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("name", ACCELERATED)
-class TestEquivalenceMatrix:
-    def test_sampling_streams_bit_identical(self, name):
-        sub = _require(name)
-        ref = get_substrate("numpy")
-        for tag in (0, 7):
-            s_ref = ref.make_streams(range(500), tag=tag)
-            s_sub = sub.make_streams(range(500), tag=tag)
-            np.testing.assert_array_equal(
-                ref.to_numpy(s_sub.keys), np.asarray(s_ref.keys)
-            )
-            lam = np.linspace(0.0, 3.0, 500)
-            np.testing.assert_array_equal(
-                sub.to_numpy(sub.poisson(s_sub, lam)), ref.poisson(s_ref, lam)
-            )
-            counts = np.tile(np.arange(5, dtype=np.int64), 100)
-            np.testing.assert_array_equal(
-                sub.to_numpy(sub.binomial(s_sub, counts, 0.4)),
-                ref.binomial(s_ref, counts, 0.4),
-            )
-            np.testing.assert_array_equal(
-                sub.to_numpy(sub.distinct_words(s_sub, counts, 16)),
-                ref.distinct_words(s_ref, counts, 16),
-            )
-            np.testing.assert_array_equal(
-                sub.to_numpy(s_sub.counters), np.asarray(s_ref.counters)
-            )
+class TestAgreementWithCounterStream:
+    """Array and scalar streams of the same ``(seed, tag)`` draw the same bits."""
 
-    def test_campaign_columns_match_reference(self, name, small_adpcm_encode):
-        sub = _require(name)
-        app = small_adpcm_encode
-        seeds = list(range(64))
-        columns = {}
-        for which in ("numpy", name):
-            strategy = HybridStrategy(64, STRESS, extra_buffer_words=app.state_words())
-            model = BatchTaskModel(
-                app, strategy, constraints=STRESS, substrate=which
-            )
-            columns[which] = simulate_columns(model, seeds, block=None)
-        ref, acc = columns["numpy"], columns[name]
-        assert set(ref) == set(acc)
-        for key in ref:
-            if ref[key].dtype.kind == "f":
-                np.testing.assert_allclose(acc[key], ref[key], rtol=1e-12)
-            else:
-                np.testing.assert_array_equal(acc[key], ref[key], err_msg=key)
-        assert acc["upsets_injected"].sum() > 0  # faults actually flowed
-        del sub
+    SEEDS = range(2_000)
+    TAG = 0x5EED
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_dominance_mask_identical(self, name, seed):
-        sub = _require(name)
-        rng = np.random.default_rng(seed)
-        values = np.round(rng.uniform(size=(200, 4)), 1)
-        np.testing.assert_array_equal(
-            sub.non_dominated_mask(values),
-            get_substrate("numpy").non_dominated_mask(values),
-        )
+    def test_keys_equal_stream_key(self):
+        keys = sub.make_streams(self.SEEDS, self.TAG).keys
+        assert keys.tolist() == [stream_key(seed, self.TAG) for seed in self.SEEDS]
+
+    def test_uniforms_equal_counter_stream(self):
+        streams = sub.make_streams(self.SEEDS, self.TAG)
+        scalar = [CounterStream(stream_key(seed, self.TAG)) for seed in self.SEEDS]
+        for _ in range(3):
+            array = sub.uniform(streams).tolist()
+            assert array == [stream.uniform() for stream in scalar]
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 0.8, 8.0, 64.0, 64.5, 700.0, 746.0, 2048.0])
+    def test_poisson_draws_agree(self, lam):
+        streams = sub.make_streams(self.SEEDS, self.TAG)
+        array = sub.poisson(streams, lam).tolist()
+        scalar = []
+        for seed in self.SEEDS:
+            stream = CounterStream(stream_key(seed, self.TAG))
+            scalar.append(stream.poisson(lam))
+            assert stream.counter == 1  # one uniform per draw, even at lam=0
+        assert array == scalar
+        assert streams.counters.tolist() == [1] * len(self.SEEDS)
+
+    def test_rule_boundaries(self):
+        # u equal to F(k) stays at k: the smallest k with u <= F(k).
+        lam = 0.5
+        f0 = float(np.exp(-lam))
+        u = np.asarray([0.0, f0, np.nextafter(f0, 1.0), 1.0 - 2.0**-53])
+        expected = [poisson_from_uniform(lam, value) for value in u.tolist()]
+        assert expected[:3] == [0, 0, 1]
+        assert poisson_from_uniforms(lam, u).tolist() == expected
+        # Above the inversion limit the tail is the normal quantile.
+        assert poisson_from_uniform(2048.0, 0.5) == 2048

@@ -7,26 +7,37 @@ the benchmark harness.
 
 from __future__ import annotations
 
-import pytest
+import os
 
-from repro.apps.adpcm import AdpcmDecodeApp, AdpcmEncodeApp
-from repro.apps.g721 import G721DecodeApp, G721EncodeApp
-from repro.apps.jpeg import JpegDecodeApp
-from repro.core.config import DesignConstraints, PAPER_OPERATING_POINT
-from repro.runtime.profile_cache import ENV_CACHE_DIR
+# The suite is hermetic: a developer's exported REPRO_* variables (cache
+# and warehouse locations, block size, kill switches) must not change any
+# outcome.  They are dropped before the package is imported, because some
+# are read at import time.
+for _name in [name for name in os.environ if name.startswith("REPRO_")]:
+    del os.environ[_name]
+
+import pytest  # noqa: E402
+
+from repro.apps.adpcm import AdpcmDecodeApp, AdpcmEncodeApp  # noqa: E402
+from repro.apps.g721 import G721DecodeApp, G721EncodeApp  # noqa: E402
+from repro.apps.jpeg import JpegDecodeApp  # noqa: E402
+from repro.core.config import DesignConstraints, PAPER_OPERATING_POINT  # noqa: E402
+from repro.runtime.profile_cache import ENV_CACHE_DIR  # noqa: E402
+from repro.warehouse import ENV_WAREHOUSE_DIR  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
-def _isolated_profile_cache(tmp_path, monkeypatch):
-    """Keep the task-profile cache hermetic per test.
+def _isolated_stores(tmp_path, monkeypatch):
+    """Keep the task-profile cache and the result warehouse hermetic per test.
 
-    The on-disk store is redirected into the test's tmp dir (never the
-    developer's ``~/.cache/repro``) and the in-process memo is cleared, so
-    no test observes profiles computed by another.
+    Both on-disk stores are redirected into the test's tmp dir (never the
+    developer's ``~/.cache/repro``) and the in-process profile memo is
+    cleared, so no test observes profiles or results computed by another.
     """
     from repro.runtime.profile_cache import default_cache
 
     monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / "repro-cache"))
+    monkeypatch.setenv(ENV_WAREHOUSE_DIR, str(tmp_path / "warehouse"))
     default_cache().clear()
     yield
     default_cache().clear()
