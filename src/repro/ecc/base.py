@@ -82,6 +82,11 @@ class Code(abc.ABC):
         return self.data_bits + self.check_bits
 
     @property
+    def syndrome_bits(self) -> int:
+        """Number of bits :attr:`DecodeResult.syndrome` can occupy."""
+        return self.check_bits
+
+    @property
     @abc.abstractmethod
     def correctable_bits(self) -> int:
         """Guaranteed number of random bit errors corrected per word."""

@@ -14,13 +14,23 @@ bits fill the remaining positions in increasing order.  For SECDED an
 overall-parity bit is appended above position n.  Externally, codewords
 are exposed as packed integers whose bit ``i`` corresponds to position
 ``i + 1``.
+
+Encoding (data to codeword), the syndrome (codeword to syndrome) and data
+extraction (codeword to data) are linear over GF(2).  Each is defined once,
+bit by bit, by a ``*_bitwise`` reference method.  The first code of a
+given width runs those methods on the unit vectors and keeps the results
+as byte-sliced lookup tables (:func:`~repro.utils.bitops.byte_tables`),
+cached per (code class, data width) and shared by every later instance.
+``encode``, ``_syndrome`` and ``_extract_data`` then XOR one table entry
+per byte of their input; decoding keeps its status and correction logic.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
-from ..utils.bitops import get_bit, mask, parity, set_bit
+from ..utils.bitops import ByteTables, byte_tables, get_bit, mask, parity, set_bit, xor_lookup
 from .base import Code, DecodeResult, DecodeStatus
 
 
@@ -53,6 +63,29 @@ def secded_check_bits(data_bits: int) -> int:
     return hamming_check_bits(data_bits) + 1
 
 
+class _HammingTables(NamedTuple):
+    encode: ByteTables  # data -> codeword
+    syndrome: ByteTables  # codeword -> syndrome
+    extract: ByteTables  # codeword -> data
+
+
+@lru_cache(maxsize=None)
+def _hamming_tables(data_bits: int) -> _HammingTables:
+    """Lookup tables of the Hamming code over ``data_bits``, from its per-bit methods."""
+    reference = HammingCode(data_bits)
+    return _HammingTables(
+        byte_tables(reference._encode_bitwise, data_bits),
+        byte_tables(reference._syndrome_bitwise, reference.codeword_bits),
+        byte_tables(reference._extract_data_bitwise, reference.codeword_bits),
+    )
+
+
+@lru_cache(maxsize=None)
+def _secded_encode_tables(data_bits: int) -> ByteTables:
+    """Encode tables of the SECDED code over ``data_bits``, from its per-bit method."""
+    return byte_tables(SecDedCode(data_bits)._encode_bitwise, data_bits)
+
+
 class HammingCode(Code):
     """Hamming single-error-correcting code over ``data_bits`` data bits.
 
@@ -79,9 +112,26 @@ class HammingCode(Code):
     def detectable_bits(self) -> int:
         return 1
 
+    @cached_property
+    def _tables(self) -> _HammingTables:
+        return _hamming_tables(self.data_bits)
+
     # ------------------------------------------------------------------ #
     def encode(self, data: int) -> int:
         self._check_data(data)
+        return xor_lookup(self._tables.encode, data)
+
+    def _syndrome(self, codeword: int) -> int:
+        return xor_lookup(self._tables.syndrome, codeword)
+
+    def _extract_data(self, codeword: int) -> int:
+        return xor_lookup(self._tables.extract, codeword)
+
+    # ------------------------------------------------------------------ #
+    # Per-bit definitions of the layout; the lookup tables are built from
+    # these, and the tests check the tables against them.
+    # ------------------------------------------------------------------ #
+    def _encode_bitwise(self, data: int) -> int:
         codeword = 0
         # Place data bits.
         for index, position in enumerate(self._data_positions):
@@ -96,7 +146,7 @@ class HammingCode(Code):
             codeword = set_bit(codeword, position - 1, acc)
         return codeword
 
-    def _syndrome(self, codeword: int) -> int:
+    def _syndrome_bitwise(self, codeword: int) -> int:
         syndrome = 0
         for j in range(self.check_bits):
             acc = 0
@@ -107,7 +157,7 @@ class HammingCode(Code):
                 syndrome |= 1 << j
         return syndrome
 
-    def _extract_data(self, codeword: int) -> int:
+    def _extract_data_bitwise(self, codeword: int) -> int:
         data = 0
         for index, position in enumerate(self._data_positions):
             data = set_bit(data, index, get_bit(codeword, position - 1))
@@ -154,10 +204,23 @@ class SecDedCode(Code):
     def detectable_bits(self) -> int:
         return 2
 
+    @property
+    def syndrome_bits(self) -> int:
+        # The reported syndrome is the inner Hamming syndrome.
+        return self._inner.check_bits
+
+    @cached_property
+    def _tables(self) -> ByteTables:
+        return _secded_encode_tables(self.data_bits)
+
     def encode(self, data: int) -> int:
-        inner = self._inner.encode(data)
-        overall = parity(inner)
-        return inner | (overall << self._inner.codeword_bits)
+        self._check_data(data)
+        return xor_lookup(self._tables, data)
+
+    def _encode_bitwise(self, data: int) -> int:
+        """Per-bit definition of :meth:`encode`; its tables are built from it."""
+        inner = self._inner._encode_bitwise(data)
+        return inner | (parity(inner) << self._inner.codeword_bits)
 
     def decode(self, codeword: int) -> DecodeResult:
         self._check_codeword(codeword)

@@ -1,14 +1,17 @@
 """Small bit-manipulation helpers shared by the ECC and fault-injection code.
 
-Words are represented as non-negative Python integers.  All helpers are
-pure functions; the hot paths (popcount, bit extraction) are kept simple
-because correctness and readability matter more than raw speed for the
-behavioural simulation.
+Words are represented as non-negative Python integers and every helper is
+a pure function.  :func:`byte_tables` and :func:`xor_lookup` evaluate a
+GF(2)-linear map (an ECC encoder, syndrome or lane permutation) one byte
+at a time instead of one bit at a time.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+
+#: Byte-sliced lookup tables of one GF(2)-linear map (see :func:`byte_tables`).
+ByteTables = tuple[tuple[int, ...], ...]
 
 
 def popcount(value: int) -> int:
@@ -124,4 +127,34 @@ def join_bit_chunks(pieces: Iterable[int], chunk: int) -> int:
         if piece < 0 or piece >> chunk:
             raise ValueError(f"piece {piece} does not fit in {chunk} bits")
         result |= piece << (index * chunk)
+    return result
+
+
+def byte_tables(function: Callable[[int], int], width: int) -> ByteTables:
+    """Byte-sliced lookup tables of a GF(2)-linear map on ``width``-bit words.
+
+    ``tables[k][b]`` is ``function(b << 8 * k)``.  Because ``function`` is
+    linear (it maps XOR to XOR), it is evaluated only on the ``width`` unit
+    vectors; every other entry is the XOR of the images of its set bits.
+    :func:`xor_lookup` then applies the map to any ``width``-bit word.
+    """
+    images = [function(1 << bit) for bit in range(width)]
+    tables = []
+    for start in range(0, width, 8):
+        table = [0]
+        for image in images[start:start + 8]:
+            table += [entry ^ image for entry in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def xor_lookup(tables: ByteTables, value: int) -> int:
+    """Apply the map behind ``tables`` to ``value``: XOR of one entry per byte.
+
+    ``value`` must fit in the width the tables were built for.
+    """
+    result = 0
+    for table in tables:
+        result ^= table[value & 0xFF]
+        value >>= 8
     return result

@@ -12,6 +12,7 @@ from repro.ecc import (
     InterleavedHammingCode,
     InterleavedParityCode,
     InterleavedSecDedCode,
+    code_for_scheme,
 )
 from repro.utils.bitops import flip_bits
 
@@ -124,3 +125,65 @@ class TestClusterCorrection:
         corrupted = flip_bits(code.encode(data), adjacent_cluster(3, 6))
         result = code.decode(corrupted)
         assert result.status is not DecodeStatus.CLEAN
+
+
+class TestPackedSyndrome:
+    @staticmethod
+    def single_flip_syndromes(code) -> list[int]:
+        """Reported syndrome of every single-bit flip of a clean codeword."""
+        encoded = code.encode(0)
+        return [
+            code.decode(flip_bits(encoded, [position])).syndrome
+            for position in range(code.codeword_bits)
+        ]
+
+    @pytest.mark.parametrize(
+        "scheme, data_bits, ways",
+        [
+            ("interleaved-secded", 600, 2),  # 9-bit lane syndromes
+            ("interleaved-hamming", 600, 2),
+            ("interleaved-secded", 600, 4),  # 8-bit lane syndromes
+            ("interleaved-secded", 32, 4),
+            ("interleaved-parity", 32, 4),
+        ],
+    )
+    def test_single_flips_in_different_lanes_report_distinct_syndromes(
+        self, scheme, data_bits, ways
+    ):
+        code = code_for_scheme(scheme, data_bits, ways)
+        per_lane: list[set[int]] = [set() for _ in range(ways)]
+        for (lane, _), syndrome in zip(code._physical_map, self.single_flip_syndromes(code)):
+            if syndrome:
+                per_lane[lane].add(syndrome)
+        assert all(per_lane)
+        assert len(set().union(*per_lane)) == sum(len(seen) for seen in per_lane)
+
+    def test_wide_lane_syndromes_do_not_collide(self):
+        # 300-bit lanes need 9-bit syndromes.  Round-robin placement puts
+        # lane 1 bit 0 at physical bit 1 and lane 0 bit 255 at bit 510.
+        code = code_for_scheme("interleaved-secded", 600, t=2)
+        syndromes = self.single_flip_syndromes(code)
+        assert syndromes[510] == 256
+        assert syndromes[1] == 1 << 9
+
+    @pytest.mark.parametrize(
+        "scheme, data_bits, ways",
+        [
+            ("parity", 32, 1),
+            ("hamming", 32, 1),
+            ("secded", 32, 1),
+            ("interleaved-parity", 32, 4),
+            ("interleaved-secded", 32, 8),
+            ("interleaved-secded", 600, 2),
+        ],
+    )
+    def test_single_flip_syndromes_fit_in_syndrome_bits(self, scheme, data_bits, ways):
+        code = code_for_scheme(scheme, data_bits, ways)
+        syndromes = self.single_flip_syndromes(code)
+        assert max(syndromes).bit_length() == code.syndrome_bits
+
+    def test_narrow_lane_syndromes_stay_packed_at_eight_bits(self):
+        # Lane 1 bit 0 of the paper's 4-way SECDED word is physical bit 1.
+        code = InterleavedSecDedCode(32, ways=4)
+        assert self.single_flip_syndromes(code)[1] == 1 << 8
+        assert code.syndrome_bits == 3 * 8 + 4
