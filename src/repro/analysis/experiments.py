@@ -22,7 +22,8 @@ Every harness expresses its workload as declarative
 :class:`~repro.api.spec.ExperimentSpec` runs executed through a
 :class:`~repro.api.session.Session` — pass ``session=`` or ``jobs=`` to
 fan the underlying simulations out across cores, and ``engine="batched"``
-to run on the NumPy engines of :mod:`repro.batch`: statistically
+(written into every spec the harness builds) to run on the NumPy
+engines of :mod:`repro.batch`: statistically
 equivalent for the fault-injection harnesses (fig5, timing, scenario
 sweeps), *bit-identical* for the design-space ones (fig4, table1, the
 optimize/feasibility ablations).  All functions return
@@ -36,7 +37,6 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field
 
-from ..api.executors import Executor, make_executor
 from ..api.results import ResultSet
 from ..api.session import Session
 from ..api.spec import ExperimentSpec, SweepSpec
@@ -52,13 +52,6 @@ from .tables import render_table
 
 def _session(session: Session | None) -> Session:
     return session if session is not None else Session()
-
-
-def _engine_executor(engine: str | None, jobs: int | None) -> Executor | None:
-    """Executor override for an ``engine=`` request (None = session default)."""
-    if engine is None or engine == "behavioural":
-        return None
-    return make_executor(jobs, engine=engine)
 
 
 def _resolve_app_refs(
@@ -521,12 +514,14 @@ def fig5_specs(
     suboptimal_chunk: int,
     constraints: DesignConstraints,
     seed: int,
+    engine: str = "behavioural",
 ) -> list[ExperimentSpec]:
     """The five Fig. 5 configurations of one benchmark as declarative specs.
 
     The configuration set, ordering and labels come straight from
     :func:`repro.core.strategies.paper_strategies` — the single source of
-    truth for the paper's comparison.
+    truth for the paper's comparison.  ``engine`` is written into every
+    spec.
     """
     specs = []
     for strategy in paper_strategies(
@@ -543,6 +538,7 @@ def fig5_specs(
                 strategy_params=params,
                 constraints=constraints,
                 seed=seed,
+                engine=engine,
             )
         )
     return specs
@@ -566,12 +562,14 @@ def fig5_energy(
     are independent specs, so ``jobs=N`` (or a parallel session executor)
     fans the whole campaign out across cores with bit-identical results.
 
-    ``engine="batched"`` is the fast path: each (benchmark, strategy)
-    group of seeds runs through the vectorized campaign engine of
-    :mod:`repro.batch` — statistically equivalent numbers at a fraction of
-    the wall clock, which is what makes many-seed Fig. 5 averages cheap.
+    ``engine="batched"`` is the fast path: it is written into every
+    spec, and each (benchmark, strategy) group of seeds runs through the
+    vectorized campaign engine of :mod:`repro.batch` — statistically
+    equivalent numbers at a fraction of the wall clock, which is what
+    makes many-seed Fig. 5 averages cheap.
     """
     constraints = constraints if constraints is not None else PAPER_OPERATING_POINT
+    engine = engine if engine is not None else "behavioural"
     refs = _resolve_app_refs(applications)
     if not seeds:
         raise ValueError("at least one seed is required")
@@ -589,16 +587,14 @@ def fig5_energy(
     for (ref, app), (optimal_chunk, suboptimal_chunk) in zip(refs, chunk_plan):
         for seed in seeds:
             spec_block = fig5_specs(
-                ref, app, optimal_chunk, suboptimal_chunk, constraints, seed
+                ref, app, optimal_chunk, suboptimal_chunk, constraints, seed, engine
             )
             if not strategy_labels:
                 strategy_labels = [
                     s.strategy_params.get("label", s.strategy) for s in spec_block
                 ]
             specs.extend(spec_block)
-    results = _session(session).run_all(
-        specs, executor=_engine_executor(engine, jobs), jobs=jobs
-    )
+    results = _session(session).run_all(specs, jobs=jobs)
     records = [outcome.record for outcome in results]
 
     outcomes: list[StrategyOutcome] = []
@@ -1107,9 +1103,9 @@ def scenario_sweep(
     grid out across cores with bit-identical aggregates.
     ``scenario_params`` optionally maps a scenario name to factory
     overrides (e.g. ``{"burst": {"burst_factor": 100}}``).
-    ``engine="batched"`` simulates each (scenario, strategy) seed group
-    through the vectorized campaign engine instead — the fast path for
-    many-seed sweeps.
+    ``engine="batched"``, written into every spec, simulates each
+    (scenario, strategy) seed group through the vectorized campaign
+    engine instead — the fast path for many-seed sweeps.
     """
     constraints = constraints if constraints is not None else PAPER_OPERATING_POINT
     if not seeds:
@@ -1131,14 +1127,13 @@ def scenario_sweep(
             scenario=scenario,
             scenario_params=scenario_params.get(scenario, {}),
             seed=seed,
+            engine=engine if engine is not None else "behavioural",
         )
         for scenario in scenarios
         for strategy in strategies
         for seed in seeds
     ]
-    outcomes = _session(session).run_all(
-        specs, executor=_engine_executor(engine, jobs), jobs=jobs
-    )
+    outcomes = _session(session).run_all(specs, jobs=jobs)
     records = [outcome.record for outcome in outcomes]
 
     cells: list[ScenarioCell] = []

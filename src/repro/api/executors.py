@@ -29,9 +29,10 @@ import json
 import os
 import time
 import weakref
+from collections import Counter
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from ..batch import BatchTaskModel
@@ -57,12 +58,6 @@ SPECS_EXECUTED = _telemetry_counter(
 BATCH_GROUPS = _telemetry_counter(
     "repro_batch_groups_total",
     "Same-experiment seed groups simulated vectorized by BatchCampaignExecutor.",
-)
-
-#: Specs the batch executor could not vectorize (behavioural fallback).
-BATCH_FALLBACKS = _telemetry_counter(
-    "repro_batch_fallback_specs_total",
-    "Specs BatchCampaignExecutor delegated to its behavioural fallback.",
 )
 
 #: Wall-clock of whole executor map() calls, by executor backend.
@@ -271,7 +266,7 @@ class Executor(abc.ABC):
     name: str = "abstract"
 
     #: Whether this backend already serves ``engine="batched"`` specs
-    #: vectorized (or ships them somewhere that does).  ``Session.campaign``
+    #: vectorized (or ships them somewhere that does).  ``Session.run_all``
     #: wraps executors that do not in a :class:`BatchCampaignExecutor`.
     serves_batched: bool = False
 
@@ -428,20 +423,20 @@ def _release_pool_holder(holder: list[ProcessPoolExecutor]) -> None:
 class BatchCampaignExecutor(Executor):
     """Vectorized backend: simulates same-experiment seed groups in one shot.
 
-    Specs are grouped by everything except their seed; each group runs
-    through one :class:`~repro.batch.BatchTaskModel`, so a 1000-seed
-    campaign costs one task profile plus array operations instead of 1000
-    event-by-event simulations.  Outcomes come back in input order with
-    the behavioural record shape, so sessions, campaigns, sweeps and the
-    figure harnesses consume them unchanged.
+    ``execute`` specs declared ``engine="batched"`` are grouped by
+    everything except their seed; each group runs through one
+    :class:`~repro.batch.BatchTaskModel`, so a 1000-seed campaign costs
+    one task profile plus array operations instead of 1000 event-by-event
+    simulations.  Outcomes come back in input order with the behavioural
+    record shape, so sessions, campaigns, sweeps and the figure harnesses
+    consume them unchanged.
 
-    ``optimize``, ``feasibility`` and ``pareto`` specs are served by the
-    vectorized design engines (:mod:`repro.batch.design`,
-    :mod:`repro.batch.pareto`) — bit-identical to the behavioural
-    per-point sweeps, so unlike execute-kind batching there is no
-    statistical caveat.  Only specs no batch path can serve —
-    trace-collecting runs — are delegated to ``fallback`` (default: a
-    :class:`SerialExecutor`).
+    Every other spec — behavioural runs, the design-space kinds and
+    batched specs whose group has one seed — is delegated to ``fallback``
+    (default: a :class:`SerialExecutor`), which runs it on the engine it
+    declares; a parallel fallback thus spreads a one-seed-per-point sweep
+    across its workers.  The executor never changes a spec's engine, so
+    the engine a warehouse unit is keyed on is the engine that ran it.
 
     Every group's workload input is profiled at the canonical seed 0 and
     each run's fault stream is counter-based on its own seed
@@ -466,8 +461,8 @@ class BatchCampaignExecutor(Executor):
     # ------------------------------------------------------------------ #
     @staticmethod
     def _group_key(spec: ExperimentSpec):
-        """Hashable identity of a spec minus its seed (None = not batchable)."""
-        if spec.kind != "execute" or spec.collect_trace:
+        """Hashable identity of a spec minus its seed (None = delegated)."""
+        if not spec.seed_grouped:
             return None
         try:
             payload = spec.to_dict()
@@ -494,34 +489,29 @@ class BatchCampaignExecutor(Executor):
     def map(self, specs: Sequence[ExperimentSpec]) -> list[RunOutcome]:
         """Serve each same-experiment seed group in one vectorized shot.
 
-        Consults the result warehouse first (group units — one per seed
-        group, keyed by the ordered seed list); only missing groups are
-        simulated, and calls already planned by an enclosing
-        :meth:`Session.run_all` pass straight through.
+        Consults the result warehouse first (batched specs plan as seed
+        block units); only missing specs execute, and calls already
+        planned by an enclosing :meth:`Session.run_all` pass straight
+        through.
         """
         from ..warehouse.planner import plan_and_run
 
-        return plan_and_run(list(specs), self._map_uncached, grouped=True)
+        return plan_and_run(list(specs), self._map_uncached)
 
     def _map_uncached(self, specs: Sequence[ExperimentSpec]) -> list[RunOutcome]:
         """The vectorized execution body, bypassing the warehouse."""
         specs = list(specs)
         started = time.monotonic()
         outcomes: list[RunOutcome | None] = [None] * len(specs)
+        keys = [self._group_key(spec) for spec in specs]
+        sizes = Counter(key for key in keys if key is not None)
         groups: dict[Any, list[int]] = {}
         passthrough: list[int] = []
-        for index, spec in enumerate(specs):
-            key = self._group_key(spec)
-            if key is not None:
+        for index, key in enumerate(keys):
+            # A group of one gains nothing from vectorizing; the fallback
+            # builds the same one-seed model and may run it in parallel.
+            if sizes[key] > 1:
                 groups.setdefault(key, []).append(index)
-            elif spec.kind in ("optimize", "feasibility", "pareto") and not spec.collect_trace:
-                # Design-space kinds vectorize per spec (no seed grouping
-                # needed); results are bit-identical to the behavioural
-                # path, so there is nothing to fall back for.
-                outcomes[index] = _KIND_HANDLERS[spec.kind](
-                    spec if spec.engine == "batched" else replace(spec, engine="batched")
-                )
-                SPECS_EXECUTED.inc(kind=spec.kind, engine="batched")
             else:
                 passthrough.append(index)
 
@@ -537,7 +527,6 @@ class BatchCampaignExecutor(Executor):
             SPECS_EXECUTED.inc(len(group), kind="execute", engine="batched")
 
         if passthrough:
-            BATCH_FALLBACKS.inc(len(passthrough))
             delegated = self.fallback.map([specs[i] for i in passthrough])
             for i, outcome in zip(passthrough, delegated):
                 outcomes[i] = outcome
@@ -548,22 +537,13 @@ class BatchCampaignExecutor(Executor):
         return f"BatchCampaignExecutor(fallback={self.fallback!r})"
 
 
-def make_executor(jobs: int | None, engine: str | None = None) -> Executor:
-    """Executor for ``--jobs N`` / ``--engine`` style requests.
+def make_executor(jobs: int | None) -> Executor:
+    """Executor for ``--jobs N`` style requests.
 
-    ``engine="batched"`` returns a :class:`BatchCampaignExecutor` whose
-    fallback (for non-batchable specs) honours ``jobs``; otherwise
     ``None``/``0``/``1`` jobs mean serial and more mean a process pool.
-    Unknown engine names are rejected rather than silently ignored.
+    The engine is not the executor's to choose: it is a field of each
+    spec (``Session.run_all`` adds the seed grouping batched specs need).
     """
-    from .spec import ENGINES
-
-    if engine is not None and engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if engine == "batched":
-        return BatchCampaignExecutor(
-            fallback=make_executor(jobs) if jobs and jobs > 1 else None
-        )
     if jobs is None or jobs <= 1:
         return SerialExecutor()
     return ParallelExecutor(jobs=jobs)

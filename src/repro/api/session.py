@@ -39,7 +39,7 @@ from .executors import (
     make_executor,
 )
 from .results import ResultSet
-from .spec import CampaignSpec, ENGINES, ExperimentSpec, SweepSpec
+from .spec import CampaignSpec, ExperimentSpec, SweepSpec
 
 
 class Session:
@@ -136,6 +136,11 @@ class Session:
     ) -> list[RunOutcome]:
         """Execute a batch of specs, preserving input order.
 
+        Each spec runs on the engine it declares.  Batched ``execute``
+        specs keep their vectorized seed grouping on any backend: an
+        executor that does not serve them itself is wrapped in a
+        :class:`BatchCampaignExecutor` that delegates everything else to it.
+
         Consults the result warehouse first: specs whose units are already
         stored are served from disk, only the delta executes, and fresh
         results sync back — bit-identical to a cold run, on every backend
@@ -148,10 +153,12 @@ class Session:
         # inherit the enclosing run ID, and Session.connect submits carry
         # it over the wire to the server.
         with span("session.run_all"):
+            specs = list(specs)
             chosen = self._resolve_executor(executor, jobs)
-            # Grouped executors serve batched execute specs as whole seed
-            # groups, so the warehouse must plan (and store) group units.
-            return plan_and_run(list(specs), chosen.map, grouped=chosen.serves_batched)
+            if not chosen.serves_batched and any(spec.seed_grouped for spec in specs):
+                # One task model per seed group instead of one per seed.
+                chosen = BatchCampaignExecutor(fallback=chosen)
+            return plan_and_run(specs, chosen.map)
 
     def sweep(
         self,
@@ -202,11 +209,11 @@ class Session:
         aggregation is order-stable: serial and parallel executors produce
         bit-identical reports for the same seed set.
 
-        ``engine="batched"`` (or a base spec carrying
-        ``engine="batched"``) routes the whole campaign through the
-        vectorized :class:`BatchCampaignExecutor` — one task profile plus
-        array operations for all seeds, statistically equivalent to the
-        behavioural engine and dramatically faster at campaign scale.
+        The engine is a field of the base spec; ``engine=`` only writes
+        it there.  Batched campaigns run vectorized (see :meth:`run_all`)
+        — one task profile plus array operations for all seeds,
+        statistically equivalent to the behavioural engine and
+        dramatically faster at campaign scale.
 
         ``stream=True`` (batched ``execute`` campaigns only) runs the
         campaign out-of-core: seeds execute in fixed-size blocks
@@ -222,8 +229,6 @@ class Session:
             spec = CampaignSpec(base=spec, seeds=tuple(seeds) if seeds is not None else ())
         elif seeds is not None:
             raise ValueError("pass seeds inside the CampaignSpec, not alongside it")
-        if engine is not None and engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
         if engine is None:
             engine = spec.base.engine
         elif engine != spec.base.engine:
@@ -233,18 +238,6 @@ class Session:
             spec = replace(spec, base=replace(spec.base, engine=engine))
         if stream:
             return self._stream_campaign(spec, engine)
-        if engine == "batched":
-            executor = self._resolve_executor(executor, jobs)
-            if not executor.serves_batched:
-                # Keep the vectorized grouping (one task model per seed
-                # group) and let the caller's executor serve whatever the
-                # batch engine cannot — running batched specs one by one
-                # through a plain executor would rebuild the model per seed.
-                # Backends that already serve batched specs vectorized
-                # (BatchCampaignExecutor itself, the service's
-                # RemoteExecutor) pass through untouched.
-                executor = BatchCampaignExecutor(fallback=executor)
-            jobs = None
         expanded = spec.expand()
         with span("session.campaign") as campaign_span:
             log_event("campaign.start", seeds=len(expanded), engine=engine)
@@ -283,8 +276,6 @@ class Session:
         base = spec.base
         if base.kind != "execute":
             raise ValueError("stream=True only applies to execute-kind campaigns")
-        if base.engine != "batched":
-            base = replace(base, engine="batched")
         metrics: Sequence[str] = spec.metrics
         if not metrics:
             # Mirror the materialized path: the seed column is a run

@@ -176,6 +176,17 @@ class ExperimentSpec:
             return self.scenario
         return self.scenario.describe()
 
+    @property
+    def seed_grouped(self) -> bool:
+        """Whether the spec runs vectorized together with its other seeds.
+
+        Only batched ``execute`` specs do: executors batch them by
+        everything but the seed and the warehouse stores them as seed
+        blocks.  (Batched specs never collect traces; construction
+        rejects that.)
+        """
+        return self.kind == "execute" and self.engine == "batched"
+
     def resolve_app(self) -> StreamingApplication:
         """Instantiate (or pass through) the spec's application."""
         if self.app is None:

@@ -19,7 +19,11 @@ per-event work.  This package simulates **many seeds at once** instead:
 
 Entry points: :class:`BatchTaskModel` (one campaign configuration) and
 :class:`~repro.api.executors.BatchCampaignExecutor` (drop-in executor that
-groups specs by everything-but-seed and simulates each group in one shot).
+groups the ``execute`` specs declared ``engine="batched"`` by
+everything-but-seed, simulates each group in one shot and delegates
+every other spec to its fallback).  The engine is a field of the spec:
+``Session.campaign(engine=)`` and the harnesses' ``engine=`` only write
+it into the specs they build.
 The *design-space* side — Fig. 4 feasibility and the Eq. 3–7 chunk-size
 optimization — is vectorized by :mod:`repro.batch.design`
 (:func:`grid_feasible_region`, :func:`grid_optimize`), which is

@@ -10,8 +10,9 @@ Two layers:
   streamed rows.  ``Session.connect(url)`` plugs one into an ordinary
   :class:`~repro.api.session.Session`, so ``run`` / ``sweep`` /
   ``campaign`` work unchanged against a remote server — including
-  ``engine="batched"`` campaigns, which the service keeps in a single
-  vectorized shard so results stay bit-identical to a local run.
+  ``engine="batched"`` campaigns, which the service splits into seed
+  block shards whose composition-invariant rows stay bit-identical to a
+  local run.
 
 Server-side validation failures surface as :class:`ServiceError`
 carrying the structured 400 body (message + valid choices), not a bare
@@ -186,11 +187,12 @@ class ServiceClient:
 class RemoteExecutor(Executor):
     """Run specs on an experiment server instead of in-process.
 
-    Declares ``serves_batched`` so :meth:`Session.campaign` hands it the
-    raw expanded specs — the *server* decides sharding, and keeps every
-    ``engine="batched"`` spec of a submission in one shard so the batch
-    RNG composition (and therefore every sampled fault time) matches a
-    local :class:`~repro.api.executors.BatchCampaignExecutor` run exactly.
+    Declares ``serves_batched`` so :meth:`Session.run_all` hands it the
+    raw specs — the *server* decides sharding.  It splits
+    ``engine="batched"`` specs into seed blocks, each run vectorized; the
+    batch engine's fault streams are counter-based per seed, so every row
+    matches a local :class:`~repro.api.executors.BatchCampaignExecutor`
+    run exactly, whatever the block boundaries.
     """
 
     #: The server runs batched-engine specs through BatchCampaignExecutor.

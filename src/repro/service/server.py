@@ -321,6 +321,9 @@ class _Handler(BaseHTTPRequestHandler):
         emitted_rows: list[dict] = []
         emitted_specs = 0
         while True:
+            # Read the state before the prefix: a job that finishes between
+            # the two reads would otherwise end the stream short of rows.
+            finished = job.state in TERMINAL_STATES
             ready = job.ready_prefix()
             for index in range(emitted_specs, ready):
                 for record in job.records_per_spec[index] or ():
@@ -328,7 +331,7 @@ class _Handler(BaseHTTPRequestHandler):
                     emitted_rows.append(row)
                     emit(row)
             emitted_specs = ready
-            if job.state in TERMINAL_STATES or not wait:
+            if finished or not wait:
                 break
             service.jobs.wait_for_change(
                 lambda: job.state in TERMINAL_STATES or job.ready_prefix() > emitted_specs,
@@ -435,15 +438,16 @@ class ExperimentServer:
         path and the job streams instantly.  Partially cached jobs go
         through the pool: the workers consult the warehouse per shard, so
         only the genuinely missing units execute.  Batched specs plan as
-        group units, matching how :func:`~repro.service.shards.plan_shards`
-        executes them (one vectorized shard).
+        seed block units; their rows are composition-invariant, so the
+        units need not match how :func:`~repro.service.shards.plan_shards`
+        cuts the job into shards.
         """
         from ..warehouse import DeltaPlanner, default_warehouse
 
         warehouse = default_warehouse()
         if not warehouse.enabled:
             return None
-        plan = DeltaPlanner(warehouse).plan(list(request.specs), grouped=True)
+        plan = DeltaPlanner(warehouse).plan(list(request.specs))
         if not plan.fully_cached:
             return None
         outcomes = plan.merge([])

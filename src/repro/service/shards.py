@@ -1,19 +1,19 @@
 """Campaign sharding: how a job's specs become worker-sized units.
 
 A *shard* is the unit the elastic worker pool schedules: a contiguous
-block of a job's specs executed by one worker call.  The planner follows
-the engines' reproducibility contracts:
+block of a job's specs executed by one worker call, through
+:class:`~repro.api.executors.BatchCampaignExecutor` — which vectorizes
+the batched ``execute`` specs and runs every other spec on its declared
+engine.  The planner follows the engines' reproducibility contracts:
 
 * ``engine="batched"`` specs are split into seed blocks of
   ``batched_shard_size`` (default: the engine's own execution block
-  size, ``REPRO_BATCH_BLOCK``), each executed through
-  :class:`~repro.api.executors.BatchCampaignExecutor`.  The batch
-  engine's fault streams are counter-based per (seed, draw)
-  (:mod:`repro.batch.substrate`), so every row is independent of shard
-  composition and any partition reassembled in input order is
-  bit-identical to an in-process :meth:`Session.campaign`.  Small
-  campaigns stay one shard; blocks are sized so each worker call
-  amortizes one task profile over many seeds.
+  size, ``REPRO_BATCH_BLOCK``).  The batch engine's fault streams are
+  counter-based per (seed, draw) (:mod:`repro.batch.substrate`), so
+  every row is independent of shard composition and any partition
+  reassembled in input order is bit-identical to an in-process
+  :meth:`Session.campaign`.  Small campaigns stay one shard; blocks are
+  sized so each worker call amortizes one task profile over many seeds.
 * ``engine="behavioural"`` specs are split into seed blocks of
   ``shard_size`` — each spec's outcome depends only on the spec itself,
   so any partition reassembled in input order is bit-identical to a
@@ -34,10 +34,9 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from ..api.executors import BatchCampaignExecutor, execute_spec
+from ..api.executors import BatchCampaignExecutor
 from ..api.spec import ExperimentSpec
 from ..batch.streaming import batch_block_size
-from ..warehouse.planner import plan_and_run
 
 #: Default behavioural seeds per shard.  Small enough that a burst of
 #: modest campaigns produces real queue pressure for the scaler to react
@@ -56,21 +55,14 @@ class Shard:
     spec_indices:
         Indices into the job's spec list served by this shard, in result
         order.
-    batched:
-        Whether the shard runs through the vectorized
-        :class:`~repro.api.executors.BatchCampaignExecutor`.
     """
 
     index: int
     spec_indices: tuple[int, ...]
-    batched: bool = False
 
     def payload(self, spec_dicts: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
         """The JSON-able work order shipped to a worker."""
-        return {
-            "specs": [dict(spec_dicts[i]) for i in self.spec_indices],
-            "batched": self.batched,
-        }
+        return {"specs": [dict(spec_dicts[i]) for i in self.spec_indices]}
 
 
 def plan_shards(
@@ -102,7 +94,7 @@ def plan_shards(
     batched_step = batched_shard_size if batched_shard_size is not None else max(1, len(batched))
     for start in range(0, len(batched), batched_step):
         block = tuple(batched[start : start + batched_step])
-        shards.append(Shard(index=len(shards), spec_indices=block, batched=True))
+        shards.append(Shard(index=len(shards), spec_indices=block))
     for start in range(0, len(serial), shard_size):
         block = tuple(serial[start : start + shard_size])
         shards.append(Shard(index=len(shards), spec_indices=block))
@@ -117,22 +109,15 @@ def max_useful_workers(shards: Sequence[Shard]) -> int:
 def execute_shard_payload(payload: Mapping[str, Any]) -> dict[str, Any]:
     """Execute one shard work order and return its per-spec records.
 
-    The inverse of :meth:`Shard.payload`: rebuilds the specs, runs them —
+    The inverse of :meth:`Shard.payload`: rebuilds the specs, runs them
     through one :class:`~repro.api.executors.BatchCampaignExecutor` call
-    for batched shards (identical grouping to an in-process
-    ``Session.campaign``), spec by spec otherwise — and returns records
-    in spec order.  Module-level and dict-typed on both ends so process
-    workers can receive it over a ``multiprocessing`` queue.
+    (which consults the warehouse, with the same unit keys as an
+    in-process run) and returns records in spec order.  Module-level and
+    dict-typed on both ends so process workers can receive it over a
+    ``multiprocessing`` queue.
     """
     specs = [ExperimentSpec.from_dict(entry) for entry in payload["specs"]]
-    if payload.get("batched"):
-        # BatchCampaignExecutor.map consults the warehouse itself (group
-        # units, identical keys to an in-process Session.campaign).
-        outcomes = BatchCampaignExecutor().map(specs)
-    else:
-        outcomes = plan_and_run(
-            specs, lambda missing: [execute_spec(spec) for spec in missing]
-        )
+    outcomes = BatchCampaignExecutor().map(specs)
     return {
         "records_per_spec": [
             [dict(record) for record in outcome.records] for outcome in outcomes

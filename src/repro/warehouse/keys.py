@@ -37,7 +37,10 @@ from typing import Any
 #: can never be misread as answers to the new scheme.
 #: v2: factory keyword defaults joined the fingerprint — an in-place
 #: default edit (same registry names) now rotates every key.
-KEY_SCHEMA_VERSION = 2
+#: v3: v2 stores can hold batched rows under behavioural keys (the batch
+#: executor used to override a spec's engine), and those entries persist
+#: under ``~/.cache/repro/warehouse``.
+KEY_SCHEMA_VERSION = 3
 
 
 def canonical_json(payload: Any) -> str:

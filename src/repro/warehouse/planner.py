@@ -11,19 +11,18 @@ Unit granularity follows the engines' reproducibility contracts:
 
 * behavioural specs and all design-space kinds are one unit per spec —
   their outcome depends only on the spec itself;
-* ``engine="batched"`` execute specs run under a *grouped* executor
-  (:class:`~repro.api.executors.BatchCampaignExecutor`, or the service,
-  which shards them the same way) are grouped by same-experiment and
+* ``engine="batched"`` execute specs are grouped by same-experiment and
   split into consecutive seed **blocks** of the engine's execution block
   size (:func:`repro.batch.streaming.batch_block_size`, i.e.
   ``REPRO_BATCH_BLOCK``), one unit per block keyed by its ordered seed
   sub-list.  The batch engine's fault streams are counter-based per
-  (seed, draw), so rows are independent of block composition — blocks
-  hit or miss independently and a partially synced campaign resumes as
-  a delta of its remaining blocks rather than re-executing whole.
-  Under a non-grouped executor (``grouped=False``) each batched spec
-  executes as a group of one, which coincides with a one-spec block
-  unit, so the two forms share keys exactly when they share results.
+  (seed, draw), so rows are independent of block composition — the
+  blocking is safe under any executor, blocks hit or miss independently
+  and a partially synced campaign resumes as a delta of its remaining
+  blocks rather than re-executing whole.
+
+Every unit is keyed on the spec's declared ``engine``, and no executor
+overrides it, so a unit's key always names the engine that computed it.
 
 Specs with no canonical JSON form — live application/scenario instances,
 ``collect_trace`` runs, ``NaN`` parameters — are *uncacheable*: they
@@ -84,7 +83,7 @@ def _spec_payload(spec: ExperimentSpec) -> dict[str, Any] | None:
     return payload
 
 
-def plan_units(specs: Sequence[ExperimentSpec], grouped: bool = False) -> list[Unit]:
+def plan_units(specs: Sequence[ExperimentSpec]) -> list[Unit]:
     """Split a spec list into warehouse units (see module docstring)."""
     fingerprint = fingerprint_digest()
     units: list[Unit] = []
@@ -104,10 +103,10 @@ def plan_units(specs: Sequence[ExperimentSpec], grouped: bool = False) -> list[U
             )
             continue
         payloads[index] = payload
-        if grouped and spec.kind == "execute" and spec.engine == "batched":
-            # Group by everything except the seed — the same partition
-            # BatchCampaignExecutor._group_key computes, so cached group
-            # units exactly mirror the executor's batch composition.
+        if spec.seed_grouped:
+            # Group by everything except the seed.  Rows are
+            # composition-invariant, so the blocks cut below need not
+            # match how any executor batches the group.
             group = canonical_json({k: v for k, v in payload.items() if k != "seed"})
             groups.setdefault(group, []).append(index)
         else:
@@ -239,10 +238,10 @@ class DeltaPlanner:
     def __init__(self, warehouse: ResultWarehouse | None = None) -> None:
         self.warehouse = warehouse if warehouse is not None else default_warehouse()
 
-    def plan(self, specs: Sequence[ExperimentSpec], grouped: bool = False) -> DeltaPlan:
+    def plan(self, specs: Sequence[ExperimentSpec]) -> DeltaPlan:
         """Diff ``specs`` against the store and return the delta plan."""
         specs = list(specs)
-        units = plan_units(specs, grouped=grouped)
+        units = plan_units(specs)
         entries: dict[int, WarehouseEntry] = {}
         for position, unit in enumerate(units):
             if unit.key is None:
@@ -270,7 +269,6 @@ _ACTIVE = threading.local()
 def plan_and_run(
     specs: Sequence[ExperimentSpec],
     run: Callable[[list[ExperimentSpec]], Sequence[RunOutcome]],
-    grouped: bool = False,
 ) -> list[RunOutcome]:
     """Run ``specs`` through ``run``, serving cached units from the warehouse.
 
@@ -286,7 +284,7 @@ def plan_and_run(
     warehouse = default_warehouse()
     if not warehouse.enabled or getattr(_ACTIVE, "depth", 0):
         return list(run(specs))
-    plan = DeltaPlanner(warehouse).plan(specs, grouped=grouped)
+    plan = DeltaPlanner(warehouse).plan(specs)
     missing = plan.missing_specs()
     _ACTIVE.depth = getattr(_ACTIVE, "depth", 0) + 1
     try:

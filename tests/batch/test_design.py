@@ -170,16 +170,21 @@ class TestEngineRouting:
         assert batched.records == behavioural.records
         assert batched.artifact.candidates == behavioural.artifact.candidates
 
-    def test_batch_executor_serves_design_kinds_vectorized(self, small_adpcm_encode):
+    def test_batch_executor_serves_design_kinds_vectorized(
+        self, small_adpcm_encode, engine_runs
+    ):
         specs = [
-            ExperimentSpec(kind="feasibility", params={"max_chunk_words": 48}),
-            ExperimentSpec(app=small_adpcm_encode, kind="optimize"),
+            ExperimentSpec(kind="feasibility", params={"max_chunk_words": 48}, engine="batched"),
+            ExperimentSpec(app=small_adpcm_encode, kind="optimize", engine="batched"),
         ]
         outcomes = BatchCampaignExecutor().map(specs)
-        assert outcomes[0].artifact.points == (
-            execute_spec(specs[0]).artifact.points
-        )
-        assert outcomes[1].record == execute_spec(specs[1]).record
+        # The declared engine is kept and is the one that ran.
+        assert [o.spec.engine for o in outcomes] == ["batched", "batched"]
+        assert engine_runs("batched", kind="feasibility") == 1
+        assert engine_runs("batched", kind="optimize") == 1
+        behavioural = [execute_spec(spec.with_overrides(engine="behavioural")) for spec in specs]
+        assert outcomes[0].artifact.points == behavioural[0].artifact.points
+        assert outcomes[1].record == behavioural[1].record
 
     def test_fig4_harness_engine(self):
         behavioural = fig4_feasible_region()

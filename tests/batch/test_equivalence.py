@@ -63,7 +63,7 @@ def _strategy_params(strategy: str) -> dict:
     return {"chunk_words": 65} if strategy == "hybrid" else {}
 
 
-def _specs(app: str, strategy: str, scenario: str, seeds) -> list[ExperimentSpec]:
+def _specs(app: str, strategy: str, scenario: str, seeds, engine: str) -> list[ExperimentSpec]:
     return [
         ExperimentSpec(
             app=app,
@@ -72,6 +72,7 @@ def _specs(app: str, strategy: str, scenario: str, seeds) -> list[ExperimentSpec
             constraints=PAPER_OPERATING_POINT,
             scenario=scenario,
             seed=seed,
+            engine=engine,
         )
         for seed in seeds
     ]
@@ -114,7 +115,7 @@ def _assert_statistically_close(
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
-def test_cross_engine_equivalence(scenario):
+def test_cross_engine_equivalence(scenario, engine_runs):
     """Batched aggregates match behavioural ones for every app × strategy."""
     apps = available_applications()
     strategies = available_strategies()
@@ -123,11 +124,15 @@ def test_cross_engine_equivalence(scenario):
     batched_specs: list[ExperimentSpec] = []
     for app in apps:
         for strategy in strategies:
-            behavioural_specs.extend(_specs(app, strategy, scenario, BEHAVIOURAL_SEEDS))
-            batched_specs.extend(_specs(app, strategy, scenario, BATCHED_SEEDS))
+            behavioural_specs.extend(
+                _specs(app, strategy, scenario, BEHAVIOURAL_SEEDS, "behavioural")
+            )
+            batched_specs.extend(_specs(app, strategy, scenario, BATCHED_SEEDS, "batched"))
 
     behavioural = [o.record for o in SerialExecutor().map(behavioural_specs)]
     batched = [o.record for o in BatchCampaignExecutor().map(batched_specs)]
+    assert engine_runs("behavioural") == len(behavioural_specs)
+    assert engine_runs("batched") == len(batched_specs)
 
     cursor_b = cursor_f = 0
     for app in apps:

@@ -5,11 +5,17 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.api.executors import BatchCampaignExecutor, SerialExecutor, make_executor
+from repro.api.executors import (
+    BATCH_GROUPS,
+    BatchCampaignExecutor,
+    SerialExecutor,
+    execute_spec,
+)
 from repro.api.session import Session
 from repro.api.spec import CampaignSpec, ExperimentSpec
 from repro.core.config import PAPER_OPERATING_POINT
@@ -41,20 +47,25 @@ class TestSpecEngineField:
 
 
 class TestBatchCampaignExecutor:
-    def test_preserves_input_order_and_seeds(self, small_adpcm_encode):
+    def test_preserves_input_order_and_seeds(self, small_adpcm_encode, engine_runs):
         specs = [
-            ExperimentSpec(app=small_adpcm_encode, strategy="default", seed=seed)
+            ExperimentSpec(
+                app=small_adpcm_encode, strategy="default", seed=seed, engine="batched"
+            )
             for seed in (5, 1, 9)
         ]
         outcomes = BatchCampaignExecutor().map(specs)
         assert [o.record["seed"] for o in outcomes] == [5, 1, 9]
         assert all(o.spec is spec for o, spec in zip(outcomes, specs))
+        assert engine_runs("batched") == 3
 
-    def test_groups_by_everything_but_seed(self, small_adpcm_encode):
+    def test_groups_by_everything_but_seed(self, small_adpcm_encode, engine_runs):
         interleaved = []
         for seed in range(3):
             interleaved.append(
-                ExperimentSpec(app=small_adpcm_encode, strategy="default", seed=seed)
+                ExperimentSpec(
+                    app=small_adpcm_encode, strategy="default", seed=seed, engine="batched"
+                )
             )
             interleaved.append(
                 ExperimentSpec(
@@ -62,38 +73,66 @@ class TestBatchCampaignExecutor:
                     strategy="hybrid",
                     strategy_params={"chunk_words": 64},
                     seed=seed,
+                    engine="batched",
                 )
             )
+        groups = BATCH_GROUPS.value()
         outcomes = BatchCampaignExecutor().map(interleaved)
         strategies = [o.record["strategy"] for o in outcomes]
         assert strategies == ["default", "hybrid-optimal"] * 3
+        assert BATCH_GROUPS.value() - groups == 2
+        assert engine_runs("batched") == 6
 
-    def test_non_execute_kinds_fall_back(self, small_adpcm_encode):
+    def test_non_execute_kinds_fall_back(self, small_adpcm_encode, engine_runs):
+        # Everything but batched execute specs keeps its declared engine,
+        # behavioural execute specs included.
+        behavioural = ExperimentSpec(app=small_adpcm_encode, strategy="hybrid-optimal", seed=3)
         specs = [
             ExperimentSpec(app=small_adpcm_encode, kind="optimize"),
-            ExperimentSpec(app=small_adpcm_encode, strategy="default", seed=1),
+            ExperimentSpec(app=small_adpcm_encode, strategy="default", seed=1, engine="batched"),
+            behavioural,
         ]
         outcomes = BatchCampaignExecutor().map(specs)
         assert outcomes[0].record["chunk_words"] > 0
+        assert outcomes[0].spec.engine == "behavioural"
+        assert engine_runs("behavioural", kind="optimize") == 1
         assert outcomes[1].record["strategy"] == "default"
+        assert engine_runs("batched") == 1
+        assert outcomes[2].record == execute_spec(behavioural).record
+        assert outcomes[2].spec.engine == "behavioural"
+
+    def test_groups_of_one_seed_go_to_the_fallback(self, small_adpcm_encode):
+        class Recording(SerialExecutor):
+            def map(self, specs):
+                self.seen = list(specs)
+                return super().map(specs)
+
+        def spec(strategy, seed):
+            return ExperimentSpec(
+                app=small_adpcm_encode, strategy=strategy, seed=seed, engine="batched"
+            )
+
+        specs = [spec("default", 0), spec("sw-mitigation", 0), spec("default", 1)]
+        fallback = Recording()
+        groups = BATCH_GROUPS.value()
+        outcomes = BatchCampaignExecutor(fallback=fallback).map(specs)
+        assert fallback.seen == [specs[1]]
+        assert BATCH_GROUPS.value() - groups == 1
+        assert [o.record for o in outcomes] == [execute_spec(s).record for s in specs]
 
     def test_registry_specs_group_via_serialization(self):
         specs = [
-            ExperimentSpec(app="adpcm-encode", strategy="default", seed=seed)
+            ExperimentSpec(app="adpcm-encode", strategy="default", seed=seed, engine="batched")
             for seed in range(2)
         ]
         keys = {BatchCampaignExecutor._group_key(spec) for spec in specs}
         assert len(keys) == 1
-
-    def test_make_executor_engine_request(self):
-        executor = make_executor(None, engine="batched")
-        assert isinstance(executor, BatchCampaignExecutor)
-        assert isinstance(executor.fallback, SerialExecutor)
-        assert isinstance(make_executor(1), SerialExecutor)
+        assert None not in keys
+        assert BatchCampaignExecutor._group_key(replace(specs[0], engine="behavioural")) is None
 
 
 class TestSessionEngine:
-    def test_campaign_engine_argument(self, small_adpcm_encode):
+    def test_campaign_engine_argument(self, small_adpcm_encode, engine_runs):
         session = Session(constraints=STRESS)
         spec = CampaignSpec(
             base=session.spec(small_adpcm_encode, strategy="default"), runs=16
@@ -101,6 +140,8 @@ class TestSessionEngine:
         report = session.campaign(spec, engine="batched")
         assert report.runs == 16
         assert report["upsets_injected"].mean > 0
+        assert engine_runs("batched") == 16
+        assert engine_runs("behavioural") == 0
 
     def test_campaign_honours_spec_engine(self, small_adpcm_encode):
         session = Session(constraints=STRESS)
@@ -142,7 +183,9 @@ class TestSessionEngine:
         # the caller's executor only serves non-batchable specs.
         session = Session(constraints=STRESS)
         spec = CampaignSpec(base=session.spec(small_adpcm_encode, strategy="default"), runs=10)
+        groups = BATCH_GROUPS.value()
         wrapped = session.campaign(spec, engine="batched", executor=SerialExecutor())
+        assert BATCH_GROUPS.value() - groups == 1
         default = session.campaign(spec, engine="batched")
         assert [dict(r) for r in wrapped.raw] == [dict(r) for r in default.raw]
 
@@ -160,7 +203,7 @@ class TestDeterminism:
 
     SCRIPT = """
 import json, sys
-from repro.api.executors import BatchCampaignExecutor
+from repro.api.executors import SPECS_EXECUTED, BatchCampaignExecutor
 from repro.api.spec import ExperimentSpec
 from repro.core.config import PAPER_OPERATING_POINT
 
@@ -172,29 +215,40 @@ specs = [
         strategy_params={"chunk_words": 64},
         constraints=constraints,
         seed=seed,
+        engine="batched",
     )
     for seed in range(12)
 ]
 outcomes = BatchCampaignExecutor().map(specs)
-print(json.dumps([o.record for o in outcomes], sort_keys=True))
+batched_runs = SPECS_EXECUTED.value(kind="execute", engine="batched")
+print(json.dumps([batched_runs, [o.record for o in outcomes]], sort_keys=True))
 """
 
-    def _run_once(self) -> str:
+    def _run_once(self, cache_dir: Path) -> str:
         root = Path(__file__).resolve().parents[2]
+        # Both runs must compute: a warehouse hit in the second would
+        # compare the store against itself.
+        env = {
+            "PYTHONPATH": str(root / "src"),
+            "PATH": "/usr/bin:/bin",
+            "REPRO_CACHE_DIR": str(cache_dir),
+            "REPRO_NO_WAREHOUSE": "1",
+        }
         result = subprocess.run(
             [sys.executable, "-c", self.SCRIPT],
             capture_output=True,
             text=True,
             cwd=root,
-            env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"},
+            env=env,
             check=True,
         )
         return result.stdout.strip()
 
-    def test_bit_identical_across_processes(self):
-        first = self._run_once()
-        second = self._run_once()
+    def test_bit_identical_across_processes(self, tmp_path):
+        first = self._run_once(tmp_path)
+        second = self._run_once(tmp_path)
         assert first == second
-        records = json.loads(first)
+        batched_runs, records = json.loads(first)
+        assert batched_runs == 12
         assert len(records) == 12
         assert any(r["upsets_injected"] > 0 for r in records)

@@ -387,17 +387,20 @@ class TestSpecIntegration:
         with pytest.raises(ValueError, match="requires an application"):
             ExperimentSpec(kind="pareto")
 
-    def test_batch_campaign_executor_serves_pareto_vectorized(self, small_adpcm_encode):
+    def test_batch_campaign_executor_serves_pareto_vectorized(
+        self, small_adpcm_encode, engine_runs
+    ):
         pareto_spec = ExperimentSpec(
-            app=small_adpcm_encode, kind="pareto", params=self.PARAMS
+            app=small_adpcm_encode, kind="pareto", params=self.PARAMS, engine="batched"
         )
-        optimize_spec = ExperimentSpec(app=small_adpcm_encode, kind="optimize")
+        optimize_spec = ExperimentSpec(app=small_adpcm_encode, kind="optimize", engine="batched")
         outcomes = BatchCampaignExecutor().map([pareto_spec, optimize_spec])
-        # The executor upgrades design-space specs to the batched engine
-        # (the engines are bit-identical, so nothing to fall back for).
+        # The executor keeps the declared engine, and that engine ran.
         assert outcomes[0].spec.kind == "pareto"
         assert outcomes[0].spec.engine == "batched"
-        assert outcomes[0].artifact == execute_spec(pareto_spec).artifact
+        assert engine_runs("batched", kind="pareto") == 1
+        behavioural = execute_spec(pareto_spec.with_overrides(engine="behavioural"))
+        assert outcomes[0].artifact == behavioural.artifact
         assert outcomes[1].record["chunk_words"] > 0
 
     def test_session_pareto_returns_the_front(self, small_adpcm_encode):

@@ -41,13 +41,14 @@ SEED_INVARIANT_APPS = tuple(
 )
 
 
-def _spec(scenario: str, strategy: str, seed: int, app: str = "adpcm-encode"):
+def _spec(scenario: str, strategy: str, seed: int, engine: str):
     return ExperimentSpec(
-        app=app,
+        app="adpcm-encode",
         strategy=strategy,
         constraints=PAPER_OPERATING_POINT,
         scenario=scenario,
         seed=seed,
+        engine=engine,
     )
 
 
@@ -136,8 +137,13 @@ class TestScheduleIdentity:
 class TestCompositionInvariance:
     @pytest.mark.parametrize("scenario_name", STOCHASTIC_SCENARIOS)
     @pytest.mark.parametrize("strategy_name", ADAPTIVE_STRATEGIES)
-    def test_solo_grouped_sharded_blocked_agree(self, scenario_name, strategy_name):
-        specs = [_spec(scenario_name, strategy_name, seed) for seed in range(4)]
+    def test_solo_grouped_sharded_blocked_agree(
+        self, scenario_name, strategy_name, engine_runs, monkeypatch
+    ):
+        # Every shape must really execute: warehouse hits would compare
+        # the first shape's stored rows against themselves.
+        monkeypatch.setenv("REPRO_NO_WAREHOUSE", "1")
+        specs = [_spec(scenario_name, strategy_name, seed, "batched") for seed in range(4)]
 
         grouped = [o.record for o in BatchCampaignExecutor().map(specs)]
         solo = [BatchCampaignExecutor().map([spec])[0].record for spec in specs]
@@ -146,11 +152,13 @@ class TestCompositionInvariance:
         ] + [o.record for o in BatchCampaignExecutor().map(specs[2:])]
         # Interleave with a decoy strategy: grouping must not leak across
         # experiment boundaries.
-        decoys = [_spec(scenario_name, "hybrid-optimal", seed) for seed in range(4)]
+        decoys = [_spec(scenario_name, "hybrid-optimal", seed, "batched") for seed in range(4)]
         blocked_outcomes = BatchCampaignExecutor().map(
             [item for pair in zip(specs, decoys) for item in pair]
         )
         blocked = [blocked_outcomes[2 * i].record for i in range(4)]
+        assert engine_runs("batched") == 20
+        assert engine_runs("behavioural") == 0
 
         for other, label in ((solo, "solo"), (sharded, "sharded"), (blocked, "blocked")):
             for run, (a, b) in enumerate(zip(grouped, other)):
@@ -164,11 +172,22 @@ class TestEngineAgreement:
     @pytest.mark.parametrize("scenario_name", STOCHASTIC_SCENARIOS)
     @pytest.mark.parametrize("strategy_name", ADAPTIVE_STRATEGIES)
     def test_planned_checkpoints_agree_across_engines(
-        self, scenario_name, strategy_name
+        self, scenario_name, strategy_name, engine_runs
     ):
-        specs = [_spec(scenario_name, strategy_name, seed) for seed in SEEDS]
-        behavioural = [o.record for o in SerialExecutor().map(specs)]
-        batched = [o.record for o in BatchCampaignExecutor().map(specs)]
+        behavioural = [
+            o.record
+            for o in SerialExecutor().map(
+                [_spec(scenario_name, strategy_name, seed, "behavioural") for seed in SEEDS]
+            )
+        ]
+        batched = [
+            o.record
+            for o in BatchCampaignExecutor().map(
+                [_spec(scenario_name, strategy_name, seed, "batched") for seed in SEEDS]
+            )
+        ]
+        assert engine_runs("behavioural") == len(SEEDS)
+        assert engine_runs("batched") == len(SEEDS)
         for seed, (b, f) in enumerate(zip(behavioural, batched)):
             assert b["checkpoints_committed"] == f["checkpoints_committed"], (
                 f"{scenario_name}/{strategy_name} seed {seed}"

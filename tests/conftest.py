@@ -43,6 +43,29 @@ def _isolated_stores(tmp_path, monkeypatch):
     default_cache().clear()
 
 
+@pytest.fixture
+def engine_runs():
+    """``engine_runs(engine, kind="execute")``: specs that engine ran in this test.
+
+    Reads the process-wide ``repro_specs_executed_total`` counter, so a
+    test can show which engine actually served its specs instead of
+    trusting the executor it called.
+    """
+    from repro.api.executors import SPECS_EXECUTED
+    from repro.api.spec import ENGINES, KINDS
+
+    def executed(engine: str, kind: str) -> float:
+        labels = {"kind": kind, "engine": engine}
+        return sum(s["value"] for s in SPECS_EXECUTED.samples() if s["labels"] == labels)
+
+    start = {(engine, kind): executed(engine, kind) for engine in ENGINES for kind in KINDS}
+
+    def runs(engine: str, kind: str = "execute") -> float:
+        return executed(engine, kind) - start[engine, kind]
+
+    return runs
+
+
 def pytest_addoption(parser: pytest.Parser) -> None:
     parser.addoption(
         "--update-golden",

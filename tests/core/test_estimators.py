@@ -19,7 +19,8 @@ import statistics
 import pytest
 
 from repro.analysis.experiments import ORACLE_STRATEGY, scenario_sweep
-from repro.api import ExperimentSpec, make_executor
+from repro.api import BatchCampaignExecutor, ExperimentSpec
+from repro.api.executors import SPECS_EXECUTED
 from repro.apps.registry import get_application
 from repro.core.config import PAPER_OPERATING_POINT
 from repro.core.estimators import (
@@ -207,11 +208,14 @@ def _storm_energies(strategy, params, seeds):
             constraints=PAPER_OPERATING_POINT,
             scenario="storm",
             seed=seed,
+            engine="batched",
         )
         for seed in seeds
     ]
-    executor = make_executor(1, engine="batched")
-    return [outcome.record["energy_nj"] for outcome in executor.map(specs)]
+    before = SPECS_EXECUTED.value(kind="execute", engine="batched")
+    outcomes = BatchCampaignExecutor().map(specs)
+    assert SPECS_EXECUTED.value(kind="execute", engine="batched") - before == len(specs)
+    return [outcome.record["energy_nj"] for outcome in outcomes]
 
 
 class TestStormRegret:

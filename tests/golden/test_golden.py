@@ -84,6 +84,7 @@ def _batched_fig5_samples() -> dict[tuple[str, str], list[float]]:
                 suboptimal.chunk_words,
                 PAPER_OPERATING_POINT,
                 seed,
+                engine="batched",
             )
             if labels_per_app is None:
                 labels_per_app = [
@@ -110,13 +111,15 @@ def _batched_fig5_samples() -> dict[tuple[str, str], list[float]]:
 class TestBatchedEngineAgainstGolden:
     """The fast engine must reproduce the frozen Fig. 5 statistically."""
 
-    def test_fig5_batched_matches_frozen_numbers(self, golden):
+    def test_fig5_batched_matches_frozen_numbers(self, golden, engine_runs):
         stored = {
             (row["application"], row["strategy"]): row
             for row in golden.load("fig5")["rows"]
         }
         samples = _batched_fig5_samples()
         assert samples, "no batched samples produced"
+        assert engine_runs("batched") == sum(len(values) for values in samples.values())
+        assert engine_runs("behavioural") == 0
         for (app, strategy), values in samples.items():
             frozen_mean = stored[(app, strategy)]["normalized_energy"]
             mean = sum(values) / len(values)

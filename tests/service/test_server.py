@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import io
 import json
 import time
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
@@ -191,6 +193,38 @@ class TestStreaming:
         # Snapshot returns immediately: trailer present, job possibly unfinished.
         assert lines[-1]["__ndjson__"] == "end"
         client.cancel(job["job_id"])
+
+    def test_job_finishing_mid_read_streams_every_row(self):
+        # The last shard lands between the stream's prefix read and its
+        # state check; the stream must still end with every row.
+        from repro.service.jobs import DONE, RUNNING
+        from repro.service.server import _Handler
+
+        class Job:
+            id = "job-race"
+            request = SimpleNamespace(label="race", spec_hash="0" * 64)
+            error = None
+            state = RUNNING
+            records_per_spec = [[{"seed": 0}], None]
+
+            def ready_prefix(self):
+                ready = 1 if self.records_per_spec[1] is None else 2
+                self.records_per_spec[1] = [{"seed": 1}]
+                self.state = DONE
+                return ready
+
+        jobs = SimpleNamespace(wait_for_change=lambda predicate, timeout: None)
+        handler = SimpleNamespace(
+            server=SimpleNamespace(service=SimpleNamespace(jobs=jobs)),
+            send_response=lambda status: None,
+            send_header=lambda name, value: None,
+            end_headers=lambda: None,
+            wfile=io.BytesIO(),
+        )
+        _Handler._stream_results(handler, Job(), wait=True)
+        lines = [json.loads(line) for line in handler.wfile.getvalue().splitlines()]
+        assert [line["seed"] for line in lines[1:-1]] == [0, 1]
+        assert lines[-1]["rows"] == 2
 
     def test_result_set_parses_stream(self, client):
         job = client.submit(

@@ -61,7 +61,10 @@ class TestMetricsEndpoint:
         assert "# TYPE repro_http_requests_total counter" in text
         assert "# TYPE repro_http_request_seconds histogram" in text
         assert "# TYPE repro_pool_workers gauge" in text
-        parsed = parse_prometheus(text)
+        # The healthz request is counted just after its response flushes.
+        parsed = _scrape_until(
+            client, lambda p: series_total(p, "repro_http_requests_total") >= 1.0
+        )
         assert series_total(parsed, "repro_http_requests_total") >= 1.0
 
     def test_request_counter_labels_routes(self, client):

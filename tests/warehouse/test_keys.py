@@ -88,7 +88,7 @@ class TestFingerprint:
     def test_captures_version_schema_and_registries(self) -> None:
         fingerprint = code_fingerprint()
         assert fingerprint["package_version"]
-        assert fingerprint["key_schema"] == 2
+        assert fingerprint["key_schema"] == 3
         assert "adpcm-encode" in fingerprint["registries"]["apps"]
         assert "hybrid-optimal" in fingerprint["registries"]["strategies"]
         assert "markov" in fingerprint["registries"]["scenarios"]
@@ -143,14 +143,14 @@ class TestUnitKey:
         assert unit_key([self.SPEC], "fp") != unit_key([other], "fp")
 
     def test_group_order_is_part_of_the_key(self) -> None:
-        # The batch engine derives one fault stream per seed group, so the
-        # ordered composition is part of the result identity.
+        # A unit key hashes its ordered seed block, so lookups happen at
+        # block granularity (the rows themselves are composition-invariant).
         a, b = self.SPEC, dict(self.SPEC, seed=1)
         assert unit_key([a, b], "fp") != unit_key([b, a], "fp")
 
     def test_group_of_one_matches_solo(self) -> None:
-        # A batched spec under a non-grouped executor runs as a group of
-        # one, which must share the key of the one-spec group unit.
+        # A one-seed batched campaign is a one-spec block unit, which must
+        # share the key of the solo unit of the same spec.
         assert unit_key([self.SPEC], "fp") == unit_key([dict(self.SPEC)], "fp")
 
     def test_key_order_inside_a_spec_is_irrelevant(self) -> None:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.api.executors import RunOutcome
 from repro.api.spec import ExperimentSpec
+from repro.warehouse.keys import fingerprint_digest, unit_key
 from repro.warehouse.planner import DeltaPlanner, plan_and_run, plan_units
 from repro.warehouse.store import ResultWarehouse
 
@@ -25,29 +26,23 @@ def _outcome(spec: ExperimentSpec, value: float, artifact=None) -> RunOutcome:
 class TestPlanUnits:
     def test_behavioural_specs_are_solo_units_in_order(self) -> None:
         specs = [_spec(seed=s) for s in range(3)]
-        units = plan_units(specs, grouped=True)
+        units = plan_units(specs)
         assert [unit.indices for unit in units] == [(0,), (1,), (2,)]
         assert all(unit.key for unit in units)
 
     def test_grouped_batched_specs_form_one_ordered_group(self) -> None:
         specs = [_spec(seed=s, engine="batched") for s in (2, 0, 1)]
-        (unit,) = plan_units(specs, grouped=True)
+        (unit,) = plan_units(specs)
         assert unit.indices == (0, 1, 2)
         assert [d["seed"] for d in unit.spec_dicts] == [2, 0, 1]
         assert unit.engine == "batched"
 
-    def test_ungrouped_batched_specs_stay_solo(self) -> None:
-        specs = [_spec(seed=s, engine="batched") for s in range(2)]
-        units = plan_units(specs, grouped=False)
-        assert [unit.indices for unit in units] == [(0,), (1,)]
-
     def test_group_of_one_shares_the_solo_key(self) -> None:
-        # A batched spec under a serial executor coincides computationally
-        # with its one-spec group, so the two forms must share keys.
+        # A one-seed batched campaign is a one-spec block unit, keyed
+        # exactly like a solo unit of the same spec.
         spec = _spec(seed=7, engine="batched")
-        (solo,) = plan_units([spec], grouped=False)
-        (group,) = plan_units([spec], grouped=True)
-        assert solo.key == group.key
+        (group,) = plan_units([spec])
+        assert group.key == unit_key([spec.to_dict()], fingerprint_digest())
 
     def test_distinct_experiments_group_separately(self) -> None:
         specs = [
@@ -55,7 +50,7 @@ class TestPlanUnits:
             _spec(seed=0, engine="batched", app="adpcm-decode"),
             _spec(seed=1, engine="batched"),
         ]
-        units = plan_units(specs, grouped=True)
+        units = plan_units(specs)
         assert sorted(unit.indices for unit in units) == [(0, 2), (1,)]
 
     def test_grouped_batched_units_split_by_engine_block(self, monkeypatch) -> None:
@@ -64,7 +59,7 @@ class TestPlanUnits:
         # resuming after a crash replays only the missing blocks.
         monkeypatch.setenv("REPRO_BATCH_BLOCK", "2")
         specs = [_spec(seed=s, engine="batched") for s in range(5)]
-        units = plan_units(specs, grouped=True)
+        units = plan_units(specs)
         assert [unit.indices for unit in units] == [(0, 1), (2, 3), (4,)]
         assert all(unit.engine == "batched" for unit in units)
         assert len({unit.key for unit in units}) == 3  # distinct cache keys
@@ -78,12 +73,12 @@ class TestPlanUnits:
         whole = BatchCampaignExecutor().map(specs)
         monkeypatch.setenv("REPRO_BATCH_BLOCK", "2")
         warehouse = ResultWarehouse(tmp_path)
-        first = DeltaPlanner(warehouse).plan(specs[:4], grouped=True)
+        first = DeltaPlanner(warehouse).plan(specs[:4])
         first.merge(BatchCampaignExecutor().map(first.missing_specs()))
         # Widening the campaign replays the stored blocks and executes
         # only the new tail block — and the stitched rows equal one
         # unblocked execution of the full campaign.
-        widened = DeltaPlanner(warehouse).plan(specs, grouped=True)
+        widened = DeltaPlanner(warehouse).plan(specs)
         assert widened.missing_indices() == [4]
         merged = widened.merge(BatchCampaignExecutor().map(widened.missing_specs()))
         assert [o.records for o in merged] == [o.records for o in whole]
@@ -169,10 +164,10 @@ class TestDeltaPlan:
         # granularity (rows are composition-invariant, lookups are not).
         warehouse = ResultWarehouse(tmp_path)
         pair = [_spec(seed=s, engine="batched") for s in (0, 1)]
-        plan = DeltaPlanner(warehouse).plan(pair, grouped=True)
+        plan = DeltaPlanner(warehouse).plan(pair)
         plan.merge([_outcome(spec, 1.0) for spec in pair])
         triple = [_spec(seed=s, engine="batched") for s in (0, 1, 2)]
-        wider = DeltaPlanner(warehouse).plan(triple, grouped=True)
+        wider = DeltaPlanner(warehouse).plan(triple)
         assert wider.missing_indices() == [0, 1, 2]
 
 
