@@ -144,29 +144,6 @@ def _memory_scaling(seed_counts: tuple[int, ...]) -> list[dict]:
     return points
 
 
-def test_batch_engine_speedup(benchmark, save_result):
-    """pytest-benchmark probe: the batched 1000-run campaign itself."""
-    session = Session()
-    spec = _campaign_spec("hybrid-optimal", {}, CAMPAIGN_RUNS)
-    report = benchmark.pedantic(
-        lambda: session.campaign(spec, engine="batched"), rounds=1, iterations=1
-    )
-    save_result("batch_campaign", report)
-    assert report.runs == CAMPAIGN_RUNS
-    assert report["fully_mitigated"].mean == 1.0
-
-    # Per-run cost comparison against a behavioural sample: the batched
-    # engine must be at least an order of magnitude faster per run.
-    sample = 50
-    start = time.perf_counter()
-    session.campaign(_campaign_spec("hybrid-optimal", {}, sample))
-    behavioural_per_run = (time.perf_counter() - start) / sample
-    start = time.perf_counter()
-    session.campaign(spec, engine="batched")
-    batched_per_run = (time.perf_counter() - start) / CAMPAIGN_RUNS
-    assert behavioural_per_run / batched_per_run >= 10.0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(

@@ -3,26 +3,17 @@
 Sweeps one benchmark across the registered scenario grid — deterministic
 and stochastic (Markov-modulated, random-burst) environments — with the
 static (``hybrid-optimal``), oracle-adaptive (``hybrid-adaptive``) and
-estimator-driven (``hybrid-estimating``) designs, asserting the claims
-the scenario subsystem was built for:
-
-* under ``paper-constant`` the adaptive strategy degenerates to the
-  static optimum (identical energy);
-* under bursty environments the adaptive strategy's energy is at most the
-  static design's, while still fully mitigating every error;
-* the honest estimator's regret against the oracle is non-negative, and
-  under ``storm`` the estimator recovers at least half of the oracle's
-  energy win over the static design (archived as ``storm_recovery``).
-
-Like the other benches, the rendered table is written to
-``benchmarks/results/scenario_sweep.txt`` plus a machine-readable JSON
-mirror.  The module doubles as a standalone perf probe::
+estimator-driven (``hybrid-estimating``) designs, and records how much of
+the oracle's ``storm`` energy win over the static design the honest
+estimator recovers (``storm_recovery``; CI gates it at 0.5)::
 
     PYTHONPATH=src python benchmarks/bench_scenarios.py --smoke
 
-which runs a reduced grid, times it, and archives
+runs a reduced grid, times it, prints the table and archives
 ``benchmarks/results/BENCH_scenarios.json`` — the artefact CI uploads so
-the perf trajectory accumulates run over run.
+the perf trajectory accumulates run over run.  The scenario claims
+themselves (adaptive equals static at the paper's constant rate, costs no
+more under bursts, non-negative storm regret) are tier-1 tests.
 """
 
 from __future__ import annotations
@@ -68,47 +59,6 @@ def _storm_recovery(result) -> float:
     estimating = result.cell("storm", "hybrid-estimating").energy_nj
     win = static - oracle
     return (static - estimating) / win if win else 0.0
-
-
-def test_scenario_sweep(benchmark, save_result):
-    from conftest import BENCH_SEEDS
-
-    result = benchmark.pedantic(_run_sweep, args=(BENCH_SEEDS,), rounds=1, iterations=1)
-    save_result("scenario_sweep", result)
-
-    # The adaptive strategy degenerates to the static optimum when the
-    # environment is the paper's constant rate.
-    static = result.cell("paper-constant", "hybrid-optimal")
-    adaptive = result.cell("paper-constant", "hybrid-adaptive")
-    assert adaptive.energy_nj == static.energy_nj
-
-    # Under bursty environments it must not cost more energy than the
-    # static design.
-    for scenario in ("burst", "storm"):
-        assert (
-            result.cell(scenario, "hybrid-adaptive").energy_nj
-            <= result.cell(scenario, "hybrid-optimal").energy_nj
-        )
-
-    # The regret column compares every strategy against the oracle on the
-    # same realizations: zero for the oracle itself, non-negative where
-    # the oracle wins (storm), and possibly negative where its adaptation
-    # heuristic is beaten (extreme random-burst realizations).  Under
-    # storm the honest estimator must recover at least half of the
-    # oracle's win over the static design (the headline adaptation bar).
-    for cell in result.cells:
-        assert cell.regret is not None
-        if cell.strategy == "hybrid-adaptive":
-            assert cell.regret == 0.0
-        if cell.scenario == "storm":
-            assert cell.regret >= 0.0
-    assert _storm_recovery(result) >= 0.5
-    # Mitigation stays perfect at the paper's rate; at 50-100x burst rates
-    # the parity check occasionally misses an even-width SMU (inherent to
-    # the paper's detection scheme), so only a floor is asserted there.
-    assert adaptive.fully_mitigated_fraction == 1.0
-    for cell in result.cells:
-        assert cell.fully_mitigated_fraction >= 0.6
 
 
 def main(argv: list[str] | None = None) -> int:

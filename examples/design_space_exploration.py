@@ -7,7 +7,7 @@ Regenerates the designer-facing views of the proposal:
   carry at each size under the 5 % area budget);
 * the Table I optimum chunk sizes for all five benchmarks;
 * sensitivity of the optimum to the area budget OV1 and to the upset rate
-  (the ablations discussed in DESIGN.md).
+  (the ablations of :mod:`repro.analysis.experiments`).
 
 Run with:  python examples/design_space_exploration.py
 

@@ -3,8 +3,8 @@
 
 Decodes a compressed image block by block on the behavioural platform
 while upsets strike the vulnerable L1, repeating the experiment over many
-independent fault streams (a :class:`repro.faults.FaultCampaign`).  For
-the unprotected platform it reports how often the decoded image is
+independent fault streams (a :meth:`repro.Session.campaign`).  For the
+unprotected platform it reports how often the decoded image is
 corrupted; for the hybrid scheme it shows full mitigation and the energy
 price paid for it — the Fig. 5 "jpg decode" comparison in miniature.
 
@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import argparse
 
+from repro import PAPER_OPERATING_POINT, Session
 from repro.apps.jpeg import JpegDecodeApp
-from repro.core import DefaultStrategy, HybridStrategy, PAPER_OPERATING_POINT, optimize_chunk_size
-from repro.faults import run_campaign
-from repro.runtime import run_task
+from repro.core import optimize_chunk_size
 
 
 def main() -> None:
@@ -31,41 +30,29 @@ def main() -> None:
     # Size the buffer at the paper's design-time operating point, then run
     # the campaign at an elevated rate so a short demo shows recoveries.
     optimization = optimize_chunk_size(app, PAPER_OPERATING_POINT)
-    constraints = PAPER_OPERATING_POINT.with_overrides(error_rate=2e-6)
+    session = Session(constraints=PAPER_OPERATING_POINT.with_overrides(error_rate=2e-6))
     print(
         f"Optimum protected buffer for {app.name}: {optimization.chunk_words} words "
         f"(paper reports 44 words for the MediaBench input)\n"
     )
 
-    def unprotected_run(seed: int) -> dict[str, float]:
-        result = run_task(app, DefaultStrategy(constraints), constraints=constraints, seed=seed)
-        return {
-            "energy_nj": result.stats.total_energy_nj,
-            "corrupted_words": float(result.stats.silent_corruptions),
-            "image_ok": 1.0 if result.stats.output_correct else 0.0,
-        }
-
-    def hybrid_run(seed: int) -> dict[str, float]:
-        strategy = HybridStrategy(
-            optimization.chunk_words, constraints, extra_buffer_words=app.state_words()
-        )
-        result = run_task(app, strategy, constraints=constraints, seed=seed)
-        return {
-            "energy_nj": result.stats.total_energy_nj,
-            "rollbacks": float(result.stats.rollbacks),
-            "image_ok": 1.0 if result.stats.output_correct else 0.0,
-        }
-
-    unprotected = run_campaign(unprotected_run, runs=args.runs)
-    hybrid = run_campaign(hybrid_run, runs=args.runs)
+    # Specs accept live application instances; the seeds are the fault streams.
+    seeds = range(args.runs)
+    unprotected = session.campaign(session.spec(app, strategy="default"), seeds=seeds)
+    hybrid = session.campaign(
+        session.spec(
+            app, strategy="hybrid", strategy_params={"chunk_words": optimization.chunk_words}
+        ),
+        seeds=seeds,
+    )
 
     print(f"=== Unprotected decode ({args.runs} fault streams) ===")
-    print(f"  images decoded correctly : {unprotected.mean('image_ok') * 100:.0f}%")
-    print(f"  corrupted words per run  : {unprotected.mean('corrupted_words'):.1f}")
+    print(f"  images decoded correctly : {unprotected.mean('output_correct') * 100:.0f}%")
+    print(f"  corrupted words per run  : {unprotected.mean('silent_corruptions'):.1f}")
     print(f"  energy per image         : {unprotected.mean('energy_nj'):.1f} nJ")
     print()
     print(f"=== Hybrid mitigation ({args.runs} fault streams) ===")
-    print(f"  images decoded correctly : {hybrid.mean('image_ok') * 100:.0f}%")
+    print(f"  images decoded correctly : {hybrid.mean('output_correct') * 100:.0f}%")
     print(f"  rollbacks per run        : {hybrid.mean('rollbacks'):.2f}")
     print(f"  energy per image         : {hybrid.mean('energy_nj'):.1f} nJ")
     overhead = hybrid.mean("energy_nj") / unprotected.mean("energy_nj") - 1.0

@@ -1,11 +1,11 @@
 """Experiment harnesses and reporting utilities.
 
 Each function in :mod:`repro.analysis.experiments` regenerates one of the
-paper's tables or figures (see DESIGN.md's per-experiment index);
-:mod:`repro.analysis.cross_technology` replays the design-space artefacts
-across process nodes; :mod:`repro.analysis.tables` renders the results as
-text tables and :mod:`repro.analysis.paper_data` holds the paper's
-reference numbers.
+paper's tables or figures (the paper-grounding table of ``docs/index.md``
+maps each to its CLI command); :mod:`repro.analysis.cross_technology`
+replays the design-space artefacts across process nodes;
+:mod:`repro.analysis.tables` renders the results as text tables and
+:mod:`repro.analysis.paper_data` holds the paper's reference numbers.
 """
 
 from .cross_technology import (
@@ -33,7 +33,7 @@ from .experiments import (
     table1_optimal_chunks,
     timing_overhead,
 )
-from .tables import render_markdown_table, render_table
+from .tables import render_table
 
 __all__ = [
     "AblationResult",
@@ -57,6 +57,5 @@ __all__ = [
     "scenario_sweep",
     "table1_optimal_chunks",
     "timing_overhead",
-    "render_markdown_table",
     "render_table",
 ]

@@ -11,8 +11,9 @@ Each public function reproduces one evaluation artefact:
   average, measured on the behavioural platform under fault injection;
 * :func:`timing_overhead` — the Section III-B execution-time observation
   (the proposal honours the 10 % cycle budget, the baselines do not);
-* the ``ablation_*`` functions — sensitivity studies supporting the design
-  choices called out in DESIGN.md;
+* the ``ablation_*`` functions — sensitivity studies of the knobs the
+  paper fixes (upset rate, area budget, correction strength, drain
+  latency);
 * :func:`scenario_sweep` — beyond the paper: the same workload under a
   grid of time-varying fault environments (:mod:`repro.scenarios`) and
   mitigation strategies, comparing the static design against the
@@ -368,14 +369,6 @@ class Fig5Result:
     def max_normalized_energy(self, strategy: str) -> float:
         """Worst-case normalized energy across benchmarks for one strategy."""
         return max(e.normalized_energy for e in self.outcomes if e.strategy == strategy)
-
-    def proposed_energy_overheads(self) -> list[float]:
-        """Per-benchmark energy overhead of the proposal (optimal chunk)."""
-        return [
-            e.normalized_energy - 1.0
-            for e in self.outcomes
-            if e.strategy == "hybrid-optimal"
-        ]
 
     def rows(self) -> list[tuple]:
         rows = []

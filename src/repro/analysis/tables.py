@@ -1,8 +1,8 @@
 """Plain-text table rendering for experiment reports.
 
-The benchmark harness prints the same rows/series the paper reports; this
-module renders them as aligned monospace tables so benchmark output and
-EXPERIMENTS.md stay readable without any plotting dependency.
+The harnesses print the same rows/series the paper reports; this module
+renders them as aligned monospace tables, so terminal output stays
+readable without any plotting dependency.
 """
 
 from __future__ import annotations
@@ -57,14 +57,3 @@ def render_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
     lines.append(separator)
     return "\n".join(lines)
 
-
-def render_markdown_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Render a GitHub-flavoured markdown table (used for EXPERIMENTS.md)."""
-    formatted_rows = [[format_cell(cell) for cell in row] for row in rows]
-    lines = ["| " + " | ".join(str(h) for h in headers) + " |"]
-    lines.append("|" + "|".join("---" for _ in headers) + "|")
-    for row in formatted_rows:
-        if len(row) != len(headers):
-            raise ValueError("every row must have as many cells as there are headers")
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines)

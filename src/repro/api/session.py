@@ -28,7 +28,7 @@ from dataclasses import replace
 from typing import Any
 
 from ..core.config import DesignConstraints, PAPER_OPERATING_POINT
-from ..faults.campaign import CampaignReport, aggregate_runs
+from ..faults.campaign import CampaignReport, aggregate_columns, aggregate_runs
 from ..telemetry import log_event, span
 from ..telemetry import snapshot as _telemetry_snapshot
 from .executors import (
@@ -217,13 +217,14 @@ class Session:
 
         ``stream=True`` (batched ``execute`` campaigns only) runs the
         campaign out-of-core: seeds execute in fixed-size blocks
-        (``REPRO_BATCH_BLOCK``) folded through a
-        :class:`~repro.batch.streaming.StreamingAggregator`, so memory is
-        bounded by the block size instead of the seed count.  The
-        report's statistics are bit-identical to the materialized path;
-        its ``raw`` per-run rows are empty (that is the point), and the
-        streamed run bypasses the result warehouse — per-row caching
-        would re-materialize exactly what streaming avoids.
+        (``REPRO_BATCH_BLOCK``) whose columns fold straight into the
+        report, so memory is bounded by the block size plus 8 bytes per
+        (run, metric) instead of whole per-run rows.  Both paths fold
+        through :func:`~repro.faults.campaign.aggregate_columns`, so the
+        report's statistics are bit-identical; its ``raw`` per-run rows
+        are empty (that is the point), and the streamed run bypasses the
+        result warehouse — per-row caching would re-materialize exactly
+        what streaming avoids.
         """
         if isinstance(spec, ExperimentSpec):
             spec = CampaignSpec(base=spec, seeds=tuple(seeds) if seeds is not None else ())
@@ -248,27 +249,17 @@ class Session:
                 engine=engine,
                 elapsed_s=round(campaign_span.elapsed(), 6),
             )
-        raw = [outcome.record for outcome in outcomes]
-        metrics: Sequence[str] = spec.metrics
-        if not metrics:
-            # The seed is a run identity, not an outcome — aggregating it
-            # would report noise statistics. It stays available through
-            # report.raw and can be requested explicitly via spec.metrics.
-            observed = {
-                name
-                for row in raw
-                for name, value in row.items()
-                if name != "seed" and isinstance(value, (bool, int, float))
-            }
-            metrics = sorted(observed)
-        return aggregate_runs(raw, metrics=metrics, allow_ragged=spec.allow_ragged)
+        return aggregate_runs(
+            [outcome.record for outcome in outcomes],
+            metrics=spec.metrics,
+            allow_ragged=spec.allow_ragged,
+        )
 
     def _stream_campaign(self, spec: CampaignSpec, engine: str) -> CampaignReport:
-        """Out-of-core campaign body: block-wise simulate + streaming fold."""
+        """Out-of-core campaign body: block-wise simulate, column-wise fold."""
         # Deferred imports keep the batch engines out of behavioural-only
         # sessions (and avoid importing numpy machinery at session import).
-        from ..batch.engine import METRIC_COLUMNS, iter_column_blocks
-        from ..batch.streaming import StreamingAggregator
+        from ..batch.engine import iter_column_blocks
         from .executors import _build_batch_model
 
         if engine != "batched":
@@ -276,17 +267,14 @@ class Session:
         base = spec.base
         if base.kind != "execute":
             raise ValueError("stream=True only applies to execute-kind campaigns")
-        metrics: Sequence[str] = spec.metrics
-        if not metrics:
-            # Mirror the materialized path: the seed column is a run
-            # identity, not an outcome, so it is not aggregated by default.
-            metrics = sorted(name for name in METRIC_COLUMNS if name != "seed")
         model = _build_batch_model(base)
-        aggregator = StreamingAggregator(metrics=metrics)
         with span("session.campaign") as campaign_span:
             log_event("campaign.start", seeds=len(spec.seeds), engine=engine, stream=True)
-            for columns in iter_column_blocks(model, list(spec.seeds)):
-                aggregator.update(columns)
+            report = aggregate_columns(
+                iter_column_blocks(model, list(spec.seeds)),
+                runs=len(spec.seeds),
+                metrics=spec.metrics,
+            )
             log_event(
                 "campaign.done",
                 seeds=len(spec.seeds),
@@ -294,7 +282,7 @@ class Session:
                 stream=True,
                 elapsed_s=round(campaign_span.elapsed(), 6),
             )
-        return aggregator.report()
+        return report
 
     def pareto(
         self,

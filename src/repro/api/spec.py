@@ -377,8 +377,8 @@ class CampaignSpec:
     runs:
         Number of runs when ``seeds`` is not given.
     metrics:
-        Restrict aggregation to these metric names (empty = all numeric
-        metrics produced by the runs).
+        Restrict aggregation to these metric names (empty = every numeric
+        metric the runs produce except ``seed``).
     allow_ragged:
         Permit runs that miss some metrics (see
         :func:`repro.faults.campaign.aggregate_runs`).

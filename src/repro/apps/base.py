@@ -15,8 +15,8 @@ structure, so every workload implements :class:`StreamingApplication`:
 
 The per-step cycle estimates are derived from operation counts of the
 inner loops (documented per application) rather than from instruction-set
-simulation; DESIGN.md discusses why this behavioural fidelity is
-sufficient for the paper's relative comparisons.
+simulation; the paper's comparisons are relative, so this behavioural
+fidelity suffices.
 """
 
 from __future__ import annotations

@@ -8,8 +8,7 @@ reference (which relies on specific fixed-point log-domain tables) but it
 performs the same classes of computation per sample — predictor filtering,
 quantization, inverse quantization, coefficient adaptation and scale
 adaptation — and therefore exercises the mitigation scheme with the same
-streaming structure, state footprint and compute intensity.  DESIGN.md
-lists this as an accepted substitution.
+streaming structure, state footprint and compute intensity.
 
 The predictor/quantizer state is what the paper calls the "status
 registers / flow-control registers" that must be saved at every

@@ -12,8 +12,7 @@ computational structure:
   ``(run, size)`` symbol alphabet (EOB and ZRL included);
 * canonical Huffman entropy coding, with the code built from the actual
   symbol statistics of the image (the "optimized Huffman" mode of
-  libjpeg) rather than the fixed Annex K tables — see DESIGN.md for why
-  this substitution does not change the workload's behaviour.
+  libjpeg) rather than the fixed Annex K tables.
 
 Both an encoder (used to generate realistic compressed inputs and for
 round-trip tests) and a streaming block-by-block decoder are provided;

@@ -46,9 +46,11 @@ exact for every registered strategy code (see
 Underneath, :mod:`repro.batch.substrate` holds the counter-based fault
 sampler and the Pareto dominance sweep, and :mod:`repro.batch.streaming`
 executes campaigns and grids out of core, in fixed-size blocks
-(``REPRO_BATCH_BLOCK``) folded through :class:`StreamingAggregator`,
-bounding memory by the block size while emitting bit-identical numbers
-for every block size.
+(``REPRO_BATCH_BLOCK``), bounding the engines' working sets by the block
+size while emitting bit-identical numbers for every block size.  A
+streamed campaign folds each block's columns through
+:func:`repro.faults.campaign.aggregate_columns`, the same fold as a
+materialized one.
 """
 
 from .design import (
@@ -65,7 +67,7 @@ from .pareto import (
     reference_pareto_front,
     uncorrectable_upset_fraction,
 )
-from .streaming import StreamingAggregator, batch_block_size, iter_blocks
+from .streaming import batch_block_size, iter_blocks
 from .substrate import Substrate
 
 __all__ = [
@@ -74,7 +76,6 @@ __all__ = [
     "DesignPoint",
     "OutcomeProbabilities",
     "ParetoFront",
-    "StreamingAggregator",
     "Substrate",
     "batch_block_size",
     "classify_outcomes",

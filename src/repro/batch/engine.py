@@ -1,6 +1,6 @@
 """Vectorized campaign simulation over a :class:`BatchTaskModel`.
 
-One call to :func:`simulate_campaign` runs every seed of a campaign.
+One call to :func:`simulate_columns` runs every seed of a campaign.
 All runs share the task skeleton (phases, per-phase costs); only the
 fault streams differ.  The per-phase dynamics mirror the behavioural
 executor:
@@ -389,19 +389,6 @@ def simulate_columns(
         name: np.concatenate([piece[name] for piece in blocks])
         for name in METRIC_COLUMNS
     }
-
-
-def simulate_campaign(
-    model: BatchTaskModel, seeds: list[int], scenario_label: str | None = None
-) -> list[dict]:
-    """Simulate one run per seed; returns behavioural-shaped metric records."""
-    if not seeds:
-        return []
-    columns = simulate_columns(model, seeds)
-    label = scenario_label if scenario_label is not None else (
-        model.scenario.describe() if model.scenario is not None else "none"
-    )
-    return records_from_columns(model, columns, label)
 
 
 def records_from_columns(

@@ -371,14 +371,8 @@ class BatchTaskModel:
         # The representative layout: for seed-independent campaigns it is
         # *the* layout (bit-identical to the pre-stochastic engine); for
         # seed-dependent ones it plans against the unrealized scenario
-        # (the process's mean path) and backs the compatibility aliases.
+        # (the process's mean path).
         self.layout = self._layout_for(self.scenario, seed=0)
-        self.schedule = self.layout.schedule
-        self.costs = self.layout.costs
-        self.isr_cycles = self.layout.isr_cycles
-        self.isr_energy = self.layout.isr_energy
-        self.leakage_mw = self.layout.leakage_mw
-        self.rate = self.layout.rate
 
     def _layout_for(self, scenario: Scenario | None, seed: int) -> RunLayout:
         """Plan one run layout: schedule, per-phase costs, ISR, leakage."""
@@ -525,29 +519,23 @@ class BatchTaskModel:
         return CumulativeRate(realized, self.constraints.error_rate, horizon=horizon)
 
     # ------------------------------------------------------------------ #
-    @property
-    def num_phases(self) -> int:
-        """Number of checkpoint phases in the campaign's shared schedule."""
-        return len(self.schedule.phases)
-
-    def leakage_pj(self, total_cycles: np.ndarray) -> np.ndarray:
-        """Leakage energy (pJ) over ``total_cycles`` at this platform's power."""
-        # mW * 1e-3 (W) * seconds * 1e12 (pJ/J) = mW * cycles / f * 1e9
-        return self.leakage_mw * np.asarray(total_cycles, dtype=np.float64) / (
-            self.frequency_hz
-        ) * 1e9
-
-    # ------------------------------------------------------------------ #
     def simulate(self, seeds, scenario_label: str | None = None) -> list[dict]:
         """Simulate one run per seed; returns behavioural-shaped records.
 
         The records carry exactly the keys the behavioural
         ``execute_spec`` worker produces, so campaign aggregation, result
         sets and the figure harnesses consume them unchanged.
+        ``scenario_label`` names the scenario column (default: the
+        scenario's description, or ``"none"``).
         """
-        from .engine import simulate_campaign
+        from .engine import records_from_columns, simulate_columns
 
-        return simulate_campaign(self, list(seeds), scenario_label=scenario_label)
+        seeds = list(seeds)
+        if not seeds:
+            return []
+        if scenario_label is None:
+            scenario_label = self.scenario.describe() if self.scenario is not None else "none"
+        return records_from_columns(self, simulate_columns(self, seeds), scenario_label)
 
     def make_streams(self, seeds) -> RunStreams:
         """One independent counter-based fault stream per seed.

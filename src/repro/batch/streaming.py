@@ -1,20 +1,13 @@
-"""Out-of-core block execution and streaming aggregation.
+"""Out-of-core block execution.
 
 The batched engines execute campaigns and grids in fixed-size blocks
 (:func:`batch_block_size`, tuned via ``REPRO_BATCH_BLOCK``) instead of
-materialising the full ``seeds x phases`` or grid arrays, and this
-module is the aggregation side of that loop: :class:`StreamingAggregator`
-folds per-seed metric columns block by block, maintaining
-
-* *running moments* (count / mean / M2 / min / max, merged with the
-  Chan–Welford parallel update) for O(1) mid-campaign progress stats,
-  and
-* *exact order statistics*: each block's columns are retained as compact
-  float64 chunks — 8 bytes per (run, metric), the minimal exact
-  representation — so the finalized report's ``median`` / ``p95`` /
-  ``stdev`` are computed by the very same :mod:`statistics` code paths
-  as :func:`repro.faults.campaign.aggregate_runs` and come out
-  bit-identical to the unblocked path.
+materialising the full ``seeds x phases`` or grid arrays.  A streamed
+campaign folds each block's metric columns straight into its report
+(:func:`repro.faults.campaign.aggregate_columns`), retaining 8 bytes per
+(run, metric) and computing every statistic with the same
+:mod:`statistics` code as the materialized path, so the report comes out
+bit-identical to it.
 
 Because the engines' fault streams are counter-based per run
 (:mod:`repro.batch.substrate`), the block partition never changes any
@@ -32,13 +25,9 @@ live arrays, labelled by kind: ``campaign`` / ``pareto`` / ``rategrid``).
 
 from __future__ import annotations
 
-import math
 import os
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator
 
-import numpy as np
-
-from ..faults.campaign import CampaignReport, CampaignResult
 from ..telemetry import counter, gauge
 
 #: Environment variable overriding the default execution block size.
@@ -124,169 +113,3 @@ def reset_block_metrics() -> None:
     """Zero both block metrics — for benchmarks measuring one run at a time."""
     _BLOCKS.clear()
     _PEAK.clear()
-
-
-class _MetricState:
-    """Running moments plus retained exact chunks of one metric."""
-
-    __slots__ = ("chunks", "count", "m2", "maximum", "mean", "minimum")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-        self.chunks: list[np.ndarray] = []
-
-    def update(self, column: np.ndarray) -> None:
-        """Fold one block's column into the moments and chunk list."""
-        if column.size == 0:
-            return
-        self._combine(
-            int(column.size),
-            float(column.mean()),
-            float(((column - column.mean()) ** 2).sum()),
-            float(column.min()),
-            float(column.max()),
-        )
-        self.chunks.append(np.ascontiguousarray(column, dtype=np.float64))
-
-    def merge(self, other: "_MetricState") -> None:
-        """Chan–Welford merge of another partial state into this one."""
-        self._combine(other.count, other.mean, other.m2, other.minimum, other.maximum)
-        self.chunks.extend(other.chunks)
-
-    def _combine(self, count: int, mean: float, m2: float, low: float, high: float) -> None:
-        if count == 0:
-            return
-        total = self.count + count
-        delta = mean - self.mean
-        self.mean += delta * count / total
-        self.m2 += m2 + delta * delta * self.count * count / total
-        self.count = total
-        self.minimum = min(self.minimum, low)
-        self.maximum = max(self.maximum, high)
-
-    @property
-    def stdev(self) -> float:
-        """Sample standard deviation from the running moments."""
-        if self.count < 2:
-            return 0.0
-        return math.sqrt(self.m2 / (self.count - 1))
-
-    @property
-    def nbytes(self) -> int:
-        """Accounted bytes of the retained chunks."""
-        return sum(chunk.nbytes for chunk in self.chunks)
-
-    def values(self) -> np.ndarray:
-        """All retained values, in arrival order, as one float64 array."""
-        if not self.chunks:
-            return np.zeros(0, dtype=np.float64)
-        if len(self.chunks) == 1:
-            return self.chunks[0]
-        merged = np.concatenate(self.chunks)
-        self.chunks = [merged]
-        return merged
-
-
-class StreamingAggregator:
-    """Folds per-run metric columns block by block into a campaign report.
-
-    Feed each executed block's columns to :meth:`update` (or combine
-    partial aggregators with :meth:`merge` — the fold is associative, so
-    shards can aggregate locally and merge centrally).  The in-flight
-    moments are readable at any time via :meth:`mean` / :meth:`stdev` /
-    :attr:`runs`; :meth:`report` finalizes into a
-    :class:`~repro.faults.campaign.CampaignReport` whose statistics are
-    bit-identical to running :func:`~repro.faults.campaign.aggregate_runs`
-    over the same rows unblocked.
-
-    Parameters
-    ----------
-    metrics:
-        Restrict aggregation to these metric names (``None`` = every
-        numeric column observed; label columns are ignored by the
-        engines before columns reach the aggregator).
-    """
-
-    def __init__(self, metrics: Sequence[str] | None = None) -> None:
-        self._requested = tuple(metrics) if metrics is not None else None
-        self._states: dict[str, _MetricState] = {}
-        self._runs = 0
-
-    @property
-    def runs(self) -> int:
-        """Runs folded in so far."""
-        return self._runs
-
-    @property
-    def nbytes(self) -> int:
-        """Accounted bytes of every metric's retained chunks."""
-        return sum(state.nbytes for state in self._states.values())
-
-    def _state(self, name: str) -> _MetricState:
-        state = self._states.get(name)
-        if state is None:
-            state = self._states[name] = _MetricState()
-        return state
-
-    def update(self, columns: Mapping[str, np.ndarray | Iterable[float]]) -> None:
-        """Fold one block of equal-length per-run metric columns."""
-        arrays = {
-            name: np.asarray(column, dtype=np.float64)
-            for name, column in columns.items()
-            if self._requested is None or name in self._requested
-        }
-        if self._requested is not None:
-            missing = [name for name in self._requested if name not in arrays]
-            if missing:
-                raise ValueError(f"block is missing requested metrics {missing}")
-        if not arrays:
-            raise ValueError("block carries no aggregatable columns")
-        sizes = {array.size for array in arrays.values()}
-        if len(sizes) != 1:
-            raise ValueError(f"ragged block: column lengths {sorted(sizes)}")
-        if self._runs and set(arrays) != set(self._states):
-            raise ValueError(
-                "block metric set changed mid-campaign: "
-                f"{sorted(arrays)} vs {sorted(self._states)}"
-            )
-        for name, array in arrays.items():
-            self._state(name).update(array)
-        self._runs += sizes.pop()
-
-    def merge(self, other: "StreamingAggregator") -> None:
-        """Fold another aggregator's partial state into this one."""
-        if self._runs and other._runs and set(other._states) != set(self._states):
-            raise ValueError("cannot merge aggregators with different metric sets")
-        for name, state in other._states.items():
-            self._state(name).merge(state)
-        self._runs += other._runs
-
-    def mean(self, metric: str) -> float:
-        """Running mean of ``metric`` (exact up to float summation order)."""
-        return self._states[metric].mean
-
-    def stdev(self, metric: str) -> float:
-        """Running sample standard deviation of ``metric``."""
-        return self._states[metric].stdev
-
-    def report(self) -> CampaignReport:
-        """Finalize into a :class:`~repro.faults.campaign.CampaignReport`.
-
-        The report's ``raw`` list is empty — per-run rows are exactly
-        what streaming aggregation avoids materialising.  Statistics are
-        computed lazily from the retained columns by the same code as
-        the unblocked aggregation path, so every emitted number is
-        bit-identical to it.
-        """
-        if not self._runs:
-            raise ValueError("at least one run is required")
-        order = self._requested if self._requested is not None else sorted(self._states)
-        aggregated = {
-            name: CampaignResult(metric=name, values=self._states[name].values())
-            for name in order
-        }
-        return CampaignReport(runs=self._runs, metrics=aggregated, raw=[])

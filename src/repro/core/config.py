@@ -35,8 +35,8 @@ class DesignConstraints:
         vulnerable L1 area (Eq. 4).
     cycle_overhead:
         OV2: maximum mitigation cycle overhead as a fraction of the
-        fault-free task execution cycles (Eq. 5; see DESIGN.md for the
-        interpretation of the paper's ``D(S_CH) <= OV2 * S_CH`` form).
+        fault-free task execution cycles (Eq. 5, the paper's
+        ``D(S_CH) <= OV2 * S_CH`` form).
     error_rate:
         Intermittent error rate in upsets per word per cycle.
     word_bytes:
@@ -48,7 +48,7 @@ class DesignConstraints:
     drain_latency_cycles:
         Number of cycles a produced word remains live in the vulnerable L1
         before the streaming interface drains it (bounds the per-word
-        exposure window; see DESIGN.md calibration notes).
+        exposure window).
     """
 
     area_overhead: float = 0.05

@@ -10,8 +10,7 @@ one flip in each lane and is fully corrected.
 The paper's L1' buffer and the HW-mitigation baseline use an unspecified
 "multi-bit ECC"; we realize it as :class:`InterleavedSecDedCode` (for
 behavioural correction) and size stronger configurations with the BCH
-bound in :mod:`repro.ecc.redundancy` (for area/energy modelling),
-as documented in DESIGN.md.
+bound in :mod:`repro.ecc.redundancy` (for area/energy modelling).
 
 Interleaving only moves bits, and every lane code is linear over GF(2),
 so the whole encoder (data to codeword) is linear, and so are the two

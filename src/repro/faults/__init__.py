@@ -1,12 +1,6 @@
 """Fault-injection substrate: upset models, rate-based injector, campaigns."""
 
-from .campaign import (
-    CampaignReport,
-    CampaignResult,
-    FaultCampaign,
-    aggregate_runs,
-    run_campaign,
-)
+from .campaign import CampaignReport, CampaignResult, aggregate_columns, aggregate_runs
 from .injector import PAPER_ERROR_RATE, ExposureWindow, FaultInjector
 from .models import (
     FaultModel,
@@ -20,9 +14,8 @@ from .models import (
 __all__ = [
     "CampaignReport",
     "CampaignResult",
-    "FaultCampaign",
+    "aggregate_columns",
     "aggregate_runs",
-    "run_campaign",
     "PAPER_ERROR_RATE",
     "ExposureWindow",
     "FaultInjector",

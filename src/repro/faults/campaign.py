@@ -1,26 +1,33 @@
-"""Fault-injection campaign driver.
+"""Fault-injection campaign aggregation.
 
 A *campaign* repeats the same experiment under many independent fault
 streams (different seeds) and aggregates the outcomes.  The Fig. 5 energy
 comparison and the timing-overhead analysis are averages over such
 campaigns, because the number and placement of upsets varies run to run.
 
-:func:`aggregate_runs` is the single aggregation path: the legacy
-seed-callable :class:`FaultCampaign` and the spec-driven
-:meth:`repro.api.session.Session.campaign` both route their raw per-run
-metric rows through it, and :meth:`CampaignReport.to_result_set` exposes
-the aggregates through the uniform machine-readable results layer.
+:func:`aggregate_columns` is the single fold: it picks the metrics and
+turns their per-run columns into a :class:`CampaignReport`.  Both
+campaign paths of :meth:`repro.api.session.Session.campaign` end there:
+materialized runs through :func:`aggregate_runs`, which turns per-run
+rows into columns, and streamed runs straight from the batched engine's
+column blocks.  :meth:`CampaignReport.to_result_set` exposes the
+aggregates through the uniform machine-readable results layer.
 """
 
 from __future__ import annotations
 
 import statistics
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..api.results import ResultSet
+
+#: Row values that count as metrics; anything else is a label.
+_NUMERIC = (bool, int, float)
 
 
 def _percentile(values: Sequence[float], fraction: float) -> float:
@@ -39,12 +46,12 @@ def _percentile(values: Sequence[float], fraction: float) -> float:
 class CampaignResult:
     """Aggregated statistics of one metric across campaign runs.
 
-    ``values`` is normally a tuple of per-run floats; the streaming
-    aggregation path (:class:`repro.batch.streaming.StreamingAggregator`)
-    supplies a float64 array instead — every statistic goes through the
-    same :mod:`statistics` code either way and is returned as a plain
-    Python ``float``/``int``, so reports stay JSON-serializable and
-    bit-identical across the two representations.
+    ``values`` is a tuple of per-run floats when the runs arrived as rows
+    (:func:`aggregate_runs`) and a float64 array when they arrived as
+    engine column blocks (a streamed campaign).  Every statistic goes
+    through the same :mod:`statistics` code either way and is returned
+    as a plain Python ``float``/``int``, so reports stay JSON-serializable
+    and bit-identical across the two representations.
     """
 
     metric: str
@@ -131,6 +138,56 @@ class CampaignReport:
         return self.to_result_set(title).render()
 
 
+
+
+def aggregate_columns(
+    blocks: Iterable[Mapping[str, Sequence[float]]],
+    runs: int,
+    metrics: Sequence[str] = (),
+    raw: list[Mapping[str, Any]] | None = None,
+) -> CampaignReport:
+    """Fold blocks of per-run metric columns into a :class:`CampaignReport`.
+
+    Parameters
+    ----------
+    blocks:
+        Mappings of metric name to that block's per-run values, in run
+        order.  Every block carries the same column names.
+    runs:
+        Number of runs the blocks cover.
+    metrics:
+        Aggregate these metrics, in this order.  Empty means every column
+        of the first block except ``seed``, sorted: the seed is a run
+        identity, not an outcome, so its statistics would be noise.  It
+        can still be requested by name.
+    raw:
+        Per-run rows to keep in the report (empty when not given).
+
+    Only the aggregated columns are retained, one chunk per block, and
+    each metric's chunks are joined on their own, so memory stays at
+    8 bytes per (run, metric) for float64 blocks.  A single block's
+    columns are kept as they are: a tuple of floats stays a tuple.
+    """
+    if runs <= 0:
+        raise ValueError("at least one run is required")
+    names = list(dict.fromkeys(metrics))
+    chunks: dict[str, list[Sequence[float]]] = {}
+    for block in blocks:
+        if not names:
+            names = sorted(name for name in block if name != "seed")
+        for name in names:
+            if name in block:
+                chunks.setdefault(name, []).append(block[name])
+    aggregated: dict[str, CampaignResult] = {}
+    for name in names:
+        parts = chunks.pop(name, None)
+        if not parts:
+            raise ValueError(f"metric {name!r} was reported by no run")
+        values = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        aggregated[name] = CampaignResult(metric=name, values=values)
+    return CampaignReport(runs=runs, metrics=aggregated, raw=raw if raw is not None else [])
+
+
 def aggregate_runs(
     raw: Sequence[Mapping[str, Any]],
     metrics: Sequence[str] = (),
@@ -145,7 +202,8 @@ def aggregate_runs(
         entries (labels such as an application name) are ignored.
     metrics:
         Restrict aggregation to these metric names (empty = every numeric
-        metric observed in any run).
+        metric observed in any run except ``seed``; see
+        :func:`aggregate_columns`).
     allow_ragged:
         By default a metric missing from some runs raises ``ValueError``
         — silently averaging over a subset of runs would misreport the
@@ -154,91 +212,30 @@ def aggregate_runs(
     """
     if not raw:
         raise ValueError("at least one run is required")
-    numeric_rows: list[dict[str, float]] = []
-    for outcome in raw:
-        numeric_rows.append(
-            {
-                name: float(value)
-                for name, value in outcome.items()
-                if isinstance(value, (bool, int, float))
-            }
-        )
-
-    if metrics:
-        names: Sequence[str] = list(metrics)
-    else:
-        seen: list[str] = []
-        for row in numeric_rows:
-            for name in row:
-                if name not in seen:
-                    seen.append(name)
-        names = sorted(seen)
-
-    aggregated: dict[str, CampaignResult] = {}
-    for name in names:
-        values = tuple(row[name] for row in numeric_rows if name in row)
-        if not values:
-            raise ValueError(f"metric {name!r} was reported by no run")
-        if len(values) != len(numeric_rows) and not allow_ragged:
-            missing = [index for index, row in enumerate(numeric_rows) if name not in row]
-            raise ValueError(
-                f"metric {name!r} is missing from runs {missing}; pass "
-                "allow_ragged=True to aggregate over the reporting runs only"
-            )
-        aggregated[name] = CampaignResult(metric=name, values=values)
-    return CampaignReport(runs=len(raw), metrics=aggregated, raw=[dict(r) for r in raw])
-
-
-class FaultCampaign:
-    """Runs an experiment function under multiple fault seeds.
-
-    Parameters
-    ----------
-    experiment:
-        Callable taking a seed and returning a mapping of metric name to
-        numeric value (e.g. ``{"energy_nj": ..., "cycles": ...}``).
-    seeds:
-        Explicit sequence of seeds, or ``None`` to use ``range(runs)``.
-    runs:
-        Number of runs when ``seeds`` is not given.
-    allow_ragged:
-        Permit runs that miss some metrics (see :func:`aggregate_runs`);
-        by default a ragged metric set raises ``ValueError``.
-    """
-
-    def __init__(
-        self,
-        experiment: Callable[[int], Mapping[str, float]],
-        seeds: Sequence[int] | None = None,
-        runs: int = 10,
-        allow_ragged: bool = False,
-    ) -> None:
-        if seeds is None:
-            if runs <= 0:
-                raise ValueError("runs must be positive")
-            seeds = tuple(range(runs))
-        if not seeds:
-            raise ValueError("at least one seed is required")
-        self.experiment = experiment
-        self.seeds = tuple(int(s) for s in seeds)
-        self.allow_ragged = allow_ragged
-
-    def run(self) -> CampaignReport:
-        """Execute every run and aggregate per-metric statistics."""
-        raw: list[Mapping[str, float]] = []
-        for seed in self.seeds:
-            outcome = self.experiment(seed)
-            if not outcome:
-                raise ValueError(f"experiment returned no metrics for seed {seed}")
-            raw.append(dict(outcome))
-        return aggregate_runs(raw, allow_ragged=self.allow_ragged)
-
-
-def run_campaign(
-    experiment: Callable[[int], Mapping[str, Any]],
-    runs: int = 10,
-    seeds: Sequence[int] | None = None,
-    allow_ragged: bool = False,
-) -> CampaignReport:
-    """Convenience wrapper constructing and running a :class:`FaultCampaign`."""
-    return FaultCampaign(experiment, seeds=seeds, runs=runs, allow_ragged=allow_ragged).run()
+    columns: dict[str, list[float]] = {}
+    for row in raw:
+        for name, value in row.items():
+            if isinstance(value, _NUMERIC):
+                column = columns.get(name)
+                if column is None:
+                    columns[name] = column = []
+                column.append(float(value))
+    report = aggregate_columns(
+        [{name: tuple(column) for name, column in columns.items()}],
+        runs=len(raw),
+        metrics=metrics,
+        raw=[dict(row) for row in raw],
+    )
+    if not allow_ragged:
+        for name, result in report.metrics.items():
+            if result.count != len(raw):
+                missing = [
+                    index
+                    for index, row in enumerate(raw)
+                    if not isinstance(row.get(name), _NUMERIC)
+                ]
+                raise ValueError(
+                    f"metric {name!r} is missing from runs {missing}; pass "
+                    "allow_ragged=True to aggregate over the reporting runs only"
+                )
+    return report

@@ -12,7 +12,7 @@ per 32-bit read access, access times around 1 ns) and the relative
 scaling with capacity follows the usual CACTI trends (periphery grows
 with the square root of the array, energy grows roughly with the square
 root of capacity for a fixed word width).  The reproduction only relies
-on these *relative* trends, as discussed in DESIGN.md.
+on these *relative* trends.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Global cycle counter / clock for the behavioural SoC model.
 
-The simulator is not cycle-accurate at the pipeline level (see DESIGN.md),
-but every architectural event — computation phases, memory accesses,
+The simulator is not cycle-accurate at the pipeline level, but every
+architectural event — computation phases, memory accesses,
 checkpoint copies, interrupt service routines — advances a shared cycle
 counter so that execution time, deadline checks and leakage energy can be
 computed consistently.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.tables import format_cell, render_markdown_table, render_table
+from repro.analysis.tables import format_cell, render_table
 
 
 class TestFormatCell:
@@ -37,15 +37,3 @@ class TestRenderTable:
         data_lines = [line for line in table.splitlines() if line.startswith("|")][1:]
         assert data_lines[0].rstrip().endswith("5 |")
 
-
-class TestRenderMarkdown:
-    def test_structure(self):
-        table = render_markdown_table(["a", "b"], [[1, 2.5]])
-        lines = table.splitlines()
-        assert lines[0] == "| a | b |"
-        assert lines[1] == "|---|---|"
-        assert lines[2] == "| 1 | 2.500 |"
-
-    def test_row_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            render_markdown_table(["a"], [[1, 2]])

@@ -116,6 +116,16 @@ class TestSession:
         with pytest.raises(ValueError, match="batched"):
             session.campaign(spec, seeds=(0, 1), stream=True, engine="behavioural")
 
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_campaign_rejects_a_metric_no_run_reports(self, small_adpcm_encode, stream):
+        campaign = CampaignSpec(
+            base=ExperimentSpec(app=small_adpcm_encode, engine="batched"),
+            seeds=(0, 1),
+            metrics=("energy_nj", "no_such_metric"),
+        )
+        with pytest.raises(ValueError, match="'no_such_metric' was reported by no run"):
+            Session().campaign(campaign, stream=stream)
+
     def test_campaign_report_result_set_surfaces_tail_metrics(self, small_adpcm_encode):
         session = Session()
         report = session.campaign(ExperimentSpec(app=small_adpcm_encode), seeds=(0, 1))

@@ -7,15 +7,12 @@ sizes 1, 7, 64 and "everything in one block" — including ragged last
 blocks — because the engines' fault streams are counter-based per run
 and the grid models are elementwise along the blocked axes.  The
 Hypothesis suites below state exactly that, over both campaign and
-pareto kinds; the deterministic tests cover the aggregator's running
-moments, merge associativity, error paths and the blocks/peak-bytes
-telemetry.
+pareto kinds, and that column blocks of any size fold into the same
+campaign statistics as the unblocked rows; the deterministic tests cover
+the block-size configuration and the blocks/peak-bytes telemetry.
 """
 
 from __future__ import annotations
-
-import math
-import statistics
 
 import numpy as np
 import pytest
@@ -30,7 +27,6 @@ from repro.batch.pareto import grid_pareto_front
 from repro.batch.streaming import (
     DEFAULT_BLOCK,
     ENV_BLOCK,
-    StreamingAggregator,
     _BLOCKS,
     _PEAK,
     batch_block_size,
@@ -40,10 +36,13 @@ from repro.batch.streaming import (
 )
 from repro.core.config import PAPER_OPERATING_POINT
 from repro.core.strategies import HybridStrategy
-from repro.faults.campaign import aggregate_runs
+from repro.faults.campaign import aggregate_columns, aggregate_runs
 
 #: The block sizes of the invariance contract (None = one single block).
 BLOCK_SIZES = (1, 7, 64, None)
+
+#: Every statistic a campaign report exposes per metric.
+STATISTICS = ("count", "mean", "stdev", "median", "p95", "minimum", "maximum")
 
 STRESS = PAPER_OPERATING_POINT.with_overrides(error_rate=2e-4)
 
@@ -136,7 +135,7 @@ class TestTelemetry:
 
 
 # ---------------------------------------------------------------------- #
-# StreamingAggregator vs the unblocked aggregation path
+# Column blocks fold like the unblocked rows
 # ---------------------------------------------------------------------- #
 _columns_strategy = st.integers(min_value=1, max_value=40).flatmap(
     lambda rows: st.fixed_dictionaries(
@@ -154,85 +153,28 @@ _columns_strategy = st.integers(min_value=1, max_value=40).flatmap(
 )
 
 
-class TestStreamingAggregator:
+class TestColumnFold:
     @given(columns=_columns_strategy, block=st.sampled_from(BLOCK_SIZES))
     @settings(max_examples=60, deadline=None)
-    def test_bit_identical_to_aggregate_runs(self, columns, block):
+    def test_blocks_fold_bit_identical_to_aggregate_runs(self, columns, block):
         arrays = {name: np.asarray(vals) for name, vals in columns.items()}
         rows = len(arrays["alpha"])
-        aggregator = StreamingAggregator()
-        for piece in iter_blocks(rows, block):
-            aggregator.update({n: a[piece] for n, a in arrays.items()})
-        report = aggregator.report()
+        report = aggregate_columns(
+            (
+                {n: a[piece] for n, a in arrays.items()}
+                for piece in iter_blocks(rows, block)
+            ),
+            runs=rows,
+        )
         reference = aggregate_runs(
-            [{n: a[i] for n, a in arrays.items()} for i in range(rows)]
+            [{n: float(a[i]) for n, a in arrays.items()} for i in range(rows)]
         )
         assert report.runs == reference.runs == rows
-        assert sorted(report.metrics) == sorted(reference.metrics)
+        assert list(report.metrics) == list(reference.metrics)
         for name in report.metrics:
             got, want = report[name], reference[name]
-            for stat in ("count", "mean", "stdev", "median", "p95", "minimum", "maximum"):
+            for stat in STATISTICS:
                 assert getattr(got, stat) == getattr(want, stat), (name, stat)
-
-    @given(columns=_columns_strategy, split=st.integers(min_value=0, max_value=40))
-    @settings(max_examples=30, deadline=None)
-    def test_merge_equals_single_aggregator(self, columns, split):
-        arrays = {name: np.asarray(vals) for name, vals in columns.items()}
-        rows = len(arrays["alpha"])
-        split = min(split, rows)
-        left, right = StreamingAggregator(), StreamingAggregator()
-        if split:
-            left.update({n: a[:split] for n, a in arrays.items()})
-        if rows - split:
-            right.update({n: a[split:] for n, a in arrays.items()})
-        left.merge(right)
-        whole = StreamingAggregator()
-        whole.update(arrays)
-        assert left.runs == whole.runs
-        for name in whole._states:
-            assert left.mean(name) == pytest.approx(whole.mean(name), rel=1e-12, abs=1e-12)
-            assert left.report()[name].median == whole.report()[name].median
-
-    def test_running_moments_match_statistics(self):
-        values = [1.0, 4.0, -2.5, 8.0, 0.25, 9.5, 3.0]
-        aggregator = StreamingAggregator()
-        for value in values:
-            aggregator.update({"m": [value]})
-        assert aggregator.mean("m") == pytest.approx(statistics.fmean(values))
-        assert aggregator.stdev("m") == pytest.approx(statistics.stdev(values))
-        assert aggregator.nbytes == len(values) * 8
-
-    def test_requested_metrics_filter_and_order(self):
-        aggregator = StreamingAggregator(metrics=("b", "a"))
-        aggregator.update({"a": [1.0], "b": [2.0], "noise": [9.0]})
-        report = aggregator.report()
-        assert list(report.metrics) == ["b", "a"]
-
-    def test_error_paths(self):
-        aggregator = StreamingAggregator(metrics=("a",))
-        with pytest.raises(ValueError, match="missing requested"):
-            aggregator.update({"b": [1.0]})
-        ragged = StreamingAggregator()
-        with pytest.raises(ValueError, match="ragged"):
-            ragged.update({"a": [1.0, 2.0], "b": [1.0]})
-        with pytest.raises(ValueError, match="no aggregatable"):
-            StreamingAggregator(metrics=()).update({})
-        drift = StreamingAggregator()
-        drift.update({"a": [1.0]})
-        with pytest.raises(ValueError, match="metric set changed"):
-            drift.update({"a": [1.0], "b": [2.0]})
-        with pytest.raises(ValueError, match="at least one run"):
-            StreamingAggregator().report()
-        other = StreamingAggregator()
-        other.update({"z": [1.0]})
-        with pytest.raises(ValueError, match="different metric sets"):
-            drift.merge(other)
-
-    def test_stdev_of_single_run_is_zero(self):
-        aggregator = StreamingAggregator()
-        aggregator.update({"m": [3.0]})
-        assert aggregator.stdev("m") == 0.0
-        assert math.isinf(aggregator._states["m"].minimum) is False
 
 
 # ---------------------------------------------------------------------- #
@@ -265,22 +207,17 @@ class TestCampaignBlockInvariance:
     def test_streamed_report_matches_materialized(self):
         model = _campaign_model()
         seeds = list(range(71))  # ragged against both 7 and 64
+        columns = simulate_columns(model, seeds)
         reference = aggregate_runs(
-            [
-                {n: c[i] for n, c in simulate_columns(model, seeds).items()}
-                for i in range(len(seeds))
-            ],
-            metrics=[n for n in METRIC_COLUMNS if n != "seed"],
+            [{n: float(c[i]) for n, c in columns.items()} for i in range(len(seeds))]
         )
         for block in BLOCK_SIZES:
-            aggregator = StreamingAggregator(
-                metrics=[n for n in METRIC_COLUMNS if n != "seed"]
+            report = aggregate_columns(
+                iter_column_blocks(model, seeds, block=block), runs=len(seeds)
             )
-            for columns in iter_column_blocks(model, seeds, block=block):
-                aggregator.update(columns)
-            report = aggregator.report()
+            assert list(report.metrics) == list(reference.metrics)
             for name in reference.metrics:
-                for stat in ("count", "mean", "stdev", "median", "p95"):
+                for stat in STATISTICS:
                     assert getattr(report[name], stat) == getattr(
                         reference[name], stat
                     ), (block, name, stat)

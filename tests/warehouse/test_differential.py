@@ -1,8 +1,15 @@
 """Differential harness: every served result equals a cold solo recomputation.
 
-Hypothesis draws small sets of ``execute`` specs across both engines
-(duplicates allowed).  Each set runs through every executor under four
-warehouse states:
+Hypothesis draws small sets of specs across both engines (duplicates
+allowed):
+
+* single ``execute`` specs under the paper's constant rate;
+* seed groups of the seed-dependent planners (``hybrid-adaptive`` and
+  ``hybrid-estimating`` under ``storm`` and ``markov``), so their
+  schedules run grouped on the batched engine against solo runs;
+* the design kinds (``optimize``, ``feasibility``, ``pareto``).
+
+Each set runs through every executor under four warehouse states:
 
 * cold — an empty warehouse;
 * warm — the same call twice;
@@ -10,12 +17,20 @@ warehouse states:
 * cross-engine — the same specs with every engine flipped ran first.
 
 Every served outcome must be byte-identical, in input order, to
-``execute_spec(spec)`` computed with the warehouse disabled.  Each
-example gets its own warehouse directory.
+``execute_spec(spec)`` computed with the warehouse disabled: its records,
+and for in-process executors its artifact, compared by canonical dump
+(the remote executor keeps artifacts server-side).  Each example gets
+its own warehouse directory and draws the engines' block size
+(``REPRO_BATCH_BLOCK``) from 1, 7 and the default.
+
+A second property checks the two campaign paths: a streamed
+``Session.campaign(stream=True)`` reports the same seven statistics per
+metric as the materialized campaign.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import tempfile
 
@@ -25,7 +40,8 @@ from hypothesis import strategies as st
 
 from repro.api.executors import BatchCampaignExecutor, ParallelExecutor, execute_spec
 from repro.api.session import Session
-from repro.api.spec import ENGINES, ExperimentSpec
+from repro.api.spec import ENGINES, CampaignSpec, ExperimentSpec
+from repro.batch.streaming import ENV_BLOCK
 from repro.runtime.profile_cache import ENV_CACHE_DIR
 from repro.service import ExperimentServer, ScalingPolicy
 from repro.warehouse.store import ENV_NO_WAREHOUSE, ENV_WAREHOUSE_DIR
@@ -33,25 +49,88 @@ from repro.warehouse.store import ENV_NO_WAREHOUSE, ENV_WAREHOUSE_DIR
 EXECUTORS = ("serial", "parallel", "batched", "remote")
 CACHE_STATES = ("cold", "warm", "partial", "cross-engine")
 
-_spec_lists = st.lists(
-    st.builds(
-        ExperimentSpec,
-        app=st.sampled_from(("adpcm-encode", "g721-encode")),
-        strategy=st.sampled_from(("default", "hybrid-optimal")),
-        engine=st.sampled_from(ENGINES),
-        seed=st.integers(min_value=0, max_value=5),
-    ),
-    min_size=1,
-    max_size=4,
+#: ``REPRO_BATCH_BLOCK`` values drawn per example (``None`` = the default).
+BLOCK_SIZES = ("1", "7", None)
+
+APPS = st.sampled_from(("adpcm-encode", "g721-encode"))
+SEED_DEPENDENT = {
+    "strategy": st.sampled_from(("hybrid-adaptive", "hybrid-estimating")),
+    "scenario": st.sampled_from(("storm", "markov")),
+}
+PARETO_PARAMS = {
+    "nodes": ["65nm"],
+    "schemes": ["bch"],
+    "correctable_bits": [2, 4],
+    "rate_levels": [1e-6],
+    "max_chunk_words": 48,
+}
+
+_singles = st.builds(
+    ExperimentSpec,
+    app=APPS,
+    strategy=st.sampled_from(("default", "hybrid-optimal")),
+    engine=st.sampled_from(ENGINES),
+    seed=st.integers(min_value=0, max_value=5),
+).map(lambda spec: [spec])
+
+_seed_groups = st.builds(
+    lambda base, seeds: [base.with_overrides(seed=seed) for seed in seeds],
+    base=st.builds(ExperimentSpec, app=APPS, engine=st.just("batched"), **SEED_DEPENDENT),
+    seeds=st.lists(st.integers(min_value=0, max_value=11), min_size=2, max_size=9, unique=True),
 )
 
-#: Cold solo records per spec JSON, computed once with the warehouse off.
-_REFERENCE: dict[str, str] = {}
+_design = st.one_of(
+    st.builds(ExperimentSpec, app=APPS, kind=st.just("optimize")),
+    st.builds(
+        ExperimentSpec,
+        kind=st.just("feasibility"),
+        params=st.just({"max_chunk_words": 64, "max_correctable_bits": 8}),
+    ),
+    st.builds(ExperimentSpec, app=APPS, kind=st.just("pareto"), params=st.just(PARETO_PARAMS)),
+).flatmap(
+    lambda spec: st.sampled_from(ENGINES).map(lambda engine: [spec.with_overrides(engine=engine)])
+)
+
+_spec_lists = st.lists(
+    st.one_of(_singles, _seed_groups, _design), min_size=1, max_size=3
+).map(lambda parts: [spec for part in parts for spec in part])
+
+_campaigns = st.builds(
+    CampaignSpec,
+    base=st.builds(
+        ExperimentSpec,
+        app=APPS,
+        strategy=st.sampled_from(
+            ("default", "hybrid-optimal", "hybrid-adaptive", "hybrid-estimating")
+        ),
+        scenario=st.sampled_from(("paper-constant", "storm", "markov")),
+        engine=st.just("batched"),
+    ),
+    seeds=st.lists(st.integers(min_value=0, max_value=99), min_size=1, max_size=9, unique=True),
+    metrics=st.sampled_from(((), ("energy_nj", "seed"), ("rollbacks", "total_cycles"))),
+)
+
+#: Cold solo (records, artifact dump) per spec JSON, with the warehouse off.
+_REFERENCE: dict[str, tuple[str, str | None]] = {}
 
 
 def _flipped(spec: ExperimentSpec) -> ExperimentSpec:
     (other,) = set(ENGINES) - {spec.engine}
     return spec.with_overrides(engine=other)
+
+
+def _dump(artifact) -> str | None:
+    """Canonical form of a design artifact (all are frozen dataclasses)."""
+    if artifact is None:
+        return None
+    return json.dumps(dataclasses.asdict(artifact), sort_keys=True)
+
+
+def _set_block(monkeypatch, block: str | None) -> None:
+    if block is None:
+        monkeypatch.delenv(ENV_BLOCK, raising=False)
+    else:
+        monkeypatch.setenv(ENV_BLOCK, block)
 
 
 @pytest.fixture(scope="module")
@@ -80,18 +159,20 @@ def test_served_outcomes_equal_cold_solo_recomputation(
 ):
     run = runners[executor]
 
-    def reference(spec: ExperimentSpec) -> str:
+    def reference(spec: ExperimentSpec) -> tuple[str, str | None]:
         key = spec.to_json()
         if key not in _REFERENCE:
             with monkeypatch.context() as patch:
                 patch.setenv(ENV_NO_WAREHOUSE, "1")
-                _REFERENCE[key] = json.dumps(execute_spec(spec).records)
+                outcome = execute_spec(spec)
+            _REFERENCE[key] = (json.dumps(outcome.records), _dump(outcome.artifact))
         return _REFERENCE[key]
 
-    @settings(max_examples=12, deadline=None, derandomize=True)
-    @given(specs=_spec_lists, data=st.data())
-    def check(specs, data):
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(specs=_spec_lists, block=st.sampled_from(BLOCK_SIZES), data=st.data())
+    def check(specs, block, data):
         monkeypatch.setenv(ENV_WAREHOUSE_DIR, tempfile.mkdtemp(dir=tmp_path))
+        _set_block(monkeypatch, block)
         if state == "partial" and len(specs) > 1:
             run(specs[: data.draw(st.integers(min_value=1, max_value=len(specs) - 1))])
         elif state == "cross-engine":
@@ -100,6 +181,31 @@ def test_served_outcomes_equal_cold_solo_recomputation(
         expected = [reference(spec) for spec in specs]
         for _ in range(calls):
             served = run(specs)
-            assert [json.dumps(outcome.records) for outcome in served] == expected
+            assert [json.dumps(outcome.records) for outcome in served] == [
+                records for records, _ in expected
+            ]
+            if executor != "remote":
+                assert [_dump(outcome.artifact) for outcome in served] == [
+                    artifact for _, artifact in expected
+                ]
+
+    check()
+
+
+def test_streamed_campaign_equals_materialized(tmp_path, monkeypatch):
+    statistics = ("count", "mean", "stdev", "median", "p95", "minimum", "maximum")
+
+    @settings(max_examples=24, deadline=None, derandomize=True)
+    @given(campaign=_campaigns, block=st.sampled_from(BLOCK_SIZES))
+    def check(campaign, block):
+        monkeypatch.setenv(ENV_WAREHOUSE_DIR, tempfile.mkdtemp(dir=tmp_path))
+        _set_block(monkeypatch, block)
+        materialized = Session().campaign(campaign)
+        streamed = Session().campaign(campaign, stream=True)
+        assert streamed.runs == materialized.runs == len(campaign.seeds)
+        assert list(streamed.metrics) == list(materialized.metrics)
+        for name, result in materialized.metrics.items():
+            for stat in statistics:
+                assert getattr(streamed[name], stat) == getattr(result, stat), (name, stat)
 
     check()
