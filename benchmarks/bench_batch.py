@@ -13,17 +13,20 @@ perf-trajectory artefact CI uploads next to ``BENCH_scenarios.json``::
 five Fig. 5 configurations.
 
 On top of the engine-vs-engine cells the artefact carries a
-**seeds-vs-memory scaling** curve: streamed campaigns at growing seed
+**seeds-vs-memory scaling** curve: batched campaigns at growing seed
 counts under the default block size, recording the
 ``repro_batch_peak_bytes`` working-set high-water mark.  The memory gate
-asserts a million-seed streamed campaign stays under a fixed byte
-budget: out-of-core blocking means memory is O(block), not O(seeds).
+asserts a million-seed campaign stays under a fixed byte budget:
+out-of-core blocking means memory is O(block), not O(seeds).  The curve
+runs with the result warehouse off, so it measures the engine and
+writes nothing to the cache.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import time
@@ -38,6 +41,7 @@ from repro.batch.streaming import (
     peak_bytes,
     reset_block_metrics,
 )
+from repro.warehouse import ENV_NO_WAREHOUSE
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -48,7 +52,7 @@ CAMPAIGN_RUNS = 1000
 #: the memory gate's million-seed campaign).
 SCALING_SEEDS = (10_000, 100_000, 1_000_000)
 
-#: Fixed working-set budget for the million-seed streamed campaign.
+#: Fixed working-set budget for the million-seed campaign.
 #: The default 64Ki block accounts ~16 MB live arrays; the budget leaves
 #: headroom without ever permitting O(seeds) growth (10^6 seeds
 #: materialized would account >240 MB).
@@ -118,30 +122,42 @@ def _run_cell(strategy: str, params: dict, runs: int, jobs: int) -> dict:
 
 
 def _memory_scaling(seed_counts: tuple[int, ...]) -> list[dict]:
-    """Streamed campaigns at growing seed counts, one peak reading each.
+    """Batched campaigns at growing seed counts, one peak reading each.
 
     The point of the curve: runtime grows linearly with the seed count
-    while ``peak_bytes`` stays flat at the per-block working set.
+    while ``peak_bytes`` stays flat at the per-block working set.  The
+    warehouse is off, so every point simulates all of its seeds.
     """
     session = Session()
     base = ExperimentSpec(app=BENCH_APP, strategy="hybrid-optimal", engine="batched")
     points = []
-    for count in seed_counts:
-        reset_block_metrics()
-        start = time.perf_counter()
-        report = session.campaign(base, seeds=range(count), stream=True)
-        seconds = time.perf_counter() - start
-        points.append(
-            {
-                "seeds": count,
-                "block": batch_block_size(),
-                "blocks": int(blocks_total("campaign")),
-                "peak_bytes": int(peak_bytes("campaign")),
-                "seconds": round(seconds, 3),
-                "mean_energy_nj": report["energy_nj"].mean,
-            }
-        )
+    previous = os.environ.get(ENV_NO_WAREHOUSE)
+    os.environ[ENV_NO_WAREHOUSE] = "1"
+    try:
+        for count in seed_counts:
+            points.append(_scaling_point(session, base, count))
+    finally:
+        if previous is None:
+            del os.environ[ENV_NO_WAREHOUSE]
+        else:
+            os.environ[ENV_NO_WAREHOUSE] = previous
     return points
+
+
+def _scaling_point(session: Session, base: ExperimentSpec, count: int) -> dict:
+    """One point of the seeds-vs-memory curve."""
+    reset_block_metrics()
+    start = time.perf_counter()
+    report = session.campaign(base, seeds=range(count))
+    seconds = time.perf_counter() - start
+    return {
+        "seeds": count,
+        "block": batch_block_size(),
+        "blocks": int(blocks_total("campaign")),
+        "peak_bytes": int(peak_bytes("campaign")),
+        "seconds": round(seconds, 3),
+        "mean_energy_nj": report["energy_nj"].mean,
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -182,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     scaling = _memory_scaling(SCALING_SEEDS)
     for point in scaling:
         print(
-            f"streamed {point['seeds']:>9,} seeds: {point['blocks']} blocks, "
+            f"campaign {point['seeds']:>9,} seeds: {point['blocks']} blocks, "
             f"peak {point['peak_bytes'] / 2**20:.1f} MiB, {point['seconds']:.2f}s"
         )
     gate = scaling[-1]
@@ -216,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if gate["peak_bytes"] > MEMORY_BUDGET_BYTES:
         print(
-            f"FAIL: {gate['seeds']:,}-seed streamed campaign accounted "
+            f"FAIL: {gate['seeds']:,}-seed campaign accounted "
             f"{gate['peak_bytes'] / 2**20:.1f} MiB, over the "
             f"{MEMORY_BUDGET_BYTES / 2**20:.0f} MiB budget",
             file=sys.stderr,

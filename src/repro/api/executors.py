@@ -8,24 +8,16 @@ picklable by construction).
 
 Every executor preserves input order — ``map(specs)[i]`` is always the
 outcome of ``specs[i]`` — so any aggregate computed over the outcomes is
-bit-identical regardless of the backend or the number of workers.  This
-now includes ``engine="batched"`` specs: their fault streams are
-counter-based per (seed, draw) — see :mod:`repro.batch.substrate` — and
-every batched path profiles the workload at the canonical seed 0, so a
-spec's record no longer depends on how an executor groups seeds.  A
-:class:`SerialExecutor` run, a grouped :class:`BatchCampaignExecutor`
-run and a sharded service run of the same specs emit identical rows.
-``optimize`` / ``feasibility`` / ``pareto`` specs carry no randomness at
-all: the vectorized design engines serving their ``engine="batched"``
-path (:mod:`repro.batch.design`, :mod:`repro.batch.pareto`) are
-bit-identical to the behavioural sweeps, on every executor.
+bit-identical regardless of the backend or the number of workers.
+``engine="batched"`` records do not depend on how seeds are grouped
+either (counter-based fault streams, workload profiled at seed 0), and
+the design kinds carry no randomness at all.
 """
 
 from __future__ import annotations
 
 import abc
 import atexit
-import json
 import os
 import time
 import weakref
@@ -37,6 +29,7 @@ from typing import Any
 
 from ..batch import BatchTaskModel
 from ..batch.design import grid_feasible_region, grid_optimize
+from ..batch.engine import ColumnBlock, iter_column_blocks, join_blocks, records_from_columns
 from ..batch.pareto import grid_pareto_front, reference_pareto_front
 from ..core.feasibility import feasible_region
 from ..core.optimizer import ChunkSizeOptimizer
@@ -54,10 +47,11 @@ SPECS_EXECUTED = _telemetry_counter(
     labels=("kind", "engine"),
 )
 
-#: Vectorized seed groups served by the batch campaign executor.
+#: One per task model built for a seed group: a batched campaign that
+#: misses a block, or two or more seeds in a BatchCampaignExecutor call.
 BATCH_GROUPS = _telemetry_counter(
     "repro_batch_groups_total",
-    "Same-experiment seed groups simulated vectorized by BatchCampaignExecutor.",
+    "Same-experiment seed groups simulated vectorized on one task model.",
 )
 
 #: Wall-clock of whole executor map() calls, by executor backend.
@@ -228,12 +222,31 @@ def _build_batch_model(spec: ExperimentSpec, profile_seed: int = 0) -> BatchTask
     )
 
 
+class BlockSimulator:
+    """Simulates seed blocks of one batched base spec on one task model.
+
+    The model is built on first use: a fully warehoused campaign builds none.
+    """
+
+    def __init__(self, base: ExperimentSpec) -> None:
+        self.base = base
+        self._model: BatchTaskModel | None = None
+
+    def __call__(self, seeds: Sequence[int]) -> ColumnBlock:
+        if self._model is None:
+            self._model = _build_batch_model(self.base)
+            BATCH_GROUPS.inc()
+        block = join_blocks(iter_column_blocks(self._model, seeds, label=self.base.scenario_name))
+        SPECS_EXECUTED.inc(len(seeds), kind="execute", engine="batched")
+        return block
+
+
 def _execute_batched(spec: ExperimentSpec) -> RunOutcome:
     # profile_seed is pinned to 0 on every batched path (solo, grouped,
     # sharded) so a seed's record is composition-invariant.
     model = _build_batch_model(spec)
-    records = model.simulate([spec.seed], scenario_label=spec.scenario_name)
-    return RunOutcome(spec=spec, records=records)
+    (block,) = iter_column_blocks(model, [spec.seed], label=spec.scenario_name)
+    return RunOutcome(spec=spec, records=records_from_columns(block))
 
 
 def _execute_one(spec: ExperimentSpec) -> RunOutcome:
@@ -265,10 +278,9 @@ class Executor(abc.ABC):
 
     name: str = "abstract"
 
-    #: Whether this backend already serves ``engine="batched"`` specs
-    #: vectorized (or ships them somewhere that does).  ``Session.run_all``
-    #: wraps executors that do not in a :class:`BatchCampaignExecutor`.
-    serves_batched: bool = False
+    #: Whether :meth:`map` ships specs to an experiment server (which serves
+    #: batched specs itself) instead of running them in this process.
+    remote: bool = False
 
     @abc.abstractmethod
     def map(self, specs: Sequence[ExperimentSpec]) -> list[RunOutcome]:
@@ -441,15 +453,11 @@ class BatchCampaignExecutor(Executor):
     Every group's workload input is profiled at the canonical seed 0 and
     each run's fault stream is counter-based on its own seed
     (:meth:`repro.batch.BatchTaskModel.make_streams`), so a run's record
-    is independent of its batch composition: extending the seed list,
-    splitting the campaign into shards or replaying one seed solo all
-    emit identical rows, across processes and machines.  Individual
-    (spec, seed) pairs — not whole campaigns — are the unit of
-    reproducibility.
+    is independent of its batch composition: grouped, sharded or solo,
+    a (spec, seed) pair emits the same row.
     """
 
     name = "batched"
-    serves_batched = True
 
     def __init__(self, fallback: Executor | None = None) -> None:
         self.fallback = fallback if fallback is not None else SerialExecutor()
@@ -464,27 +472,19 @@ class BatchCampaignExecutor(Executor):
         """Hashable identity of a spec minus its seed (None = delegated)."""
         if not spec.seed_grouped:
             return None
-        try:
-            payload = spec.to_dict()
-            payload.pop("seed")
-            return json.dumps(payload, sort_keys=True, default=repr)
-        except ValueError:
-            # Live application / scenario instances: group by object
-            # identity — campaigns reuse the same instance across seeds.
-            app = spec.app if isinstance(spec.app, str) else id(spec.app)
-            scenario = (
-                spec.scenario if isinstance(spec.scenario, str) else id(spec.scenario)
-            )
-            return (
-                app,
-                spec.strategy,
-                repr(sorted(spec.strategy_params.items())),
-                spec.constraints,
-                spec.fault_model,
-                repr(sorted(spec.fault_params.items())),
-                scenario,
-                repr(sorted(spec.scenario_params.items())),
-            )
+        # Live application / scenario instances group by identity:
+        # campaigns reuse the same instance across seeds.
+        return (
+            spec.app if isinstance(spec.app, str) else id(spec.app),
+            spec.strategy,
+            repr(sorted(spec.strategy_params.items())),
+            spec.constraints,
+            spec.fault_model,
+            repr(sorted(spec.fault_params.items())),
+            spec.scenario if isinstance(spec.scenario, str) else id(spec.scenario),
+            repr(sorted(spec.scenario_params.items())),
+            repr(sorted(spec.params.items())),
+        )
 
     def map(self, specs: Sequence[ExperimentSpec]) -> list[RunOutcome]:
         """Serve each same-experiment seed group in one vectorized shot.
@@ -517,14 +517,9 @@ class BatchCampaignExecutor(Executor):
 
         for indices in groups.values():
             group = [specs[i] for i in indices]
-            model = _build_batch_model(group[0])
-            records = model.simulate(
-                [spec.seed for spec in group], scenario_label=group[0].scenario_name
-            )
-            for i, spec, record in zip(indices, group, records):
+            block = BlockSimulator(group[0])([spec.seed for spec in group])
+            for i, spec, record in zip(indices, group, records_from_columns(block)):
                 outcomes[i] = RunOutcome(spec=spec, records=[record])
-            BATCH_GROUPS.inc()
-            SPECS_EXECUTED.inc(len(group), kind="execute", engine="batched")
 
         if passthrough:
             delegated = self.fallback.map([specs[i] for i in passthrough])

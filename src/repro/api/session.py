@@ -8,7 +8,7 @@ and exposes the three workload shapes every harness reduces to:
   :class:`~repro.api.results.ResultSet` with the swept coordinates as
   leading columns;
 * :meth:`Session.campaign` — the same experiment over many fault seeds,
-  aggregated through :func:`repro.faults.campaign.aggregate_runs` into a
+  folded through :func:`repro.faults.campaign.aggregate_columns` into a
   :class:`~repro.faults.campaign.CampaignReport` (mean / stdev / median /
   p95 / min / max per metric);
 * :meth:`Session.pareto` — the cross-technology multi-objective design
@@ -24,15 +24,17 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import replace
-
+from functools import partial
 from typing import Any
 
+from ..batch.engine import ColumnBlock, block_from_records, join_blocks, records_from_columns
 from ..core.config import DesignConstraints, PAPER_OPERATING_POINT
 from ..faults.campaign import CampaignReport, aggregate_columns, aggregate_runs
 from ..telemetry import log_event, span
 from ..telemetry import snapshot as _telemetry_snapshot
 from .executors import (
     BatchCampaignExecutor,
+    BlockSimulator,
     Executor,
     RunOutcome,
     SerialExecutor,
@@ -155,7 +157,8 @@ class Session:
         with span("session.run_all"):
             specs = list(specs)
             chosen = self._resolve_executor(executor, jobs)
-            if not chosen.serves_batched and any(spec.seed_grouped for spec in specs):
+            local = not (chosen.remote or isinstance(chosen, BatchCampaignExecutor))
+            if local and any(spec.seed_grouped for spec in specs):
                 # One task model per seed group instead of one per seed.
                 chosen = BatchCampaignExecutor(fallback=chosen)
             return plan_and_run(specs, chosen.map)
@@ -200,7 +203,6 @@ class Session:
         executor: Executor | None = None,
         jobs: int | None = None,
         engine: str | None = None,
-        stream: bool = False,
     ) -> CampaignReport:
         """Run a multi-seed campaign and aggregate its metrics.
 
@@ -210,21 +212,12 @@ class Session:
         bit-identical reports for the same seed set.
 
         The engine is a field of the base spec; ``engine=`` only writes
-        it there.  Batched campaigns run vectorized (see :meth:`run_all`)
-        — one task profile plus array operations for all seeds,
-        statistically equivalent to the behavioural engine and
-        dramatically faster at campaign scale.
-
-        ``stream=True`` (batched ``execute`` campaigns only) runs the
-        campaign out-of-core: seeds execute in fixed-size blocks
-        (``REPRO_BATCH_BLOCK``) whose columns fold straight into the
-        report, so memory is bounded by the block size plus 8 bytes per
-        (run, metric) instead of whole per-run rows.  Both paths fold
-        through :func:`~repro.faults.campaign.aggregate_columns`, so the
-        report's statistics are bit-identical; its ``raw`` per-run rows
-        are empty (that is the point), and the streamed run bypasses the
-        result warehouse — per-row caching would re-materialize exactly
-        what streaming avoids.
+        it there.  A batched ``execute`` campaign never expands its seeds
+        into specs: it walks them in ``REPRO_BATCH_BLOCK`` blocks, each
+        served from the warehouse or simulated on one task model (on the
+        server for a :meth:`connect` session), keeps 8 bytes per (run,
+        metric column) and rebuilds ``raw`` rows from them on each read.
+        Every other campaign runs its expanded specs through :meth:`run_all`.
         """
         if isinstance(spec, ExperimentSpec):
             spec = CampaignSpec(base=spec, seeds=tuple(seeds) if seeds is not None else ())
@@ -237,52 +230,42 @@ class Session:
             # engine="behavioural" really cross-checks a batched spec
             # against the ground-truth engine instead of being ignored.
             spec = replace(spec, base=replace(spec.base, engine=engine))
-        if stream:
-            return self._stream_campaign(spec, engine)
-        expanded = spec.expand()
         with span("session.campaign") as campaign_span:
-            log_event("campaign.start", seeds=len(expanded), engine=engine)
-            outcomes = self.run_all(expanded, executor=executor, jobs=jobs)
-            log_event(
-                "campaign.done",
-                seeds=len(expanded),
-                engine=engine,
-                elapsed_s=round(campaign_span.elapsed(), 6),
-            )
-        return aggregate_runs(
-            [outcome.record for outcome in outcomes],
-            metrics=spec.metrics,
-            allow_ragged=spec.allow_ragged,
-        )
-
-    def _stream_campaign(self, spec: CampaignSpec, engine: str) -> CampaignReport:
-        """Out-of-core campaign body: block-wise simulate, column-wise fold."""
-        # Deferred imports keep the batch engines out of behavioural-only
-        # sessions (and avoid importing numpy machinery at session import).
-        from ..batch.engine import iter_column_blocks
-        from .executors import _build_batch_model
-
-        if engine != "batched":
-            raise ValueError("stream=True requires the batched engine")
-        base = spec.base
-        if base.kind != "execute":
-            raise ValueError("stream=True only applies to execute-kind campaigns")
-        model = _build_batch_model(base)
-        with span("session.campaign") as campaign_span:
-            log_event("campaign.start", seeds=len(spec.seeds), engine=engine, stream=True)
-            report = aggregate_columns(
-                iter_column_blocks(model, list(spec.seeds)),
-                runs=len(spec.seeds),
-                metrics=spec.metrics,
-            )
+            log_event("campaign.start", seeds=len(spec.seeds), engine=engine)
+            if spec.base.seed_grouped:
+                report = self._batched_campaign(spec, self._resolve_executor(executor, jobs))
+            else:
+                outcomes = self.run_all(spec.expand(), executor=executor, jobs=jobs)
+                report = aggregate_runs(
+                    [outcome.record for outcome in outcomes], metrics=spec.metrics
+                )
             log_event(
                 "campaign.done",
                 seeds=len(spec.seeds),
                 engine=engine,
-                stream=True,
                 elapsed_s=round(campaign_span.elapsed(), 6),
             )
         return report
+
+    @staticmethod
+    def _batched_campaign(spec: CampaignSpec, executor: Executor) -> CampaignReport:
+        """Fold a batched campaign's seed blocks, served or computed, as columns."""
+        from ..warehouse.planner import campaign_blocks
+
+        base = spec.base
+        if executor.remote:
+
+            def compute(seeds: tuple[int, ...]) -> ColumnBlock:
+                # The only per-seed specs a batched campaign builds: the
+                # missing blocks a remote executor ships to its server.
+                outcomes = executor.map([replace(base, seed=seed) for seed in seeds])
+                return block_from_records([outcome.record for outcome in outcomes], seeds)
+
+        else:
+            compute = BlockSimulator(base)
+        block = join_blocks(campaign_blocks(base, spec.seeds, compute))
+        rows = partial(records_from_columns, block)
+        return aggregate_columns(block.columns, len(block.seeds), spec.metrics, rows)
 
     def pareto(
         self,

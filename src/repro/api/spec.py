@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import numbers
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -50,6 +51,12 @@ KINDS: tuple[str, ...] = ("execute", "optimize", "feasibility", "pareto")
 #: vectorized design-space engine (whole grid at once, bit-identical)
 #: for ``optimize`` / ``feasibility`` specs.
 ENGINES: tuple[str, ...] = ("behavioural", "batched")
+
+def checked_seed(seed: Any, where: str = "seed") -> int:
+    """``seed`` as an int; ``ValueError`` unless an integer (no bool) in ``[0, 2**64)``."""
+    if isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and 0 <= seed < 2**64:
+        return int(seed)
+    raise ValueError(f"{where} must be an integer in [0, 2**64), got {seed!r}")
 
 
 def constraints_to_dict(constraints: DesignConstraints) -> dict[str, Any]:
@@ -107,7 +114,7 @@ class ExperimentSpec:
         for feasibility sweeps; ``nodes`` / ``schemes`` / ``objectives`` /
         ``correctable_bits`` / ``rate_levels`` for pareto sweeps).
     seed:
-        Seed controlling the workload input and the fault stream.
+        Seed (an integer in ``[0, 2**64)``) of the workload and faults.
     collect_trace:
         Whether the behavioural run records a detailed execution trace.
     engine:
@@ -142,6 +149,7 @@ class ExperimentSpec:
             raise ValueError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
         if self.engine == "batched" and self.collect_trace:
             raise ValueError("the batched engine does not record execution traces")
+        object.__setattr__(self, "seed", checked_seed(self.seed))
         if isinstance(self.app, str):
             object.__setattr__(self, "app", canonical_name(self.app))
         elif self.app is None and self.kind != "feasibility":
@@ -379,19 +387,15 @@ class CampaignSpec:
     metrics:
         Restrict aggregation to these metric names (empty = every numeric
         metric the runs produce except ``seed``).
-    allow_ragged:
-        Permit runs that miss some metrics (see
-        :func:`repro.faults.campaign.aggregate_runs`).
     """
 
     base: ExperimentSpec
     seeds: Sequence[int] = ()
     runs: int = 10
     metrics: Sequence[str] = ()
-    allow_ragged: bool = False
 
     def __post_init__(self) -> None:
-        seeds = tuple(int(s) for s in self.seeds)
+        seeds = tuple(checked_seed(seed, "campaign seeds") for seed in self.seeds)
         if not seeds:
             if self.runs <= 0:
                 raise ValueError("runs must be positive when no seeds are given")
@@ -413,7 +417,6 @@ class CampaignSpec:
             "base": self.base.to_dict(),
             "seeds": list(self.seeds),
             "metrics": list(self.metrics),
-            "allow_ragged": self.allow_ragged,
         }
 
     @classmethod
@@ -423,7 +426,6 @@ class CampaignSpec:
             base=ExperimentSpec.from_dict(data["base"]),
             seeds=data.get("seeds", ()),
             metrics=data.get("metrics", ()),
-            allow_ragged=data.get("allow_ragged", False),
         )
 
     def to_json(self, indent: int | None = None) -> str:

@@ -47,10 +47,7 @@ Underneath, :mod:`repro.batch.substrate` holds the counter-based fault
 sampler and the Pareto dominance sweep, and :mod:`repro.batch.streaming`
 executes campaigns and grids out of core, in fixed-size blocks
 (``REPRO_BATCH_BLOCK``), bounding the engines' working sets by the block
-size while emitting bit-identical numbers for every block size.  A
-streamed campaign folds each block's columns through
-:func:`repro.faults.campaign.aggregate_columns`, the same fold as a
-materialized one.
+size while emitting bit-identical numbers for every block size.
 """
 
 from .design import (

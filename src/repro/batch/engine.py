@@ -1,8 +1,9 @@
 """Vectorized campaign simulation over a :class:`BatchTaskModel`.
 
-One call to :func:`simulate_columns` runs every seed of a campaign.
-All runs share the task skeleton (phases, per-phase costs); only the
-fault streams differ.  The per-phase dynamics mirror the behavioural
+:func:`iter_column_blocks` runs every seed of a campaign, one block of
+seeds at a time, into :class:`ColumnBlock` metric columns.  All runs
+share the task skeleton (phases, per-phase costs); only the fault
+streams differ.  The per-phase dynamics mirror the behavioural
 executor:
 
 * **inline / none recovery** (Default, HW-mitigation): every phase is
@@ -25,18 +26,20 @@ are drawn from their exact marginal distribution (the per-word Poisson
 split of a uniform strike pattern).
 
 Execution is *blocked*: fault sampling runs on counter-based per-run
-streams (:mod:`~repro.batch.substrate`), and
-:func:`simulate_columns` / :func:`iter_column_blocks` walk the seed list
-in :func:`~repro.batch.streaming.batch_block_size`-sized blocks so the
-working set is ``O(block)``, not ``O(seeds)``.  Because each run's stream
-is a pure function of its seed, the block partition (and the batch
-composition) changes no emitted number.
+streams (:mod:`~repro.batch.substrate`), and :func:`iter_column_blocks`
+walks the seed list in :func:`~repro.batch.streaming.batch_block_size`-sized
+blocks so the working set is ``O(block)``, not ``O(seeds)``.  Because each
+run's stream is a pure function of its seed, the block partition (and the
+batch composition) changes no emitted number.  The warehouse and the
+campaign report keep :class:`ColumnBlock` columns and turn them into rows
+(:func:`records_from_columns`) only when rows are asked for.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
-from dataclasses import replace
+import json
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,6 +70,27 @@ METRIC_COLUMNS = (
     "deadline_met",
     "fully_mitigated",
 )
+
+#: Label keys leading every batched record, ahead of :data:`METRIC_COLUMNS`.
+LABELS = ("application", "strategy", "scenario")
+
+
+@dataclass(frozen=True)
+class ColumnBlock:
+    """One seed block's runs: a float64 entry per seed in every metric column.
+
+    ``labels`` holds the :data:`LABELS` values all runs share; rows take
+    their seed from ``seeds``, not the float ``seed`` column, so it is exact.
+    """
+
+    seeds: tuple[int, ...]
+    labels: tuple[str, ...]
+    columns: Mapping[str, np.ndarray]
+
+
+def seed_column(seeds: Sequence[int]) -> np.ndarray:
+    """The float64 ``seed`` metric column of ``seeds``."""
+    return np.asarray(seeds, dtype=np.float64)
 
 
 def _split_outcomes(
@@ -326,7 +350,7 @@ def _simulate_layout_block(
     else:
         deadline_met = (clock <= model.deadline_cycles).astype(np.float64)
     columns = {
-        "seed": np.asarray([int(s) for s in seeds], dtype=np.float64),
+        "seed": seed_column(seeds),
         "total_cycles": clock.astype(np.float64),
         "useful_cycles": np.full(len(seeds), float(model.useful_cycles)),
         "checkpoint_cycles": totals.checkpoint_cycles.astype(np.float64),
@@ -357,58 +381,73 @@ def iter_column_blocks(
     model: BatchTaskModel,
     seeds: Sequence[int],
     block: int | None = None,
-) -> Iterator[dict[str, np.ndarray]]:
-    """Simulate ``seeds`` block by block, yielding per-block metric columns.
+    label: str | None = None,
+) -> Iterator[ColumnBlock]:
+    """Simulate ``seeds`` block by block, yielding one :class:`ColumnBlock` each.
 
     ``block=None`` resolves through
     :func:`~repro.batch.streaming.batch_block_size` (``REPRO_BATCH_BLOCK``).
-    Per-run counter-based streams make the partition invisible in the
-    results: concatenating the yielded blocks equals a single-block run
-    bit for bit.  Each yielded mapping carries :data:`METRIC_COLUMNS`
-    (float64, one entry per seed of the block).
+    Per-run counter-based streams make the partition invisible: joining
+    the yielded blocks equals a single-block run bit for bit.  ``label``
+    names the rows' scenario (default: the scenario's description).
     """
-    seeds = list(seeds)
+    seeds = tuple(seeds)
+    if label is None:
+        label = model.scenario.describe() if model.scenario is not None else "none"
+    labels = (model.app.name, model.strategy.name, label)
     for piece in iter_blocks(len(seeds), block):
-        columns = _simulate_block(model, seeds[piece])
+        block_seeds = seeds[piece]
+        columns = _simulate_block(model, block_seeds)
         note_blocks("campaign")
-        yield columns
+        yield ColumnBlock(block_seeds, labels, columns)
 
 
-def simulate_columns(
-    model: BatchTaskModel,
-    seeds: Sequence[int],
-    block: int | None = None,
-) -> dict[str, np.ndarray]:
-    """Simulate one run per seed into full-campaign metric columns."""
-    blocks = list(iter_column_blocks(model, seeds, block))
-    if not blocks:
-        return {name: np.zeros(0, dtype=np.float64) for name in METRIC_COLUMNS}
+def join_blocks(blocks: Iterable[ColumnBlock]) -> ColumnBlock:
+    """One block holding the runs of ``blocks`` in order (all share labels)."""
+    blocks = list(blocks)
     if len(blocks) == 1:
         return blocks[0]
-    return {
-        name: np.concatenate([piece[name] for piece in blocks])
+    columns = {
+        name: np.concatenate([piece.columns[name] for piece in blocks])
         for name in METRIC_COLUMNS
     }
+    seeds = tuple(seed for piece in blocks for seed in piece.seeds)
+    return ColumnBlock(seeds, blocks[0].labels, columns)
 
 
-def records_from_columns(
-    model: BatchTaskModel, columns: dict[str, np.ndarray], label: str
-) -> list[dict]:
-    """Materialize behavioural-shaped per-run records from metric columns.
+def records_from_columns(block: ColumnBlock) -> list[dict]:
+    """Materialize behavioural-shaped per-run records from a column block.
 
     The records carry exactly the keys (and key order) the behavioural
     ``execute_spec`` worker produces, so campaign aggregation, result
     sets and the figure harnesses consume them unchanged.
     """
+    names = METRIC_COLUMNS[1:]
+    head = dict(zip(LABELS, block.labels))
+    values = zip(*(block.columns[name].tolist() for name in names))
     records: list[dict] = []
-    for i in range(columns["seed"].size):
-        record = {
-            "application": model.app.name,
-            "strategy": model.strategy.name,
-            "scenario": label,
-        }
-        for name in METRIC_COLUMNS:
-            value = float(columns[name][i])
-            record[name] = int(value) if name == "seed" else value
+    for seed, row in zip(block.seeds, values):
+        record = {**head, "seed": seed}
+        record.update(zip(names, row))
         records.append(record)
     return records
+
+
+def block_from_records(records: Sequence[Mapping], seeds: Sequence[int]) -> ColumnBlock:
+    """The :class:`ColumnBlock` behind batched ``records`` of ``seeds``.
+
+    The inverse of :func:`records_from_columns`: raises ``ValueError``
+    unless the block's rows reproduce ``records`` byte for byte.
+    """
+    seeds = tuple(seeds)
+    try:
+        labels = tuple(records[0][name] for name in LABELS)
+        columns = {"seed": seed_column(seeds)}
+        for name in METRIC_COLUMNS[1:]:
+            columns[name] = np.array([record[name] for record in records], dtype=np.float64)
+    except (IndexError, KeyError, TypeError, ValueError) as error:
+        raise ValueError(f"not the batched rows of seeds {seeds}") from error
+    block = ColumnBlock(seeds, labels, columns)
+    if json.dumps(records_from_columns(block)) != json.dumps(list(records)):
+        raise ValueError(f"not the batched rows of seeds {seeds}")
+    return block

@@ -5,8 +5,8 @@ configuration — (application, strategy, constraints, fault model,
 scenario) — that is shared across seeds: the profiled step costs, the
 checkpoint schedule, the platform's per-access energies and latencies, the
 ECC outcome probabilities and the scenario's cumulative rate function.
-:meth:`BatchTaskModel.simulate` then runs any number of seeds at once with
-array operations.
+:func:`repro.batch.engine.iter_column_blocks` then runs any number of
+seeds at once with array operations.
 
 Fidelity contract (verified by ``tests/batch/``):
 
@@ -517,25 +517,6 @@ class BatchTaskModel:
         costs = self.layout.costs
         horizon = int(costs.exec_cycles.sum() + costs.drain_cycles.sum()) + 1
         return CumulativeRate(realized, self.constraints.error_rate, horizon=horizon)
-
-    # ------------------------------------------------------------------ #
-    def simulate(self, seeds, scenario_label: str | None = None) -> list[dict]:
-        """Simulate one run per seed; returns behavioural-shaped records.
-
-        The records carry exactly the keys the behavioural
-        ``execute_spec`` worker produces, so campaign aggregation, result
-        sets and the figure harnesses consume them unchanged.
-        ``scenario_label`` names the scenario column (default: the
-        scenario's description, or ``"none"``).
-        """
-        from .engine import records_from_columns, simulate_columns
-
-        seeds = list(seeds)
-        if not seeds:
-            return []
-        if scenario_label is None:
-            scenario_label = self.scenario.describe() if self.scenario is not None else "none"
-        return records_from_columns(self, simulate_columns(self, seeds), scenario_label)
 
     def make_streams(self, seeds) -> RunStreams:
         """One independent counter-based fault stream per seed.

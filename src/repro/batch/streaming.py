@@ -2,12 +2,7 @@
 
 The batched engines execute campaigns and grids in fixed-size blocks
 (:func:`batch_block_size`, tuned via ``REPRO_BATCH_BLOCK``) instead of
-materialising the full ``seeds x phases`` or grid arrays.  A streamed
-campaign folds each block's metric columns straight into its report
-(:func:`repro.faults.campaign.aggregate_columns`), retaining 8 bytes per
-(run, metric) and computing every statistic with the same
-:mod:`statistics` code as the materialized path, so the report comes out
-bit-identical to it.
+materialising the full ``seeds x phases`` or grid arrays.
 
 Because the engines' fault streams are counter-based per run
 (:mod:`repro.batch.substrate`), the block partition never changes any

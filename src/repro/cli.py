@@ -308,11 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--runs", type=int, default=10, help="number of runs when --seeds is not given"
     )
-    campaign.add_argument(
-        "--allow-ragged",
-        action="store_true",
-        help="tolerate runs that miss some metrics (aggregate over reporters only)",
-    )
     _add_constraint_options(campaign)
     _add_jobs_option(campaign)
     _add_engine_option(campaign)
@@ -813,7 +808,7 @@ def _artefact_sections(args: argparse.Namespace, session: Session) -> list:
 
 def _serve(args: argparse.Namespace) -> int:
     """Run the experiment server until SIGINT/SIGTERM."""
-    from .service.logs import configure_logging
+    from .telemetry.logs import configure_logging
     from .service.scaling import ScalingPolicy
     from .service.server import ExperimentServer
 
@@ -997,7 +992,7 @@ def _warehouse_sections(args: argparse.Namespace) -> list:
                     "key": entry.key[:16],
                     "kind": entry.kind,
                     "engine": entry.engine,
-                    "specs": len(entry.spec_dicts),
+                    "specs": entry.specs,
                     "rows": entry.rows,
                     "bytes": entry.nbytes,
                     "artifact": "yes" if entry.artifact is not None else "-",
@@ -1099,7 +1094,6 @@ def _run_sections(args: argparse.Namespace) -> list:
             base=_spec_from_args(args),
             seeds=tuple(args.seeds) if args.seeds is not None else (),
             runs=args.runs,
-            allow_ragged=args.allow_ragged,
         )
         report = session.campaign(spec, jobs=args.jobs)
         title = f"Campaign — {spec.base.app_name} / {spec.base.strategy}"

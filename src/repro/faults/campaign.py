@@ -6,22 +6,19 @@ comparison and the timing-overhead analysis are averages over such
 campaigns, because the number and placement of upsets varies run to run.
 
 :func:`aggregate_columns` is the single fold: it picks the metrics and
-turns their per-run columns into a :class:`CampaignReport`.  Both
-campaign paths of :meth:`repro.api.session.Session.campaign` end there:
-materialized runs through :func:`aggregate_runs`, which turns per-run
-rows into columns, and streamed runs straight from the batched engine's
-column blocks.  :meth:`CampaignReport.to_result_set` exposes the
-aggregates through the uniform machine-readable results layer.
+turns their per-run columns into a :class:`CampaignReport`.  Behavioural
+campaigns reach it through :func:`aggregate_runs`, which turns per-run
+rows into columns; batched campaigns hand it their seed blocks' columns.
+:meth:`CampaignReport.to_result_set` exposes the aggregates through the
+uniform machine-readable results layer.
 """
 
 from __future__ import annotations
 
 import statistics
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
-
-import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..api.results import ResultSet
@@ -48,7 +45,7 @@ class CampaignResult:
 
     ``values`` is a tuple of per-run floats when the runs arrived as rows
     (:func:`aggregate_runs`) and a float64 array when they arrived as
-    engine column blocks (a streamed campaign).  Every statistic goes
+    column blocks (a batched campaign).  Every statistic goes
     through the same :mod:`statistics` code either way and is returned
     as a plain Python ``float``/``int``, so reports stay JSON-serializable
     and bit-identical across the two representations.
@@ -56,6 +53,11 @@ class CampaignResult:
 
     metric: str
     values: Sequence[float]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CampaignResult):
+            return NotImplemented
+        return self.metric == other.metric and tuple(self.values) == tuple(other.values)
 
     @property
     def count(self) -> int:
@@ -97,11 +99,25 @@ class CampaignResult:
 
 @dataclass
 class CampaignReport:
-    """All metrics aggregated over one campaign."""
+    """All metrics aggregated over one campaign.
+
+    ``rows`` returns the per-run rows; a batched campaign rebuilds them
+    from its kept columns each time :attr:`raw` is read.
+    """
 
     runs: int
     metrics: dict[str, CampaignResult] = field(default_factory=dict)
-    raw: list[Mapping[str, float]] = field(default_factory=list)
+    rows: Callable[[], list[Mapping[str, Any]]] = field(default=list, repr=False)
+
+    @property
+    def raw(self) -> list[Mapping[str, Any]]:
+        """Every run's row, in run order."""
+        return self.rows()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CampaignReport):
+            return NotImplemented
+        return (self.runs, self.metrics, self.raw) == (other.runs, other.metrics, other.raw)
 
     def __getitem__(self, metric: str) -> CampaignResult:
         return self.metrics[metric]
@@ -138,60 +154,45 @@ class CampaignReport:
         return self.to_result_set(title).render()
 
 
-
-
 def aggregate_columns(
-    blocks: Iterable[Mapping[str, Sequence[float]]],
+    columns: Mapping[str, Sequence[float]],
     runs: int,
     metrics: Sequence[str] = (),
-    raw: list[Mapping[str, Any]] | None = None,
+    rows: Callable[[], list[Mapping[str, Any]]] = list,
 ) -> CampaignReport:
-    """Fold blocks of per-run metric columns into a :class:`CampaignReport`.
+    """Fold per-run metric columns into a :class:`CampaignReport`.
 
     Parameters
     ----------
-    blocks:
-        Mappings of metric name to that block's per-run values, in run
-        order.  Every block carries the same column names.
+    columns:
+        Metric name to its per-run values, in run order.  The report
+        keeps the aggregated columns as given (a tuple stays a tuple, a
+        float64 array costs 8 bytes per run).
     runs:
-        Number of runs the blocks cover.
+        Number of runs the columns cover.
     metrics:
         Aggregate these metrics, in this order.  Empty means every column
-        of the first block except ``seed``, sorted: the seed is a run
-        identity, not an outcome, so its statistics would be noise.  It
-        can still be requested by name.
-    raw:
-        Per-run rows to keep in the report (empty when not given).
-
-    Only the aggregated columns are retained, one chunk per block, and
-    each metric's chunks are joined on their own, so memory stays at
-    8 bytes per (run, metric) for float64 blocks.  A single block's
-    columns are kept as they are: a tuple of floats stays a tuple.
+        except ``seed``, sorted: the seed is a run identity, not an
+        outcome, so its statistics would be noise.  It can still be
+        requested by name.
+    rows:
+        Returns the per-run rows the report's :attr:`~CampaignReport.raw`
+        serves (none when not given).
     """
     if runs <= 0:
         raise ValueError("at least one run is required")
-    names = list(dict.fromkeys(metrics))
-    chunks: dict[str, list[Sequence[float]]] = {}
-    for block in blocks:
-        if not names:
-            names = sorted(name for name in block if name != "seed")
-        for name in names:
-            if name in block:
-                chunks.setdefault(name, []).append(block[name])
+    names = list(dict.fromkeys(metrics)) or sorted(name for name in columns if name != "seed")
     aggregated: dict[str, CampaignResult] = {}
     for name in names:
-        parts = chunks.pop(name, None)
-        if not parts:
+        if name not in columns:
             raise ValueError(f"metric {name!r} was reported by no run")
-        values = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        aggregated[name] = CampaignResult(metric=name, values=values)
-    return CampaignReport(runs=runs, metrics=aggregated, raw=raw if raw is not None else [])
+        aggregated[name] = CampaignResult(metric=name, values=columns[name])
+    return CampaignReport(runs=runs, metrics=aggregated, rows=rows)
 
 
 def aggregate_runs(
     raw: Sequence[Mapping[str, Any]],
     metrics: Sequence[str] = (),
-    allow_ragged: bool = False,
 ) -> CampaignReport:
     """Aggregate per-run metric mappings into a :class:`CampaignReport`.
 
@@ -204,11 +205,9 @@ def aggregate_runs(
         Restrict aggregation to these metric names (empty = every numeric
         metric observed in any run except ``seed``; see
         :func:`aggregate_columns`).
-    allow_ragged:
-        By default a metric missing from some runs raises ``ValueError``
-        — silently averaging over a subset of runs would misreport the
-        campaign.  Pass ``True`` to aggregate over the reporting runs only
-        (each :class:`CampaignResult` records its own ``count``).
+
+    A metric missing from some runs raises ``ValueError``: silently
+    averaging over a subset of runs would misreport the campaign.
     """
     if not raw:
         raise ValueError("at least one run is required")
@@ -216,26 +215,17 @@ def aggregate_runs(
     for row in raw:
         for name, value in row.items():
             if isinstance(value, _NUMERIC):
-                column = columns.get(name)
-                if column is None:
-                    columns[name] = column = []
-                column.append(float(value))
+                columns.setdefault(name, []).append(float(value))
     report = aggregate_columns(
-        [{name: tuple(column) for name, column in columns.items()}],
+        {name: tuple(column) for name, column in columns.items()},
         runs=len(raw),
         metrics=metrics,
-        raw=[dict(row) for row in raw],
+        rows=[dict(row) for row in raw].copy,
     )
-    if not allow_ragged:
-        for name, result in report.metrics.items():
-            if result.count != len(raw):
-                missing = [
-                    index
-                    for index, row in enumerate(raw)
-                    if not isinstance(row.get(name), _NUMERIC)
-                ]
-                raise ValueError(
-                    f"metric {name!r} is missing from runs {missing}; pass "
-                    "allow_ragged=True to aggregate over the reporting runs only"
-                )
+    for name, result in report.metrics.items():
+        if result.count != len(raw):
+            missing = [
+                index for index, row in enumerate(raw) if not isinstance(row.get(name), _NUMERIC)
+            ]
+            raise ValueError(f"metric {name!r} is missing from runs {missing}")
     return report

@@ -10,9 +10,9 @@ Two layers:
   streamed rows.  ``Session.connect(url)`` plugs one into an ordinary
   :class:`~repro.api.session.Session`, so ``run`` / ``sweep`` /
   ``campaign`` work unchanged against a remote server — including
-  ``engine="batched"`` campaigns, which the service splits into seed
-  block shards whose composition-invariant rows stay bit-identical to a
-  local run.
+  ``engine="batched"`` campaigns, whose missing seed blocks travel as
+  per-seed specs; the service splits them into seed block shards whose
+  composition-invariant rows stay bit-identical to a local run.
 
 Server-side validation failures surface as :class:`ServiceError`
 carrying the structured 400 body (message + valid choices), not a bare
@@ -187,7 +187,7 @@ class ServiceClient:
 class RemoteExecutor(Executor):
     """Run specs on an experiment server instead of in-process.
 
-    Declares ``serves_batched`` so :meth:`Session.run_all` hands it the
+    Declares itself ``remote`` so :meth:`Session.run_all` hands it the
     raw specs — the *server* decides sharding.  It splits
     ``engine="batched"`` specs into seed blocks, each run vectorized; the
     batch engine's fault streams are counter-based per seed, so every row
@@ -196,7 +196,7 @@ class RemoteExecutor(Executor):
     """
 
     #: The server runs batched-engine specs through BatchCampaignExecutor.
-    serves_batched = True
+    remote = True
 
     def __init__(self, client: ServiceClient, label: str = "remote") -> None:
         self.client = client

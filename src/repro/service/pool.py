@@ -37,16 +37,20 @@ import queue as queue_mod
 import signal
 import threading
 import time
+from functools import partial
 from typing import Any
 
 from ..telemetry import counter as _telemetry_counter
 from ..telemetry import gauge as _telemetry_gauge
 from ..telemetry import histogram as _telemetry_histogram
 from ..telemetry import span
+from ..telemetry.logs import get_logger
+from ..telemetry.logs import log_event as _log_event
 from .jobs import JobQueue
-from .logs import log_event
 from .scaling import ScalingDecision, ScalingPolicy
 from .shards import execute_shard_payload
+
+log_event = partial(_log_event, logger_=get_logger("service"))
 
 #: Supported worker backends.
 MODES: tuple[str, ...] = ("process", "thread")

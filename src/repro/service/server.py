@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs, urlparse
@@ -48,11 +49,14 @@ from ..telemetry import (
 )
 from ..telemetry import counter as _telemetry_counter
 from ..telemetry import histogram as _telemetry_histogram
+from ..telemetry.logs import get_logger
+from ..telemetry.logs import log_event as _log_event
 from .jobs import TERMINAL_STATES, JobQueue
-from .logs import log_event
 from .pool import WorkerPool
 from .scaling import ScalingPolicy
 from .wire import WIRE_KINDS, WireError, validate_job_payload
+
+log_event = partial(_log_event, logger_=get_logger("service"))
 
 #: Default bind address of ``repro-experiments serve``.
 DEFAULT_HOST = "127.0.0.1"

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..api.registry import (
@@ -128,7 +128,6 @@ class JobRequest:
     label: str
     spec_hash: str
     shard_size: int | None = None
-    metadata: dict[str, Any] = field(default_factory=dict)
 
 
 def _check_registry_names(spec_dict: Mapping[str, Any], where: str) -> None:
@@ -214,7 +213,6 @@ def validate_job_payload(payload: Any) -> JobRequest:
         if not isinstance(shard_size, int) or isinstance(shard_size, bool) or shard_size < 1:
             raise WireError("'shard_size' must be a positive integer")
 
-    metadata: dict[str, Any] = {}
     if kind == "batch":
         raw_specs = payload.get("specs")
         if not isinstance(raw_specs, Sequence) or isinstance(raw_specs, (str, bytes)):
@@ -240,17 +238,12 @@ def validate_job_payload(payload: Any) -> JobRequest:
                 seeds=raw.get("seeds", ()),
                 runs=raw.get("runs", 10),
                 metrics=raw.get("metrics", ()),
-                allow_ragged=raw.get("allow_ragged", False),
             )
         except (TypeError, ValueError) as error:
             raise WireError(f"spec: {error}") from None
         specs = tuple(campaign.expand())
         label = f"campaign {_spec_label(base)} ({len(specs)} seeds)"
         canonical = {"kind": kind, "spec": campaign.to_dict()}
-        metadata = {
-            "metrics": list(campaign.metrics),
-            "allow_ragged": campaign.allow_ragged,
-        }
     else:  # sweep
         raw = _require_spec(payload)
         base = _build_spec(_require_field(raw, "base", "spec.base"), "spec.base")
@@ -262,7 +255,6 @@ def validate_job_payload(payload: Any) -> JobRequest:
         axes = ", ".join(sweep.parameters)
         label = f"sweep {_spec_label(base)} over {axes} ({len(specs)} points)"
         canonical = {"kind": kind, "spec": sweep.to_dict()}
-        metadata = {"points": sweep.points(), "axes": list(sweep.parameters)}
 
     if shard_size is not None:
         canonical["shard_size"] = shard_size
@@ -273,7 +265,6 @@ def validate_job_payload(payload: Any) -> JobRequest:
         label=label,
         spec_hash=spec_sha256(canonical),
         shard_size=shard_size,
-        metadata=metadata,
     )
 
 

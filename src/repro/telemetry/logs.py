@@ -4,7 +4,7 @@ Every instrumented layer logs through :func:`log_event`: one JSON object
 per line, stamped with the ambient span's correlation IDs (see
 :mod:`repro.telemetry.spans`), emitted on a child of the ``repro``
 logger — ``repro.telemetry`` by default, ``repro.service`` for the
-service tree (:mod:`repro.service.logs` binds it).  Handlers attach at
+service tree (``get_logger("service")``).  Handlers attach at
 the shared ``repro`` root, so one :func:`configure_logging` call makes
 client-, server- and worker-side events land in the same stream, and one
 ``grep run-abc123`` stitches them back together.

@@ -21,16 +21,17 @@ registry edit) must miss by construction.  Two functions establish that:
   inherits the factory default, so two builds that differ only in a
   default produce different numbers under identical spec payloads.)
 
-:func:`unit_key` combines both into the extended canonical hash the
-warehouse stores under: SHA-256 over the canonical JSON of the unit's
-spec dicts (order-significant for batched seed groups) plus the
-fingerprint digest.
+:func:`unit_key` and :func:`block_key` combine both into the extended
+canonical hashes the warehouse stores under: SHA-256 over the canonical
+JSON of a solo unit's spec dict, or of a batched block's base spec and
+ordered seeds, plus the fingerprint digest.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Sequence
 from typing import Any
 
 #: Bumped when the key derivation itself changes shape, so old entries
@@ -40,7 +41,9 @@ from typing import Any
 #: v3: v2 stores can hold batched rows under behavioural keys (the batch
 #: executor used to override a spec's engine), and those entries persist
 #: under ``~/.cache/repro/warehouse``.
-KEY_SCHEMA_VERSION = 3
+#: v4: batched ``execute`` specs key on (base spec, seed block) — see
+#: :func:`block_key` — and their units store metric columns, not rows.
+KEY_SCHEMA_VERSION = 4
 
 
 def canonical_json(payload: Any) -> str:
@@ -102,15 +105,16 @@ def fingerprint_digest() -> str:
     return canonical_sha256(code_fingerprint())
 
 
-def unit_key(spec_dicts: list[dict[str, Any]], fingerprint: str) -> str:
-    """Extended canonical hash of one warehouse unit.
+def unit_key(spec: dict[str, Any], fingerprint: str) -> str:
+    """Extended canonical hash of the solo warehouse unit of ``spec``."""
+    return canonical_sha256({"fingerprint": fingerprint, "spec": spec})
 
-    ``spec_dicts`` is the ordered list of spec payloads the unit covers —
-    one entry for a solo spec, the ordered seed block for a batched
-    campaign unit.  Batched rows are composition-invariant (each seed
-    draws from its own counter-based stream), so a block's rows equal
-    its seeds' solo rows; the block only decides how they are stored.
+
+def block_key(base: dict[str, Any], seeds: Sequence[int], fingerprint: str) -> str:
+    """Extended canonical hash of one batched seed block.
+
+    ``base`` is the spec dict without its ``seed``; ``seeds`` are ordered.
+    Batched rows are composition-invariant, so a block only decides how
+    its seeds' rows are stored, never what they are.
     """
-    return canonical_sha256(
-        {"fingerprint": fingerprint, "specs": list(spec_dicts)}
-    )
+    return canonical_sha256({"base": base, "fingerprint": fingerprint, "seeds": list(seeds)})

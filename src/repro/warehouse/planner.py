@@ -11,15 +11,14 @@ Unit granularity follows the engines' reproducibility contracts:
 
 * behavioural specs and all design-space kinds are one unit per spec —
   their outcome depends only on the spec itself;
-* ``engine="batched"`` execute specs are grouped by same-experiment and
-  split into consecutive seed **blocks** of the engine's execution block
-  size (:func:`repro.batch.streaming.batch_block_size`, i.e.
-  ``REPRO_BATCH_BLOCK``), one unit per block keyed by its ordered seed
-  sub-list.  The batch engine's fault streams are counter-based per
-  (seed, draw), so rows are independent of block composition — the
-  blocking is safe under any executor, blocks hit or miss independently
-  and a partially synced campaign resumes as a delta of its remaining
-  blocks rather than re-executing whole.
+* ``engine="batched"`` execute specs are grouped by their base spec
+  (everything but the seed) and cut into consecutive seed **blocks** of
+  ``REPRO_BATCH_BLOCK`` seeds, one unit per block holding its metric
+  columns.  Counter-based fault streams make rows independent of block
+  composition, so blocks hit or miss independently and a partially
+  synced campaign resumes as a delta of its missing blocks.
+  :func:`campaign_blocks` walks a batched campaign through the same
+  blocks without expanding its seeds, so either path serves the other.
 
 Every unit is keyed on the spec's declared ``engine``, and no executor
 overrides it, so a unit's key always names the engine that computed it.
@@ -38,14 +37,15 @@ exactly once per logical run.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..api.executors import RunOutcome
 from ..api.spec import ExperimentSpec
-from ..batch.streaming import batch_block_size
-from .keys import canonical_json, fingerprint_digest, unit_key
+from ..batch.engine import ColumnBlock, block_from_records, records_from_columns
+from ..batch.streaming import iter_blocks
+from .keys import block_key, canonical_json, fingerprint_digest, unit_key
 from .store import ResultWarehouse, WarehouseEntry, WAREHOUSE_EVENTS, default_warehouse
 
 #: Kinds whose outcomes carry a rich artifact consumers rely on
@@ -59,24 +59,27 @@ class Unit:
     """One atomic warehouse block of a planned spec set.
 
     ``key is None`` marks an uncacheable unit: it always executes and is
-    never stored.
+    never stored.  A block unit's ``spec`` is its base (no ``seed``).
     """
 
     indices: tuple[int, ...]
     key: str | None
-    spec_dicts: tuple[dict[str, Any], ...]
+    spec: dict[str, Any] | None
     kind: str
     engine: str
+    seeds: tuple[int, ...] = ()
 
 
-def _spec_payload(spec: ExperimentSpec) -> dict[str, Any] | None:
-    """The spec's canonical dict, or ``None`` when it has no JSON form."""
+def _spec_payload(spec: ExperimentSpec, seedless: bool = False) -> dict[str, Any] | None:
+    """The spec's canonical dict (minus ``seed``), or ``None`` without a JSON form."""
     if spec.collect_trace:
         # Traces are rich in-process objects the record stream does not
         # carry; replaying from records would silently drop them.
         return None
     try:
         payload = spec.to_dict()
+        if seedless:
+            del payload["seed"]
         canonical_json(payload)  # reject NaN / non-JSON parameter values
     except (TypeError, ValueError):
         return None
@@ -87,56 +90,59 @@ def plan_units(specs: Sequence[ExperimentSpec]) -> list[Unit]:
     """Split a spec list into warehouse units (see module docstring)."""
     fingerprint = fingerprint_digest()
     units: list[Unit] = []
-    groups: dict[str, list[int]] = {}
-    payloads: dict[int, dict[str, Any]] = {}
+    groups: dict[str, tuple[dict[str, Any], list[int]]] = {}
     for index, spec in enumerate(specs):
-        payload = _spec_payload(spec)
+        payload = _spec_payload(spec, seedless=spec.seed_grouped)
         if payload is None:
-            units.append(
-                Unit(
-                    indices=(index,),
-                    key=None,
-                    spec_dicts=(),
-                    kind=spec.kind,
-                    engine=spec.engine,
-                )
-            )
-            continue
-        payloads[index] = payload
-        if spec.seed_grouped:
-            # Group by everything except the seed.  Rows are
-            # composition-invariant, so the blocks cut below need not
-            # match how any executor batches the group.
-            group = canonical_json({k: v for k, v in payload.items() if k != "seed"})
-            groups.setdefault(group, []).append(index)
+            units.append(Unit((index,), None, None, spec.kind, spec.engine))
+        elif spec.seed_grouped:
+            # Rows are composition-invariant, so the blocks cut below
+            # need not match how any executor batches the group.
+            groups.setdefault(canonical_json(payload), (payload, []))[1].append(index)
         else:
-            units.append(
-                Unit(
-                    indices=(index,),
-                    key=unit_key([payload], fingerprint),
-                    spec_dicts=(payload,),
-                    kind=spec.kind,
-                    engine=spec.engine,
-                )
-            )
-    block = batch_block_size()
-    for indices in groups.values():
-        # Per-block units: a million-seed campaign stores (and resumes)
-        # as independent block deltas instead of one atomic entry.
-        step = block if block is not None else len(indices)
-        for start in range(0, len(indices), step):
-            chunk = indices[start : start + step]
-            spec_dicts = tuple(payloads[index] for index in chunk)
-            units.append(
-                Unit(
-                    indices=tuple(chunk),
-                    key=unit_key(list(spec_dicts), fingerprint),
-                    spec_dicts=spec_dicts,
+            key = unit_key(payload, fingerprint)
+            units.append(Unit((index,), key, payload, spec.kind, spec.engine))
+    for base, indices in groups.values():
+        for piece in iter_blocks(len(indices)):
+            chunk = tuple(indices[piece])
+            seeds = tuple(specs[index].seed for index in chunk)
+            key = block_key(base, seeds, fingerprint)
+            units.append(Unit(chunk, key, base, "execute", "batched", seeds))
+    return units
+
+
+def campaign_blocks(
+    base: ExperimentSpec,
+    seeds: Sequence[int],
+    compute: Callable[[tuple[int, ...]], ColumnBlock],
+) -> Iterator[ColumnBlock]:
+    """A batched campaign's seed blocks, in order, served or computed.
+
+    The seeds are cut into the block units :func:`plan_units` gives the
+    expanded campaign; ``compute(block_seeds)`` fills (and stores) a miss.
+    """
+    warehouse = default_warehouse()
+    payload = _spec_payload(base, seedless=True) if warehouse.enabled else None
+    if warehouse.enabled and payload is None:
+        WAREHOUSE_EVENTS.inc(len(seeds), outcome="uncacheable")
+    fingerprint = fingerprint_digest()
+    for piece in iter_blocks(len(seeds)):
+        block_seeds = tuple(seeds[piece])
+        key = None if payload is None else block_key(payload, block_seeds, fingerprint)
+        entry = warehouse.get(key) if key is not None else None
+        block = entry.block if entry is not None and entry.seeds == block_seeds else None
+        if block is None:
+            block = compute(block_seeds)
+            if key is not None:
+                warehouse.put(
+                    key,
+                    spec=payload,
                     kind="execute",
                     engine="batched",
+                    block=block,
+                    fingerprint=fingerprint,
                 )
-            )
-    return units
+        yield block
 
 
 @dataclass
@@ -161,24 +167,25 @@ class DeltaPlan:
 
     def missing_indices(self) -> list[int]:
         """Spec indices that still need executing, in input order."""
-        missing: list[int] = []
-        for position, unit in enumerate(self.units):
-            if position not in self.entries:
-                missing.extend(unit.indices)
-        return sorted(missing)
+        return sorted(
+            index
+            for position, unit in enumerate(self.units)
+            if position not in self.entries
+            for index in unit.indices
+        )
 
     def missing_specs(self) -> list[ExperimentSpec]:
         """The specs behind :meth:`missing_indices`, in that order."""
         return [self.specs[index] for index in self.missing_indices()]
 
     # ------------------------------------------------------------------ #
-    def merge(self, outcomes: Sequence[RunOutcome], sync: bool = True) -> list[RunOutcome]:
+    def merge(self, outcomes: Sequence[RunOutcome]) -> list[RunOutcome]:
         """Interleave fresh outcomes with cached ones, in original order.
 
         ``outcomes`` must be the executor's results for
-        :meth:`missing_specs`, in that order.  With ``sync=True`` the
-        fresh units are written back to the warehouse, so the next plan
-        over the same specs is fully cached.
+        :meth:`missing_specs`, in that order.  The fresh units are written
+        back to the warehouse, so the next plan over the same specs is
+        fully cached.
         """
         missing = self.missing_indices()
         if len(outcomes) != len(missing):
@@ -190,19 +197,20 @@ class DeltaPlan:
             entry = self.entries.get(position)
             if entry is None:
                 continue
-            for offset, index in enumerate(unit.indices):
+            if entry.block is not None:
+                for index, record in zip(unit.indices, records_from_columns(entry.block)):
+                    merged[index] = RunOutcome(spec=self.specs[index], records=[record])
+            else:
+                (index,) = unit.indices
                 merged[index] = RunOutcome(
                     spec=self.specs[index],
-                    records=[dict(row) for row in entry.records_per_spec[offset]],
-                    # Group units are execute-kind (artifact-free); solo
-                    # units hand the decoded artifact straight back.
-                    artifact=entry.artifact if len(unit.indices) == 1 else None,
+                    records=[dict(row) for row in entry.records],
+                    artifact=entry.artifact,
                 )
         by_index = dict(zip(missing, outcomes))
         for index, outcome in by_index.items():
             merged[index] = outcome
-        if sync:
-            self._sync(by_index)
+        self._sync(by_index)
         return merged  # type: ignore[return-value]
 
     def _sync(self, by_index: dict[int, RunOutcome]) -> None:
@@ -210,25 +218,27 @@ class DeltaPlan:
         for position, unit in enumerate(self.units):
             if unit.key is None or position in self.entries:
                 continue
-            unit_outcomes = [by_index[index] for index in unit.indices]
-            artifact = None
-            if unit.kind in ARTIFACT_KINDS:
-                artifact = unit_outcomes[0].artifact
-                if artifact is None:
+            records = [row for index in unit.indices for row in by_index[index].records]
+            stored: dict[str, Any] = {"records": records}
+            if unit.seeds:
+                try:
+                    stored = {"block": block_from_records(records, unit.seeds)}
+                except ValueError:
+                    continue  # not batched rows: they have no column form
+            elif unit.kind in ARTIFACT_KINDS:
+                stored["artifact"] = by_index[unit.indices[0]].artifact
+                if stored["artifact"] is None:
                     # Remote executions keep artifacts server-side; a
                     # record-only entry would later be served to callers
                     # that need the artifact (fig4, Session.pareto).
                     continue
             self.warehouse.put(
                 unit.key,
-                spec_dicts=list(unit.spec_dicts),
-                records_per_spec=[
-                    [dict(row) for row in outcome.records] for outcome in unit_outcomes
-                ],
+                spec=unit.spec,
                 kind=unit.kind,
                 engine=unit.engine,
-                artifact=artifact,
                 fingerprint=self.fingerprint,
+                **stored,
             )
 
 
@@ -250,17 +260,12 @@ class DeltaPlanner:
             entry = self.warehouse.get(unit.key)
             if entry is None:
                 continue
-            if len(entry.records_per_spec) != len(unit.indices):
-                continue  # malformed pairing: execute rather than trust it
+            if entry.seeds != unit.seeds:
+                continue  # not this unit's shape or seeds: execute rather than trust it
             if unit.kind in ARTIFACT_KINDS and entry.artifact is None:
                 continue  # artifact consumers need more than the records
             entries[position] = entry
-        return DeltaPlan(
-            specs=specs,
-            units=units,
-            entries=entries,
-            warehouse=self.warehouse,
-        )
+        return DeltaPlan(specs=specs, units=units, entries=entries, warehouse=self.warehouse)
 
 
 _ACTIVE = threading.local()

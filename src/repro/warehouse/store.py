@@ -5,11 +5,11 @@ One flat directory of ``<key>.json`` entry documents under
 ``REPRO_CACHE_DIR`` relocates both stores together;
 ``REPRO_WAREHOUSE_DIR`` overrides just the warehouse, and
 ``REPRO_NO_WAREHOUSE=1`` disables it entirely).  Each entry is one
-*unit* of completed work: the ordered spec dicts it answers, their metric
-records, and — for design-space kinds — the pickled rich artifact
-(optimization result, feasible region, Pareto front), so a warm replay
-reconstructs :class:`~repro.api.executors.RunOutcome` objects
-bit-identical to a cold run.
+*unit* of completed work: a spec with its records and — for design-space
+kinds — the pickled artifact (optimization result, feasible region,
+Pareto front), or a batched seed block's base spec and float metric
+columns (laid out only by :func:`_encode_block` / :func:`_decode_block`),
+so a warm replay reconstructs outcomes bit-identical to a cold run.
 
 The warehouse follows the profile cache's durability discipline: writes
 go to a temp file in the target directory and land via ``os.replace``
@@ -28,10 +28,13 @@ import os
 import pickle
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
+from ..batch.engine import LABELS, METRIC_COLUMNS, ColumnBlock, seed_column
 from ..runtime.profile_cache import default_cache_dir
 from ..telemetry import counter as _telemetry_counter
 from .keys import fingerprint_digest
@@ -43,7 +46,11 @@ ENV_WAREHOUSE_DIR = "REPRO_WAREHOUSE_DIR"
 ENV_NO_WAREHOUSE = "REPRO_NO_WAREHOUSE"
 
 #: Schema version of the on-disk entry documents; bump when they change.
-DISK_FORMAT_VERSION = 1
+#: v2: one ``spec`` per entry; batched block units store columns.
+DISK_FORMAT_VERSION = 2
+
+#: The stored columns of a block: the seed column is rebuilt from the seeds.
+_BLOCK_COLUMNS = METRIC_COLUMNS[1:]
 
 #: Warehouse outcomes, for ``/v1/metrics`` and ``metrics.jsonl``
 #: (outcomes: hit, miss, store, corrupt, uncacheable, invalidated).
@@ -69,22 +76,69 @@ def _disabled_by_env() -> bool:
 
 @dataclass(frozen=True)
 class WarehouseEntry:
-    """One decoded warehouse unit: specs, records, optional artifact."""
+    """One decoded unit: solo ``records`` or a seed ``block`` (``spec`` is its base)."""
 
     key: str
     kind: str
     engine: str
     fingerprint: str
-    spec_dicts: tuple[dict[str, Any], ...]
-    records_per_spec: tuple[tuple[dict[str, Any], ...], ...]
+    spec: dict[str, Any]
+    records: tuple[dict[str, Any], ...] = ()
+    block: ColumnBlock | None = field(default=None, compare=False, repr=False)
     artifact: Any = field(default=None, compare=False, repr=False)
     created_at: float = 0.0
     nbytes: int = 0
 
     @property
+    def seeds(self) -> tuple[int, ...]:
+        """A block unit's seeds (none for a solo unit)."""
+        return self.block.seeds if self.block is not None else ()
+
+    @property
+    def specs(self) -> int:
+        """Number of specs (runs) the unit answers."""
+        return len(self.seeds) or 1
+
+    @property
     def rows(self) -> int:
-        """Total metric rows across the unit's specs."""
-        return sum(len(records) for records in self.records_per_spec)
+        """Total metric rows the unit answers."""
+        return len(self.seeds) or len(self.records)
+
+
+def _encode_block(block: ColumnBlock) -> dict[str, Any]:
+    """The JSON form of a block unit's payload."""
+    return {
+        "seeds": list(block.seeds),
+        "labels": list(block.labels),
+        "columns": {name: block.columns[name].tolist() for name in _BLOCK_COLUMNS},
+    }
+
+
+def _decode_block(payload: Any) -> ColumnBlock | None:
+    """Inverse of :func:`_encode_block`; ``None`` for any malformed payload."""
+    if not isinstance(payload, dict):
+        return None
+    seeds, labels, columns = payload.get("seeds"), payload.get("labels"), payload.get("columns")
+    if not (
+        isinstance(seeds, list)
+        and isinstance(labels, list)
+        and isinstance(columns, dict)
+        and seeds
+        and set(map(type, seeds)) == {int}
+        and len(labels) == len(LABELS)
+        and set(map(type, labels)) == {str}
+        and set(columns) == set(_BLOCK_COLUMNS)
+        and all(
+            isinstance(values, list)
+            and len(values) == len(seeds)
+            and set(map(type, values)) == {float}
+            for values in columns.values()
+        )
+    ):
+        return None
+    decoded = {"seed": seed_column(seeds)}
+    decoded.update((name, np.array(columns[name], dtype=np.float64)) for name in _BLOCK_COLUMNS)
+    return ColumnBlock(tuple(seeds), tuple(labels), decoded)
 
 
 @dataclass
@@ -97,12 +151,7 @@ class WarehouseStats:
     corrupt: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "corrupt": self.corrupt,
-        }
+        return asdict(self)
 
 
 class ResultWarehouse:
@@ -175,21 +224,16 @@ class ResultWarehouse:
             return self._corrupt()
         if document.get("key") != expected_key:
             return self._corrupt()
-        specs = document.get("specs")
-        records = document.get("records_per_spec")
+        spec, records = document.get("spec"), document.get("records", [])
         fingerprint = document.get("fingerprint")
+        block = _decode_block(document["block"]) if "block" in document else None
         if (
-            not isinstance(specs, list)
-            or not isinstance(records, list)
-            or len(specs) != len(records)
-            or not specs
+            not isinstance(spec, dict)
             or not isinstance(fingerprint, str)
-            or any(not isinstance(entry, dict) for entry in specs)
-            or any(
-                not isinstance(spec_records, list)
-                or any(not isinstance(row, dict) for row in spec_records)
-                for spec_records in records
-            )
+            or ("block" in document) == ("records" in document)  # exactly one payload
+            or ("block" in document and (block is None or "artifact" in document))
+            or not isinstance(records, list)
+            or any(not isinstance(row, dict) for row in records)
         ):
             return self._corrupt()
         artifact = None
@@ -206,10 +250,9 @@ class ResultWarehouse:
             kind=str(document.get("kind", "execute")),
             engine=str(document.get("engine", "behavioural")),
             fingerprint=fingerprint,
-            spec_dicts=tuple(dict(entry) for entry in specs),
-            records_per_spec=tuple(
-                tuple(dict(row) for row in spec_records) for spec_records in records
-            ),
+            spec=spec,
+            records=tuple(records),
+            block=block,
             artifact=artifact,
             created_at=float(document.get("created_at") or 0.0),
             nbytes=len(text.encode("utf-8")),
@@ -226,19 +269,22 @@ class ResultWarehouse:
     def put(
         self,
         key: str,
-        spec_dicts: list[dict[str, Any]],
-        records_per_spec: list[list[dict[str, Any]]],
+        spec: dict[str, Any],
         kind: str,
         engine: str,
+        records: list[dict[str, Any]] | None = None,
+        block: ColumnBlock | None = None,
         artifact: Any = None,
         fingerprint: str | None = None,
     ) -> bool:
         """Store one completed unit; idempotent, never raises on IO errors.
 
-        Returns whether a new entry landed on disk.  An existing entry
-        under the same key is left untouched (content-addressed entries
-        are immutable), and any failure — unpicklable artifact, read-only
-        filesystem — degrades to "not stored".
+        A solo unit passes ``records`` (and an optional ``artifact``), a
+        block unit its ``block``.  Returns whether a new entry landed on
+        disk.  An existing entry under the same key is left untouched
+        (content-addressed entries are immutable), and any failure —
+        unpicklable artifact, read-only filesystem — degrades to "not
+        stored".
         """
         if not self.enabled:
             return False
@@ -252,11 +298,12 @@ class ResultWarehouse:
             "kind": kind,
             "engine": engine,
             "created_at": time.time(),
-            "specs": [dict(entry) for entry in spec_dicts],
-            "records_per_spec": [
-                [dict(row) for row in spec_records] for spec_records in records_per_spec
-            ],
+            "spec": dict(spec),
         }
+        if block is not None:
+            document["block"] = _encode_block(block)
+        else:
+            document["records"] = [dict(row) for row in records or ()]
         if artifact is not None:
             try:
                 document["artifact"] = base64.b64encode(
@@ -306,7 +353,7 @@ class ResultWarehouse:
             "directory": str(self.directory),
             "enabled": self.enabled,
             "entries": len(entries),
-            "specs": sum(len(entry.spec_dicts) for entry in entries),
+            "specs": sum(entry.specs for entry in entries),
             "rows": sum(entry.rows for entry in entries),
             "bytes": sum(entry.nbytes for entry in entries),
             "stale": sum(1 for entry in entries if entry.fingerprint != current),

@@ -91,40 +91,14 @@ class TestSession:
         with pytest.raises(ValueError):
             session.campaign(campaign, seeds=(1, 2))
 
-    def test_streamed_campaign_matches_materialized(self, small_adpcm_encode):
-        session = Session()
-        spec = ExperimentSpec(app=small_adpcm_encode, engine="batched")
-        seeds = tuple(range(23))
-        full = session.campaign(spec, seeds=seeds)
-        streamed = session.campaign(spec, seeds=seeds, stream=True)
-        assert streamed.runs == full.runs
-        assert set(streamed.metrics) == set(full.metrics)
-        for name, result in full.metrics.items():
-            other = streamed[name]
-            assert other.mean == result.mean
-            assert other.stdev == result.stdev
-            assert other.median == result.median
-            assert other.p95 == result.p95
-            assert other.minimum == result.minimum
-            assert other.maximum == result.maximum
-        # Raw per-run rows are the one thing streaming gives up.
-        assert streamed.raw == []
-
-    def test_streamed_campaign_requires_batched_engine(self, small_adpcm_encode):
-        session = Session()
-        spec = ExperimentSpec(app=small_adpcm_encode, engine="behavioural")
-        with pytest.raises(ValueError, match="batched"):
-            session.campaign(spec, seeds=(0, 1), stream=True, engine="behavioural")
-
-    @pytest.mark.parametrize("stream", [False, True])
-    def test_campaign_rejects_a_metric_no_run_reports(self, small_adpcm_encode, stream):
+    def test_campaign_rejects_a_metric_no_run_reports(self, small_adpcm_encode):
         campaign = CampaignSpec(
             base=ExperimentSpec(app=small_adpcm_encode, engine="batched"),
             seeds=(0, 1),
             metrics=("energy_nj", "no_such_metric"),
         )
         with pytest.raises(ValueError, match="'no_such_metric' was reported by no run"):
-            Session().campaign(campaign, stream=stream)
+            Session().campaign(campaign)
 
     def test_campaign_report_result_set_surfaces_tail_metrics(self, small_adpcm_encode):
         session = Session()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.api.spec import CampaignSpec, ExperimentSpec, SweepSpec
@@ -146,6 +147,31 @@ class TestCampaignSpec:
             base=ExperimentSpec(app="jpeg-decode", strategy="hybrid-optimal"),
             seeds=(0, 1, 2),
             metrics=("energy_pj", "total_cycles"),
-            allow_ragged=True,
         )
         assert CampaignSpec.from_json(campaign.to_json()) == campaign
+
+
+class TestSeedDomain:
+    """Seeds are ints (not bools) in [0, 2**64), checked where specs are built."""
+
+    BAD = (-1, 2**64, 2.5, 2.0, "3", True, None)
+
+    @pytest.mark.parametrize("seed", BAD)
+    @pytest.mark.parametrize("engine", ("behavioural", "batched"))
+    def test_experiment_rejects_non_seeds(self, seed, engine):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            ExperimentSpec(app="adpcm-encode", seed=seed, engine=engine)
+
+    @pytest.mark.parametrize("seeds", ([1.5, 2.7], ["3"], [True], [0, -1], [2**64]))
+    def test_campaign_rejects_non_seeds(self, seeds):
+        with pytest.raises(ValueError, match="campaign seeds"):
+            CampaignSpec(base=ExperimentSpec(app="adpcm-encode"), seeds=seeds)
+
+    def test_domain_edges_and_integer_types_are_accepted(self):
+        top = ExperimentSpec(app="adpcm-encode", seed=2**64 - 1)
+        assert top.seed == 2**64 - 1
+        spec = ExperimentSpec(app="adpcm-encode", seed=np.int64(7))
+        assert spec.seed == 7 and type(spec.seed) is int
+        campaign = CampaignSpec(base=spec, seeds=(np.uint64(3), 0))
+        assert campaign.seeds == (3, 0)
+        assert all(type(seed) is int for seed in campaign.seeds)

@@ -120,6 +120,17 @@ class TestBatchCampaignExecutor:
         assert BATCH_GROUPS.value() - groups == 1
         assert [o.record for o in outcomes] == [execute_spec(s).record for s in specs]
 
+    def test_rows_report_seeds_above_2_53_exactly(self):
+        # The float64 seed column rounds 2**53 + 1; rows take the int seed.
+        seeds = (2**53 + 1, 2**64 - 1)
+        base = ExperimentSpec(app="adpcm-encode", strategy="default", engine="batched")
+        solo = execute_spec(replace(base, seed=seeds[0])).record
+        assert solo["seed"] == seeds[0]
+        grouped = BatchCampaignExecutor().map([replace(base, seed=seed) for seed in seeds])
+        assert [outcome.record["seed"] for outcome in grouped] == list(seeds)
+        report = Session().campaign(CampaignSpec(base=base, seeds=seeds))
+        assert [row["seed"] for row in report.raw] == list(seeds)
+
     def test_registry_specs_group_via_serialization(self):
         specs = [
             ExperimentSpec(app="adpcm-encode", strategy="default", seed=seed, engine="batched")

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.batch import BatchTaskModel, CumulativeRate, classify_outcomes
+from repro.batch.engine import iter_column_blocks, records_from_columns
 from repro.batch.substrate import SUBSTRATE
 from repro.core.config import PAPER_OPERATING_POINT
 from repro.core.strategies import (
@@ -40,6 +41,13 @@ def _strategies(app, constraints):
     ]
 
 
+def _solo_record(model: BatchTaskModel) -> dict:
+    """The batched record of seed 0."""
+    (block,) = iter_column_blocks(model, [0])
+    (record,) = records_from_columns(block)
+    return record
+
+
 class TestFaultFreeExactness:
     """Zero-rate batched runs must match the behavioural engine exactly."""
 
@@ -49,7 +57,7 @@ class TestFaultFreeExactness:
         strategy = _strategies(app, ZERO_RATE)[strategy_index]
         behavioural = run_task(app, strategy, constraints=ZERO_RATE, seed=0).stats
         model = BatchTaskModel(app, strategy, constraints=ZERO_RATE, profile_seed=0)
-        record = model.simulate([0])[0]
+        record = _solo_record(model)
 
         assert record["total_cycles"] == behavioural.total_cycles
         assert record["useful_cycles"] == behavioural.useful_cycles
@@ -67,9 +75,9 @@ class TestFaultFreeExactness:
         app = small_jpeg_decode
         strategy = HybridStrategy(64, ZERO_RATE, extra_buffer_words=app.state_words())
         behavioural = run_task(app, strategy, constraints=ZERO_RATE, seed=0).stats
-        record = BatchTaskModel(
-            app, strategy, constraints=ZERO_RATE, profile_seed=0
-        ).simulate([0])[0]
+        record = _solo_record(
+            BatchTaskModel(app, strategy, constraints=ZERO_RATE, profile_seed=0)
+        )
         assert record["total_cycles"] == behavioural.total_cycles
         assert record["energy_pj"] == pytest.approx(behavioural.total_energy_pj, rel=1e-9)
 
@@ -79,9 +87,9 @@ class TestFaultFreeExactness:
 
         spec = ExperimentSpec(app=small_adpcm_encode, strategy="default")
         behavioural_record = execute_spec(spec).record
-        batched_record = BatchTaskModel(
-            small_adpcm_encode, DefaultStrategy(PAPER_OPERATING_POINT)
-        ).simulate([0], scenario_label="paper-constant")[0]
+        batched_record = _solo_record(
+            BatchTaskModel(small_adpcm_encode, DefaultStrategy(PAPER_OPERATING_POINT))
+        )
         assert set(batched_record) == set(behavioural_record)
 
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.apps.adpcm import AdpcmEncodeApp
 from repro.batch.design import grid_optimal_chunks_for_rates
-from repro.batch.engine import METRIC_COLUMNS, iter_column_blocks, simulate_columns
+from repro.batch.engine import METRIC_COLUMNS, iter_column_blocks, join_blocks
 from repro.batch.model import BatchTaskModel
 from repro.batch.pareto import grid_pareto_front
 from repro.batch.streaming import (
@@ -58,6 +58,11 @@ def _campaign_model() -> BatchTaskModel:
         model = BatchTaskModel(app, strategy, constraints=STRESS)
         _MODEL_CACHE["model"] = model
     return model
+
+
+def _columns(model: BatchTaskModel, seeds, block=None) -> dict:
+    """Whole-campaign metric columns, simulated in ``block``-sized pieces."""
+    return join_blocks(iter_column_blocks(model, seeds, block=block)).columns
 
 
 class TestBlockSizeConfig:
@@ -159,13 +164,11 @@ class TestColumnFold:
     def test_blocks_fold_bit_identical_to_aggregate_runs(self, columns, block):
         arrays = {name: np.asarray(vals) for name, vals in columns.items()}
         rows = len(arrays["alpha"])
-        report = aggregate_columns(
-            (
-                {n: a[piece] for n, a in arrays.items()}
-                for piece in iter_blocks(rows, block)
-            ),
-            runs=rows,
-        )
+        joined = {
+            n: np.concatenate([a[piece] for piece in iter_blocks(rows, block)])
+            for n, a in arrays.items()
+        }
+        report = aggregate_columns(joined, runs=rows)
         reference = aggregate_runs(
             [{n: float(a[i]) for n, a in arrays.items()} for i in range(rows)]
         )
@@ -197,8 +200,8 @@ class TestCampaignBlockInvariance:
     )
     def test_columns_byte_identical_for_every_block_size(self, seeds, block):
         model = _campaign_model()
-        reference = simulate_columns(model, seeds, block=len(seeds))
-        blocked = simulate_columns(model, seeds, block=block)
+        reference = _columns(model, seeds, block=len(seeds))
+        blocked = _columns(model, seeds, block=block)
         assert set(blocked) == set(reference) == set(METRIC_COLUMNS)
         for name in METRIC_COLUMNS:
             assert blocked[name].dtype == reference[name].dtype
@@ -207,14 +210,12 @@ class TestCampaignBlockInvariance:
     def test_streamed_report_matches_materialized(self):
         model = _campaign_model()
         seeds = list(range(71))  # ragged against both 7 and 64
-        columns = simulate_columns(model, seeds)
+        columns = _columns(model, seeds)
         reference = aggregate_runs(
             [{n: float(c[i]) for n, c in columns.items()} for i in range(len(seeds))]
         )
         for block in BLOCK_SIZES:
-            report = aggregate_columns(
-                iter_column_blocks(model, seeds, block=block), runs=len(seeds)
-            )
+            report = aggregate_columns(_columns(model, seeds, block=block), runs=len(seeds))
             assert list(report.metrics) == list(reference.metrics)
             for name in reference.metrics:
                 for stat in STATISTICS:

@@ -77,13 +77,6 @@ class TestRaggedMetricSets:
         with pytest.raises(ValueError, match=r"'sometimes' is missing from runs \[1\]"):
             aggregate_runs(_runs([0, 1, 2], self._ragged))
 
-    def test_allow_ragged_records_partial_count(self):
-        report = aggregate_runs(_runs([0, 1, 2], self._ragged), allow_ragged=True)
-        assert report.runs == 3
-        assert report["always"].count == 3
-        assert report["sometimes"].count == 2
-        assert report["sometimes"].values == (0.0, 2.0)
-
     def test_aggregate_runs_ignores_labels_and_restricts_metrics(self):
         raw = [
             {"application": "adpcm-encode", "energy": 1.0, "cycles": 10.0},
@@ -120,27 +113,34 @@ class TestMetricRule:
 
 
 class TestAggregateColumns:
-    def test_blocks_join_per_metric_in_run_order(self):
-        blocks = [
-            {"seed": np.array([0.0, 1.0]), "b": np.array([3.0, 1.0]), "a": np.array([5.0, 6.0])},
-            {"seed": np.array([2.0]), "b": np.array([2.0]), "a": np.array([7.0])},
-        ]
-        report = aggregate_columns(iter(blocks), runs=3)
+    def test_columns_fold_in_run_order_without_the_seed(self):
+        columns = {
+            "seed": np.array([0.0, 1.0, 2.0]),
+            "b": np.array([3.0, 1.0, 2.0]),
+            "a": np.array([5.0, 6.0, 7.0]),
+        }
+        report = aggregate_columns(columns, runs=3)
         assert list(report.metrics) == ["a", "b"]
         assert report.runs == 3
         assert report.raw == []
         assert report["b"].values.tolist() == [3.0, 1.0, 2.0]
         assert report["b"].median == 2.0
 
-    def test_single_block_columns_are_kept_as_given(self):
+    def test_columns_are_kept_as_given(self):
         column = (1.0, 2.0)
-        report = aggregate_columns([{"a": column}], runs=2)
+        report = aggregate_columns({"a": column}, runs=2)
         assert report["a"].values is column
 
-    def test_requested_metric_missing_from_every_block_raises(self):
+    def test_requested_metric_missing_from_the_columns_raises(self):
         with pytest.raises(ValueError, match="'b' was reported by no run"):
-            aggregate_columns([{"a": np.ones(2)}], runs=2, metrics=("b",))
+            aggregate_columns({"a": np.ones(2)}, runs=2, metrics=("b",))
 
     def test_requires_at_least_one_run(self):
         with pytest.raises(ValueError, match="at least one run"):
-            aggregate_columns([], runs=0)
+            aggregate_columns({}, runs=0)
+
+    def test_rows_are_rebuilt_on_every_read(self):
+        calls = []
+        report = aggregate_columns({"a": (1.0,)}, runs=1, rows=lambda: calls.append(1) or [])
+        assert report.raw == [] and report.raw == []
+        assert len(calls) == 2

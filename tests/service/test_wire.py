@@ -147,6 +147,17 @@ class TestStructuredErrors:
         error = self._error({"kind": "batch", "specs": "oops"})
         assert "list" in error.message
 
+    @pytest.mark.parametrize("seeds", ([1.5, 2.7], ["3"], [True], [-1]))
+    def test_campaign_seeds_must_be_integers(self, seeds):
+        base = ExperimentSpec(app="adpcm-encode").to_dict()
+        error = self._error({"kind": "campaign", "spec": {"base": base, "seeds": seeds}})
+        assert error.status == 400
+        assert "campaign seeds must be an integer" in error.message
+
+    def test_spec_seed_must_be_an_integer(self):
+        error = self._error(_experiment(seed=2.5))
+        assert "seed must be an integer" in error.message
+
     def test_bad_shard_size(self):
         for bad in (0, -1, "four", True):
             error = self._error(_experiment() | {"shard_size": bad})

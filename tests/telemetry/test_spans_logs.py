@@ -92,9 +92,9 @@ class TestLogEvent:
         assert event["run_id"] == "run-explicit"
 
     def test_custom_logger_stays_in_hierarchy(self, log_stream):
-        from repro.service.logs import log_event as service_log_event
+        from repro.telemetry.logs import get_logger
 
-        service_log_event("job.submitted", job="job-1")
+        log_event("job.submitted", logger_=get_logger("service"), job="job-1")
         assert "repro.service" in log_stream.getvalue()
         (event,) = _events(log_stream)
         assert event["event"] == "job.submitted"

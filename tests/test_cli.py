@@ -82,6 +82,10 @@ class TestSpecCommands:
         assert row["seed"] == 3
         assert row["output_correct"] == 1.0
 
+    def test_run_rejects_a_negative_seed(self, capsys):
+        assert main(["run", "--app", "adpcm-encode", "--seed", "-1"]) == 2
+        assert "seed must be an integer" in capsys.readouterr().err
+
     def test_run_hybrid_requires_chunk_words(self, capsys):
         assert main(["run", "--app", "adpcm-encode", "--strategy", "hybrid"]) == 2
         assert "--chunk-words" in capsys.readouterr().err

@@ -23,9 +23,16 @@ and for in-process executors its artifact, compared by canonical dump
 its own warehouse directory and draws the engines' block size
 (``REPRO_BATCH_BLOCK``) from 1, 7 and the default.
 
-A second property checks the two campaign paths: a streamed
-``Session.campaign(stream=True)`` reports the same seven statistics per
-metric as the materialized campaign.
+A second property checks the one batched campaign path: a
+``Session.campaign`` report equals :func:`aggregate_runs` over the cold
+solo ``execute_spec`` rows of its seeds — all seven statistics per metric
+and every ``raw`` row — under five cache states:
+
+* cold, warm and partial (a prefix of the seeds ran first), as above;
+* ``run_all`` first — the expanded specs ran through ``Session.run_all``
+  first, and the campaign must be served their stored blocks;
+* campaign first — the campaign ran first, and ``Session.run_all`` over
+  the expanded specs must be served its blocks, row for row.
 """
 
 from __future__ import annotations
@@ -38,16 +45,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api.executors import BatchCampaignExecutor, ParallelExecutor, execute_spec
+from repro.api.executors import (
+    SPECS_EXECUTED,
+    BatchCampaignExecutor,
+    ParallelExecutor,
+    execute_spec,
+)
 from repro.api.session import Session
 from repro.api.spec import ENGINES, CampaignSpec, ExperimentSpec
 from repro.batch.streaming import ENV_BLOCK
+from repro.faults.campaign import aggregate_runs
 from repro.runtime.profile_cache import ENV_CACHE_DIR
 from repro.service import ExperimentServer, ScalingPolicy
 from repro.warehouse.store import ENV_NO_WAREHOUSE, ENV_WAREHOUSE_DIR
 
 EXECUTORS = ("serial", "parallel", "batched", "remote")
 CACHE_STATES = ("cold", "warm", "partial", "cross-engine")
+CAMPAIGN_STATES = ("cold", "warm", "partial", "run_all-first", "campaign-first")
+STATISTICS = ("count", "mean", "stdev", "median", "p95", "minimum", "maximum")
 
 #: ``REPRO_BATCH_BLOCK`` values drawn per example (``None`` = the default).
 BLOCK_SIZES = ("1", "7", None)
@@ -106,12 +121,28 @@ _campaigns = st.builds(
         scenario=st.sampled_from(("paper-constant", "storm", "markov")),
         engine=st.just("batched"),
     ),
-    seeds=st.lists(st.integers(min_value=0, max_value=99), min_size=1, max_size=9, unique=True),
+    seeds=st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=9, unique=True),
     metrics=st.sampled_from(((), ("energy_nj", "seed"), ("rollbacks", "total_cycles"))),
 )
 
 #: Cold solo (records, artifact dump) per spec JSON, with the warehouse off.
 _REFERENCE: dict[str, tuple[str, str | None]] = {}
+
+
+def _executed() -> float:
+    return sum(sample["value"] for sample in SPECS_EXECUTED.samples())
+
+
+def _solo_rows(campaign: CampaignSpec) -> list[dict]:
+    """Cold solo ``execute_spec`` rows of every campaign seed (cached per spec)."""
+    rows = []
+    for spec in campaign.expand():
+        key = spec.to_json()
+        if key not in _REFERENCE:
+            _REFERENCE[key] = (json.dumps(execute_spec(spec).records), None)
+        (row,) = json.loads(_REFERENCE[key][0])
+        rows.append(row)
+    return rows
 
 
 def _flipped(spec: ExperimentSpec) -> ExperimentSpec:
@@ -148,6 +179,7 @@ def runners(tmp_path_factory):
             "parallel": lambda specs: Session(executor=parallel).run_all(specs),
             "batched": lambda specs: BatchCampaignExecutor().map(specs),
             "remote": lambda specs: Session.connect(server.url).run_all(specs),
+            "server": server,
         }
     parallel.close()
 
@@ -192,20 +224,60 @@ def test_served_outcomes_equal_cold_solo_recomputation(
     check()
 
 
-def test_streamed_campaign_equals_materialized(tmp_path, monkeypatch):
-    statistics = ("count", "mean", "stdev", "median", "p95", "minimum", "maximum")
-
-    @settings(max_examples=24, deadline=None, derandomize=True)
-    @given(campaign=_campaigns, block=st.sampled_from(BLOCK_SIZES))
-    def check(campaign, block):
+@pytest.mark.parametrize("state", CAMPAIGN_STATES)
+def test_batched_campaign_equals_aggregated_solo_rows(state, tmp_path, monkeypatch):
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(campaign=_campaigns, block=st.sampled_from(BLOCK_SIZES), data=st.data())
+    def check(campaign, block, data):
         monkeypatch.setenv(ENV_WAREHOUSE_DIR, tempfile.mkdtemp(dir=tmp_path))
         _set_block(monkeypatch, block)
-        materialized = Session().campaign(campaign)
-        streamed = Session().campaign(campaign, stream=True)
-        assert streamed.runs == materialized.runs == len(campaign.seeds)
-        assert list(streamed.metrics) == list(materialized.metrics)
-        for name, result in materialized.metrics.items():
-            for stat in statistics:
-                assert getattr(streamed[name], stat) == getattr(result, stat), (name, stat)
+        rows = _solo_rows(campaign)
+        if state == "partial" and len(campaign.seeds) > 1:
+            cut = data.draw(st.integers(min_value=1, max_value=len(campaign.seeds) - 1))
+            Session().campaign(dataclasses.replace(campaign, seeds=campaign.seeds[:cut]))
+        elif state == "run_all-first":
+            Session().run_all(campaign.expand())
+        elif state == "campaign-first":
+            Session().campaign(campaign)
+            executed = _executed()
+            served = Session().run_all(campaign.expand())
+            assert _executed() == executed, "run_all recomputed blocks the campaign stored"
+            assert json.dumps([outcome.record for outcome in served]) == json.dumps(rows)
+        executed = _executed()
+        for _ in range(2 if state == "warm" else 1):
+            report = Session().campaign(campaign)
+            reference = aggregate_runs(rows, metrics=campaign.metrics)
+            assert report.runs == reference.runs == len(campaign.seeds)
+            assert list(report.metrics) == list(reference.metrics)
+            for name, result in reference.metrics.items():
+                for stat in STATISTICS:
+                    assert getattr(report[name], stat) == getattr(result, stat), (name, stat)
+            assert json.dumps(report.raw) == json.dumps(rows)
+        if state in ("run_all-first", "campaign-first"):
+            assert _executed() == executed, "the campaign recomputed stored blocks"
 
     check()
+
+
+def test_in_process_batched_campaign_never_expands(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a batched campaign expanded into per-seed specs")
+
+    monkeypatch.setattr(CampaignSpec, "expand", refuse)
+    base = ExperimentSpec(app="adpcm-encode", strategy="hybrid-optimal", engine="batched")
+    campaign = CampaignSpec(base=base, seeds=tuple(range(5)))
+    cold = Session().campaign(campaign)
+    warm = Session().campaign(campaign)
+    assert json.dumps(warm.raw) == json.dumps(cold.raw)
+
+
+def test_remote_batched_campaign_computes_on_the_server(runners, monkeypatch):
+    base = ExperimentSpec(app="adpcm-encode", strategy="hybrid-optimal", engine="batched")
+    campaign = CampaignSpec(base=base, seeds=(4, 2, 9))
+    remote = Session.connect(runners["server"].url)
+    served = remote.campaign(campaign)
+    assert remote.executor.last_job_id is not None  # the blocks ran on the server
+    monkeypatch.setenv(ENV_NO_WAREHOUSE, "1")
+    local = Session().campaign(campaign)
+    assert json.dumps(served.raw) == json.dumps(local.raw)
+    assert served.to_result_set().to_json() == local.to_result_set().to_json()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.warehouse.keys import (
+    block_key,
     canonical_json,
     canonical_sha256,
     code_fingerprint,
@@ -88,7 +89,7 @@ class TestFingerprint:
     def test_captures_version_schema_and_registries(self) -> None:
         fingerprint = code_fingerprint()
         assert fingerprint["package_version"]
-        assert fingerprint["key_schema"] == 3
+        assert fingerprint["key_schema"] == 4
         assert "adpcm-encode" in fingerprint["registries"]["apps"]
         assert "hybrid-optimal" in fingerprint["registries"]["strategies"]
         assert "markov" in fingerprint["registries"]["scenarios"]
@@ -136,23 +137,34 @@ class TestUnitKey:
     SPEC = {"app": "adpcm-encode", "seed": 0}
 
     def test_fingerprint_is_part_of_the_key(self) -> None:
-        assert unit_key([self.SPEC], "fp-a") != unit_key([self.SPEC], "fp-b")
+        assert unit_key(self.SPEC, "fp-a") != unit_key(self.SPEC, "fp-b")
 
     def test_spec_content_is_part_of_the_key(self) -> None:
         other = dict(self.SPEC, seed=1)
-        assert unit_key([self.SPEC], "fp") != unit_key([other], "fp")
-
-    def test_group_order_is_part_of_the_key(self) -> None:
-        # A unit key hashes its ordered seed block, so lookups happen at
-        # block granularity (the rows themselves are composition-invariant).
-        a, b = self.SPEC, dict(self.SPEC, seed=1)
-        assert unit_key([a, b], "fp") != unit_key([b, a], "fp")
-
-    def test_group_of_one_matches_solo(self) -> None:
-        # A one-seed batched campaign is a one-spec block unit, which must
-        # share the key of the solo unit of the same spec.
-        assert unit_key([self.SPEC], "fp") == unit_key([dict(self.SPEC)], "fp")
+        assert unit_key(self.SPEC, "fp") != unit_key(other, "fp")
 
     def test_key_order_inside_a_spec_is_irrelevant(self) -> None:
         reordered = dict(reversed(list(self.SPEC.items())))
-        assert unit_key([self.SPEC], "fp") == unit_key([reordered], "fp")
+        assert unit_key(self.SPEC, "fp") == unit_key(reordered, "fp")
+
+
+class TestBlockKey:
+    BASE = {"app": "adpcm-encode", "engine": "batched"}
+
+    def test_seed_order_is_part_of_the_key(self) -> None:
+        # A block key hashes its ordered seeds, so lookups happen at block
+        # granularity (the rows themselves are composition-invariant).
+        assert block_key(self.BASE, (0, 1), "fp") != block_key(self.BASE, (1, 0), "fp")
+
+    def test_base_and_fingerprint_are_part_of_the_key(self) -> None:
+        other = dict(self.BASE, app="adpcm-decode")
+        assert block_key(self.BASE, (0,), "fp") != block_key(other, (0,), "fp")
+        assert block_key(self.BASE, (0,), "fp-a") != block_key(self.BASE, (0,), "fp-b")
+
+    def test_seed_container_and_base_key_order_are_irrelevant(self) -> None:
+        reordered = dict(reversed(list(self.BASE.items())))
+        assert block_key(self.BASE, (4, 2), "fp") == block_key(reordered, [4, 2], "fp")
+
+    def test_a_block_never_shares_a_solo_key(self) -> None:
+        solo = dict(self.BASE, seed=3)
+        assert block_key(self.BASE, (3,), "fp") != unit_key(solo, "fp")

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api.executors import RunOutcome
+from repro.api.executors import RunOutcome, execute_spec
 from repro.api.spec import ExperimentSpec
-from repro.warehouse.keys import fingerprint_digest, unit_key
+from repro.warehouse.keys import block_key, fingerprint_digest
 from repro.warehouse.planner import DeltaPlanner, plan_and_run, plan_units
 from repro.warehouse.store import ResultWarehouse
 
@@ -34,15 +34,17 @@ class TestPlanUnits:
         specs = [_spec(seed=s, engine="batched") for s in (2, 0, 1)]
         (unit,) = plan_units(specs)
         assert unit.indices == (0, 1, 2)
-        assert [d["seed"] for d in unit.spec_dicts] == [2, 0, 1]
+        assert unit.seeds == (2, 0, 1)
+        assert "seed" not in unit.spec  # the base spec: everything but the seed
         assert unit.engine == "batched"
 
-    def test_group_of_one_shares_the_solo_key(self) -> None:
-        # A one-seed batched campaign is a one-spec block unit, keyed
-        # exactly like a solo unit of the same spec.
+    def test_group_of_one_is_a_one_seed_block(self) -> None:
+        # A lone batched spec is keyed like the one-seed campaign block
+        # Session.campaign plans for it, so either path serves the other.
         spec = _spec(seed=7, engine="batched")
         (group,) = plan_units([spec])
-        assert group.key == unit_key([spec.to_dict()], fingerprint_digest())
+        base = {k: v for k, v in spec.to_dict().items() if k != "seed"}
+        assert group.key == block_key(base, (7,), fingerprint_digest())
 
     def test_distinct_experiments_group_separately(self) -> None:
         specs = [
@@ -165,10 +167,19 @@ class TestDeltaPlan:
         warehouse = ResultWarehouse(tmp_path)
         pair = [_spec(seed=s, engine="batched") for s in (0, 1)]
         plan = DeltaPlanner(warehouse).plan(pair)
-        plan.merge([_outcome(spec, 1.0) for spec in pair])
+        plan.merge([execute_spec(spec) for spec in pair])
+        assert DeltaPlanner(warehouse).plan(pair).fully_cached
         triple = [_spec(seed=s, engine="batched") for s in (0, 1, 2)]
         wider = DeltaPlanner(warehouse).plan(triple)
         assert wider.missing_indices() == [0, 1, 2]
+
+    def test_block_units_store_only_batched_rows(self, tmp_path) -> None:
+        # A block stores columns; rows that are not the batched engine's
+        # exact row shape have no column form and are simply not stored.
+        warehouse = ResultWarehouse(tmp_path)
+        pair = [_spec(seed=s, engine="batched") for s in (0, 1)]
+        DeltaPlanner(warehouse).plan(pair).merge([_outcome(spec, 1.0) for spec in pair])
+        assert warehouse.entries() == []
 
 
 class TestArtifactRules:

@@ -5,6 +5,10 @@ from __future__ import annotations
 import json
 import threading
 
+import numpy as np
+import pytest
+
+from repro.batch.engine import METRIC_COLUMNS, ColumnBlock, seed_column
 from repro.warehouse.store import (
     DISK_FORMAT_VERSION,
     ENV_NO_WAREHOUSE,
@@ -14,14 +18,14 @@ from repro.warehouse.store import (
     default_warehouse_dir,
 )
 
-SPECS = [{"app": "adpcm-encode", "seed": 0}]
-RECORDS = [[{"seed": 0, "energy_nj": 12.5}]]
+SPEC = {"app": "adpcm-encode", "seed": 0}
+RECORDS = [{"seed": 0, "energy_nj": 12.5}]
 
 
 def _put(warehouse: ResultWarehouse, key: str = "k" * 64, **overrides) -> bool:
     kwargs = dict(
-        spec_dicts=SPECS,
-        records_per_spec=RECORDS,
+        spec=SPEC,
+        records=RECORDS,
         kind="execute",
         engine="behavioural",
         fingerprint="fp",
@@ -36,8 +40,9 @@ class TestRoundTrip:
         assert _put(warehouse)
         entry = warehouse.get("k" * 64)
         assert entry is not None
-        assert entry.spec_dicts == (SPECS[0],)
-        assert entry.records_per_spec == ((RECORDS[0][0],),)
+        assert entry.spec == SPEC
+        assert entry.records == (RECORDS[0],)
+        assert entry.block is None
         assert entry.kind == "execute"
         assert entry.engine == "behavioural"
         assert entry.fingerprint == "fp"
@@ -70,13 +75,81 @@ class TestRoundTrip:
 
     def test_non_json_records_degrade_to_not_stored(self, tmp_path) -> None:
         warehouse = ResultWarehouse(tmp_path)
-        assert not _put(warehouse, records_per_spec=[[{"bad": {1, 2}}]])
+        assert not _put(warehouse, records=[{"bad": {1, 2}}])
         assert warehouse.get("k" * 64) is None
 
     def test_unpicklable_artifact_degrades_to_not_stored(self, tmp_path) -> None:
         warehouse = ResultWarehouse(tmp_path)
         assert not _put(warehouse, kind="pareto", artifact=lambda: None)
         assert warehouse.get("k" * 64) is None
+
+
+def _block(seeds=(3, 1, 2**53 + 1)) -> ColumnBlock:
+    columns = {"seed": seed_column(seeds)}
+    for offset, name in enumerate(METRIC_COLUMNS[1:]):
+        columns[name] = np.arange(len(seeds), dtype=np.float64) / 3.0 + offset
+    return ColumnBlock(tuple(seeds), ("adpcm-encode", "hybrid-optimal", "storm"), columns)
+
+
+def _put_block(warehouse: ResultWarehouse, key: str = "b" * 64) -> bool:
+    return warehouse.put(
+        key, spec=SPEC, kind="execute", engine="batched", block=_block(), fingerprint="fp"
+    )
+
+
+class TestBlockUnits:
+    def test_block_round_trips_exactly(self, tmp_path) -> None:
+        warehouse = ResultWarehouse(tmp_path)
+        assert _put_block(warehouse)
+        entry = warehouse.get("b" * 64)
+        expected = _block()
+        assert entry.block.seeds == expected.seeds
+        assert entry.block.labels == expected.labels
+        assert list(entry.block.columns) == list(METRIC_COLUMNS)
+        for name in METRIC_COLUMNS:
+            assert entry.block.columns[name].tobytes() == expected.columns[name].tobytes()
+        assert entry.records == ()
+        assert (entry.specs, entry.rows) == (3, 3)
+
+    def test_block_stores_columns_not_rows(self, tmp_path) -> None:
+        warehouse = ResultWarehouse(tmp_path)
+        assert _put_block(warehouse)
+        document = json.loads((tmp_path / ("b" * 64 + ".json")).read_text())
+        assert set(document["block"]) == {"seeds", "labels", "columns"}
+        assert "records" not in document
+        assert "seed" not in document["block"]["columns"]  # the seeds carry it
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda block: block["columns"].pop("energy_nj"),
+            lambda block: block["columns"]["energy_nj"].pop(),
+            lambda block: block["columns"]["energy_nj"].__setitem__(0, 1),
+            lambda block: block["columns"]["energy_nj"].__setitem__(0, "1.0"),
+            lambda block: block["seeds"].__setitem__(0, 3.0),
+            lambda block: block["seeds"].__setitem__(0, True),
+            lambda block: block["labels"].pop(),
+            lambda block: block.clear(),
+        ],
+    )
+    def test_malformed_block_is_corrupt_and_misses(self, tmp_path, damage) -> None:
+        warehouse = ResultWarehouse(tmp_path)
+        assert _put_block(warehouse)
+        path = tmp_path / ("b" * 64 + ".json")
+        document = json.loads(path.read_text())
+        damage(document["block"])
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert warehouse.get("b" * 64) is None
+        assert warehouse.stats.as_dict()["corrupt"] == 1
+
+    def test_block_with_records_is_corrupt(self, tmp_path) -> None:
+        warehouse = ResultWarehouse(tmp_path)
+        assert _put_block(warehouse)
+        path = tmp_path / ("b" * 64 + ".json")
+        document = json.loads(path.read_text())
+        document["records"] = RECORDS
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert warehouse.get("b" * 64) is None
 
 
 class TestEnvironment:
@@ -137,14 +210,15 @@ class TestCorruption:
         assert warehouse.get("e" * 64) is None
         assert warehouse.stats.as_dict()["corrupt"] == 1
 
-    def test_mismatched_spec_record_pairing_misses(self, tmp_path) -> None:
+    def test_malformed_records_miss(self, tmp_path) -> None:
         warehouse = ResultWarehouse(tmp_path)
         assert _put(warehouse)
         path = self._path(tmp_path)
         document = json.loads(path.read_text())
-        document["records_per_spec"].append([])
+        document["records"].append([])
         path.write_text(json.dumps(document), encoding="utf-8")
         assert warehouse.get("k" * 64) is None
+        assert warehouse.stats.as_dict()["corrupt"] == 1
 
     def test_corrupt_artifact_misses(self, tmp_path) -> None:
         warehouse = ResultWarehouse(tmp_path)
@@ -181,7 +255,7 @@ class TestConcurrency:
             thread.join()
         entry = warehouse.get("k" * 64)
         assert entry is not None
-        assert entry.records_per_spec == ((RECORDS[0][0],),)
+        assert entry.records == (RECORDS[0],)
         assert not list(tmp_path.glob("*.tmp")), "a temp file leaked"
 
 
