@@ -12,6 +12,10 @@ bit-identical regardless of the backend or the number of workers.
 ``engine="batched"`` records do not depend on how seeds are grouped
 either (counter-based fault streams, workload profiled at seed 0), and
 the design kinds carry no randomness at all.
+
+:meth:`Executor.map` runs specs on their declared engines, and
+:meth:`Executor.block_runner` runs the seed blocks the warehouse planner
+cuts for every batched seed group, under every executor.
 """
 
 from __future__ import annotations
@@ -21,8 +25,7 @@ import atexit
 import os
 import time
 import weakref
-from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
@@ -47,11 +50,12 @@ SPECS_EXECUTED = _telemetry_counter(
     labels=("kind", "engine"),
 )
 
-#: One per task model built for a seed group: a batched campaign that
-#: misses a block, or two or more seeds in a BatchCampaignExecutor call.
+#: One per task model a block runner builds: a batched campaign, a
+#: ``run_all`` seed group of two or more seeds, or a service block shard
+#: that misses a block (a fully warehoused one builds none).
 BATCH_GROUPS = _telemetry_counter(
     "repro_batch_groups_total",
-    "Same-experiment seed groups simulated vectorized on one task model.",
+    "Task models built to simulate the seed blocks of one batched base spec.",
 )
 
 #: Wall-clock of whole executor map() calls, by executor backend.
@@ -278,13 +282,13 @@ class Executor(abc.ABC):
 
     name: str = "abstract"
 
-    #: Whether :meth:`map` ships specs to an experiment server (which serves
-    #: batched specs itself) instead of running them in this process.
-    remote: bool = False
-
     @abc.abstractmethod
     def map(self, specs: Sequence[ExperimentSpec]) -> list[RunOutcome]:
         """Execute every spec and return outcomes in input order."""
+
+    def block_runner(self, base: ExperimentSpec) -> Callable[[Sequence[int]], ColumnBlock]:
+        """A callable simulating seed blocks of batched ``base`` (default: in process)."""
+        return BlockSimulator(base)
 
     def close(self) -> None:
         """Release any resources held between :meth:`map` calls (no-op here)."""
@@ -435,26 +439,23 @@ def _release_pool_holder(holder: list[ProcessPoolExecutor]) -> None:
 class BatchCampaignExecutor(Executor):
     """Vectorized backend: simulates same-experiment seed groups in one shot.
 
-    ``execute`` specs declared ``engine="batched"`` are grouped by
-    everything except their seed; each group runs through one
+    :meth:`map` plans its specs through
+    :func:`repro.warehouse.planner.plan_and_run`: batched ``execute``
+    specs equal except for their seed run their seed blocks on one
     :class:`~repro.batch.BatchTaskModel`, so a 1000-seed campaign costs
     one task profile plus array operations instead of 1000 event-by-event
-    simulations.  Outcomes come back in input order with the behavioural
-    record shape, so sessions, campaigns, sweeps and the figure harnesses
-    consume them unchanged.
+    simulations, and the rows keep the behavioural record shape.
 
     Every other spec — behavioural runs, the design-space kinds and
     batched specs whose group has one seed — is delegated to ``fallback``
     (default: a :class:`SerialExecutor`), which runs it on the engine it
     declares; a parallel fallback thus spreads a one-seed-per-point sweep
-    across its workers.  The executor never changes a spec's engine, so
-    the engine a warehouse unit is keyed on is the engine that ran it.
+    across its workers.  The executor never changes a spec's engine.
 
     Every group's workload input is profiled at the canonical seed 0 and
     each run's fault stream is counter-based on its own seed
-    (:meth:`repro.batch.BatchTaskModel.make_streams`), so a run's record
-    is independent of its batch composition: grouped, sharded or solo,
-    a (spec, seed) pair emits the same row.
+    (:meth:`repro.batch.BatchTaskModel.make_streams`), so grouped, sharded
+    or solo, a (spec, seed) pair emits the same row.
     """
 
     name = "batched"
@@ -466,67 +467,15 @@ class BatchCampaignExecutor(Executor):
         """Release whatever resources the fallback executor holds."""
         self.fallback.close()
 
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _group_key(spec: ExperimentSpec):
-        """Hashable identity of a spec minus its seed (None = delegated)."""
-        if not spec.seed_grouped:
-            return None
-        # Live application / scenario instances group by identity:
-        # campaigns reuse the same instance across seeds.
-        return (
-            spec.app if isinstance(spec.app, str) else id(spec.app),
-            spec.strategy,
-            repr(sorted(spec.strategy_params.items())),
-            spec.constraints,
-            spec.fault_model,
-            repr(sorted(spec.fault_params.items())),
-            spec.scenario if isinstance(spec.scenario, str) else id(spec.scenario),
-            repr(sorted(spec.scenario_params.items())),
-            repr(sorted(spec.params.items())),
-        )
-
     def map(self, specs: Sequence[ExperimentSpec]) -> list[RunOutcome]:
-        """Serve each same-experiment seed group in one vectorized shot.
-
-        Consults the result warehouse first (batched specs plan as seed
-        block units); only missing specs execute, and calls already
-        planned by an enclosing :meth:`Session.run_all` pass straight
-        through.
-        """
+        """Run ``specs`` through the warehouse planner on ``fallback`` (see class)."""
         from ..warehouse.planner import plan_and_run
 
-        return plan_and_run(list(specs), self._map_uncached)
-
-    def _map_uncached(self, specs: Sequence[ExperimentSpec]) -> list[RunOutcome]:
-        """The vectorized execution body, bypassing the warehouse."""
-        specs = list(specs)
         started = time.monotonic()
-        outcomes: list[RunOutcome | None] = [None] * len(specs)
-        keys = [self._group_key(spec) for spec in specs]
-        sizes = Counter(key for key in keys if key is not None)
-        groups: dict[Any, list[int]] = {}
-        passthrough: list[int] = []
-        for index, key in enumerate(keys):
-            # A group of one gains nothing from vectorizing; the fallback
-            # builds the same one-seed model and may run it in parallel.
-            if sizes[key] > 1:
-                groups.setdefault(key, []).append(index)
-            else:
-                passthrough.append(index)
-
-        for indices in groups.values():
-            group = [specs[i] for i in indices]
-            block = BlockSimulator(group[0])([spec.seed for spec in group])
-            for i, spec, record in zip(indices, group, records_from_columns(block)):
-                outcomes[i] = RunOutcome(spec=spec, records=[record])
-
-        if passthrough:
-            delegated = self.fallback.map([specs[i] for i in passthrough])
-            for i, outcome in zip(passthrough, delegated):
-                outcomes[i] = outcome
-        MAP_SECONDS.observe(time.monotonic() - started, executor=self.name)
-        return outcomes
+        try:
+            return plan_and_run(specs, self.fallback)
+        finally:
+            MAP_SECONDS.observe(time.monotonic() - started, executor=self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BatchCampaignExecutor(fallback={self.fallback!r})"
@@ -537,7 +486,7 @@ def make_executor(jobs: int | None) -> Executor:
 
     ``None``/``0``/``1`` jobs mean serial and more mean a process pool.
     The engine is not the executor's to choose: it is a field of each
-    spec (``Session.run_all`` adds the seed grouping batched specs need).
+    spec, and the planner groups batched seeds under every executor.
     """
     if jobs is None or jobs <= 1:
         return SerialExecutor()

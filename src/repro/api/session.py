@@ -27,19 +27,12 @@ from dataclasses import replace
 from functools import partial
 from typing import Any
 
-from ..batch.engine import ColumnBlock, block_from_records, join_blocks, records_from_columns
+from ..batch.engine import join_blocks, records_from_columns
 from ..core.config import DesignConstraints, PAPER_OPERATING_POINT
 from ..faults.campaign import CampaignReport, aggregate_columns, aggregate_runs
 from ..telemetry import log_event, span
 from ..telemetry import snapshot as _telemetry_snapshot
-from .executors import (
-    BatchCampaignExecutor,
-    BlockSimulator,
-    Executor,
-    RunOutcome,
-    SerialExecutor,
-    make_executor,
-)
+from .executors import Executor, RunOutcome, SerialExecutor, make_executor
 from .results import ResultSet
 from .spec import CampaignSpec, ExperimentSpec, SweepSpec
 
@@ -75,8 +68,10 @@ class Session:
 
         The returned session is a thin HTTP client: every entry point
         (``run`` / ``sweep`` / ``campaign``) submits its specs to the
-        ``repro-experiments serve`` instance at ``url`` as one job on the
-        same queue the service CLI uses, streams the outcome rows back,
+        ``repro-experiments serve`` instance at ``url`` as jobs on the
+        same queue the service CLI uses (one ``campaign`` job per missing
+        seed block of a batched campaign or seed group, one ``batch`` job
+        for the other specs), streams the outcome rows back,
         and aggregates locally — so a campaign submitted over HTTP is
         bit-identical (same rows, same order) to the in-process run, for
         both engines.  Specs must be registry-named (serializable), and
@@ -138,10 +133,12 @@ class Session:
     ) -> list[RunOutcome]:
         """Execute a batch of specs, preserving input order.
 
-        Each spec runs on the engine it declares.  Batched ``execute``
-        specs keep their vectorized seed grouping on any backend: an
-        executor that does not serve them itself is wrapped in a
-        :class:`BatchCampaignExecutor` that delegates everything else to it.
+        Each spec runs on the engine it declares, through
+        :func:`~repro.warehouse.planner.plan_and_run`: batched ``execute``
+        specs equal except for their seed run as one seed group, block by
+        block, on the executor's block runner (one task model per group
+        instead of one per seed); every other spec goes to the executor's
+        ``map``.
 
         Consults the result warehouse first: specs whose units are already
         stored are served from disk, only the delta executes, and fresh
@@ -155,13 +152,7 @@ class Session:
         # inherit the enclosing run ID, and Session.connect submits carry
         # it over the wire to the server.
         with span("session.run_all"):
-            specs = list(specs)
-            chosen = self._resolve_executor(executor, jobs)
-            local = not (chosen.remote or isinstance(chosen, BatchCampaignExecutor))
-            if local and any(spec.seed_grouped for spec in specs):
-                # One task model per seed group instead of one per seed.
-                chosen = BatchCampaignExecutor(fallback=chosen)
-            return plan_and_run(specs, chosen.map)
+            return plan_and_run(specs, self._resolve_executor(executor, jobs))
 
     def sweep(
         self,
@@ -214,11 +205,15 @@ class Session:
         The engine is a field of the base spec; ``engine=`` only writes
         it there.  A batched ``execute`` campaign never expands its seeds
         into specs: it walks them in ``REPRO_BATCH_BLOCK`` blocks, each
-        served from the warehouse or simulated on one task model (on the
-        server for a :meth:`connect` session), keeps 8 bytes per (run,
-        metric column) and rebuilds ``raw`` rows from them on each read.
-        Every other campaign runs its expanded specs through :meth:`run_all`.
+        served from the warehouse or simulated by the executor's block
+        runner (one task model in process, one campaign job per block for
+        a :meth:`connect` session), keeps 8 bytes per (run, metric column)
+        and rebuilds ``raw`` rows from them on each read.  Every other
+        campaign runs its expanded specs through :meth:`run_all`.
         """
+        # Deferred import: the warehouse depends on the executor layer.
+        from ..warehouse.planner import campaign_blocks
+
         if isinstance(spec, ExperimentSpec):
             spec = CampaignSpec(base=spec, seeds=tuple(seeds) if seeds is not None else ())
         elif seeds is not None:
@@ -233,7 +228,10 @@ class Session:
         with span("session.campaign") as campaign_span:
             log_event("campaign.start", seeds=len(spec.seeds), engine=engine)
             if spec.base.seed_grouped:
-                report = self._batched_campaign(spec, self._resolve_executor(executor, jobs))
+                runner = self._resolve_executor(executor, jobs).block_runner(spec.base)
+                block = join_blocks(campaign_blocks(spec.base, spec.seeds, runner))
+                rows = partial(records_from_columns, block)
+                report = aggregate_columns(block.columns, len(block.seeds), spec.metrics, rows)
             else:
                 outcomes = self.run_all(spec.expand(), executor=executor, jobs=jobs)
                 report = aggregate_runs(
@@ -246,26 +244,6 @@ class Session:
                 elapsed_s=round(campaign_span.elapsed(), 6),
             )
         return report
-
-    @staticmethod
-    def _batched_campaign(spec: CampaignSpec, executor: Executor) -> CampaignReport:
-        """Fold a batched campaign's seed blocks, served or computed, as columns."""
-        from ..warehouse.planner import campaign_blocks
-
-        base = spec.base
-        if executor.remote:
-
-            def compute(seeds: tuple[int, ...]) -> ColumnBlock:
-                # The only per-seed specs a batched campaign builds: the
-                # missing blocks a remote executor ships to its server.
-                outcomes = executor.map([replace(base, seed=seed) for seed in seeds])
-                return block_from_records([outcome.record for outcome in outcomes], seeds)
-
-        else:
-            compute = BlockSimulator(base)
-        block = join_blocks(campaign_blocks(base, spec.seeds, compute))
-        rows = partial(records_from_columns, block)
-        return aggregate_columns(block.columns, len(block.seeds), spec.metrics, rows)
 
     def pareto(
         self,

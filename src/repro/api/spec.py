@@ -188,10 +188,9 @@ class ExperimentSpec:
     def seed_grouped(self) -> bool:
         """Whether the spec runs vectorized together with its other seeds.
 
-        Only batched ``execute`` specs do: executors batch them by
-        everything but the seed and the warehouse stores them as seed
-        blocks.  (Batched specs never collect traces; construction
-        rejects that.)
+        Only batched ``execute`` specs do: the warehouse planner groups
+        them by everything but the seed and stores them as seed blocks.
+        (Batched specs never collect traces; construction rejects that.)
         """
         return self.kind == "execute" and self.engine == "batched"
 
@@ -395,11 +394,15 @@ class CampaignSpec:
     metrics: Sequence[str] = ()
 
     def __post_init__(self) -> None:
+        names = self.metrics if isinstance(self.metrics, Sequence) else None
+        if names is None or isinstance(names, str) or not all(isinstance(n, str) for n in names):
+            raise ValueError(f"metrics must be a sequence of metric names, got {self.metrics!r}")
+        runs = self.runs
+        if not isinstance(runs, numbers.Integral) or isinstance(runs, bool) or runs < 1:
+            raise ValueError(f"runs must be an integer of at least 1, got {runs!r}")
         seeds = tuple(checked_seed(seed, "campaign seeds") for seed in self.seeds)
         if not seeds:
-            if self.runs <= 0:
-                raise ValueError("runs must be positive when no seeds are given")
-            seeds = tuple(range(self.runs))
+            seeds = tuple(range(runs))
         object.__setattr__(self, "seeds", seeds)
         object.__setattr__(self, "runs", len(seeds))
         object.__setattr__(self, "metrics", tuple(self.metrics))

@@ -18,10 +18,10 @@ per-event work.  This package simulates **many seeds at once** instead:
   batched run reproduces the behavioural cycle count bit for bit.
 
 Entry points: :class:`BatchTaskModel` (one campaign configuration) and
-:class:`~repro.api.executors.BatchCampaignExecutor` (drop-in executor that
-groups the ``execute`` specs declared ``engine="batched"`` by
-everything-but-seed, simulates each group in one shot and delegates
-every other spec to its fallback).  The engine is a field of the spec:
+:class:`~repro.api.executors.BlockSimulator` (the seed blocks of one
+base spec on one model), which the warehouse planner runs for every
+group of ``execute`` specs declared ``engine="batched"`` that differ
+only in their seed.  The engine is a field of the spec:
 ``Session.campaign(engine=)`` and the harnesses' ``engine=`` only write
 it into the specs they build.
 The *design-space* side — Fig. 4 feasibility and the Eq. 3–7 chunk-size

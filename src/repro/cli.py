@@ -497,7 +497,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="seeds per behavioural shard (default: the server's planner default)",
+        help="seeds per shard of a behavioural campaign; a batched one is "
+        "sharded by its REPRO_BATCH_BLOCK seed blocks (default: 4)",
     )
     submit.add_argument(
         "--wait",

@@ -10,9 +10,10 @@ Two layers:
   streamed rows.  ``Session.connect(url)`` plugs one into an ordinary
   :class:`~repro.api.session.Session`, so ``run`` / ``sweep`` /
   ``campaign`` work unchanged against a remote server — including
-  ``engine="batched"`` campaigns, whose missing seed blocks travel as
-  per-seed specs; the service splits them into seed block shards whose
-  composition-invariant rows stay bit-identical to a local run.
+  ``engine="batched"`` campaigns and seed groups, whose missing seed
+  blocks each travel as one ``campaign`` job of (base spec, seeds); the
+  server cuts and runs the same blocks, so the composition-invariant
+  rows stay bit-identical to a local run.
 
 Server-side validation failures surface as :class:`ServiceError`
 carrying the structured 400 body (message + valid choices), not a bare
@@ -24,12 +25,13 @@ from __future__ import annotations
 import json
 import urllib.error
 import urllib.request
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import Any
 
 from ..api.executors import Executor, RunOutcome
 from ..api.results import ResultSet, parse_ndjson
 from ..api.spec import ExperimentSpec
+from ..batch.engine import ColumnBlock, block_from_records
 from ..telemetry import RUN_ID_HEADER, current_run_id, log_event, span
 
 #: Row key carrying the originating spec index over the wire.
@@ -187,16 +189,12 @@ class ServiceClient:
 class RemoteExecutor(Executor):
     """Run specs on an experiment server instead of in-process.
 
-    Declares itself ``remote`` so :meth:`Session.run_all` hands it the
-    raw specs — the *server* decides sharding.  It splits
-    ``engine="batched"`` specs into seed blocks, each run vectorized; the
-    batch engine's fault streams are counter-based per seed, so every row
-    matches a local :class:`~repro.api.executors.BatchCampaignExecutor`
-    run exactly, whatever the block boundaries.
+    :meth:`map` ships specs as one ``batch`` job, and :meth:`block_runner`
+    ships each seed block of a batched base spec as one ``campaign`` job.
+    The server shards and runs them itself; the batch engine's fault
+    streams are counter-based per seed, so every row matches a local run
+    exactly, whatever the block boundaries.
     """
-
-    #: The server runs batched-engine specs through BatchCampaignExecutor.
-    remote = True
 
     def __init__(self, client: ServiceClient, label: str = "remote") -> None:
         self.client = client
@@ -206,36 +204,43 @@ class RemoteExecutor(Executor):
     def __repr__(self) -> str:
         return f"RemoteExecutor({self.client.base_url!r})"
 
-    def map(self, specs: Iterable[ExperimentSpec]) -> list[RunOutcome]:
-        """Submit the specs as one ``batch`` job and await all outcomes."""
-        specs = list(specs)
-        if not specs:
-            return []
+    def _run_job(self, payload: dict[str, Any], runs: int) -> list[dict[str, Any]]:
+        """Submit one job, await it and return its rows (``_spec`` kept)."""
         with span("remote.map"):
-            job = self.client.submit(
-                {
-                    "kind": "batch",
-                    "label": self.label,
-                    "specs": [spec.to_dict() for spec in specs],
-                }
-            )
+            job = self.client.submit(payload)
             self.last_job_id = job["job_id"]
-            log_event(
-                "client.submitted",
-                job=job["job_id"],
-                specs=len(specs),
-                url=self.client.base_url,
-            )
+            log_event("client.submitted", job=job["job_id"], specs=runs, url=self.client.base_url)
             meta, rows = self.client.results(job["job_id"], wait=True)
         state = meta.get("state")
         if state != "done":
             detail = meta.get("error") or f"job finished in state {state!r}"
             raise ServiceError(f"remote job {job['job_id']} failed: {detail}")
+        return rows
+
+    def map(self, specs: Iterable[ExperimentSpec]) -> list[RunOutcome]:
+        """Submit the specs as one ``batch`` job and await all outcomes."""
+        specs = list(specs)
+        if not specs:
+            return []
+        payload = {"kind": "batch", "label": self.label, "specs": [s.to_dict() for s in specs]}
         grouped: dict[int, list[dict[str, Any]]] = {}
-        for row in rows:
+        for row in self._run_job(payload, len(specs)):
             index = int(row.pop(SPEC_INDEX_KEY))
             grouped.setdefault(index, []).append(row)
         return [
             RunOutcome(spec=spec, records=grouped.get(index, []))
             for index, spec in enumerate(specs)
         ]
+
+    def block_runner(self, base: ExperimentSpec) -> Callable[[Sequence[int]], ColumnBlock]:
+        """Run each seed block as one ``campaign`` job and rebuild its columns."""
+        base_dict = base.to_dict()
+
+        def run(seeds: Sequence[int]) -> ColumnBlock:
+            payload = {"kind": "campaign", "spec": {"base": base_dict, "seeds": list(seeds)}}
+            rows = self._run_job(payload, len(seeds))
+            for row in rows:
+                del row[SPEC_INDEX_KEY]
+            return block_from_records(rows, seeds)
+
+        return run

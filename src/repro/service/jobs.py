@@ -99,7 +99,6 @@ class Job:
     finished_at: float | None = None
     shard_states: list[str] = field(default_factory=list)
     records_per_spec: list[list[dict[str, Any]] | None] = field(default_factory=list)
-    spec_dicts: list[dict[str, Any]] = field(default_factory=list)
     #: Whether the job was answered from the result warehouse at submit
     #: time (it never reached the worker pool).
     cached: bool = False
@@ -108,14 +107,9 @@ class Job:
         if not self.shard_states:
             self.shard_states = [SHARD_PENDING] * len(self.shards)
         if not self.records_per_spec:
-            self.records_per_spec = [None] * len(self.request.specs)
+            self.records_per_spec = [None] * self.request.runs
 
     # ------------------------------------------------------------------ #
-    @property
-    def spec_count(self) -> int:
-        """Number of concrete specs the job expands to."""
-        return len(self.request.specs)
-
     @property
     def duration_s(self) -> float | None:
         """Wall-clock seconds from first dispatch to completion, if known."""
@@ -138,21 +132,6 @@ class Job:
             count += 1
         return count
 
-    def rows(self, limit: int | None = None) -> list[dict[str, Any]]:
-        """Flat result rows of the first ``limit`` specs (default: all ready).
-
-        Each row carries its spec index under the private ``_spec`` key —
-        hidden from rendered columns, used by clients to regroup rows into
-        per-spec outcomes.
-        """
-        prefix = self.ready_prefix() if limit is None else limit
-        flat: list[dict[str, Any]] = []
-        for index in range(prefix):
-            records = self.records_per_spec[index]
-            for record in records or ():
-                flat.append({**record, "_spec": index})
-        return flat
-
     def describe(self) -> dict[str, Any]:
         """JSON-able status payload for ``GET /v1/jobs/{id}``."""
         payload: dict[str, Any] = {
@@ -162,7 +141,7 @@ class Job:
             "state": self.state,
             "cached": self.cached,
             "spec_sha256": self.request.spec_hash,
-            "specs": self.spec_count,
+            "specs": self.request.runs,
             "shards": {
                 "total": len(self.shards),
                 "pending": self.shard_states.count(SHARD_PENDING),
@@ -209,28 +188,26 @@ class JobQueue:
         ``X-Repro-Run-Id`` header or the ambient span); it rides on the
         job so dispatch/worker/completion events all carry it.
 
-        ``cached_records`` — per-spec records the result warehouse already
+        ``cached_records`` — per-run records the result warehouse already
         holds for the whole request — takes the fast path: the job enters
         the queue already ``done`` with every row filled in, never touching
         the worker pool, so a repeat submission streams instantly.  The
         shard plan is still recorded (and counted as submitted *and*
         completed) so queue accounting stays consistent with cold jobs.
         """
-        spec_dicts = _spec_dicts(request)
-        shards = plan_shards(spec_dicts, shard_size=request.shard_size)
+        shards = plan_shards(request)
         with self._changed:
             job = Job(
                 id=f"job-{next(self._ids):06d}",
                 request=request,
                 shards=shards,
                 run_id=run_id,
-                spec_dicts=spec_dicts,
             )
             if cached_records is not None:
-                if len(cached_records) != len(request.specs):
+                if len(cached_records) != request.runs:
                     raise ValueError(
-                        f"cached_records covers {len(cached_records)} specs, "
-                        f"job has {len(request.specs)}"
+                        f"cached_records covers {len(cached_records)} runs, "
+                        f"job has {request.runs}"
                     )
                 now = time.time()
                 job.cached = True
@@ -389,8 +366,3 @@ class JobQueue:
                 "shards": {"active": self._active_shards_locked()},
                 "total_submitted": len(self._jobs),
             }
-
-
-def _spec_dicts(request: JobRequest) -> list[dict[str, Any]]:
-    """Canonical per-spec dicts (the worker wire form) of a request."""
-    return [spec.to_dict() for spec in request.specs]

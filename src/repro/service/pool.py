@@ -304,7 +304,7 @@ class WorkerPool:
             job, shard = claimed
             with self._state_lock:
                 self._in_flight += 1
-            self._tasks.put((job.id, shard.index, shard.payload(job.spec_dicts), job.run_id))
+            self._tasks.put((job.id, shard.index, shard.payload, job.run_id))
             fields = {"job": job.id, "shard": shard.index, "specs": len(shard.spec_indices)}
             if job.run_id is not None:
                 fields["run_id"] = job.run_id

@@ -294,7 +294,7 @@ class _Handler(BaseHTTPRequestHandler):
             job=job.id,
             kind=request.kind,
             label=request.label,
-            specs=len(request.specs),
+            specs=request.runs,
             shards=len(job.shards),
             spec_sha256=request.spec_hash,
             cached=job.cached,
@@ -434,23 +434,27 @@ class ExperimentServer:
         self.stop()
 
     def warehouse_records(self, request) -> list[list[dict[str, Any]]] | None:
-        """Per-spec records when the warehouse fully covers a request.
+        """Per-run records when the warehouse fully covers a request.
 
         Returns ``None`` — the normal submission path — unless *every*
-        spec of the request is already warehoused, in which case the
-        per-spec record lists feed :meth:`JobQueue.submit`'s cached fast
+        run of the request is already warehoused, in which case the
+        per-run record lists feed :meth:`JobQueue.submit`'s cached fast
         path and the job streams instantly.  Partially cached jobs go
         through the pool: the workers consult the warehouse per shard, so
-        only the genuinely missing units execute.  Batched specs plan as
-        seed block units; their rows are composition-invariant, so the
-        units need not match how :func:`~repro.service.shards.plan_shards`
-        cuts the job into shards.
+        only the genuinely missing units execute.  A batched campaign is
+        looked up by its block keys, the blocks its shards would compute.
         """
+        from ..batch.engine import records_from_columns
         from ..warehouse import DeltaPlanner, default_warehouse
+        from ..warehouse.planner import stored_campaign
 
         warehouse = default_warehouse()
         if not warehouse.enabled:
             return None
+        campaign = request.campaign
+        if campaign is not None:
+            block = stored_campaign(campaign.base, campaign.seeds)
+            return None if block is None else [[row] for row in records_from_columns(block)]
         plan = DeltaPlanner(warehouse).plan(list(request.specs))
         if not plan.fully_cached:
             return None

@@ -1,28 +1,23 @@
-"""Campaign sharding: how a job's specs become worker-sized units.
+"""Campaign sharding: how a job becomes worker-sized units.
 
-A *shard* is the unit the elastic worker pool schedules: a contiguous
-block of a job's specs executed by one worker call, through
-:class:`~repro.api.executors.BatchCampaignExecutor` — which vectorizes
-the batched ``execute`` specs and runs every other spec on its declared
-engine.  The planner follows the engines' reproducibility contracts:
+A *shard* is the unit the elastic worker pool schedules: one worker call
+over part of a job's results.  Shards follow the warehouse planner's
+grouping (:func:`repro.warehouse.planner.group_seeds`):
 
-* ``engine="batched"`` specs are split into seed blocks of
-  ``batched_shard_size`` (default: the engine's own execution block
-  size, ``REPRO_BATCH_BLOCK``).  The batch engine's fault streams are
-  counter-based per (seed, draw) (:mod:`repro.batch.substrate`), so
-  every row is independent of shard composition and any partition
-  reassembled in input order is bit-identical to an in-process
-  :meth:`Session.campaign`.  Small campaigns stay one shard; blocks are
-  sized so each worker call amortizes one task profile over many seeds.
-* ``engine="behavioural"`` specs are split into seed blocks of
-  ``shard_size`` — each spec's outcome depends only on the spec itself,
-  so any partition reassembled in input order is bit-identical to a
-  serial run.
+* each seed block of a batched seed group — a batched campaign job, or
+  two or more batched specs of a job equal except for their seed — is
+  one shard with payload ``{"base": ..., "seeds": [...]}``.  The blocks
+  are the ``REPRO_BATCH_BLOCK`` blocks an in-process campaign cuts, so a
+  block stored by either side serves the other, and a small campaign is
+  one shard amortizing one task profile;
+* every other spec — behavioural runs, design kinds, a lone batched
+  spec — goes into shards of ``shard_size`` specs with payload
+  ``{"specs": [...]}``.
 
-The shard count is clamped to the spec count by construction
-(``shard_size >= 1``), and the pool's scaling policy in turn clamps its
-worker target to the number of outstanding shards — so a 4-seed campaign
-never provisions 16 workers no matter what ``max_workers`` allows.
+Rows do not depend on the cut (a behavioural spec depends only on
+itself, batched fault streams are counter-based per seed), so the shards
+reassembled in result order are bit-identical to an in-process run.  The
+pool's scaling policy clamps its worker target to the outstanding shards.
 
 :func:`execute_shard_payload` is the module-level worker function
 (picklable, JSON-in/JSON-out) that process workers run.
@@ -30,17 +25,21 @@ never provisions 16 workers no matter what ``max_workers`` allows.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any
 
-from ..api.executors import BatchCampaignExecutor
+from ..api.executors import BatchCampaignExecutor, BlockSimulator
 from ..api.spec import ExperimentSpec
-from ..batch.streaming import batch_block_size
+from ..batch.engine import join_blocks, records_from_columns
+from ..batch.streaming import iter_blocks
+from ..warehouse.planner import SeedGroup, campaign_blocks, group_seeds
+from .wire import JobRequest
 
-#: Default behavioural seeds per shard.  Small enough that a burst of
-#: modest campaigns produces real queue pressure for the scaler to react
-#: to, large enough to amortize dispatch overhead.
+#: Default specs per shard outside batched seed groups.  Small enough
+#: that a burst of modest behavioural campaigns produces real queue
+#: pressure for the scaler to react to, large enough to amortize
+#: dispatch overhead.
 DEFAULT_SHARD_SIZE = 4
 
 
@@ -53,69 +52,53 @@ class Shard:
     index:
         Position within the job's shard plan.
     spec_indices:
-        Indices into the job's spec list served by this shard, in result
-        order.
+        Indices into the job's results served by this shard, in order.
+    payload:
+        The JSON-able work order shipped to a worker.
     """
 
     index: int
     spec_indices: tuple[int, ...]
-
-    def payload(self, spec_dicts: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
-        """The JSON-able work order shipped to a worker."""
-        return {"specs": [dict(spec_dicts[i]) for i in self.spec_indices]}
+    payload: Mapping[str, Any]
 
 
-def plan_shards(
-    spec_dicts: Sequence[Mapping[str, Any]],
-    shard_size: int | None = None,
-    batched_shard_size: int | None = None,
-) -> list[Shard]:
-    """Partition a job's spec dicts into schedulable shards.
-
-    Batched specs form seed blocks of ``batched_shard_size`` (default:
-    :func:`repro.batch.streaming.batch_block_size`, i.e.
-    ``REPRO_BATCH_BLOCK``) — the batch engine's per-seed rows are
-    composition-invariant, so the partition is free to follow worker
-    economics rather than reproducibility constraints.  Behavioural specs
-    form seed blocks of ``shard_size``.  The plan never contains more
-    shards than specs.
-    """
-    if shard_size is None:
-        shard_size = DEFAULT_SHARD_SIZE
-    if shard_size < 1:
-        raise ValueError("shard_size must be at least 1")
-    if batched_shard_size is None:
-        batched_shard_size = batch_block_size()
-    if batched_shard_size is not None and batched_shard_size < 1:
-        raise ValueError("batched_shard_size must be at least 1")
-    batched = [i for i, spec in enumerate(spec_dicts) if spec.get("engine") == "batched"]
-    serial = [i for i, spec in enumerate(spec_dicts) if spec.get("engine") != "batched"]
+def plan_shards(request: JobRequest) -> list[Shard]:
+    """Partition a validated job into schedulable shards (see module docstring)."""
+    shard_size = request.shard_size if request.shard_size is not None else DEFAULT_SHARD_SIZE
+    campaign = request.campaign
+    if campaign is not None:
+        groups, solo = [SeedGroup(campaign.base, tuple(range(len(campaign))), campaign.seeds)], []
+    else:
+        groups, solo = group_seeds(request.specs)
     shards: list[Shard] = []
-    batched_step = batched_shard_size if batched_shard_size is not None else max(1, len(batched))
-    for start in range(0, len(batched), batched_step):
-        block = tuple(batched[start : start + batched_step])
-        shards.append(Shard(index=len(shards), spec_indices=block))
-    for start in range(0, len(serial), shard_size):
-        block = tuple(serial[start : start + shard_size])
-        shards.append(Shard(index=len(shards), spec_indices=block))
+    for group in groups:
+        base = group.base.to_dict()
+        del base["seed"]
+        for piece in iter_blocks(len(group.seeds)):
+            payload = {"base": base, "seeds": list(group.seeds[piece])}
+            shards.append(Shard(len(shards), group.indices[piece], payload))
+    for start in range(0, len(solo), shard_size):
+        chunk = tuple(solo[start : start + shard_size])
+        payload = {"specs": [request.specs[index].to_dict() for index in chunk]}
+        shards.append(Shard(len(shards), chunk, payload))
     return shards
 
 
-def max_useful_workers(shards: Sequence[Shard]) -> int:
-    """Largest worker count a shard plan can keep busy."""
-    return max(1, len(shards))
-
-
 def execute_shard_payload(payload: Mapping[str, Any]) -> dict[str, Any]:
-    """Execute one shard work order and return its per-spec records.
+    """Execute one shard work order and return its per-run records.
 
-    The inverse of :meth:`Shard.payload`: rebuilds the specs, runs them
-    through one :class:`~repro.api.executors.BatchCampaignExecutor` call
-    (which consults the warehouse, with the same unit keys as an
-    in-process run) and returns records in spec order.  Module-level and
-    dict-typed on both ends so process workers can receive it over a
-    ``multiprocessing`` queue.
+    The inverse of :attr:`Shard.payload`.  A seed block walks
+    :func:`~repro.warehouse.planner.campaign_blocks` on one task model,
+    exactly as an in-process campaign does; a spec list runs through one
+    :class:`~repro.api.executors.BatchCampaignExecutor` call.  Both
+    consult the warehouse with the same unit keys as an in-process run.
+    Module-level and dict-typed on both ends so process workers can
+    receive it over a ``multiprocessing`` queue.
     """
+    if "seeds" in payload:
+        base = ExperimentSpec.from_dict(payload["base"])
+        block = join_blocks(campaign_blocks(base, payload["seeds"], BlockSimulator(base)))
+        return {"records_per_spec": [[record] for record in records_from_columns(block)]}
     specs = [ExperimentSpec.from_dict(entry) for entry in payload["specs"]]
     outcomes = BatchCampaignExecutor().map(specs)
     return {

@@ -102,7 +102,7 @@ def spec_sha256(payload: Mapping[str, Any]) -> str:
 
 @dataclass(frozen=True)
 class JobRequest:
-    """A validated job: the payload plus its expanded concrete specs.
+    """A validated job: the payload plus the runs it executes.
 
     Attributes
     ----------
@@ -113,13 +113,16 @@ class JobRequest:
         ``to_dict`` so the hash is insensitive to field order).
     specs:
         The concrete :class:`~repro.api.spec.ExperimentSpec` list the job
-        executes, in result order.
+        executes, in result order; empty for a batched campaign.
     label:
         Human-readable one-line description for listings and logs.
     spec_hash:
         :func:`spec_sha256` of ``payload``.
     shard_size:
-        Seeds per behavioural shard (``None`` = the planner's default).
+        Specs per shard outside batched seed groups (``None`` = the
+        planner's default).
+    campaign:
+        A batched campaign, kept whole: it runs as (base spec, seed blocks).
     """
 
     kind: str
@@ -128,6 +131,12 @@ class JobRequest:
     label: str
     spec_hash: str
     shard_size: int | None = None
+    campaign: CampaignSpec | None = None
+
+    @property
+    def runs(self) -> int:
+        """Number of runs (result rows' ``_spec`` slots) the job produces."""
+        return len(self.campaign) if self.campaign is not None else len(self.specs)
 
 
 def _check_registry_names(spec_dict: Mapping[str, Any], where: str) -> None:
@@ -213,6 +222,7 @@ def validate_job_payload(payload: Any) -> JobRequest:
         if not isinstance(shard_size, int) or isinstance(shard_size, bool) or shard_size < 1:
             raise WireError("'shard_size' must be a positive integer")
 
+    batched: CampaignSpec | None = None
     if kind == "batch":
         raw_specs = payload.get("specs")
         if not isinstance(raw_specs, Sequence) or isinstance(raw_specs, (str, bytes)):
@@ -241,8 +251,12 @@ def validate_job_payload(payload: Any) -> JobRequest:
             )
         except (TypeError, ValueError) as error:
             raise WireError(f"spec: {error}") from None
-        specs = tuple(campaign.expand())
-        label = f"campaign {_spec_label(base)} ({len(specs)} seeds)"
+        if base.seed_grouped:
+            # Batched seeds run as (base spec, seed blocks), never per-seed specs.
+            specs, batched = (), campaign
+        else:
+            specs = tuple(campaign.expand())
+        label = f"campaign {_spec_label(base)} ({len(campaign)} seeds)"
         canonical = {"kind": kind, "spec": campaign.to_dict()}
     else:  # sweep
         raw = _require_spec(payload)
@@ -265,6 +279,7 @@ def validate_job_payload(payload: Any) -> JobRequest:
         label=label,
         spec_hash=spec_sha256(canonical),
         shard_size=shard_size,
+        campaign=batched,
     )
 
 

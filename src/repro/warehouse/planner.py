@@ -11,14 +11,18 @@ Unit granularity follows the engines' reproducibility contracts:
 
 * behavioural specs and all design-space kinds are one unit per spec —
   their outcome depends only on the spec itself;
-* ``engine="batched"`` execute specs are grouped by their base spec
-  (everything but the seed) and cut into consecutive seed **blocks** of
-  ``REPRO_BATCH_BLOCK`` seeds, one unit per block holding its metric
-  columns.  Counter-based fault streams make rows independent of block
-  composition, so blocks hit or miss independently and a partially
-  synced campaign resumes as a delta of its missing blocks.
-  :func:`campaign_blocks` walks a batched campaign through the same
-  blocks without expanding its seeds, so either path serves the other.
+* batched ``execute`` specs are cut per base spec (everything but the
+  seed) into consecutive seed **blocks** of ``REPRO_BATCH_BLOCK`` seeds,
+  one unit per block holding its metric columns.  Counter-based fault
+  streams make rows independent of block composition, so blocks hit or
+  miss independently and a partially synced campaign resumes as a delta
+  of its missing blocks.
+
+Only this module groups and cuts batched seeds: a *seed group*
+(:func:`group_seeds`) travels as (base spec, seed blocks) through
+:func:`campaign_blocks`, whether it is an in-process campaign, a
+``run_all`` group, a service campaign job or a service worker's shard,
+so a block stored by any of them serves the others.
 
 Every unit is keyed on the spec's declared ``engine``, and no executor
 overrides it, so a unit's key always names the engine that computed it.
@@ -41,9 +45,9 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..api.executors import RunOutcome
+from ..api.executors import Executor, RunOutcome
 from ..api.spec import ExperimentSpec
-from ..batch.engine import ColumnBlock, block_from_records, records_from_columns
+from ..batch.engine import ColumnBlock, block_from_records, join_blocks, records_from_columns
 from ..batch.streaming import iter_blocks
 from .keys import block_key, canonical_json, fingerprint_digest, unit_key
 from .store import ResultWarehouse, WarehouseEntry, WAREHOUSE_EVENTS, default_warehouse
@@ -70,6 +74,15 @@ class Unit:
     seeds: tuple[int, ...] = ()
 
 
+@dataclass(frozen=True)
+class SeedGroup:
+    """Batched specs equal but for their seed: the first one, positions, seeds."""
+
+    base: ExperimentSpec
+    indices: tuple[int, ...]
+    seeds: tuple[int, ...]
+
+
 def _spec_payload(spec: ExperimentSpec, seedless: bool = False) -> dict[str, Any] | None:
     """The spec's canonical dict (minus ``seed``), or ``None`` without a JSON form."""
     if spec.collect_trace:
@@ -86,28 +99,67 @@ def _spec_payload(spec: ExperimentSpec, seedless: bool = False) -> dict[str, Any
     return payload
 
 
+def _identity(spec: ExperimentSpec) -> tuple:
+    """Hashable identity of a batched spec minus its seed."""
+    # Live application / scenario instances group by identity:
+    # campaigns reuse the same instance across seeds.
+    return (
+        spec.app if isinstance(spec.app, str) else id(spec.app),
+        spec.strategy,
+        repr(sorted(spec.strategy_params.items())),
+        spec.constraints,
+        spec.fault_model,
+        repr(sorted(spec.fault_params.items())),
+        spec.scenario if isinstance(spec.scenario, str) else id(spec.scenario),
+        repr(sorted(spec.scenario_params.items())),
+        repr(sorted(spec.params.items())),
+    )
+
+
+def group_seeds(specs: Sequence[ExperimentSpec]) -> tuple[list[SeedGroup], list[int]]:
+    """The seed groups of two or more seeds, and every other spec's index.
+
+    A lone batched spec stays solo, so a parallel executor still spreads
+    a one-seed-per-point sweep.  Grouping only decides how seeds share a
+    task model, never a number.
+    """
+    members: dict[tuple, list[int]] = {}
+    solo: list[int] = []
+    for index, spec in enumerate(specs):
+        if spec.seed_grouped:
+            members.setdefault(_identity(spec), []).append(index)
+        else:
+            solo.append(index)
+    groups: list[SeedGroup] = []
+    for indices in members.values():
+        if len(indices) == 1:
+            solo.append(indices[0])
+        else:
+            seeds = tuple(specs[index].seed for index in indices)
+            groups.append(SeedGroup(specs[indices[0]], tuple(indices), seeds))
+    return groups, sorted(solo)
+
+
 def plan_units(specs: Sequence[ExperimentSpec]) -> list[Unit]:
     """Split a spec list into warehouse units (see module docstring)."""
     fingerprint = fingerprint_digest()
+    groups, solo = group_seeds(specs)
     units: list[Unit] = []
-    groups: dict[str, tuple[dict[str, Any], list[int]]] = {}
-    for index, spec in enumerate(specs):
-        payload = _spec_payload(spec, seedless=spec.seed_grouped)
-        if payload is None:
-            units.append(Unit((index,), None, None, spec.kind, spec.engine))
-        elif spec.seed_grouped:
-            # Rows are composition-invariant, so the blocks cut below
-            # need not match how any executor batches the group.
-            groups.setdefault(canonical_json(payload), (payload, []))[1].append(index)
-        else:
-            key = unit_key(payload, fingerprint)
-            units.append(Unit((index,), key, payload, spec.kind, spec.engine))
-    for base, indices in groups.values():
-        for piece in iter_blocks(len(indices)):
-            chunk = tuple(indices[piece])
-            seeds = tuple(specs[index].seed for index in chunk)
-            key = block_key(base, seeds, fingerprint)
-            units.append(Unit(chunk, key, base, "execute", "batched", seeds))
+    for index in solo:
+        spec = specs[index]
+        if spec.seed_grouped:
+            # Keyed like the one-seed campaign block of the same spec.
+            groups.append(SeedGroup(spec, (index,), (spec.seed,)))
+            continue
+        payload = _spec_payload(spec)
+        key = None if payload is None else unit_key(payload, fingerprint)
+        units.append(Unit((index,), key, payload, spec.kind, spec.engine))
+    for group in groups:
+        base = _spec_payload(group.base, seedless=True)
+        for piece in iter_blocks(len(group.seeds)):
+            seeds = group.seeds[piece]
+            key = None if base is None else block_key(base, seeds, fingerprint)
+            units.append(Unit(group.indices[piece], key, base, "execute", "batched", seeds))
     return units
 
 
@@ -119,7 +171,9 @@ def campaign_blocks(
     """A batched campaign's seed blocks, in order, served or computed.
 
     The seeds are cut into the block units :func:`plan_units` gives the
-    expanded campaign; ``compute(block_seeds)`` fills (and stores) a miss.
+    expanded campaign; ``compute(block_seeds)``, an executor's
+    :meth:`~repro.api.executors.Executor.block_runner`, fills (and
+    stores) a miss.
     """
     warehouse = default_warehouse()
     payload = _spec_payload(base, seedless=True) if warehouse.enabled else None
@@ -143,6 +197,22 @@ def campaign_blocks(
                     fingerprint=fingerprint,
                 )
         yield block
+
+
+class _Missing(Exception):
+    """A campaign block the warehouse does not hold."""
+
+
+def _missing(block_seeds: tuple[int, ...]) -> ColumnBlock:
+    raise _Missing(block_seeds)
+
+
+def stored_campaign(base: ExperimentSpec, seeds: Sequence[int]) -> ColumnBlock | None:
+    """A batched campaign's runs if the warehouse holds every block, else ``None``."""
+    try:
+        return join_blocks(campaign_blocks(base, seeds, _missing))
+    except _Missing:
+        return None  # stopped at the first block the warehouse lacks
 
 
 @dataclass
@@ -271,29 +341,38 @@ class DeltaPlanner:
 _ACTIVE = threading.local()
 
 
-def plan_and_run(
-    specs: Sequence[ExperimentSpec],
-    run: Callable[[list[ExperimentSpec]], Sequence[RunOutcome]],
-) -> list[RunOutcome]:
-    """Run ``specs`` through ``run``, serving cached units from the warehouse.
+def plan_and_run(specs: Sequence[ExperimentSpec], executor: Executor) -> list[RunOutcome]:
+    """Run ``specs`` on ``executor``, serving stored units from the warehouse.
 
-    The transparent-caching entry point: plans the delta, executes only
-    the missing specs (skipping the call entirely on a full hit), syncs
-    fresh results back and returns outcomes in input order.  Nested calls
-    on the same thread — a session delegating to an executor that also
-    consults the warehouse — pass straight through, so each logical run
-    is planned exactly once.  With the warehouse disabled this is exactly
-    ``run(list(specs))``.
+    Each seed group walks :func:`campaign_blocks` on
+    ``executor.block_runner(base)``.  Every other spec is diffed by
+    :class:`DeltaPlanner` and only the missing ones go to one
+    ``executor.map`` call (none on a full hit).  Outcomes return in
+    input order.  A nested call on the same thread — an executor whose
+    ``map`` plans again — passes straight through to ``executor.map``.
     """
     specs = list(specs)
-    warehouse = default_warehouse()
-    if not warehouse.enabled or getattr(_ACTIVE, "depth", 0):
-        return list(run(specs))
-    plan = DeltaPlanner(warehouse).plan(specs)
-    missing = plan.missing_specs()
-    _ACTIVE.depth = getattr(_ACTIVE, "depth", 0) + 1
+    if getattr(_ACTIVE, "depth", 0):
+        return list(executor.map(specs))
+    _ACTIVE.depth = 1
     try:
-        outcomes = list(run(missing)) if missing else []
+        outcomes: list[RunOutcome | None] = [None] * len(specs)
+        groups, solo = group_seeds(specs)
+        for group in groups:
+            runner = executor.block_runner(group.base)
+            block = join_blocks(campaign_blocks(group.base, group.seeds, runner))
+            for index, record in zip(group.indices, records_from_columns(block)):
+                outcomes[index] = RunOutcome(spec=specs[index], records=[record])
+        rest = [specs[index] for index in solo]
+        warehouse = default_warehouse()
+        if rest and warehouse.enabled:
+            plan = DeltaPlanner(warehouse).plan(rest)
+            missing = plan.missing_specs()
+            done = plan.merge(list(executor.map(missing)) if missing else [])
+        else:
+            done = list(executor.map(rest)) if rest else []
+        for index, outcome in zip(solo, done):
+            outcomes[index] = outcome
+        return outcomes  # type: ignore[return-value]
     finally:
-        _ACTIVE.depth -= 1
-    return plan.merge(outcomes)
+        _ACTIVE.depth = 0

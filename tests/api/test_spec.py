@@ -142,6 +142,25 @@ class TestCampaignSpec:
         with pytest.raises(ValueError):
             CampaignSpec(base=ExperimentSpec(app="adpcm-encode"), runs=0)
 
+    @pytest.mark.parametrize("runs", (True, "5", 2.0, None, -3))
+    def test_non_integer_runs_rejected(self, runs):
+        with pytest.raises(ValueError, match="runs must be an integer"):
+            CampaignSpec(base=ExperimentSpec(app="adpcm-encode"), runs=runs)
+
+    def test_integer_runs_of_any_integer_type_accepted(self):
+        campaign = CampaignSpec(base=ExperimentSpec(app="adpcm-encode"), runs=np.int64(3))
+        assert campaign.seeds == (0, 1, 2)
+
+    @pytest.mark.parametrize("metrics", ("energy_nj", ["energy_nj", 3], 5))
+    def test_metrics_must_be_a_sequence_of_names(self, metrics):
+        # A bare string would otherwise be split into one-letter metrics.
+        with pytest.raises(ValueError, match="metrics must be a sequence"):
+            CampaignSpec(base=ExperimentSpec(app="adpcm-encode"), seeds=(1, 2), metrics=metrics)
+
+    def test_metric_lists_become_tuples(self):
+        campaign = CampaignSpec(base=ExperimentSpec(app="adpcm-encode"), metrics=["energy_nj"])
+        assert campaign.metrics == ("energy_nj",)
+
     def test_json_round_trip(self):
         campaign = CampaignSpec(
             base=ExperimentSpec(app="jpeg-decode", strategy="hybrid-optimal"),

@@ -131,16 +131,6 @@ class TestBatchCampaignExecutor:
         report = Session().campaign(CampaignSpec(base=base, seeds=seeds))
         assert [row["seed"] for row in report.raw] == list(seeds)
 
-    def test_registry_specs_group_via_serialization(self):
-        specs = [
-            ExperimentSpec(app="adpcm-encode", strategy="default", seed=seed, engine="batched")
-            for seed in range(2)
-        ]
-        keys = {BatchCampaignExecutor._group_key(spec) for spec in specs}
-        assert len(keys) == 1
-        assert None not in keys
-        assert BatchCampaignExecutor._group_key(replace(specs[0], engine="behavioural")) is None
-
 
 class TestSessionEngine:
     def test_campaign_engine_argument(self, small_adpcm_encode, engine_runs):

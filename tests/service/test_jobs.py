@@ -51,7 +51,7 @@ class TestLifecycle:
             queue.complete_shard(job.id, shard.index, _records(shard))
         assert job.state == DONE
         assert job.ready_prefix() == 4
-        assert [row["seed"] for row in job.rows()] == [0, 1, 2, 3]
+        assert [records[0]["seed"] for records in job.records_per_spec] == [0, 1, 2, 3]
 
     def test_out_of_order_completion_streams_in_order(self):
         queue = JobQueue()

@@ -46,7 +46,7 @@ class TestThreadPool:
         with WorkerPool(queue, policy=_policy(), mode="thread"):
             assert _wait_for(lambda: job.state == DONE)
         assert job.ready_prefix() == 4
-        assert [row["seed"] for row in job.rows()] == [0, 1, 2, 3]
+        assert [records[0]["seed"] for records in job.records_per_spec] == [0, 1, 2, 3]
 
     def test_scales_up_under_load_and_down_when_idle(self, monkeypatch):
         # The four jobs are identical; without this the result warehouse

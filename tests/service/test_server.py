@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.api.session import Session
-from repro.api.spec import ExperimentSpec
+from repro.api.spec import CampaignSpec, ExperimentSpec
 from repro.service import ServiceClient, ServiceError
 
 SPEC = {"app": "adpcm-encode", "strategy": "hybrid-optimal"}
@@ -264,6 +264,73 @@ class TestBitIdentity:
         local = Session().sweep(sweep)
         remote = Session.connect(server.url).sweep(sweep)
         assert remote.to_json() == local.to_json()
+
+
+class TestSeedBlocks:
+    """A batched campaign job travels as (base spec, seed blocks), never per seed."""
+
+    BASE = ExperimentSpec(**SPEC, engine="batched")
+
+    def _payload(self, seeds) -> dict:
+        return {"kind": "campaign", "spec": {"base": self.BASE.to_dict(), "seeds": list(seeds)}}
+
+    def test_server_builds_no_per_seed_specs(self, server, client, monkeypatch):
+        built, expanded = [], []
+        post_init, expand = ExperimentSpec.__post_init__, CampaignSpec.expand
+
+        def counting_post_init(spec):
+            built.append(spec.seed)
+            post_init(spec)
+
+        def counting_expand(campaign):
+            expanded.append(len(campaign))
+            return expand(campaign)
+
+        streamed, constructions = {}, {}
+        with monkeypatch.context() as patch:
+            patch.setattr(ExperimentSpec, "__post_init__", counting_post_init)
+            patch.setattr(CampaignSpec, "expand", counting_expand)
+            for seeds in (range(20), range(1000, 1400)):
+                before = len(built)
+                job = client.submit(self._payload(seeds))
+                meta, rows = client.results(job["job_id"], wait=True)
+                constructions[len(seeds)] = len(built) - before
+                assert meta["state"] == "done"
+                streamed[len(seeds)] = ([row.pop("_spec") for row in rows], rows)
+        assert constructions[20] == constructions[400]
+        assert expanded == []
+        monkeypatch.setenv("REPRO_NO_WAREHOUSE", "1")
+        for seeds in (range(20), range(1000, 1400)):
+            positions, rows = streamed[len(seeds)]
+            assert positions == list(range(len(seeds)))
+            local = Session().campaign(CampaignSpec(base=self.BASE, seeds=tuple(seeds)))
+            assert json.dumps(rows) == json.dumps(local.raw)
+
+    def test_shards_are_the_engine_blocks(self, server, client, monkeypatch):
+        monkeypatch.setenv("REPRO_BATCH_BLOCK", "3")
+        job = client.submit(self._payload(range(7)))
+        client.results(job["job_id"], wait=True)
+        shards = server.jobs.get(job["job_id"]).shards
+        assert [shard.payload["seeds"] for shard in shards] == [[0, 1, 2], [3, 4, 5], [6]]
+        assert all(set(shard.payload) == {"base", "seeds"} for shard in shards)
+        assert client.job(job["job_id"])["shards"]["total"] == 3
+        monkeypatch.delenv("REPRO_BATCH_BLOCK")
+        job = client.submit(self._payload(range(10, 17)))
+        client.results(job["job_id"], wait=True)
+        assert client.job(job["job_id"])["shards"]["total"] == 1
+
+    def test_remote_sessions_submit_campaign_jobs(self, server, client, monkeypatch):
+        seen = len(client.jobs())
+        remote = Session.connect(server.url)
+        report = remote.campaign(self.BASE, seeds=range(5))
+        group = [self.BASE.with_overrides(seed=seed) for seed in range(20, 26)]
+        outcomes = remote.run_all(group)
+        kinds = [job["kind"] for job in client.jobs()[seen:]]
+        assert kinds == ["campaign", "campaign"]
+        monkeypatch.setenv("REPRO_NO_WAREHOUSE", "1")
+        local = Session().campaign(self.BASE, seeds=range(5))
+        assert json.dumps(report.raw) == json.dumps(local.raw)
+        assert [o.records for o in outcomes] == [o.records for o in Session().run_all(group)]
 
 
 class TestWarehouseFastPath:

@@ -72,6 +72,16 @@ class TestValidPayloads:
         )
         assert [spec.seed for spec in request.specs] == [3, 1, 4]
 
+    def test_batched_campaign_stays_a_campaign(self):
+        base = ExperimentSpec(app="adpcm-encode", engine="batched").to_dict()
+        request = validate_job_payload(
+            {"kind": "campaign", "spec": {"base": base, "seeds": [3, 1, 4]}}
+        )
+        assert request.specs == ()
+        assert request.campaign.seeds == (3, 1, 4)
+        assert request.runs == 3
+        assert request.label.endswith("(3 seeds)")
+
     def test_batch_keeps_order(self):
         specs = [ExperimentSpec(app="adpcm-encode", seed=s).to_dict() for s in (5, 2)]
         request = validate_job_payload({"kind": "batch", "specs": specs})
@@ -153,6 +163,22 @@ class TestStructuredErrors:
         error = self._error({"kind": "campaign", "spec": {"base": base, "seeds": seeds}})
         assert error.status == 400
         assert "campaign seeds must be an integer" in error.message
+
+    @pytest.mark.parametrize("runs", (True, "5", 2.5, 0))
+    def test_campaign_runs_must_be_a_positive_integer(self, runs):
+        base = ExperimentSpec(app="adpcm-encode").to_dict()
+        error = self._error({"kind": "campaign", "spec": {"base": base, "runs": runs}})
+        assert error.status == 400
+        assert "runs must be an integer of at least 1" in error.message
+
+    @pytest.mark.parametrize("metrics", ("energy_nj", [1, 2], {"energy_nj": 1}))
+    def test_campaign_metrics_must_be_a_list_of_names(self, metrics):
+        base = ExperimentSpec(app="adpcm-encode", engine="batched").to_dict()
+        error = self._error(
+            {"kind": "campaign", "spec": {"base": base, "seeds": [1, 2], "metrics": metrics}}
+        )
+        assert error.status == 400
+        assert "metrics must be a sequence of metric names" in error.message
 
     def test_spec_seed_must_be_an_integer(self):
         error = self._error(_experiment(seed=2.5))

@@ -33,6 +33,19 @@ and every ``raw`` row — under five cache states:
   first, and the campaign must be served their stored blocks;
 * campaign first — the campaign ran first, and ``Session.run_all`` over
   the expanded specs must be served its blocks, row for row.
+
+A third property submits each drawn batched campaign as a raw
+``campaign`` job through :class:`~repro.service.ServiceClient`, as the
+service-roundtrip benchmark does.  With ``_spec`` stripped, the streamed
+rows must be byte-identical to ``Session().campaign(...).raw`` computed
+with the warehouse off, under five states:
+
+* cold, and warm — the repeat submission is answered ``cached``;
+* partial — a prefix of the seeds ran in-process first;
+* campaign first — an in-process campaign of the same seeds ran first,
+  and the job recomputes nothing;
+* job first — the job ran first, and an in-process campaign of the same
+  seeds then recomputes nothing.
 """
 
 from __future__ import annotations
@@ -56,12 +69,13 @@ from repro.api.spec import ENGINES, CampaignSpec, ExperimentSpec
 from repro.batch.streaming import ENV_BLOCK
 from repro.faults.campaign import aggregate_runs
 from repro.runtime.profile_cache import ENV_CACHE_DIR
-from repro.service import ExperimentServer, ScalingPolicy
+from repro.service import ExperimentServer, ScalingPolicy, ServiceClient
 from repro.warehouse.store import ENV_NO_WAREHOUSE, ENV_WAREHOUSE_DIR
 
 EXECUTORS = ("serial", "parallel", "batched", "remote")
 CACHE_STATES = ("cold", "warm", "partial", "cross-engine")
 CAMPAIGN_STATES = ("cold", "warm", "partial", "run_all-first", "campaign-first")
+JOB_STATES = ("cold", "warm", "partial", "campaign-first", "job-first")
 STATISTICS = ("count", "mean", "stdev", "median", "p95", "minimum", "maximum")
 
 #: ``REPRO_BATCH_BLOCK`` values drawn per example (``None`` = the default).
@@ -255,6 +269,48 @@ def test_batched_campaign_equals_aggregated_solo_rows(state, tmp_path, monkeypat
             assert json.dumps(report.raw) == json.dumps(rows)
         if state in ("run_all-first", "campaign-first"):
             assert _executed() == executed, "the campaign recomputed stored blocks"
+
+    check()
+
+
+@pytest.mark.parametrize("state", JOB_STATES)
+def test_campaign_job_rows_equal_the_in_process_campaign(state, runners, tmp_path, monkeypatch):
+    client = ServiceClient(runners["server"].url, timeout=60.0)
+
+    def submit(campaign: CampaignSpec) -> tuple[dict, list[dict]]:
+        spec = {"base": campaign.base.to_dict(), "seeds": list(campaign.seeds)}
+        job = client.submit({"kind": "campaign", "spec": spec})
+        meta, rows = client.results(job["job_id"], wait=True)
+        assert meta["state"] == "done"
+        return job, [{k: v for k, v in row.items() if k != "_spec"} for row in rows]
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(campaign=_campaigns, block=st.sampled_from(BLOCK_SIZES), data=st.data())
+    def check(campaign, block, data):
+        monkeypatch.setenv(ENV_WAREHOUSE_DIR, tempfile.mkdtemp(dir=tmp_path))
+        _set_block(monkeypatch, block)
+        with monkeypatch.context() as patch:
+            patch.setenv(ENV_NO_WAREHOUSE, "1")
+            expected = json.dumps(Session().campaign(campaign).raw)
+        if state == "partial" and len(campaign.seeds) > 1:
+            cut = data.draw(st.integers(min_value=1, max_value=len(campaign.seeds) - 1))
+            Session().campaign(dataclasses.replace(campaign, seeds=campaign.seeds[:cut]))
+        elif state == "campaign-first":
+            Session().campaign(campaign)
+        executed = _executed()
+        job, rows = submit(campaign)
+        assert json.dumps(rows) == expected
+        if state == "campaign-first":
+            assert job["cached"] and _executed() == executed, "the job recomputed stored blocks"
+        elif state == "warm":
+            repeat, rows = submit(campaign)
+            assert repeat["cached"], "the repeat submission was not served from the warehouse"
+            assert json.dumps(rows) == expected
+        elif state == "job-first":
+            executed = _executed()
+            report = Session().campaign(campaign)
+            assert _executed() == executed, "the campaign recomputed blocks the job stored"
+            assert json.dumps(report.raw) == expected
 
     check()
 

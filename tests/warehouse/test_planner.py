@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api.executors import RunOutcome, execute_spec
+from repro.api.executors import Executor, RunOutcome, execute_spec
 from repro.api.spec import ExperimentSpec
 from repro.warehouse.keys import block_key, fingerprint_digest
-from repro.warehouse.planner import DeltaPlanner, plan_and_run, plan_units
+from repro.warehouse.planner import DeltaPlanner, group_seeds, plan_and_run, plan_units
 from repro.warehouse.store import ResultWarehouse
 
 
@@ -21,6 +21,40 @@ def _outcome(spec: ExperimentSpec, value: float, artifact=None) -> RunOutcome:
     return RunOutcome(
         spec=spec, records=[{"seed": spec.seed, "energy_nj": value}], artifact=artifact
     )
+
+
+class _Run(Executor):
+    """An executor whose ``map`` is ``run``."""
+
+    def __init__(self, run) -> None:
+        self.run = run
+
+    def map(self, specs):
+        return self.run(list(specs))
+
+
+class TestGroupSeeds:
+    def test_batched_specs_group_by_everything_but_seed(self) -> None:
+        # A lone batched spec stays solo: one-seed groups go to the
+        # executor's map, so a parallel executor spreads them.
+        specs = [
+            _spec(seed=3, engine="batched"),
+            _spec(seed=0),
+            _spec(seed=1, engine="batched"),
+            _spec(seed=0, engine="batched", strategy="default"),
+            _spec(seed=0, engine="batched", app="adpcm-decode"),
+        ]
+        (group,), solo = group_seeds(specs)
+        assert (group.indices, group.seeds) == ((0, 2), (3, 1))
+        assert group.base is specs[0]
+        assert solo == [1, 3, 4]
+
+    def test_live_instances_group_by_identity(self, small_adpcm_encode) -> None:
+        same = [_spec(seed=s, app=small_adpcm_encode, engine="batched") for s in (0, 1)]
+        other = _spec(seed=2, app=type(small_adpcm_encode)(frame_samples=320), engine="batched")
+        groups, solo = group_seeds([*same, other])
+        assert [group.indices for group in groups] == [(0, 1)]
+        assert solo == [2]
 
 
 class TestPlanUnits:
@@ -220,12 +254,12 @@ class TestPlanAndRun:
     def test_full_hit_skips_the_executor_entirely(self, tmp_path, monkeypatch) -> None:
         monkeypatch.setenv("REPRO_WAREHOUSE_DIR", str(tmp_path))
         spec = _spec(seed=5)
-        plan_and_run([spec], lambda missing: [_outcome(s, 1.0) for s in missing])
+        plan_and_run([spec], _Run(lambda missing: [_outcome(s, 1.0) for s in missing]))
 
         def exploding_run(missing):
             raise AssertionError("a fully cached plan must never call run()")
 
-        (outcome,) = plan_and_run([spec], exploding_run)
+        (outcome,) = plan_and_run([spec], _Run(exploding_run))
         assert outcome.records[0]["seed"] == 5
 
     def test_kill_switch_is_a_passthrough(self, tmp_path, monkeypatch) -> None:
@@ -238,8 +272,8 @@ class TestPlanAndRun:
             calls.append(len(missing))
             return [_outcome(s, 1.0) for s in missing]
 
-        plan_and_run([spec], run)
-        plan_and_run([spec], run)
+        plan_and_run([spec], _Run(run))
+        plan_and_run([spec], _Run(run))
         assert calls == [1, 1]  # executed twice: nothing stored, nothing served
 
     def test_nested_calls_pass_through(self, tmp_path, monkeypatch) -> None:
@@ -254,12 +288,38 @@ class TestPlanAndRun:
             return [_outcome(s, 1.0) for s in missing]
 
         def outer_run(missing):
-            return plan_and_run(missing, inner_run)
+            return plan_and_run(missing, _Run(inner_run))
 
-        plan_and_run([spec], outer_run)
+        plan_and_run([spec], _Run(outer_run))
         assert inner_calls == [1]
-        plan_and_run([spec], outer_run)
+        plan_and_run([spec], _Run(outer_run))
         assert inner_calls == [1]  # warm: neither level re-executed
+
+    def test_seed_groups_walk_blocks_with_the_warehouse_off(self, monkeypatch) -> None:
+        monkeypatch.setenv("REPRO_NO_WAREHOUSE", "1")
+        monkeypatch.setenv("REPRO_BATCH_BLOCK", "2")
+        blocks, mapped = [], []
+
+        class Recording(_Run):
+            def block_runner(self, base):
+                runner = super().block_runner(base)
+
+                def run(seeds):
+                    blocks.append(tuple(seeds))
+                    return runner(seeds)
+
+                return run
+
+        def run(specs):
+            mapped.extend(spec.seed for spec in specs)
+            return [execute_spec(spec) for spec in specs]
+
+        specs = [_spec(seed=s, engine="batched") for s in (4, 5, 6)]
+        specs.insert(1, _spec(seed=9, engine="batched", strategy="default"))
+        outcomes = plan_and_run(specs, Recording(run))
+        assert blocks == [(4, 5), (6,)]
+        assert mapped == [9]
+        assert [o.record for o in outcomes] == [execute_spec(s).record for s in specs]
 
     def test_empty_spec_list_never_calls_run(self, tmp_path, monkeypatch) -> None:
         monkeypatch.setenv("REPRO_WAREHOUSE_DIR", str(tmp_path))
@@ -267,4 +327,4 @@ class TestPlanAndRun:
         def exploding_run(missing):
             raise AssertionError("run() must not be called for zero specs")
 
-        assert plan_and_run([], exploding_run) == []
+        assert plan_and_run([], _Run(exploding_run)) == []
