@@ -385,8 +385,12 @@ def reference_non_dominated(values: list[tuple[float, ...]]) -> list[int]:
     against the current front; dominated candidates are dropped, dominated
     front members are evicted.  Exactly equal points never dominate each
     other, so duplicates are all retained.  Output indices ascend (i.e.
-    evaluation order is preserved).
+    evaluation order is preserved).  ``±inf`` is an ordinary value; a NaN
+    raises the same :class:`ValueError` as
+    :meth:`~repro.batch.substrate.Substrate.non_dominated_mask`.
     """
+    if any(math.isnan(x) for row in values for x in row):
+        raise ValueError("objective values must not be NaN")
     front: list[int] = []
     for index, candidate in enumerate(values):
         survivors: list[int] = []
@@ -405,14 +409,40 @@ def reference_non_dominated(values: list[tuple[float, ...]]) -> list[int]:
     return front
 
 
-def grid_non_dominated_mask(values: np.ndarray) -> np.ndarray:
-    """Boolean mask of the non-dominated rows of ``values``, in array ops.
+#: (block row, front row) pairs one merge tile compares at once; bounds a
+#: tile's working set to about 1 MiB.
+_MERGE_TILE_ELEMENTS = 1 << 18
 
-    Same weak-dominance semantics as :func:`reference_non_dominated`
-    (exactly equal rows are all kept); the compacting sweep is
-    :meth:`repro.batch.substrate.Substrate.non_dominated_mask`.
+
+def _cross_dominated(
+    front: np.ndarray, block: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Rows of each of two point sets that a row of the other dominates.
+
+    Returns ``(front_lost, block_lost, tile_bytes)``: boolean masks over
+    ``front`` and ``block`` rows, and the accounted bytes of the largest
+    comparison tile.  Row ``b`` dominates row ``f`` when ``b < f``
+    somewhere and ``b > f`` nowhere, so one pair of strict comparisons
+    answers both directions.  Block rows are compared in tiles of at most
+    :data:`_MERGE_TILE_ELEMENTS` (block row, front row) pairs, one
+    objective column at a time, so the working set stays linear in the
+    two sets' sizes instead of ``block x front x objectives``.
     """
-    return SUBSTRATE.non_dominated_mask(values)
+    front_lost = np.zeros(front.shape[0], dtype=bool)
+    block_lost = np.zeros(block.shape[0], dtype=bool)
+    step = max(1, _MERGE_TILE_ELEMENTS // max(1, front.shape[0]))
+    for start in range(0, block.shape[0], step):
+        rows = block[start:start + step]
+        better = np.zeros((rows.shape[0], front.shape[0]), dtype=bool)
+        worse = np.zeros_like(better)
+        for column in range(front.shape[1]):
+            better |= rows[:, column, None] < front[None, :, column]
+            worse |= rows[:, column, None] > front[None, :, column]
+        front_lost |= (better & ~worse).any(axis=0)
+        block_lost[start:start + step] = (worse & ~better).any(axis=1)
+    # Per tile: the two boolean accumulators plus at most two temporaries.
+    tile_bytes = 4 * min(step, block.shape[0]) * front.shape[0]
+    return front_lost, block_lost, tile_bytes
 
 
 # ---------------------------------------------------------------------- #
@@ -560,30 +590,50 @@ class _StreamingFront:
 
     Holds the survivors' objective matrix plus their payload columns
     (all four objective values, capacity, checkpoints, feasibility,
-    chunk, global evaluation index).  Folding is exact: removing
-    dominated points between folds cannot change the final set, because
-    weak dominance is transitive — any point a dropped survivor would
-    have pruned is also pruned by whatever pruned the survivor.
+    chunk, global evaluation index).  A fold thins the incoming block to
+    its own front with one dominance sweep, then merges the thinned block
+    with the standing front by comparing the two sides against each
+    other (:func:`_cross_dominated`); the standing front is never swept
+    again.  Folding is exact:
+
+    * a block row the sweep drops is dominated by a surviving block row
+      (weak dominance is transitive), so it cannot belong to the union's
+      front;
+    * both sides are mutually non-dominated, so a row of the union is
+      dominated exactly when a row of the *other* side dominates it;
+    * exactly equal rows never dominate each other, so duplicates across
+      the two sides are all kept.
+
+    Rows are stored in no particular order; the evaluation index in the
+    payload restores it.
     """
 
     def __init__(self) -> None:
         self.values: np.ndarray | None = None
         self.payload: dict[str, np.ndarray] = {}
 
-    def fold(self, values: np.ndarray, payload: dict[str, np.ndarray]) -> None:
-        """Fold one evaluation block into the running front."""
+    def fold(self, values: np.ndarray, payload: dict[str, np.ndarray]) -> int:
+        """Fold one evaluation block into the running front.
+
+        Returns the accounted bytes of the merge's largest comparison
+        tile.  A block holding NaN raises :class:`ValueError` and leaves
+        the front as it was.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        kept = np.flatnonzero(SUBSTRATE.non_dominated_mask(values))
         if self.values is None:
-            candidates = np.asarray(values, dtype=np.float64)
-            merged = payload
-        else:
-            candidates = np.vstack([self.values, values])
-            merged = {
-                name: np.concatenate([self.payload[name], payload[name]])
-                for name in self.payload
-            }
-        mask = SUBSTRATE.non_dominated_mask(candidates)
-        self.values = candidates[mask]
-        self.payload = {name: column[mask] for name, column in merged.items()}
+            self.values = values[:0]
+            self.payload = {name: column[:0] for name, column in payload.items()}
+        thinned = values[kept]
+        front_lost, block_lost, tile_bytes = _cross_dominated(self.values, thinned)
+        stay = ~front_lost
+        kept = kept[~block_lost]
+        self.values = np.concatenate([self.values[stay], thinned[~block_lost]])
+        self.payload = {
+            name: np.concatenate([column[stay], payload[name][kept]])
+            for name, column in self.payload.items()
+        }
+        return tile_bytes
 
     @property
     def nbytes(self) -> int:
@@ -616,12 +666,16 @@ def grid_pareto_front(
 
     Every (node, ECC family, t, rate) cell evaluates its candidate chunk
     sizes through :class:`~repro.batch.design._GridCostModel` in blocked
-    array passes (``block=None`` resolves ``REPRO_BATCH_BLOCK``), folding
-    each block into a per-rate streaming non-dominated front — the
-    working set is ``O(block + front)``, not ``O(grid)``, which is what
-    lets 10^7-point grids run in bounded memory.  The result is
-    bit-identical to :func:`reference_pareto_front` for every block size
-    (the cost model is elementwise along the chunk axis and
+    array passes (``block=None`` resolves ``REPRO_BATCH_BLOCK``).  Each
+    block is thinned to its own front by one dominance sweep, then merged
+    into a per-rate streaming front by a two-way dominance test tiled to
+    at most :data:`_MERGE_TILE_ELEMENTS` (block row, front row) pairs, so
+    the working set is ``O(block + front)``, never ``O(grid)`` or
+    ``O(block x front)``: 10^7-point grids run in bounded memory.  The
+    accounted peak (``repro_batch_peak_bytes{kind="pareto"}``) counts the
+    model arrays, the standing fronts and the largest merge tile.  The
+    result is bit-identical to :func:`reference_pareto_front` for every
+    block size (the cost model is elementwise along the chunk axis and
     non-dominatedness is set-determined).
 
     Examples
@@ -660,6 +714,7 @@ def grid_pareto_front(
                     )
                     note_blocks("pareto")
                     width = piece.stop - piece.start
+                    tile_bytes = 0
                     for row, rate in enumerate(grid.rate_levels):
                         cell_ordinal = triple_index * num_rates + row
                         base = cell_ordinal * chunks.size + piece.start
@@ -683,12 +738,15 @@ def grid_pareto_front(
                         values = np.column_stack(
                             [block_columns[name] for name in grid.objectives]
                         )
-                        fronts[row].fold(values, block_columns)
+                        tile_bytes = max(
+                            tile_bytes, fronts[row].fold(values, block_columns)
+                        )
                         evaluated += width
                     note_peak_bytes(
                         "pareto",
                         _model_nbytes(model)
-                        + sum(front.nbytes for front in fronts),
+                        + sum(front.nbytes for front in fronts)
+                        + tile_bytes,
                     )
                 triple_index += 1
 

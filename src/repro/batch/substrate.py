@@ -156,16 +156,25 @@ class Substrate:
         """Boolean mask of the weakly non-dominated rows of ``values``.
 
         Semantics match :func:`repro.batch.pareto.reference_non_dominated`
-        (exactly equal rows are all kept).  A weakly dominating point
-        always has a strictly smaller objective sum, so visiting pivots in
-        ascending-sum order lets each known-non-dominated pivot prune its
-        dominated successors in one compacting sweep.
+        (exactly equal rows are all kept; ``±inf`` is an ordinary value; a
+        NaN raises the same :class:`ValueError`).  A weakly dominating
+        finite point always has a strictly smaller objective sum, so
+        visiting pivots in ascending-sum order lets each known-non-dominated
+        pivot prune its dominated successors in one compacting sweep.  Each
+        pivot prunes every row it dominates, before or after it, so the
+        order (tied or NaN sums once ``±inf`` enters) changes only how soon
+        a row goes, never which rows stay.
         """
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2:
             raise ValueError("values must be a 2-D (points x objectives) array")
+        if np.isnan(values).any():
+            # NaN compares false both ways: a NaN pivot would drop itself
+            # and the sweep would skip the row after it.
+            raise ValueError("objective values must not be NaN")
         n = values.shape[0]
-        order = np.argsort(values.sum(axis=1), kind="stable")
+        with np.errstate(invalid="ignore"):  # a row holding inf and -inf sums to NaN
+            order = np.argsort(values.sum(axis=1), kind="stable")
         costs = values[order]
         alive = np.arange(n)
         i = 0

@@ -15,23 +15,29 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.executors import BatchCampaignExecutor, execute_spec
 from repro.api.session import Session
 from repro.api.spec import ExperimentSpec
 from repro.apps.registry import available_applications
 from repro.batch.pareto import (
+    _MERGE_TILE_ELEMENTS,
     DesignPoint,
     ParetoFront,
-    grid_non_dominated_mask,
+    _StreamingFront,
     grid_pareto_front,
     reference_non_dominated,
     reference_pareto_front,
     uncorrectable_upset_fraction,
 )
+from repro.batch.substrate import SUBSTRATE
 from repro.core.config import PAPER_OPERATING_POINT
 from repro.faults.models import MixedUpset, MultiBitUpset, SingleBitUpset
 
@@ -145,28 +151,28 @@ class TestObjectivePermutation:
 class TestDominanceFilters:
     def test_dominated_points_removed(self):
         values = np.array([[1.0, 1.0], [2.0, 2.0], [0.5, 3.0], [1.0, 0.5]])
-        mask = grid_non_dominated_mask(values)
+        mask = SUBSTRATE.non_dominated_mask(values)
         assert mask.tolist() == [False, False, True, True]
 
     def test_weak_dominance_removes_tied_worse_points(self):
         # (1, 2) weakly dominates (1, 3): equal first axis, better second.
         values = np.array([[1.0, 2.0], [1.0, 3.0]])
-        assert grid_non_dominated_mask(values).tolist() == [True, False]
+        assert SUBSTRATE.non_dominated_mask(values).tolist() == [True, False]
 
     def test_exact_duplicates_are_all_kept(self):
         values = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 0.5], [1.0, 2.0]])
-        mask = grid_non_dominated_mask(values)
+        mask = SUBSTRATE.non_dominated_mask(values)
         assert mask.tolist() == [True, True, True, True]
 
     def test_empty_and_single_point(self):
-        assert grid_non_dominated_mask(np.empty((0, 3))).tolist() == []
-        assert grid_non_dominated_mask(np.array([[4.0, 2.0]])).tolist() == [True]
+        assert SUBSTRATE.non_dominated_mask(np.empty((0, 3))).tolist() == []
+        assert SUBSTRATE.non_dominated_mask(np.array([[4.0, 2.0]])).tolist() == [True]
 
     @pytest.mark.parametrize("objectives", [1, 2, 4])
     def test_matches_reference_on_random_clouds(self, objectives):
         rng = np.random.default_rng(1234 + objectives)
         values = rng.normal(size=(400, objectives)).round(1)  # rounding forces ties
-        mask = grid_non_dominated_mask(values)
+        mask = SUBSTRATE.non_dominated_mask(values)
         expected = reference_non_dominated([tuple(row) for row in values.tolist()])
         assert np.flatnonzero(mask).tolist() == expected
 
@@ -174,6 +180,126 @@ class TestDominanceFilters:
         values = [(3.0, 1.0), (1.0, 3.0), (2.0, 2.0), (0.5, 0.5)]
         # (0.5, 0.5) dominates everything else but arrives last.
         assert reference_non_dominated(values) == [3]
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [[math.nan, 1.0], [2.0, 2.0], [3.0, 3.0]],
+            # A NaN pivot used to drop itself and skip the row after it,
+            # emptying the front down to the non-dominated (1, 1).
+            [[1.0, 1.0], [math.nan, 0.5], [2.0, 2.0], [0.5, 3.0]],
+        ],
+    )
+    def test_nan_rejected_by_both_filters(self, values):
+        with pytest.raises(ValueError, match="NaN"):
+            SUBSTRATE.non_dominated_mask(np.array(values))
+        with pytest.raises(ValueError, match="NaN"):
+            reference_non_dominated([tuple(row) for row in values])
+
+    def test_infinities_are_ordinary_values(self):
+        inf = math.inf
+        values = np.array(
+            [[inf, 1.0], [1.0, inf], [-inf, 5.0], [2.0, 2.0], [inf, inf],
+             [-inf, inf], [inf, -inf], [-inf, 5.0]]
+        )
+        mask = SUBSTRATE.non_dominated_mask(values)
+        expected = reference_non_dominated([tuple(row) for row in values.tolist()])
+        assert np.flatnonzero(mask).tolist() == expected == [2, 3, 6, 7]
+
+
+# ---------------------------------------------------------------------- #
+# Streaming front folds
+# ---------------------------------------------------------------------- #
+#: A coarse value grid, so ties and exact duplicates are common and land in
+#: different blocks; the infinities are repeated less often than the grid.
+_COARSE_VALUES = (0.0, 0.5, 1.0, 1.5, 2.0) * 3 + (math.inf, -math.inf)
+
+
+@st.composite
+def _partitioned_clouds(draw):
+    """A point cloud of 2-4 objectives and a partition of it into blocks."""
+    objectives = draw(st.integers(min_value=2, max_value=4))
+    rows = draw(
+        st.lists(
+            st.tuples(*[st.sampled_from(_COARSE_VALUES)] * objectives),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    layout = draw(st.sampled_from((1, 7, "cuts")))
+    if layout == "cuts":
+        cuts = draw(st.sets(st.integers(min_value=1, max_value=len(rows))))
+    else:
+        cuts = set(range(0, len(rows), layout))
+    bounds = sorted(cuts | {0, len(rows)})
+    return np.array(rows, dtype=np.float64), list(zip(bounds, bounds[1:]))
+
+
+def _fold_cloud(cloud: np.ndarray, blocks) -> _StreamingFront:
+    front = _StreamingFront()
+    for start, stop in blocks:
+        front.fold(
+            cloud[start:stop],
+            {
+                "index": np.arange(start, stop, dtype=np.int64),
+                "first": cloud[start:stop, 0].copy(),
+            },
+        )
+    return front
+
+
+class TestStreamingFold:
+    @given(_partitioned_clouds())
+    @settings(max_examples=200, deadline=None)
+    def test_any_partition_folds_to_the_reference_front(self, partitioned):
+        cloud, blocks = partitioned
+        front = _fold_cloud(cloud, blocks)
+        order = np.argsort(front.payload["index"], kind="stable")
+        index = front.payload["index"][order]
+        expected = reference_non_dominated([tuple(row) for row in cloud.tolist()])
+        assert index.tolist() == expected
+        # Payload columns stay aligned with the values they travel with.
+        np.testing.assert_array_equal(front.values[order], cloud[index])
+        np.testing.assert_array_equal(front.payload["first"][order], cloud[index, 0])
+
+    def test_nan_block_raises_and_leaves_the_front_untouched(self):
+        cloud = np.array([[1.0, 3.0], [2.0, 2.0], [3.0, 1.0]])
+        front = _fold_cloud(cloud, [(0, 3)])
+        with pytest.raises(ValueError, match="NaN"):
+            front.fold(
+                np.array([[0.5, math.nan], [0.0, 0.0]]),
+                {"index": np.array([3, 4]), "first": np.array([0.5, 0.0])},
+            )
+        np.testing.assert_array_equal(front.values, cloud)
+        assert front.payload["index"].tolist() == [0, 1, 2]
+
+    def test_merge_working_set_stays_within_the_tile_budget(self):
+        # 8,000 distinct integer points on the plane a + b + c + d = 57 are
+        # mutually non-dominated, so every pair is compared and all survive.
+        rng = np.random.default_rng(0)
+        a, b, c = np.meshgrid(np.arange(20), np.arange(20), np.arange(20))
+        plane = np.column_stack(
+            [a.ravel(), b.ravel(), c.ravel(), 57 - a.ravel() - b.ravel() - c.ravel()]
+        ).astype(np.float64)[rng.permutation(8000)]
+        front = _StreamingFront()
+        front.values = plane[:4000]
+        front.payload = {"index": np.arange(4000), "first": plane[:4000, 0].copy()}
+        block = plane[4000:]
+        payload = {"index": np.arange(4000, 8000), "first": block[:, 0].copy()}
+
+        tracemalloc.start()
+        try:
+            tile_bytes = front.fold(block, payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+        assert len(front.values) == 8000
+        assert 0 < tile_bytes <= 4 * _MERGE_TILE_ELEMENTS
+        # The tile plus a few copies of the two sets (the block sweep, the
+        # grown front): about 3 MiB, where an untiled merge would allocate
+        # block x front x objectives = 64 MB of booleans per comparison.
+        assert peak < 4 * _MERGE_TILE_ELEMENTS + 8 * plane.nbytes
 
 
 # ---------------------------------------------------------------------- #
