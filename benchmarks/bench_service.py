@@ -11,6 +11,10 @@ measures the service-layer costs that matter to a client —
   reaching ``max_workers`` (observed via ``GET /v1/stats``),
 * **instrumentation overhead**: telemetry-on vs telemetry-off wall-clock
   of a batched campaign (the acceptance bar is < 2 % at 1000 seeds),
+* **retained job memory**: bytes a finished 200-seed batched campaign job
+  keeps alive in the server, measured with ``tracemalloc``; the bench
+  fails above 128 KiB per job (row dicts took ~284 KiB, seed-block
+  columns take ~50 KiB),
 
 asserts the service's correctness contract (a campaign over HTTP is
 byte-identical to the in-process ``Session`` run, for both engines),
@@ -26,10 +30,13 @@ the full mode uses a process pool at fig5 campaign scale.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 from repro import telemetry
@@ -45,6 +52,9 @@ BENCH_STRATEGY = "hybrid-optimal"
 
 #: Jobs in the scale-up burst (the acceptance bar is ≥ 8 queued jobs).
 BURST_JOBS = 8
+
+#: Most bytes a finished 200-seed batched campaign job may keep alive.
+RETAINED_JOB_LIMIT_BYTES = 128 * 1024
 
 
 def _spec() -> ExperimentSpec:
@@ -166,6 +176,59 @@ def _telemetry_overhead(seeds: int, repeats: int = 3) -> dict:
     }
 
 
+def _retained_job_memory(seeds: int = 200, warmup: int = 30, jobs: int = 40) -> dict:
+    """Bytes each finished batched campaign job keeps alive in the server.
+
+    A thread-mode server with the result warehouse off serves ``warmup``
+    jobs first, so caches and bounded buffers are full.  ``tracemalloc``
+    then counts what ``jobs`` more jobs, each submitted and streamed to
+    the end, leave allocated after a collection.  Every job runs its own
+    seed range, as a client's successive campaigns do.
+    """
+    spec = _spec().to_dict() | {"engine": "batched"}
+    policy = ScalingPolicy(min_workers=1, init_workers=1, max_workers=2)
+    previous = os.environ.get("REPRO_NO_WAREHOUSE")
+    os.environ["REPRO_NO_WAREHOUSE"] = "1"
+    try:
+        with ExperimentServer(port=0, policy=policy, mode="thread") as server:
+            client = ServiceClient(server.url, timeout=120.0)
+            next_seed = 0
+
+            def run_job() -> None:
+                nonlocal next_seed
+                request = list(range(next_seed, next_seed + seeds))
+                next_seed += seeds
+                job = client.submit({"kind": "campaign", "spec": {"base": spec, "seeds": request}})
+                meta, rows = client.results(job["job_id"], wait=True)
+                assert meta["state"] == "done" and len(rows) == seeds, "a measured job failed"
+
+            for _ in range(warmup):
+                run_job()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for _ in range(jobs):
+                    run_job()
+                gc.collect()
+                after = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_NO_WAREHOUSE", None)
+        else:
+            os.environ["REPRO_NO_WAREHOUSE"] = previous
+    per_job = (after - before) / jobs
+    return {
+        "seeds": seeds,
+        "warmup_jobs": warmup,
+        "jobs": jobs,
+        "bytes_per_job": round(per_job),
+        "limit_bytes": RETAINED_JOB_LIMIT_BYTES,
+    }
+
+
 def _scrape_metrics(client: ServiceClient) -> dict:
     """Scrape /v1/metrics and sanity-check the headline series."""
     parsed = parse_prometheus(client.metrics_text())
@@ -253,6 +316,12 @@ def main(argv: list[str] | None = None) -> int:
         append_snapshot(metrics_path, bench="service", pool_mode=mode)
         print(f"metrics snapshot appended to {metrics_path}")
 
+    retained = _retained_job_memory()
+    print(
+        f"retained memory: {retained['bytes_per_job'] / 1024:.1f} KiB per finished "
+        f"{retained['seeds']}-seed job (limit {RETAINED_JOB_LIMIT_BYTES / 1024:.0f} KiB)"
+    )
+
     overhead = _telemetry_overhead(seeds=overhead_seeds)
     print(
         f"telemetry overhead: {overhead['overhead_pct']:+.2f}% "
@@ -272,11 +341,19 @@ def main(argv: list[str] | None = None) -> int:
         "byte_equality": equality,
         "metrics": scraped,
         "telemetry_overhead": overhead,
+        "retained_job_memory": retained,
     }
     output = Path(args.output)
     output.parent.mkdir(parents=True, exist_ok=True)
     output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"\n[{payload['mode']}] archived to {output}")
+    if retained["bytes_per_job"] > RETAINED_JOB_LIMIT_BYTES:
+        print(
+            f"FAIL: a finished job retains {retained['bytes_per_job']} bytes, "
+            f"above the {RETAINED_JOB_LIMIT_BYTES}-byte limit",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

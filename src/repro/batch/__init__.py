@@ -12,7 +12,8 @@ per-event work.  This package simulates **many seeds at once** instead:
   vectorized cumulative rate integral (:class:`CumulativeRate`);
 * each upset is classified into corrected / detected / silent outcomes
   with probabilities measured directly from the platform's ECC code and
-  the fault model's bit-pattern mixture (:func:`classify_outcomes`);
+  the fault model's bit-pattern mixture (:func:`classify_outcomes`,
+  measured once per (code, fault model) by :func:`outcome_mixture`);
 * energy, cycle, checkpoint and recovery accounting mirror the
   behavioural executor's per-phase cost model exactly — a fault-free
   batched run reproduces the behavioural cycle count bit for bit.
@@ -56,7 +57,13 @@ from .design import (
     grid_optimize,
     grid_optimize_characterization,
 )
-from .model import BatchTaskModel, CumulativeRate, OutcomeProbabilities, classify_outcomes
+from .model import (
+    BatchTaskModel,
+    CumulativeRate,
+    OutcomeProbabilities,
+    classify_outcomes,
+    outcome_mixture,
+)
 from .pareto import (
     DesignPoint,
     ParetoFront,
@@ -82,6 +89,7 @@ __all__ = [
     "grid_optimize_characterization",
     "grid_pareto_front",
     "iter_blocks",
+    "outcome_mixture",
     "reference_pareto_front",
     "uncorrectable_upset_fraction",
 ]

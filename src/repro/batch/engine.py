@@ -30,9 +30,10 @@ streams (:mod:`~repro.batch.substrate`), and :func:`iter_column_blocks`
 walks the seed list in :func:`~repro.batch.streaming.batch_block_size`-sized
 blocks so the working set is ``O(block)``, not ``O(seeds)``.  Because each
 run's stream is a pure function of its seed, the block partition (and the
-batch composition) changes no emitted number.  The warehouse and the
-campaign report keep :class:`ColumnBlock` columns and turn them into rows
-(:func:`records_from_columns`) only when rows are asked for.
+batch composition) changes no emitted number.  The warehouse, the
+campaign report and finished service jobs keep :class:`ColumnBlock`
+columns and turn them into rows (:func:`records_from_columns`) only when
+rows are asked for.
 """
 
 from __future__ import annotations
@@ -413,6 +414,12 @@ def join_blocks(blocks: Iterable[ColumnBlock]) -> ColumnBlock:
     }
     seeds = tuple(seed for piece in blocks for seed in piece.seeds)
     return ColumnBlock(seeds, blocks[0].labels, columns)
+
+
+def slice_block(block: ColumnBlock, piece: slice) -> ColumnBlock:
+    """The runs ``piece`` of ``block``; its columns are views, not copies."""
+    columns = {name: column[piece] for name, column in block.columns.items()}
+    return ColumnBlock(block.seeds[piece], block.labels, columns)
 
 
 def records_from_columns(block: ColumnBlock) -> list[dict]:

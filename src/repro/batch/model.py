@@ -47,6 +47,7 @@ from ..core.strategies import MitigationStrategy, RecoveryPolicy
 from ..ecc.base import Code, DecodeStatus
 from ..faults.models import FaultModel, default_smu_model
 from ..runtime.executor import profile_task
+from ..runtime.profile_cache import default_cache
 from ..scenarios.base import Scenario
 from ..soc.interrupt import DEFAULT_ENTRY_CYCLES, DEFAULT_EXIT_CYCLES
 from .substrate import SUBSTRATE, RunStreams
@@ -228,7 +229,11 @@ def classify_outcomes(
     Draws ``samples`` bit patterns from the fault model, applies each to a
     few representative encoded data words and classifies the decode result.
     Distinct patterns are decoded once (the registered models produce a few
-    dozen distinct contiguous clusters), so this costs microseconds.
+    dozen distinct contiguous clusters), but drawing the patterns one by
+    one in Python still costs 16–70 ms per call.  Task models therefore go
+    through :func:`outcome_mixture`, which keeps one mixture per (code,
+    fault model) in the profile cache's derived tier; this function stays
+    the reference it is tested against.
 
     Accuracy caveats, relevant only to exotic (code, fault model) pairs:
     the mixture weights are fixed-seed Monte-Carlo frequencies (~1 %
@@ -275,6 +280,38 @@ def classify_outcomes(
         silent=silent / samples,
         benign=benign / samples,
     )
+
+
+@dataclass(frozen=True)
+class _MixtureKey:
+    """What decides an outcome mixture: the code's and the fault model's identity."""
+
+    code: tuple
+    fault_model: tuple
+
+
+def outcome_mixture(code: Code, fault_model: FaultModel) -> OutcomeProbabilities:
+    """:func:`classify_outcomes` of ``(code, fault_model)``, once per process.
+
+    The mixture depends only on the code and the fault model (its sampling
+    seed is fixed), so it is kept in the profile cache's derived tier,
+    keyed on :meth:`~repro.ecc.base.Code.identity` and
+    :meth:`~repro.faults.models.FaultModel.identity`.  Every task model
+    of one code shape shares one classification; ``REPRO_NO_CACHE=1`` and
+    :meth:`~repro.runtime.profile_cache.ProfileCache.clear` recompute it.
+    """
+    store = default_cache()
+    key = None
+    if store.enabled:
+        key = store.key_for(_MixtureKey(code.identity(), fault_model.identity()), None)
+    if key is not None:
+        hit = store.derived_get(key)
+        if hit is not None:
+            return hit
+    outcomes = classify_outcomes(code, fault_model)
+    if key is not None:
+        store.derived_put(key, outcomes)
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -468,7 +505,7 @@ class BatchTaskModel:
         self.frequency_hz = spec.frequency_hz
         self.word_bits = l1.code.codeword_bits
         if not hasattr(self, "outcomes"):
-            self.outcomes = classify_outcomes(l1.code, self.fault_model)
+            self.outcomes = outcome_mixture(l1.code, self.fault_model)
 
         rate = CumulativeRate(
             scenario,

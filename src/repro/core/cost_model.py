@@ -183,6 +183,9 @@ class MitigationCostModel:
         self.constraints = constraints
         self.platform = platform if platform is not None else PlatformCostParameters.from_defaults()
         self._ecc_model = EccOverheadModel(self.platform.technology)
+        # Evaluating one candidate asks for its buffer estimate four times.
+        # The memo lives on the instance, so it dies with the model.
+        self._buffer_estimates: dict[int, ProtectedMemoryEstimate] = {}
 
     # ------------------------------------------------------------------ #
     # Baseline (no mitigation) figures
@@ -222,20 +225,16 @@ class MitigationCostModel:
     def buffer_estimate(self, chunk_words: int) -> ProtectedMemoryEstimate:
         """Area/energy characterization of the L1' sized for ``chunk_words``."""
         capacity_words = self.buffer_capacity_words(chunk_words)
-        return self._cached_buffer_estimate(
-            capacity_words, self.constraints.correctable_bits, self.platform.l1p_scheme
-        )
-
-    @lru_cache(maxsize=4096)
-    def _cached_buffer_estimate(
-        self, capacity_words: int, t: int, scheme: str
-    ) -> ProtectedMemoryEstimate:
-        return self._ecc_model.protected_memory(
-            capacity_words * self.constraints.word_bytes,
-            word_bits=8 * self.constraints.word_bytes,
-            t=t,
-            scheme=scheme,
-        )
+        estimate = self._buffer_estimates.get(capacity_words)
+        if estimate is None:
+            estimate = self._ecc_model.protected_memory(
+                capacity_words * self.constraints.word_bytes,
+                word_bits=8 * self.constraints.word_bytes,
+                t=self.constraints.correctable_bits,
+                scheme=self.platform.l1p_scheme,
+            )
+            self._buffer_estimates[capacity_words] = estimate
+        return estimate
 
     # ------------------------------------------------------------------ #
     # Eq. 1–2 components

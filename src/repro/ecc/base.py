@@ -133,6 +133,16 @@ class Code(abc.ABC):
         """Encode then decode a word; useful for self-checks and tests."""
         return self.decode(self.encode(data))
 
+    def identity(self) -> tuple:
+        """What fixes this code's behaviour: its class and constructor shape.
+
+        Equal identities encode and decode alike, so results derived from
+        a code can be memoized on it.  It never reads the instance
+        ``__dict__``, where lookup tables land after the first encode.
+        Subclasses with more constructor parameters extend it.
+        """
+        return (type(self).__module__, type(self).__qualname__, self.data_bits, self.check_bits)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"{type(self).__name__}(data_bits={self.data_bits}, "

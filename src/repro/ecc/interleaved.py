@@ -108,6 +108,10 @@ class InterleavedCode(Code):
         self._data_stride = max(self._lane_widths)
         self._syndrome_stride = max(8, *(lane.syndrome_bits for lane in self._lanes))
 
+    def identity(self) -> tuple:
+        """The base identity plus the interleaving ways and every lane's code."""
+        return (*super().identity(), self.ways, tuple(lane.identity() for lane in self._lanes))
+
     @cached_property
     def _tables(self) -> _InterleavedTables:
         return _interleaved_tables(self._lane_factory, self.data_bits, self.ways)

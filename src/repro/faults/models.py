@@ -11,7 +11,7 @@ assumption behind interleaved ECC (see :mod:`repro.ecc.interleaved`).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -53,6 +53,24 @@ class FaultModel(abc.ABC):
     @abc.abstractmethod
     def sample_pattern(self, word_bits: int, rng: np.random.Generator) -> tuple[int, ...]:
         """Return the bit positions flipped by one upset in a ``word_bits`` word."""
+
+    def identity(self) -> tuple:
+        """The class and field values: everything that decides the patterns drawn.
+
+        Equal identities draw equal patterns from equal generators, so
+        results derived from a fault model can be memoized on it.  Nested
+        fault models contribute their own identity.  It is read afresh on
+        every call, so changing a field changes the identity.
+        """
+        if is_dataclass(self):
+            state = {item.name: getattr(self, item.name) for item in fields(self)}
+        else:
+            state = vars(self)
+        values = tuple(
+            (name, value.identity() if isinstance(value, FaultModel) else value)
+            for name, value in sorted(state.items())
+        )
+        return (type(self).__module__, type(self).__qualname__, values)
 
     def make_event(
         self,

@@ -47,10 +47,11 @@ from ..telemetry import counter as _telemetry_counter
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
 #: Cache outcomes by kind, for ``/v1/metrics`` and ``metrics.jsonl``
-#: (kinds: memory_hit, disk_hit, miss, store, corrupt, key_failure).
+#: (kinds: memory_hit, disk_hit, miss, store, corrupt, key_failure for
+#: task profiles; derived_hit, derived_miss for the derived tier).
 CACHE_EVENTS = _telemetry_counter(
     "repro_profile_cache_events_total",
-    "Task-profile cache outcomes (hits by tier, misses, stores, corrupt entries).",
+    "Profile-cache outcomes (hits by tier, misses, stores, corrupt entries, derived lookups).",
     labels=("outcome",),
 )
 
@@ -137,6 +138,9 @@ class ProfileCache:
     def key_for(self, app: Any, task_input: Any) -> str | None:
         """Content hash identifying (app class, app params, input).
 
+        ``app`` may be any object whose class and instance dict are its
+        whole identity: derived values computed from something else pass
+        a small frozen key object holding exactly what decides them.
         Returns ``None`` (→ no caching) when the application or input
         cannot be pickled canonically.
         """
@@ -194,15 +198,20 @@ class ProfileCache:
         """Fetch an immutable derived value (e.g. an AppCharacterization).
 
         The derived tier is memory-only: it holds small frozen objects
-        computed *from* cached profiles, so persisting them would be
-        redundant with the profile store.
+        computed from cached profiles (characterizations) or from a code
+        and a fault model (outcome mixtures), each once per process.  Its
+        lookups are counted as ``derived_hit`` / ``derived_miss``, apart
+        from the profile tiers' ``memory_hit`` and ``miss``.
         """
         if not self.enabled or not self.memory:
             return None
         value = self._derived.get(key)
-        if value is not None:
-            self._derived.move_to_end(key)
-            self.stats.memory_hits += 1
+        if value is None:
+            CACHE_EVENTS.inc(outcome="derived_miss")
+            return None
+        self._derived.move_to_end(key)
+        self.stats.memory_hits += 1
+        CACHE_EVENTS.inc(outcome="derived_hit")
         return value
 
     def derived_put(self, key: str, value: Any) -> None:

@@ -14,7 +14,8 @@ Architecture (all coordination lives in the server process)::
   them) instead of being irrevocably queued to workers.
 * **Workers** loop ``task → execute_shard_payload → result``; a ``None``
   task is the retirement pill.  Process workers ignore ``SIGINT`` so the
-  server process owns shutdown ordering.
+  server process owns shutdown ordering.  A seed block's result travels
+  as its column block (pickled through the process queue), not as rows.
 * The **collector** records shard results (results of cancelled/failed
   jobs are drained and discarded).
 * The **scaler** applies a Parsl-style
@@ -97,12 +98,10 @@ def _worker_loop(worker_id: int, tasks, results, is_process: bool = False) -> No
         with span("worker.shard", run_id=run_id, job=job_id, shard=shard_index,
                   worker=worker_id):
             try:
-                outcome = execute_shard_payload(payload)
+                result = execute_shard_payload(payload)
                 elapsed = time.monotonic() - started
                 log_event("worker.shard_done", elapsed_s=round(elapsed, 6))
-                results.put(
-                    (job_id, shard_index, "ok", outcome["records_per_spec"], worker_id, elapsed)
-                )
+                results.put((job_id, shard_index, "ok", result, worker_id, elapsed))
             except Exception as error:  # noqa: BLE001 - shipped to the queue as job failure
                 elapsed = time.monotonic() - started
                 log_event("worker.shard_error", error=f"{type(error).__name__}: {error}")

@@ -54,6 +54,7 @@ from ..telemetry.logs import log_event as _log_event
 from .jobs import TERMINAL_STATES, JobQueue
 from .pool import WorkerPool
 from .scaling import ScalingPolicy
+from .shards import ShardResult
 from .wire import WIRE_KINDS, WireError, validate_job_payload
 
 log_event = partial(_log_event, logger_=get_logger("service"))
@@ -287,7 +288,7 @@ class _Handler(BaseHTTPRequestHandler):
         job = service.jobs.submit(
             request,
             run_id=current_run_id(),
-            cached_records=service.warehouse_records(request),
+            cached=service.warehouse_records(request),
         )
         log_event(
             "job.submitted",
@@ -322,7 +323,10 @@ class _Handler(BaseHTTPRequestHandler):
                 "spec_sha256": job.request.spec_hash,
             }
         )
-        emitted_rows: list[dict] = []
+        # One view for the whole stream renders each column block once.
+        records_per_spec = job.records_per_spec
+        rows = 0
+        keys: dict[str, None] = {}  # every emitted key, first seen first
         emitted_specs = 0
         while True:
             # Read the state before the prefix: a job that finishes between
@@ -330,9 +334,10 @@ class _Handler(BaseHTTPRequestHandler):
             finished = job.state in TERMINAL_STATES
             ready = job.ready_prefix()
             for index in range(emitted_specs, ready):
-                for record in job.records_per_spec[index] or ():
+                for record in records_per_spec[index] or ():
                     row = {**record, "_spec": index}
-                    emitted_rows.append(row)
+                    rows += 1
+                    keys.update(dict.fromkeys(row))
                     emit(row)
             emitted_specs = ready
             if finished or not wait:
@@ -344,8 +349,8 @@ class _Handler(BaseHTTPRequestHandler):
         trailer: dict[str, Any] = {
             NDJSON_META_KEY: "end",
             "state": job.state,
-            "rows": len(emitted_rows),
-            "columns": _infer_columns(emitted_rows),
+            "rows": rows,
+            "columns": _infer_columns([keys]),
         }
         if job.error is not None:
             trailer["error"] = job.error
@@ -433,18 +438,19 @@ class ExperimentServer:
         """Stop the service (server first, then the pool) on exit."""
         self.stop()
 
-    def warehouse_records(self, request) -> list[list[dict[str, Any]]] | None:
-        """Per-run records when the warehouse fully covers a request.
+    def warehouse_records(self, request) -> ShardResult | None:
+        """The whole request's result when the warehouse fully covers it.
 
         Returns ``None`` — the normal submission path — unless *every*
         run of the request is already warehoused, in which case the
-        per-run record lists feed :meth:`JobQueue.submit`'s cached fast
-        path and the job streams instantly.  Partially cached jobs go
-        through the pool: the workers consult the warehouse per shard, so
-        only the genuinely missing units execute.  A batched campaign is
-        looked up by its block keys, the blocks its shards would compute.
+        result feeds :meth:`JobQueue.submit`'s cached fast path and the
+        job streams instantly.  Partially cached jobs go through the
+        pool: the workers consult the warehouse per shard, so only the
+        genuinely missing units execute.  A batched campaign is looked up
+        by its block keys, the blocks its shards would compute, and its
+        stored column block goes to the job as it is; any other request
+        gets one record list per run.
         """
-        from ..batch.engine import records_from_columns
         from ..warehouse import DeltaPlanner, default_warehouse
         from ..warehouse.planner import stored_campaign
 
@@ -453,8 +459,7 @@ class ExperimentServer:
             return None
         campaign = request.campaign
         if campaign is not None:
-            block = stored_campaign(campaign.base, campaign.seeds)
-            return None if block is None else [[row] for row in records_from_columns(block)]
+            return stored_campaign(campaign.base, campaign.seeds)
         plan = DeltaPlanner(warehouse).plan(list(request.specs))
         if not plan.fully_cached:
             return None

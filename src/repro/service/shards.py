@@ -19,22 +19,29 @@ itself, batched fault streams are counter-based per seed), so the shards
 reassembled in result order are bit-identical to an in-process run.  The
 pool's scaling policy clamps its worker target to the outstanding shards.
 
-:func:`execute_shard_payload` is the module-level worker function
-(picklable, JSON-in/JSON-out) that process workers run.
+:func:`execute_shard_payload` is the module-level worker function that
+process workers run: a JSON-able payload in, a :data:`ShardResult` out.
+A seed block's result stays its :class:`~repro.batch.engine.ColumnBlock`
+from the worker to the finished job; rows are rendered from it only when
+a client reads them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
 from ..api.executors import BatchCampaignExecutor, BlockSimulator
 from ..api.spec import ExperimentSpec
-from ..batch.engine import join_blocks, records_from_columns
+from ..batch.engine import ColumnBlock, join_blocks, records_from_columns, slice_block
 from ..batch.streaming import iter_blocks
 from ..warehouse.planner import SeedGroup, campaign_blocks, group_seeds
 from .wire import JobRequest
+
+#: What one shard produces: a seed block's runs as one column block, or
+#: a spec list's records, one list per spec.
+ShardResult = ColumnBlock | list[list[dict[str, Any]]]
 
 #: Default specs per shard outside batched seed groups.  Small enough
 #: that a burst of modest behavioural campaigns produces real queue
@@ -84,25 +91,58 @@ def plan_shards(request: JobRequest) -> list[Shard]:
     return shards
 
 
-def execute_shard_payload(payload: Mapping[str, Any]) -> dict[str, Any]:
-    """Execute one shard work order and return its per-run records.
+def execute_shard_payload(payload: Mapping[str, Any]) -> ShardResult:
+    """Execute one shard work order and return its :data:`ShardResult`.
 
     The inverse of :attr:`Shard.payload`.  A seed block walks
     :func:`~repro.warehouse.planner.campaign_blocks` on one task model,
-    exactly as an in-process campaign does; a spec list runs through one
-    :class:`~repro.api.executors.BatchCampaignExecutor` call.  Both
-    consult the warehouse with the same unit keys as an in-process run.
-    Module-level and dict-typed on both ends so process workers can
-    receive it over a ``multiprocessing`` queue.
+    exactly as an in-process campaign does, and returns the block's
+    columns; a spec list runs through one
+    :class:`~repro.api.executors.BatchCampaignExecutor` call and returns
+    its records.  Both consult the warehouse with the same unit keys as
+    an in-process run.  Module-level, dict-typed in and picklable out, so
+    process workers can exchange it over ``multiprocessing`` queues.
     """
     if "seeds" in payload:
         base = ExperimentSpec.from_dict(payload["base"])
-        block = join_blocks(campaign_blocks(base, payload["seeds"], BlockSimulator(base)))
-        return {"records_per_spec": [[record] for record in records_from_columns(block)]}
+        return join_blocks(campaign_blocks(base, payload["seeds"], BlockSimulator(base)))
     specs = [ExperimentSpec.from_dict(entry) for entry in payload["specs"]]
     outcomes = BatchCampaignExecutor().map(specs)
-    return {
-        "records_per_spec": [
-            [dict(record) for record in outcome.records] for outcome in outcomes
+    return [[dict(record) for record in outcome.records] for outcome in outcomes]
+
+
+def shard_records(result: ShardResult) -> list[list[dict[str, Any]]]:
+    """A shard result's records, one list per spec of the shard, in order.
+
+    A column block renders one row per seed on every call.
+    """
+    if isinstance(result, ColumnBlock):
+        return [[record] for record in records_from_columns(result)]
+    return result
+
+
+def shard_row_count(result: ShardResult) -> int:
+    """How many rows a shard result holds, without rendering them."""
+    if isinstance(result, ColumnBlock):
+        return len(result.seeds)
+    return sum(len(records) for records in result)
+
+
+def split_result(result: ShardResult, shards: Sequence[Shard]) -> list[ShardResult]:
+    """Cut a whole job's result into the results of its ``shards``.
+
+    ``result`` covers every run of the job in result order: a batched
+    campaign's column block, whose shards are contiguous seed blocks
+    (each part is a view of the block), or one record list per spec.
+    Raises ``ValueError`` when ``result`` covers a different run count.
+    """
+    covered = len(result.seeds) if isinstance(result, ColumnBlock) else len(result)
+    runs = sum(len(shard.spec_indices) for shard in shards)
+    if covered != runs:
+        raise ValueError(f"the result covers {covered} runs, the job has {runs}")
+    if isinstance(result, ColumnBlock):
+        return [
+            slice_block(result, slice(shard.spec_indices[0], shard.spec_indices[-1] + 1))
+            for shard in shards
         ]
-    }
+    return [[result[index] for index in shard.spec_indices] for shard in shards]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.batch import BatchTaskModel, CumulativeRate, classify_outcomes
+from repro.batch import BatchTaskModel, CumulativeRate, classify_outcomes, outcome_mixture
 from repro.batch.engine import iter_column_blocks, records_from_columns
 from repro.batch.substrate import SUBSTRATE
 from repro.core.config import PAPER_OPERATING_POINT
@@ -170,6 +170,120 @@ class TestOutcomeClassification:
         # Single-bit flips are always detected by parity; width-2 clusters
         # land one flip in each of the two lanes — also detected.
         assert probs.detected == 1.0
+
+
+#: Every (code, fault model) pair of TestOutcomeClassification, as factories
+#: so each lookup sees fresh instances.
+_PAIRS = (
+    (lambda: NoCode(32), default_smu_model),
+    (lambda: InterleavedParityCode(32, ways=4), default_smu_model),
+    (lambda: InterleavedSecDedCode(32, ways=8), default_smu_model),
+    (lambda: InterleavedSecDedCode(32, ways=2), lambda: MultiBitUpset(min_width=4, max_width=4)),
+    (lambda: InterleavedSecDedCode(32, ways=2), SingleBitUpset),
+    (
+        lambda: InterleavedParityCode(32, ways=2),
+        lambda: MixedUpset(smu_fraction=0.5, smu=MultiBitUpset(min_width=2, max_width=2)),
+    ),
+)
+
+
+@pytest.fixture
+def classified(monkeypatch):
+    """Counts the ``classify_outcomes`` calls the memo makes."""
+    import repro.batch.model as model_module
+
+    calls = []
+
+    def counting(code, fault_model):
+        calls.append((code, fault_model))
+        return classify_outcomes(code, fault_model)
+
+    monkeypatch.setattr(model_module, "classify_outcomes", counting)
+    return calls
+
+
+class TestOutcomeMixtureMemo:
+    """``outcome_mixture`` keys its memo on the code's and fault model's identity."""
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+    def test_memo_equals_reference_in_either_lookup_order(self, order):
+        from repro.runtime.profile_cache import default_cache
+
+        pairs = _PAIRS[::order]
+        for make_code, make_model in pairs:
+            memo = outcome_mixture(make_code(), make_model())
+            assert memo == classify_outcomes(make_code(), make_model())
+        assert len(default_cache()._derived) == len(_PAIRS)
+        for make_code, make_model in pairs:  # served from the memo now
+            assert outcome_mixture(make_code(), make_model()) == classify_outcomes(
+                make_code(), make_model()
+            )
+
+    def test_interleaving_ways_and_fault_shapes_get_their_own_entries(self, classified):
+        wide = MultiBitUpset(min_width=4, max_width=4)
+        two_way = outcome_mixture(InterleavedSecDedCode(32, ways=2), wide)
+        eight_way = outcome_mixture(InterleavedSecDedCode(32, ways=8), wide)
+        single = outcome_mixture(InterleavedSecDedCode(32, ways=2), SingleBitUpset())
+        assert len(classified) == 3
+        assert two_way.detected == 1.0
+        assert eight_way.corrected == 1.0
+        assert single.corrected == 1.0
+
+    def test_equal_instances_share_one_entry(self, classified):
+        code = InterleavedSecDedCode(32, ways=2)
+        code.encode(0x1234)  # lookup tables land in the instance dict
+        first = outcome_mixture(code, SingleBitUpset())
+        second = outcome_mixture(InterleavedSecDedCode(32, ways=2), SingleBitUpset())
+        assert second == first
+        assert len(classified) == 1
+
+    def test_changed_fault_model_field_gets_a_fresh_mixture(self, classified):
+        code = InterleavedSecDedCode(32, ways=2)
+        cluster = MultiBitUpset(min_width=4, max_width=4)
+        assert outcome_mixture(code, cluster).detected == 1.0
+        cluster.min_width = cluster.max_width = 1
+        fresh = outcome_mixture(code, cluster)
+        assert len(classified) == 2
+        assert fresh == classify_outcomes(code, cluster)
+        assert fresh.corrected == 1.0
+
+    def test_no_cache_and_clear_recompute_identical_numbers(self, classified, monkeypatch):
+        from repro.runtime.profile_cache import ENV_NO_CACHE, default_cache
+
+        code, fault_model = InterleavedSecDedCode(32, ways=8), default_smu_model()
+        cached = outcome_mixture(code, fault_model)
+        default_cache().clear()
+        assert outcome_mixture(code, fault_model) == cached
+        assert len(classified) == 2
+        monkeypatch.setenv(ENV_NO_CACHE, "1")
+        assert outcome_mixture(code, fault_model) == cached
+        assert outcome_mixture(code, fault_model) == cached
+        assert len(classified) == 4
+
+    def test_second_model_build_skips_seed_independent_design_steps(
+        self, classified, monkeypatch
+    ):
+        from repro.api.executors import _build_batch_model
+        from repro.api.spec import ExperimentSpec
+        from repro.core.optimizer import ChunkSizeOptimizer
+
+        optimized = []
+        scalar = ChunkSizeOptimizer.optimize_characterization
+
+        def counting(self, characterization):
+            optimized.append(characterization)
+            return scalar(self, characterization)
+
+        monkeypatch.setattr(ChunkSizeOptimizer, "optimize_characterization", counting)
+        spec = ExperimentSpec(app="adpcm-encode", strategy="hybrid-optimal", engine="batched")
+        first = _build_batch_model(spec)
+        assert len(classified) == 1
+        del classified[:]
+        second = _build_batch_model(spec)
+        assert classified == []
+        assert optimized == []
+        assert second.outcomes == first.outcomes
+        assert second.layout.schedule == first.layout.schedule
 
 
 class TestDistinctWords:

@@ -154,3 +154,34 @@ class TestEvaluation:
         objectives = [c.objective_pj for c in candidates]
         best_index = objectives.index(min(objectives))
         assert 0 < best_index < len(objectives) - 1
+
+
+class TestLifetime:
+    def test_model_is_collected_after_optimization(
+        self, small_adpcm_encode, platform_params, monkeypatch
+    ):
+        import gc
+        import weakref
+
+        from repro.core.optimizer import ChunkSizeOptimizer
+
+        built = []
+        init = MitigationCostModel.__init__
+
+        def tracking(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(weakref.ref(self))
+
+        monkeypatch.setattr(MitigationCostModel, "__init__", tracking)
+        char = small_adpcm_encode.characterize(small_adpcm_encode.generate_input(0))
+        optimizer = ChunkSizeOptimizer(PAPER_OPERATING_POINT, platform_params)
+        for _ in range(3):
+            optimizer.optimize_characterization(char)
+        gc.collect()
+        assert len(built) == 3
+        assert [ref() for ref in built] == [None, None, None]
+
+    def test_buffer_estimates_are_shared_within_one_model(self, adpcm_model):
+        first = adpcm_model.buffer_estimate(16)
+        assert adpcm_model.buffer_estimate(16) is first
+        assert adpcm_model.buffer_estimate(17) is not first

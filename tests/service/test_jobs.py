@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
+
+from repro.batch.engine import METRIC_COLUMNS, ColumnBlock, records_from_columns, seed_column
 from repro.service.jobs import (
     CANCELLED,
     DONE,
@@ -122,3 +126,82 @@ class TestAccounting:
         payload = job.describe()
         assert json.loads(json.dumps(payload))["job_id"] == job.id
         assert payload["shards"]["total"] == 2
+
+
+def _submit_batched(queue: JobQueue, seeds: int = 4, cached=None):
+    base = {"app": "adpcm-encode", "engine": "batched"}
+    payload = {"kind": "campaign", "spec": {"base": base, "seeds": list(range(seeds))}}
+    return queue.submit(validate_job_payload(payload), cached=cached)
+
+
+def _block(seeds) -> ColumnBlock:
+    """A column block whose every metric counts up from ``seeds[0] * 10``."""
+    seeds = tuple(seeds)
+    values = np.arange(len(seeds), dtype=np.float64) + seeds[0] * 10
+    columns = {name: values.copy() for name in METRIC_COLUMNS}
+    columns["seed"] = seed_column(seeds)
+    return ColumnBlock(seeds, ("adpcm-encode", "default", "none"), columns)
+
+
+class TestColumnarResults:
+    """Seed-block shards keep their column blocks; rows render on read."""
+
+    def test_blocks_stream_in_spec_order(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BATCH_BLOCK", "2")
+        queue = JobQueue()
+        job = _submit_batched(queue, seeds=4)
+        _, first = queue.claim_shard(timeout=0)
+        _, second = queue.claim_shard(timeout=0)
+        queue.complete_shard(job.id, second.index, _block(second.payload["seeds"]))
+        assert job.ready_prefix() == 0
+        assert job.describe()["rows_ready"] == 2
+        queue.complete_shard(job.id, first.index, _block(first.payload["seeds"]))
+        assert job.state == DONE
+        assert job.ready_prefix() == 4
+        assert all(isinstance(result, ColumnBlock) for result in job.shard_results)
+        rows = [records[0] for records in job.records_per_spec]
+        assert [row["seed"] for row in rows] == [0, 1, 2, 3]
+        assert [row["energy_nj"] for row in rows] == [0.0, 1.0, 20.0, 21.0]
+        assert rows == records_from_columns(_block([0, 1])) + records_from_columns(
+            _block([2, 3])
+        )
+
+    def test_cached_block_is_split_into_shard_views(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BATCH_BLOCK", "3")
+        block = _block(range(5))
+        job = _submit_batched(JobQueue(), seeds=5, cached=block)
+        assert job.cached and job.state == DONE
+        assert [result.seeds for result in job.shard_results] == [(0, 1, 2), (3, 4)]
+        assert all(
+            np.shares_memory(result.columns["energy_nj"], block.columns["energy_nj"])
+            for result in job.shard_results
+        )
+        assert [records[0] for records in job.records_per_spec] == records_from_columns(block)
+
+    def test_cached_records_fill_spec_list_shards(self):
+        queue = JobQueue()
+        records = [[{"seed": index}] for index in range(4)]
+        payload = {
+            "kind": "campaign",
+            "spec": {"base": {"app": "adpcm-encode"}, "seeds": [0, 1, 2, 3]},
+            "shard_size": 3,
+        }
+        job = queue.submit(validate_job_payload(payload), cached=records)
+        assert job.shard_results == [records[:3], records[3:]]
+        assert list(job.records_per_spec) == records
+        assert job.describe()["rows_ready"] == 4
+
+    def test_cached_result_must_cover_every_run(self):
+        with pytest.raises(ValueError, match="covers 3 runs"):
+            _submit_batched(JobQueue(), seeds=4, cached=_block(range(3)))
+
+    def test_pending_specs_read_as_none(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BATCH_BLOCK", "2")
+        queue = JobQueue()
+        job = _submit_batched(queue, seeds=4)
+        _, first = queue.claim_shard(timeout=0)
+        queue.complete_shard(job.id, first.index, _block(first.payload["seeds"]))
+        records = job.records_per_spec
+        assert len(records) == 4
+        assert [entry is None for entry in records] == [False, False, True, True]
+        assert records[-3][0]["seed"] == 1

@@ -13,6 +13,7 @@ import pytest
 
 from repro.api.session import Session
 from repro.api.spec import CampaignSpec, ExperimentSpec
+from repro.batch.engine import ColumnBlock
 from repro.service import ServiceClient, ServiceError
 
 SPEC = {"app": "adpcm-encode", "strategy": "hybrid-optimal"}
@@ -318,6 +319,20 @@ class TestSeedBlocks:
         job = client.submit(self._payload(range(10, 17)))
         client.results(job["job_id"], wait=True)
         assert client.job(job["job_id"])["shards"]["total"] == 1
+
+    def test_finished_jobs_keep_column_blocks(self, server, client, monkeypatch):
+        monkeypatch.setenv("REPRO_BATCH_BLOCK", "3")
+        cold = client.submit(self._payload(range(7)))
+        _, cold_rows = client.results(cold["job_id"], wait=True)
+        warm = client.submit(self._payload(range(7)))
+        assert warm["cached"] is True
+        _, warm_rows = client.results(warm["job_id"], wait=True)
+        assert warm_rows == cold_rows
+        for job_id in (cold["job_id"], warm["job_id"]):
+            results = server.jobs.get(job_id).shard_results
+            assert all(isinstance(result, ColumnBlock) for result in results)
+            assert [result.seeds for result in results] == [(0, 1, 2), (3, 4, 5), (6,)]
+            assert client.job(job_id)["rows_ready"] == 7
 
     def test_remote_sessions_submit_campaign_jobs(self, server, client, monkeypatch):
         seen = len(client.jobs())

@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.api.executors import BatchCampaignExecutor
 from repro.api.session import Session
 from repro.api.spec import CampaignSpec, ExperimentSpec
+from repro.batch.engine import records_from_columns
 from repro.service.shards import DEFAULT_SHARD_SIZE, execute_shard_payload, plan_shards
 from repro.service.wire import validate_job_payload
 
@@ -114,7 +115,8 @@ class TestPlanShards:
         assert len(shards) == 3
         rows: list[list[dict]] = []
         for shard in shards:
-            rows.extend(execute_shard_payload(shard.payload)["records_per_spec"])
+            block = execute_shard_payload(shard.payload)
+            rows.extend([row] for row in records_from_columns(block))
         monkeypatch.setenv("REPRO_NO_WAREHOUSE", "1")
         base = ExperimentSpec(app="adpcm-encode", strategy="hybrid-optimal", engine="batched")
         local = Session().campaign(CampaignSpec(base=base, seeds=tuple(range(6))))
@@ -129,9 +131,9 @@ class TestExecuteShardPayload:
     def test_behavioural_payload_runs(self, engine_runs):
         (shard,) = plan_shards(_batch(_specs(2), shard_size=2))
         assert list(shard.payload) == ["specs"]
-        result = execute_shard_payload(shard.payload)
-        assert len(result["records_per_spec"]) == 2
-        assert result["records_per_spec"][0][0]["seed"] == 0
+        records_per_spec = execute_shard_payload(shard.payload)
+        assert len(records_per_spec) == 2
+        assert records_per_spec[0][0]["seed"] == 0
         assert engine_runs("behavioural") == 2
         assert engine_runs("batched") == 0
 
@@ -142,4 +144,5 @@ class TestExecuteShardPayload:
         assert engine_runs("batched") == 6
         local = BatchCampaignExecutor().map(specs)  # served the block the shard stored
         assert engine_runs("batched") == 6
-        assert remote["records_per_spec"] == [outcome.records for outcome in local]
+        rows = [[row] for row in records_from_columns(remote)]
+        assert rows == [outcome.records for outcome in local]

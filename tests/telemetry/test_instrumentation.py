@@ -87,6 +87,24 @@ class TestCacheInstruments:
         assert by_outcome[("store",)] >= 1.0
         assert by_outcome[("memory_hit",)] >= 1.0
 
+    def test_derived_lookups_are_counted_apart_from_profile_outcomes(self):
+        from repro.batch import outcome_mixture
+        from repro.ecc.interleaved import InterleavedSecDedCode
+        from repro.faults.models import default_smu_model
+
+        def outcomes() -> dict:
+            samples = telemetry.snapshot()["repro_profile_cache_events_total"]["samples"]
+            return {s["labels"]["outcome"]: s["value"] for s in samples}
+
+        outcome_mixture(InterleavedSecDedCode(32, ways=8), default_smu_model())  # miss
+        outcome_mixture(InterleavedSecDedCode(32, ways=8), default_smu_model())  # hit
+        counted = outcomes()
+        assert counted["derived_miss"] == 1.0
+        assert counted["derived_hit"] == 1.0
+        # perfbench pins the profile tiers' misses at zero on warm runs.
+        assert counted.get("memory_hit", 0.0) == 0.0
+        assert counted.get("miss", 0.0) == 0.0
+
     def test_corrupt_disk_entry_is_counted_and_recomputed(self, small_adpcm_encode):
         cache = default_cache()
         task_input = small_adpcm_encode.generate_input(0)
