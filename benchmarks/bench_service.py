@@ -9,6 +9,10 @@ measures the service-layer costs that matter to a client —
   NDJSON results endpoint,
 * **scale-up reaction**: seconds from a burst of queued jobs to the pool
   reaching ``max_workers`` (observed via ``GET /v1/stats``),
+* **idle scale-down**: seconds from the burst's last shard landing to the
+  pool being back at ``min_workers`` (none when the pool had already
+  shrunk there with its queue); the bench fails when this beats the idle
+  timeout, which no correct pool can,
 * **instrumentation overhead**: telemetry-on vs telemetry-off wall-clock
   of a batched campaign (the acceptance bar is < 2 % at 1000 seeds),
 * **retained job memory**: bytes a finished 200-seed batched campaign job
@@ -96,9 +100,25 @@ def _streaming_rate(client: ServiceClient, seeds: int) -> dict:
     }
 
 
+def _last_shard_landed(client: ServiceClient, jobs: list[dict]) -> float:
+    """Poll ``GET /v1/jobs/{id}`` until every job is done; return when the last shard landed.
+
+    That is the latest ``finished_at`` the jobs report: the server's
+    ``time.time()`` when it stored the burst's last shard, which is when the
+    pool's queue went empty.
+    """
+    deadline = time.monotonic() + 120.0
+    while time.monotonic() < deadline:
+        described = [client.job(job["job_id"]) for job in jobs]
+        if all(job["state"] == "done" for job in described):
+            return max(job["finished_at"] for job in described)
+        time.sleep(0.02)
+    raise AssertionError("burst jobs never finished")
+
+
 def _scale_reaction(client: ServiceClient, policy: ScalingPolicy, seeds: int) -> dict:
     """Seconds from a burst of jobs to the pool reaching max_workers,
-    then back to min_workers after the idle timeout."""
+    then from the burst's last shard landing back to min_workers."""
     start = time.perf_counter()
     jobs = [
         client.submit(
@@ -119,22 +139,27 @@ def _scale_reaction(client: ServiceClient, policy: ScalingPolicy, seeds: int) ->
         time.sleep(0.02)
     assert scale_up_s is not None, "pool never reached max_workers under the burst"
 
-    for job in jobs:
-        client.results(job["job_id"], wait=True)
-    idle_start = time.perf_counter()
+    landed = _last_shard_landed(client, jobs)
     scale_down_s = None
     deadline = time.monotonic() + 60.0
     while time.monotonic() < deadline:
-        if client.stats()["pool"]["workers"] <= policy.min_workers:
-            scale_down_s = time.perf_counter() - idle_start
+        pool = client.stats()["pool"]
+        if pool["workers"] <= policy.min_workers:
+            scale_down_s = time.time() - landed
             break
         time.sleep(0.05)
     assert scale_down_s is not None, "pool never scaled back down to min_workers"
+    # The pool also shrinks with its queue: when a scaling tick sees one
+    # shard left it retires down to min_workers before the last shard
+    # lands, and the idle timeout then has nothing to retire.
+    before = [decision for decision in pool["decisions"] if decision["at"] <= landed]
+    drained = bool(before) and before[-1]["target"] <= policy.min_workers
     return {
         "burst_jobs": BURST_JOBS,
         "max_workers": policy.max_workers,
         "scale_up_reaction_s": round(scale_up_s, 3),
-        "scale_down_after_idle_s": round(scale_down_s, 3),
+        "drained_before_idle": drained,
+        "scale_down_after_idle_s": None if drained else round(scale_down_s, 3),
     }
 
 
@@ -298,11 +323,14 @@ def main(argv: list[str] | None = None) -> int:
             f"-> {stream['rows_per_second']:.0f} rows/s"
         )
         scaling = _scale_reaction(client, policy, seeds=burst_seeds)
+        if scaling["drained_before_idle"]:
+            scale_down = "already there when the last shard landed"
+        else:
+            scale_down = f"after {scaling['scale_down_after_idle_s']:.2f}s idle"
         print(
             f"scaling: {policy.max_workers} workers in "
             f"{scaling['scale_up_reaction_s']:.2f}s under {BURST_JOBS} jobs, "
-            f"back to {policy.min_workers} after "
-            f"{scaling['scale_down_after_idle_s']:.2f}s idle"
+            f"back to {policy.min_workers} {scale_down}"
         )
         equality = _byte_equality(server.url, seeds=equality_seeds)
         print(f"byte-equality (behavioural + batched over HTTP): {equality['identical']}")
@@ -347,6 +375,14 @@ def main(argv: list[str] | None = None) -> int:
     output.parent.mkdir(parents=True, exist_ok=True)
     output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"\n[{payload['mode']}] archived to {output}")
+    scale_down_s = scaling["scale_down_after_idle_s"]
+    if scale_down_s is not None and scale_down_s < policy.idle_timeout_s:
+        print(
+            f"FAIL: the pool scaled down {scale_down_s}s after its last shard landed, "
+            f"inside the {policy.idle_timeout_s}s idle timeout",
+            file=sys.stderr,
+        )
+        return 1
     if retained["bytes_per_job"] > RETAINED_JOB_LIMIT_BYTES:
         print(
             f"FAIL: a finished job retains {retained['bytes_per_job']} bytes, "

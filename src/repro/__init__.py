@@ -89,7 +89,7 @@ from .scenarios import (
     register_scenario,
 )
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "AdaptiveHybridStrategy",

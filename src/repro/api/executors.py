@@ -209,7 +209,7 @@ def _execute_pareto(spec: ExperimentSpec) -> RunOutcome:
     return RunOutcome(spec=spec, records=front.rows(), artifact=front)
 
 
-def _build_batch_model(spec: ExperimentSpec, profile_seed: int = 0) -> BatchTaskModel:
+def _build_batch_model(spec: ExperimentSpec) -> BatchTaskModel:
     app = spec.resolve_app()
     strategy = build_strategy(spec.strategy, app, spec.constraints, **spec.strategy_params)
     fault_model = build_fault_model(spec.fault_model, **spec.fault_params)
@@ -222,7 +222,6 @@ def _build_batch_model(spec: ExperimentSpec, profile_seed: int = 0) -> BatchTask
         constraints=spec.constraints,
         fault_model=fault_model,
         scenario=scenario,
-        profile_seed=profile_seed,
     )
 
 
@@ -246,8 +245,6 @@ class BlockSimulator:
 
 
 def _execute_batched(spec: ExperimentSpec) -> RunOutcome:
-    # profile_seed is pinned to 0 on every batched path (solo, grouped,
-    # sharded) so a seed's record is composition-invariant.
     model = _build_batch_model(spec)
     (block,) = iter_column_blocks(model, [spec.seed], label=spec.scenario_name)
     return RunOutcome(spec=spec, records=records_from_columns(block))

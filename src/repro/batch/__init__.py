@@ -11,9 +11,9 @@ per-event work.  This package simulates **many seeds at once** instead:
   (run, phase, attempt) from the scenario's piecewise-constant rate, via a
   vectorized cumulative rate integral (:class:`CumulativeRate`);
 * each upset is classified into corrected / detected / silent outcomes
-  with probabilities measured directly from the platform's ECC code and
-  the fault model's bit-pattern mixture (:func:`classify_outcomes`,
-  measured once per (code, fault model) by :func:`outcome_mixture`);
+  with probabilities enumerated exactly from the platform's ECC code and
+  the fault model's bit-pattern law (:func:`classify_outcomes`, computed
+  once per (code, fault model) by :func:`outcome_mixture`);
 * energy, cycle, checkpoint and recovery accounting mirror the
   behavioural executor's per-phase cost model exactly — a fault-free
   batched run reproduces the behavioural cycle count bit for bit.
@@ -36,12 +36,11 @@ extract exact Pareto fronts (:func:`grid_pareto_front`), again
 bit-identical to its scalar reference (:func:`reference_pareto_front`).
 
 Approximations relative to the behavioural engine (all documented in
-:mod:`repro.batch.model`): the workload content is frozen at the
-campaign's profile seed, interactions between multiple upsets striking
-the same word are ignored, distinct-struck-word counts are sampled from
-their exact marginal distribution rather than tracked per address, and
-per-upset decode outcomes come from a status-level classifier that is
-exact for every registered strategy code (see
+:mod:`repro.batch.model`): the workload content is frozen at seed 0's
+input, interactions between multiple upsets striking the same word are
+ignored, distinct-struck-word counts are sampled from their exact
+marginal distribution rather than tracked per address, and per-upset
+decode outcomes fall into status-level classes (see
 :func:`classify_outcomes`).
 
 Underneath, :mod:`repro.batch.substrate` holds the counter-based fault

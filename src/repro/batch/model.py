@@ -17,15 +17,15 @@ Fidelity contract (verified by ``tests/batch/``):
   correction outcomes, rollback and restart dynamics and their cycle and
   energy costs follow the same distributions as the behavioural engine.
   Four deliberate approximations remain: the workload content is frozen
-  at ``profile_seed`` (output-word counts are seed-invariant for every
+  at seed 0's input (output-word counts are seed-invariant for every
   registered codec; only jpeg-decode's step cycles vary, by well under
   1 %), interactions between several upsets striking the same word are
   ignored (their probability is quadratically small in the per-window
   expectation), the number of *distinct* corrupted words is sampled
   from its exact marginal distribution instead of tracked per address,
-  and per-upset decode outcomes use the status-level classifier of
-  :func:`classify_outcomes` (exact for every registered strategy code;
-  see its caveats for exotic code/fault-model pairs).
+  and per-upset decode outcomes come from the status-level classes of
+  :func:`classify_outcomes`, enumerated exactly over the fault model's
+  pattern law (see its docstring for what the classes conflate).
 * **Per-seed rows are composition-invariant.**  Fault sampling runs on
   counter-based per-run streams (:meth:`BatchTaskModel.make_streams`,
   see :mod:`repro.batch.substrate`): a seed's row is a pure function of
@@ -50,11 +50,16 @@ from ..runtime.executor import profile_task
 from ..runtime.profile_cache import default_cache
 from ..scenarios.base import Scenario
 from ..soc.interrupt import DEFAULT_ENTRY_CYCLES, DEFAULT_EXIT_CYCLES
+from ..utils.bitops import flip_bits
 from .substrate import SUBSTRATE, RunStreams
 
 #: Domain-separation tag mixed into the campaign RNG seed so the batched
 #: stream never collides with the behavioural injector streams.
 _STREAM_TAG = 0xBA7C4ED
+
+#: The workload input every batched run is profiled on.  One fixed seed
+#: keeps a seed's row independent of the batch, block or shard it runs in.
+_PROFILE_SEED = 0
 
 
 class CumulativeRate:
@@ -218,68 +223,47 @@ class OutcomeProbabilities:
     benign: float
 
 
-def classify_outcomes(
-    code: Code,
-    fault_model: FaultModel,
-    samples: int = 4096,
-    seed: int = 0x0DDC0DE,
-) -> OutcomeProbabilities:
-    """Measure the decode-outcome mixture of single upsets empirically.
+def classify_outcomes(code: Code, fault_model: FaultModel) -> OutcomeProbabilities:
+    """The exact decode-outcome mixture of single upsets.
 
-    Draws ``samples`` bit patterns from the fault model, applies each to a
-    few representative encoded data words and classifies the decode result.
-    Distinct patterns are decoded once (the registered models produce a few
-    dozen distinct contiguous clusters), but drawing the patterns one by
-    one in Python still costs 16–70 ms per call.  Task models therefore go
+    Enumerates every bit pattern the fault model can flip in one codeword
+    with its probability (:meth:`~repro.faults.models.FaultModel.pattern_weights`),
+    applies each to a few representative encoded data words and weights
+    the decode classes by the pattern's probability.  The registered
+    (code, fault model) pairs cost 0.4–41 ms a call, so task models go
     through :func:`outcome_mixture`, which keeps one mixture per (code,
     fault model) in the profile cache's derived tier; this function stays
     the reference it is tested against.
 
-    Accuracy caveats, relevant only to exotic (code, fault model) pairs:
-    the mixture weights are fixed-seed Monte-Carlo frequencies (~1 %
-    standard error when the outcome classes are genuinely mixed — zero
-    for every registered strategy code, where all sampled patterns fall
-    in one class), and the classes conflate decode status with data
-    damage: a miscorrection is charged as silent corruption rather than
-    as an inline correction, and a detected-uncorrectable pattern is
-    assumed to have corrupted data even when its flips hit only check
-    bits.  Neither case is reachable with the registered codes under the
-    contiguous-cluster fault models.
+    The classes are status-level: a miscorrection is charged as silent
+    corruption rather than as an inline correction, and a
+    detected-uncorrectable pattern is assumed to have corrupted data even
+    when its flips hit only check bits.  Neither case is reachable with
+    the registered codes under the contiguous-cluster fault models.
     """
-    rng = np.random.default_rng(seed)
     data_words = (0, code.data_mask, 0x5A5A5A5A & code.data_mask)
-    cache: dict[tuple[int, ...], tuple[float, float, float, float]] = {}
-    corrected = detected = silent = benign = 0.0
-    for _ in range(samples):
-        pattern = tuple(fault_model.sample_pattern(code.codeword_bits, rng))
-        shares = cache.get(pattern)
-        if shares is None:
-            counts = [0, 0, 0, 0]
-            for data in data_words:
-                codeword = code.encode(data)
-                for position in pattern:
-                    codeword ^= 1 << position
-                result = code.decode(codeword)
-                if result.status is DecodeStatus.DETECTED_UNCORRECTABLE:
-                    counts[1] += 1
-                elif result.data != data:
-                    counts[2] += 1
-                elif result.status is DecodeStatus.CORRECTED:
-                    counts[0] += 1
-                else:
-                    counts[3] += 1
-            shares = tuple(count / len(data_words) for count in counts)
-            cache[pattern] = shares
-        corrected += shares[0]
-        detected += shares[1]
-        silent += shares[2]
-        benign += shares[3]
-    return OutcomeProbabilities(
-        corrected=corrected / samples,
-        detected=detected / samples,
-        silent=silent / samples,
-        benign=benign / samples,
-    )
+    codewords = [code.encode(data) for data in data_words]
+    classes = [0.0, 0.0, 0.0, 0.0]
+    total = 0.0
+    for pattern, weight in fault_model.pattern_weights(code.codeword_bits).items():
+        counts = [0, 0, 0, 0]
+        for data, codeword in zip(data_words, codewords):
+            result = code.decode(flip_bits(codeword, pattern))
+            if result.status is DecodeStatus.DETECTED_UNCORRECTABLE:
+                counts[1] += 1
+            elif result.data != data:
+                counts[2] += 1
+            elif result.status is DecodeStatus.CORRECTED:
+                counts[0] += 1
+            else:
+                counts[3] += 1
+        # weight * (count / n), not weight * count / n: a pattern wholly in
+        # one class then adds exactly its weight, so a single-class mixture
+        # divides to exactly 1.0.
+        for index, count in enumerate(counts):
+            classes[index] += weight * (count / len(data_words))
+        total += weight
+    return OutcomeProbabilities(*(share / total for share in classes))
 
 
 @dataclass(frozen=True)
@@ -293,9 +277,9 @@ class _MixtureKey:
 def outcome_mixture(code: Code, fault_model: FaultModel) -> OutcomeProbabilities:
     """:func:`classify_outcomes` of ``(code, fault_model)``, once per process.
 
-    The mixture depends only on the code and the fault model (its sampling
-    seed is fixed), so it is kept in the profile cache's derived tier,
-    keyed on :meth:`~repro.ecc.base.Code.identity` and
+    The mixture depends only on the code and the fault model, so it is
+    kept in the profile cache's derived tier, keyed on
+    :meth:`~repro.ecc.base.Code.identity` and
     :meth:`~repro.faults.models.FaultModel.identity`.  Every task model
     of one code shape shares one classification; ``REPRO_NO_CACHE=1`` and
     :meth:`~repro.runtime.profile_cache.ProfileCache.clear` recompute it.
@@ -355,9 +339,9 @@ class RunLayout:
 class BatchTaskModel:
     """One campaign configuration, ready to simulate many seeds at once.
 
-    Parameters mirror :class:`~repro.runtime.executor.TaskExecutor`;
-    ``profile_seed`` selects the workload input whose profile is shared by
-    every simulated run (see the module docstring for the approximation).
+    Parameters mirror :class:`~repro.runtime.executor.TaskExecutor`.
+    Every simulated run shares the profile of seed 0's workload input (see
+    the module docstring for the approximation).
     """
 
     def __init__(
@@ -367,21 +351,19 @@ class BatchTaskModel:
         constraints: DesignConstraints | None = None,
         fault_model: FaultModel | None = None,
         scenario: Scenario | None = None,
-        profile_seed: int = 0,
     ) -> None:
         self.app = app
         self.strategy = strategy
         self.constraints = constraints if constraints is not None else PAPER_OPERATING_POINT
         self.fault_model = fault_model if fault_model is not None else default_smu_model()
         self.scenario = scenario
-        self.profile_seed = profile_seed
         self._build()
 
     # ------------------------------------------------------------------ #
     def _build(self) -> None:
         # Shared with TaskExecutor (repro.runtime.executor.profile_task),
         # so both engines plan from bit-identical profiles and schedules.
-        profile = profile_task(self.app, self.app.generate_input(self.profile_seed))
+        profile = profile_task(self.app, self.app.generate_input(_PROFILE_SEED))
         if profile.total_words == 0:
             raise ValueError("the task produced no output words; nothing to protect")
         self._profile = profile

@@ -16,8 +16,8 @@ levels**, which configurations are *Pareto-optimal* over
 * ``failure`` — residual *unmitigated-failure* probability: the chance
   that an upset strikes the protected buffer itself with a bit
   multiplicity beyond the code's correction capability ``t`` during one
-  task (computed in closed form from the fault model's cluster-width
-  mixture; see :func:`uncorrectable_upset_fraction`).
+  task (the closed-form tail of the fault model's cluster width; see
+  :func:`uncorrectable_upset_fraction`).
 
 All objectives are minimized.  The fault-rate axis is an *environment*
 parameter, not a design knob, so dominance is only compared between
@@ -59,7 +59,7 @@ import numpy as np
 from ..apps.base import AppCharacterization, StreamingApplication
 from ..core.config import DesignConstraints, PAPER_OPERATING_POINT
 from ..core.cost_model import MitigationCostModel, PlatformCostParameters
-from ..faults.models import FaultModel, MixedUpset, MultiBitUpset, SingleBitUpset, default_smu_model
+from ..faults.models import FaultModel, default_smu_model
 from ..memmodel.technology import TechnologyNode, available_nodes, get_node
 from .design import _GridCostModel, _model_nbytes
 from .streaming import iter_blocks, note_blocks, note_peak_bytes
@@ -99,12 +99,11 @@ DEFAULT_RATE_LEVELS: tuple[float, ...] = (1e-7, 1e-6, 5e-6)
 def uncorrectable_upset_fraction(fault_model: FaultModel, t: int) -> float:
     """Probability that one upset flips more than ``t`` bits, in closed form.
 
-    The behavioural fault models draw cluster widths from explicit
-    distributions (:class:`~repro.faults.models.MultiBitUpset` uses a
-    geometric width truncated to ``[min_width, max_width]``), so the tail
-    probability ``P(multiplicity > t)`` has an exact closed form — no
-    sampling, which is what keeps the ``failure`` objective deterministic
-    and bit-identical across engines.
+    This is the fault model's own width tail
+    (:meth:`~repro.faults.models.FaultModel.width_tail`), the exact law its
+    behavioural sampler draws from.  No sampling is involved, which is what
+    keeps the ``failure`` objective deterministic and bit-identical across
+    engines.
 
     Examples
     --------
@@ -114,29 +113,7 @@ def uncorrectable_upset_fraction(fault_model: FaultModel, t: int) -> float:
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    if isinstance(fault_model, SingleBitUpset):
-        return 1.0 if t < 1 else 0.0
-    if isinstance(fault_model, MultiBitUpset):
-        return _multibit_tail(fault_model, t)
-    if isinstance(fault_model, MixedUpset):
-        smu = uncorrectable_upset_fraction(fault_model.smu, t)
-        ssu = uncorrectable_upset_fraction(fault_model.ssu, t)
-        return fault_model.smu_fraction * smu + (1.0 - fault_model.smu_fraction) * ssu
-    raise TypeError(
-        f"no closed-form multiplicity tail for fault model {type(fault_model).__name__}; "
-        "use SingleBitUpset, MultiBitUpset or MixedUpset"
-    )
-
-
-def _multibit_tail(model: MultiBitUpset, t: int) -> float:
-    """``P(cluster width > t)`` for the truncated-geometric SMU width."""
-    if t < model.min_width:
-        return 1.0
-    if t >= model.max_width:
-        return 0.0
-    # width = min(min_width + G - 1, max_width) with G ~ Geometric(p) on
-    # {1, 2, ...}: P(width > t) = P(G >= t - min_width + 2) = q**(t - min_width + 1).
-    return (1.0 - model.geometric_p) ** (t - model.min_width + 1)
+    return fault_model.width_tail(t)
 
 
 def _failure_probability(
@@ -570,8 +547,6 @@ def _resolve_grid(
     upper = min(max_chunk_words, characterization.output_words)
     chunks = tuple(range(1, upper + 1, chunk_stride))
     model = fault_model if fault_model is not None else default_smu_model()
-    # Fail fast on fault models without a closed-form multiplicity tail.
-    uncorrectable_upset_fraction(model, strengths[0])
     return _ResolvedGrid(
         characterization=characterization,
         objectives=objectives,

@@ -36,7 +36,7 @@ def bch_check_bits(data_bits: int, t: int) -> int:
     >>> bch_check_bits(32, 1)
     6
     >>> bch_check_bits(32, 4)
-    28
+    24
     """
     if data_bits <= 0:
         raise ValueError("data_bits must be positive")

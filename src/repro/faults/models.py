@@ -6,6 +6,13 @@ multi-bit upsets with technology scaling: a single particle strike flips a
 small cluster of physically adjacent cells.  We model that as a contiguous
 run of flipped bit positions of random width, matching the adjacency
 assumption behind interleaved ECC (see :mod:`repro.ecc.interleaved`).
+
+Each model states its law twice: :meth:`FaultModel.sample_pattern` draws
+one pattern from a generator (the behavioural injector's stream), and
+:meth:`FaultModel.width_pmf`, :meth:`FaultModel.width_tail` and
+:meth:`FaultModel.pattern_weights` give the same law exactly, for the
+batched engine's outcome mixtures and the Pareto explorer's failure
+objective.
 """
 
 from __future__ import annotations
@@ -48,11 +55,45 @@ class UpsetEvent:
 
 
 class FaultModel(abc.ABC):
-    """Strategy deciding the flipped-bit pattern of one upset event."""
+    """Strategy deciding the flipped-bit pattern of one upset event.
+
+    An upset flips a contiguous cluster: its width is drawn from
+    :meth:`width_pmf`, clipped to the word, and its start is uniform over
+    the positions where the clipped cluster fits.
+    """
 
     @abc.abstractmethod
     def sample_pattern(self, word_bits: int, rng: np.random.Generator) -> tuple[int, ...]:
         """Return the bit positions flipped by one upset in a ``word_bits`` word."""
+
+    @abc.abstractmethod
+    def width_pmf(self) -> dict[int, float]:
+        """Exact probability of each cluster width, before clipping to a word."""
+
+    @abc.abstractmethod
+    def width_tail(self, t: int) -> float:
+        """``P(width > t)``: the chance one upset flips more than ``t`` bits, in closed form."""
+
+    def pattern_weights(self, word_bits: int) -> dict[tuple[int, ...], float]:
+        """Exact probability of each pattern :meth:`sample_pattern` draws in a ``word_bits`` word.
+
+        Examples
+        --------
+        >>> MultiBitUpset(min_width=2, max_width=2).pattern_weights(3)
+        {(0, 1): 0.5, (1, 2): 0.5}
+        >>> SingleBitUpset().pattern_weights(2)
+        {(0,): 0.5, (1,): 0.5}
+        """
+        if word_bits <= 0:
+            raise ValueError("word_bits must be positive")
+        weights: dict[tuple[int, ...], float] = {}
+        for width, mass in self.width_pmf().items():
+            width = min(width, word_bits)
+            starts = word_bits - width + 1
+            for start in range(starts):
+                pattern = tuple(range(start, start + width))
+                weights[pattern] = weights.get(pattern, 0.0) + mass / starts
+        return weights
 
     def identity(self) -> tuple:
         """The class and field values: everything that decides the patterns drawn.
@@ -94,6 +135,12 @@ class SingleBitUpset(FaultModel):
         if word_bits <= 0:
             raise ValueError("word_bits must be positive")
         return (int(rng.integers(0, word_bits)),)
+
+    def width_pmf(self) -> dict[int, float]:
+        return {1: 1.0}
+
+    def width_tail(self, t: int) -> float:
+        return 1.0 if t < 1 else 0.0
 
 
 @dataclass
@@ -139,6 +186,26 @@ class MultiBitUpset(FaultModel):
         start = int(rng.integers(0, word_bits - width + 1))
         return tuple(range(start, start + width))
 
+    def width_pmf(self) -> dict[int, float]:
+        # width = min(min_width + G - 1, max_width) with G ~ Geometric(p) on
+        # {1, 2, ...}: widths below the cap take p * q**(width - min_width),
+        # and the cap takes the whole remaining tail.
+        q = 1.0 - self.geometric_p
+        pmf = {
+            width: self.geometric_p * q ** (width - self.min_width)
+            for width in range(self.min_width, self.max_width)
+        }
+        pmf[self.max_width] = q ** (self.max_width - self.min_width)
+        return pmf
+
+    def width_tail(self, t: int) -> float:
+        if t < self.min_width:
+            return 1.0
+        if t >= self.max_width:
+            return 0.0
+        # P(width > t) = P(G >= t - min_width + 2) = q**(t - min_width + 1).
+        return (1.0 - self.geometric_p) ** (t - self.min_width + 1)
+
 
 @dataclass
 class MixedUpset(FaultModel):
@@ -161,6 +228,18 @@ class MixedUpset(FaultModel):
         if rng.random() < self.smu_fraction:
             return self.smu.sample_pattern(word_bits, rng)
         return self.ssu.sample_pattern(word_bits, rng)
+
+    def width_pmf(self) -> dict[int, float]:
+        pmf: dict[int, float] = {}
+        for share, model in ((self.smu_fraction, self.smu), (1.0 - self.smu_fraction, self.ssu)):
+            for width, mass in model.width_pmf().items():
+                pmf[width] = pmf.get(width, 0.0) + share * mass
+        return pmf
+
+    def width_tail(self, t: int) -> float:
+        smu = self.smu.width_tail(t)
+        ssu = self.ssu.width_tail(t)
+        return self.smu_fraction * smu + (1.0 - self.smu_fraction) * ssu
 
 
 def default_smu_model() -> MixedUpset:

@@ -10,8 +10,13 @@ the fault dynamics, not to the cost model.
 
 from __future__ import annotations
 
+import math
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.batch import BatchTaskModel, CumulativeRate, classify_outcomes, outcome_mixture
 from repro.batch.engine import iter_column_blocks, records_from_columns
@@ -24,7 +29,12 @@ from repro.core.strategies import (
     SwMitigationStrategy,
 )
 from repro.ecc import NoCode
-from repro.ecc.interleaved import InterleavedParityCode, InterleavedSecDedCode
+from repro.ecc.base import DecodeStatus
+from repro.ecc.interleaved import (
+    InterleavedHammingCode,
+    InterleavedParityCode,
+    InterleavedSecDedCode,
+)
 from repro.faults.models import MixedUpset, MultiBitUpset, SingleBitUpset, default_smu_model
 from repro.runtime.executor import run_task
 from repro.scenarios.base import BurstScenario, ConstantRate, RampScenario
@@ -56,7 +66,7 @@ class TestFaultFreeExactness:
         app = small_adpcm_encode
         strategy = _strategies(app, ZERO_RATE)[strategy_index]
         behavioural = run_task(app, strategy, constraints=ZERO_RATE, seed=0).stats
-        model = BatchTaskModel(app, strategy, constraints=ZERO_RATE, profile_seed=0)
+        model = BatchTaskModel(app, strategy, constraints=ZERO_RATE)
         record = _solo_record(model)
 
         assert record["total_cycles"] == behavioural.total_cycles
@@ -75,9 +85,7 @@ class TestFaultFreeExactness:
         app = small_jpeg_decode
         strategy = HybridStrategy(64, ZERO_RATE, extra_buffer_words=app.state_words())
         behavioural = run_task(app, strategy, constraints=ZERO_RATE, seed=0).stats
-        record = _solo_record(
-            BatchTaskModel(app, strategy, constraints=ZERO_RATE, profile_seed=0)
-        )
+        record = _solo_record(BatchTaskModel(app, strategy, constraints=ZERO_RATE))
         assert record["total_cycles"] == behavioural.total_cycles
         assert record["energy_pj"] == pytest.approx(behavioural.total_energy_pj, rel=1e-9)
 
@@ -170,6 +178,114 @@ class TestOutcomeClassification:
         # Single-bit flips are always detected by parity; width-2 clusters
         # land one flip in each of the two lanes — also detected.
         assert probs.detected == 1.0
+
+
+#: Draws the Monte-Carlo reference below takes per mixture.
+_MC_SAMPLES = 4096
+
+
+def _monte_carlo_outcomes(code, fault_model) -> np.ndarray:
+    """Sampled (corrected, detected, silent, benign) frequencies of single upsets.
+
+    The fixed-seed sampling loop ``classify_outcomes`` used before it
+    enumerated the pattern law; kept as an independent reference.
+    """
+    rng = np.random.default_rng(0x0DDC0DE)
+    data_words = (0, code.data_mask, 0x5A5A5A5A & code.data_mask)
+    cache: dict[tuple[int, ...], np.ndarray] = {}
+    totals = np.zeros(4)
+    for _ in range(_MC_SAMPLES):
+        pattern = tuple(fault_model.sample_pattern(code.codeword_bits, rng))
+        shares = cache.get(pattern)
+        if shares is None:
+            counts = [0, 0, 0, 0]
+            for data in data_words:
+                codeword = code.encode(data)
+                for position in pattern:
+                    codeword ^= 1 << position
+                result = code.decode(codeword)
+                if result.status is DecodeStatus.DETECTED_UNCORRECTABLE:
+                    counts[1] += 1
+                elif result.data != data:
+                    counts[2] += 1
+                elif result.status is DecodeStatus.CORRECTED:
+                    counts[0] += 1
+                else:
+                    counts[3] += 1
+            shares = cache[pattern] = np.array(counts) / len(data_words)
+        totals += shares
+    return totals / _MC_SAMPLES
+
+
+_multibit_models = st.integers(min_value=1, max_value=6).flatmap(
+    lambda low: st.builds(
+        MultiBitUpset,
+        min_width=st.just(low),
+        max_width=st.integers(min_value=low, max_value=low + 10),
+        geometric_p=st.floats(min_value=0.05, max_value=1.0),
+    )
+)
+_fault_models = st.one_of(
+    _multibit_models,
+    st.builds(
+        MixedUpset,
+        smu_fraction=st.floats(min_value=0.0, max_value=1.0),
+        smu=_multibit_models,
+    ),
+)
+_interleaved_codes = st.builds(
+    lambda family, ways: family(32, ways=ways),
+    st.sampled_from([InterleavedSecDedCode, InterleavedParityCode, InterleavedHammingCode]),
+    st.integers(min_value=1, max_value=8),
+)
+
+
+class TestExactOutcomeMixture:
+    """``classify_outcomes`` enumerates the fault model's exact pattern law."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(code=_interleaved_codes, fault_model=_fault_models)
+    def test_matches_monte_carlo_within_five_standard_errors(self, code, fault_model):
+        exact = astuple(classify_outcomes(code, fault_model))
+        sampled = _monte_carlo_outcomes(code, fault_model)
+        assert math.fsum(exact) == pytest.approx(1.0, abs=1e-12)
+        for probability, frequency in zip(exact, sampled):
+            # A per-draw share in [0, 1] with mean p has variance at most
+            # p * (1 - p); at p = 0 or 1 this demands exact agreement.
+            error = math.sqrt(probability * (1.0 - probability) / _MC_SAMPLES)
+            assert abs(probability - frequency) <= 5.0 * error + 1e-12
+
+    def test_two_way_secded_splits_the_paper_mixture(self):
+        # Clusters of widths 1-2 land at most one flip per lane (corrected);
+        # widths 3-4 land two flips in one lane (detected).  The paper's
+        # mixture is 40 % single bits plus 60 % clusters of width 2 (p = 0.55),
+        # 3 or 4, so 0.4 + 0.6 * 0.55 is corrected and 0.6 * 0.45 detected.
+        probs = classify_outcomes(InterleavedSecDedCode(32, ways=2), default_smu_model())
+        assert probs.corrected == pytest.approx(0.73, abs=1e-12)
+        assert probs.detected == pytest.approx(0.27, abs=1e-12)
+        assert probs.silent == probs.benign == 0.0
+
+    def test_registered_strategies_and_fault_models_are_single_class(
+        self, small_adpcm_encode
+    ):
+        # Single-class mixtures are where the exact and Monte-Carlo
+        # classifiers agree to the last bit: no default row moved.
+        from repro.api.registry import (
+            available_fault_models,
+            available_strategies,
+            build_fault_model,
+            build_strategy,
+        )
+
+        fault_models = [None, *available_fault_models()]
+        for name in available_strategies():
+            params = {"chunk_words": 64} if name == "hybrid" else {}
+            strategy = build_strategy(name, small_adpcm_encode, PAPER_OPERATING_POINT, **params)
+            code = strategy.build_platform(required_buffer_words=64).l1.code
+            for fault_name in fault_models:
+                fault_model = build_fault_model(fault_name) or default_smu_model()
+                shares = sorted(astuple(classify_outcomes(code, fault_model)))
+                assert shares == [0.0, 0.0, 0.0, 1.0], (name, fault_name)
 
 
 #: Every (code, fault model) pair of TestOutcomeClassification, as factories

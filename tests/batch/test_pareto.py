@@ -39,7 +39,7 @@ from repro.batch.pareto import (
 )
 from repro.batch.substrate import SUBSTRATE
 from repro.core.config import PAPER_OPERATING_POINT
-from repro.faults.models import MixedUpset, MultiBitUpset, SingleBitUpset
+from repro.faults.models import FaultModel, MixedUpset, MultiBitUpset, SingleBitUpset
 
 #: Trimmed axes for the cheap unit tests (the full default grid is
 #: exercised by the per-app equivalence tests below).
@@ -344,14 +344,15 @@ class TestUncorrectableFraction:
         class Exotic(SingleBitUpset):
             pass
 
-        class NotClosedForm:
-            pass
+        class NotClosedForm(FaultModel):
+            def sample_pattern(self, word_bits, rng):
+                return (0,)
 
         # Subclasses of the known models still take the closed form...
         assert uncorrectable_upset_fraction(Exotic(), 1) == 0.0
-        # ...but unrelated models are rejected loudly.
-        with pytest.raises(TypeError, match="closed-form"):
-            uncorrectable_upset_fraction(NotClosedForm(), 1)
+        # ...but a model without an exact width law cannot be built.
+        with pytest.raises(TypeError, match="abstract"):
+            NotClosedForm()
 
 
 # ---------------------------------------------------------------------- #

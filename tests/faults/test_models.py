@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,3 +93,49 @@ class TestMixedUpset:
         rng = make_rng(11)
         multi = sum(1 for _ in range(2000) if len(model.sample_pattern(32, rng)) >= 2)
         assert multi > 1000  # more than half of the upsets are multi-bit
+
+
+_multibit_models = st.integers(min_value=1, max_value=8).flatmap(
+    lambda low: st.builds(
+        MultiBitUpset,
+        min_width=st.just(low),
+        max_width=st.integers(min_value=low, max_value=low + 40),
+        geometric_p=st.floats(min_value=0.01, max_value=1.0),
+    )
+)
+_fault_models = st.one_of(
+    _multibit_models,
+    st.builds(
+        MixedUpset,
+        smu_fraction=st.floats(min_value=0.0, max_value=1.0),
+        smu=_multibit_models,
+    ),
+)
+
+
+class TestExactLaw:
+    """``width_pmf``, ``width_tail`` and ``pattern_weights`` state one law."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_fault_models)
+    def test_tail_and_pattern_weights_follow_the_width_pmf(self, model):
+        pmf = model.width_pmf()
+        assert math.fsum(pmf.values()) == pytest.approx(1.0, abs=1e-12)
+        max_width = max(pmf)
+        for t in range(max_width + 2):
+            above = math.fsum(mass for width, mass in pmf.items() if width > t)
+            assert model.width_tail(t) == pytest.approx(above, abs=1e-12)
+        rng = make_rng(max_width)
+        for word_bits in (max(1, max_width - 1), max_width + 3):
+            weights = model.pattern_weights(word_bits)
+            assert math.fsum(weights.values()) == pytest.approx(1.0, abs=1e-12)
+            # Every pattern the sampler draws carries weight in the exact law.
+            for _ in range(20):
+                assert weights[model.sample_pattern(word_bits, rng)] > 0.0
+
+    def test_cluster_wider_than_the_word_is_clipped(self):
+        # As in sample_pattern: the clipped cluster covers the whole word.
+        model = MultiBitUpset(min_width=6, max_width=6)
+        assert model.pattern_weights(4) == {(0, 1, 2, 3): 1.0}
+        with pytest.raises(ValueError):
+            model.pattern_weights(0)
