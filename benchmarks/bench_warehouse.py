@@ -11,6 +11,11 @@ measures the cold/warm contrast:
 * **service fast path**: a repeat ``POST /v1/experiments`` answered
   ``"cached": true`` with a byte-identical stream, plus a scrape of the
   ``repro_warehouse_events_total`` counters off ``/v1/metrics``,
+* **replay vs recompute**: a warm batched ``Session().campaign`` report
+  against the same campaign under ``REPRO_NO_WAREHOUSE=1``, best of 3
+  each (5,000 seeds under ``--smoke``, 20,000 in full mode).  The rows
+  are not built: at these sizes building them costs more than the store
+  and would hide it.
 
 and archives everything as ``benchmarks/results/BENCH_warehouse.json``::
 
@@ -20,6 +25,7 @@ and archives everything as ``benchmarks/results/BENCH_warehouse.json``::
 the full mode replays fig4 at paper scale and a 2000-seed campaign.
 Correctness bars (zero recompute, byte identity, cached fast path) are
 asserted in both modes — the benchmark doubles as the warm-replay gate.
+It exits 1 unless the warm replay beats recomputing.
 """
 
 from __future__ import annotations
@@ -35,15 +41,18 @@ from pathlib import Path
 from repro.analysis.experiments import fig4_feasible_region
 from repro.api.executors import SPECS_EXECUTED
 from repro.api.session import Session
-from repro.api.spec import ExperimentSpec
+from repro.api.spec import CampaignSpec, ExperimentSpec
 from repro.service import ExperimentServer, ScalingPolicy, ServiceClient
 from repro.telemetry import parse_prometheus, series_total
-from repro.warehouse import default_warehouse
+from repro.warehouse import ENV_NO_WAREHOUSE, default_warehouse
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
 BENCH_APP = "adpcm-encode"
 BENCH_STRATEGY = "hybrid-optimal"
+
+#: Timed repeats of each side of the replay-vs-recompute gate (best wins).
+BEST_OF = 3
 
 
 def _spec() -> ExperimentSpec:
@@ -120,6 +129,43 @@ def _delta_widening(seeds: int) -> dict:
     return {"seeds": seeds, "widened_to": widened, "recomputed_specs": int(delta)}
 
 
+def _best_of(run) -> float:
+    """Fastest of :data:`BEST_OF` timed calls of ``run()``, in seconds."""
+    times = []
+    for _ in range(BEST_OF):
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def _replay_vs_recompute(seeds: int) -> dict:
+    """A warm batched campaign replay must beat recomputing the campaign."""
+    # Seeds disjoint from the other sections, so the cold pass is cold.
+    campaign = CampaignSpec(
+        base=ExperimentSpec(app=BENCH_APP, strategy=BENCH_STRATEGY, engine="batched"),
+        seeds=tuple(range(20_000, 20_000 + seeds)),
+    )
+    start = time.perf_counter()
+    Session().campaign(campaign)
+    cold_s = time.perf_counter() - start
+    warm_s = _best_of(lambda: Session().campaign(campaign))
+    os.environ[ENV_NO_WAREHOUSE] = "1"
+    try:
+        off_s = _best_of(lambda: Session().campaign(campaign))
+    finally:
+        del os.environ[ENV_NO_WAREHOUSE]
+    return {
+        "seeds": seeds,
+        "engine": "batched",
+        "best_of": BEST_OF,
+        "cold_s": round(cold_s, 4),
+        "warm_s": round(warm_s, 4),
+        "off_s": round(off_s, 4),
+        "warm_beats_off": warm_s < off_s,
+    }
+
+
 def _service_fast_path(seeds: int) -> dict:
     """A repeat submission must be answered cached, byte for byte."""
     policy = ScalingPolicy(
@@ -190,11 +236,13 @@ def main(argv: list[str] | None = None) -> int:
         campaign = _campaign_replay(seeds=200)
         widening = _delta_widening(seeds=20)
         service = _service_fast_path(seeds=6)
+        versus = _replay_vs_recompute(seeds=5_000)
     else:
         fig4 = _fig4_replay(max_chunk_words=512, max_correctable_bits=8, stride=1)
         campaign = _campaign_replay(seeds=2000)
         widening = _delta_widening(seeds=100)
         service = _service_fast_path(seeds=32)
+        versus = _replay_vs_recompute(seeds=20_000)
 
     print(f"fig4: {fig4['cold_s']:.2f}s cold -> {fig4['warm_s']:.3f}s warm "
           f"({fig4['speedup']}x, zero recompute)")
@@ -205,6 +253,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"service: cached resubmit in {service['warm_s']:.3f}s "
           f"(vs {service['cold_s']:.2f}s cold), "
           f"{service['warehouse_events_total']:.0f} warehouse events on /v1/metrics")
+    print(f"replay vs recompute: {versus['seeds']} seeds, warm {versus['warm_s'] * 1e3:.1f} ms "
+          f"vs warehouse off {versus['off_s'] * 1e3:.1f} ms (best of {BEST_OF})")
 
     summary = default_warehouse().summary()
     print(f"warehouse: {summary['entries']} entries, {summary['rows']} rows, "
@@ -219,6 +269,7 @@ def main(argv: list[str] | None = None) -> int:
         "campaign_replay": campaign,
         "delta_widening": widening,
         "service_fast_path": service,
+        "replay_vs_recompute": versus,
         "store": {
             "entries": summary["entries"],
             "specs": summary["specs"],
@@ -231,6 +282,9 @@ def main(argv: list[str] | None = None) -> int:
     output.parent.mkdir(parents=True, exist_ok=True)
     output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"\n[{payload['mode']}] archived to {output}")
+    if not versus["warm_beats_off"]:
+        print("FAIL: a warm campaign replay is slower than recomputing it", file=sys.stderr)
+        return 1
     return 0
 
 

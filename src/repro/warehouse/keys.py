@@ -43,7 +43,10 @@ from typing import Any
 #: under ``~/.cache/repro/warehouse``.
 #: v4: batched ``execute`` specs key on (base spec, seed block) — see
 #: :func:`block_key` — and their units store metric columns, not rows.
-KEY_SCHEMA_VERSION = 4
+#: v5: block units store raw bytes after a JSON header line (entry format
+#: v3); code of v4 meeting one under its own key would fail to decode it
+#: as text, so the keys rotate with the format.
+KEY_SCHEMA_VERSION = 5
 
 
 def canonical_json(payload: Any) -> str:

@@ -1,23 +1,30 @@
 """The content-addressed on-disk result warehouse.
 
-One flat directory of ``<key>.json`` entry documents under
+One flat directory of ``<key>.json`` entries under
 ``~/.cache/repro/warehouse`` (sharing the profile-cache root, so
 ``REPRO_CACHE_DIR`` relocates both stores together;
 ``REPRO_WAREHOUSE_DIR`` overrides just the warehouse, and
 ``REPRO_NO_WAREHOUSE=1`` disables it entirely).  Each entry is one
-*unit* of completed work: a spec with its records and — for design-space
-kinds — the pickled artifact (optimization result, feasible region,
-Pareto front), or a batched seed block's base spec and float metric
-columns (laid out only by :func:`_encode_block` / :func:`_decode_block`),
-so a warm replay reconstructs outcomes bit-identical to a cold run.
+*unit* of completed work, in one of two shapes:
+
+* a solo unit is one JSON document: a spec with its records and — for
+  design-space kinds — the pickled artifact (optimization result,
+  feasible region, Pareto front);
+* a batched seed block is one JSON header line (its base spec and the
+  block's row count, labels and column names), a newline, then the
+  seeds and float metric columns as raw little-endian bytes, laid out
+  only by :func:`_encode_block` / :func:`_decode_block`.
+
+Either way a warm replay reconstructs outcomes bit-identical to a cold
+run, and a block replay parses no float.
 
 The warehouse follows the profile cache's durability discipline: writes
 go to a temp file in the target directory and land via ``os.replace``
 (concurrent writers race benignly — last atomic rename wins, both wrote
 the same content), and any unreadable, truncated or mistyped entry
-degrades to a miss (→ recomputation) rather than an error.  The store is
-a pure accelerator: it can never change results, only skip recomputing
-them.
+degrades to a miss (→ recomputation) rather than an error; the next
+store of that unit replaces it.  The store is a pure accelerator: it
+can never change results, only skip recomputing them.
 """
 
 from __future__ import annotations
@@ -45,12 +52,17 @@ ENV_WAREHOUSE_DIR = "REPRO_WAREHOUSE_DIR"
 #: Environment variable disabling the warehouse entirely (set to "1").
 ENV_NO_WAREHOUSE = "REPRO_NO_WAREHOUSE"
 
-#: Schema version of the on-disk entry documents; bump when they change.
+#: Schema version of the on-disk entries; bump when they change.
 #: v2: one ``spec`` per entry; batched block units store columns.
-DISK_FORMAT_VERSION = 2
+#: v3: a block unit is a JSON header line, a newline, then its seeds
+#: (``<u8``) and metric columns (``<f8``) as raw bytes.
+DISK_FORMAT_VERSION = 3
 
 #: The stored columns of a block: the seed column is rebuilt from the seeds.
 _BLOCK_COLUMNS = METRIC_COLUMNS[1:]
+
+#: Export field carrying an entry's byte payload, base64-encoded.
+EXPORT_PAYLOAD_FIELD = "payload"
 
 #: Warehouse outcomes, for ``/v1/metrics`` and ``metrics.jsonl``
 #: (outcomes: hit, miss, store, corrupt, uncacheable, invalidated).
@@ -105,40 +117,103 @@ class WarehouseEntry:
         return len(self.seeds) or len(self.records)
 
 
-def _encode_block(block: ColumnBlock) -> dict[str, Any]:
-    """The JSON form of a block unit's payload."""
-    return {
-        "seeds": list(block.seeds),
-        "labels": list(block.labels),
-        "columns": {name: block.columns[name].tolist() for name in _BLOCK_COLUMNS},
-    }
+def _encode_block(block: ColumnBlock) -> tuple[dict[str, Any], bytes]:
+    """A block unit's header field and byte payload.
+
+    The payload is the seeds as ``<u8``, then each of ``columns`` (in
+    the header's order) as ``<f8``.  Raises ``OverflowError`` for a seed
+    outside ``[0, 2**64)`` and ``ValueError`` for a column whose length
+    is not the seed count.
+    """
+    seeds = np.asarray(block.seeds, dtype="<u8")
+    columns = np.stack([block.columns[name] for name in _BLOCK_COLUMNS]).astype("<f8", copy=False)
+    if columns.shape != (len(_BLOCK_COLUMNS), len(seeds)):
+        raise ValueError("block columns do not match its seeds")
+    header = {"rows": len(seeds), "labels": list(block.labels), "columns": list(_BLOCK_COLUMNS)}
+    return header, seeds.tobytes() + columns.tobytes()
 
 
-def _decode_block(payload: Any) -> ColumnBlock | None:
-    """Inverse of :func:`_encode_block`; ``None`` for any malformed payload."""
-    if not isinstance(payload, dict):
+def _decode_block(header: Any, payload: memoryview) -> ColumnBlock | None:
+    """Inverse of :func:`_encode_block`; ``None`` for any malformed unit.
+
+    The columns are read-only views of ``payload``.
+    """
+    if not isinstance(header, dict):
         return None
-    seeds, labels, columns = payload.get("seeds"), payload.get("labels"), payload.get("columns")
+    rows, labels = header.get("rows"), header.get("labels")
     if not (
-        isinstance(seeds, list)
+        type(rows) is int
+        and rows > 0
+        and header.get("columns") == list(_BLOCK_COLUMNS)
         and isinstance(labels, list)
-        and isinstance(columns, dict)
-        and seeds
-        and set(map(type, seeds)) == {int}
         and len(labels) == len(LABELS)
         and set(map(type, labels)) == {str}
-        and set(columns) == set(_BLOCK_COLUMNS)
-        and all(
-            isinstance(values, list)
-            and len(values) == len(seeds)
-            and set(map(type, values)) == {float}
-            for values in columns.values()
-        )
+        and len(payload) == 8 * rows * (1 + len(_BLOCK_COLUMNS))
     ):
         return None
+    seeds = np.frombuffer(payload, dtype="<u8", count=rows)
+    columns = np.frombuffer(payload, dtype="<f8", offset=8 * rows)
     decoded = {"seed": seed_column(seeds)}
-    decoded.update((name, np.array(columns[name], dtype=np.float64)) for name in _BLOCK_COLUMNS)
-    return ColumnBlock(tuple(seeds), tuple(labels), decoded)
+    decoded.update(zip(_BLOCK_COLUMNS, columns.reshape(len(_BLOCK_COLUMNS), rows)))
+    return ColumnBlock(tuple(seeds.tolist()), tuple(labels), decoded)
+
+
+def _split(data: bytes) -> tuple[Any, memoryview]:
+    """An entry file's JSON document and the bytes after its first newline.
+
+    Raises ``ValueError`` when the document is not JSON.
+    """
+    end = data.find(b"\n")
+    if end < 0:
+        return json.loads(data), memoryview(b"")
+    return json.loads(data[:end]), memoryview(data)[end + 1 :]
+
+
+def _parse_entry(data: bytes, key: str) -> WarehouseEntry | None:
+    """The entry an entry file's ``data`` holds for ``key``; ``None`` if malformed."""
+    try:
+        document, payload = _split(data)
+    except ValueError:
+        return None
+    if not isinstance(document, dict) or document.get("version") != DISK_FORMAT_VERSION:
+        return None
+    if document.get("key") != key:
+        return None
+    spec, records = document.get("spec"), document.get("records", [])
+    fingerprint = document.get("fingerprint")
+    is_block = "block" in document
+    block = _decode_block(document["block"], payload) if is_block else None
+    if (
+        not isinstance(spec, dict)
+        or not isinstance(fingerprint, str)
+        or is_block == ("records" in document)  # exactly one payload
+        or (is_block and (block is None or "artifact" in document))
+        or (not is_block and len(payload) > 0)  # a solo unit is one document
+        or not isinstance(records, list)
+        or any(not isinstance(row, dict) for row in records)
+    ):
+        return None
+    artifact = None
+    encoded = document.get("artifact")
+    if encoded is not None:
+        if not isinstance(encoded, str):
+            return None
+        try:
+            artifact = pickle.loads(base64.b64decode(encoded.encode("ascii")))
+        except Exception:
+            return None
+    return WarehouseEntry(
+        key=key,
+        kind=str(document.get("kind", "execute")),
+        engine=str(document.get("engine", "behavioural")),
+        fingerprint=fingerprint,
+        spec=spec,
+        records=tuple(records),
+        block=block,
+        artifact=artifact,
+        created_at=float(document.get("created_at") or 0.0),
+        nbytes=len(data),
+    )
 
 
 @dataclass
@@ -213,55 +288,14 @@ class ResultWarehouse:
 
     def _read(self, path: Path, expected_key: str) -> WarehouseEntry | None:
         try:
-            text = path.read_text(encoding="utf-8")
+            data = path.read_bytes()
         except OSError:
             return None  # absent (or unreadable) entry: an ordinary miss
-        try:
-            document = json.loads(text)
-        except ValueError:
-            return self._corrupt()
-        if not isinstance(document, dict) or document.get("version") != DISK_FORMAT_VERSION:
-            return self._corrupt()
-        if document.get("key") != expected_key:
-            return self._corrupt()
-        spec, records = document.get("spec"), document.get("records", [])
-        fingerprint = document.get("fingerprint")
-        block = _decode_block(document["block"]) if "block" in document else None
-        if (
-            not isinstance(spec, dict)
-            or not isinstance(fingerprint, str)
-            or ("block" in document) == ("records" in document)  # exactly one payload
-            or ("block" in document and (block is None or "artifact" in document))
-            or not isinstance(records, list)
-            or any(not isinstance(row, dict) for row in records)
-        ):
-            return self._corrupt()
-        artifact = None
-        encoded = document.get("artifact")
-        if encoded is not None:
-            if not isinstance(encoded, str):
-                return self._corrupt()
-            try:
-                artifact = pickle.loads(base64.b64decode(encoded.encode("ascii")))
-            except Exception:
-                return self._corrupt()
-        return WarehouseEntry(
-            key=expected_key,
-            kind=str(document.get("kind", "execute")),
-            engine=str(document.get("engine", "behavioural")),
-            fingerprint=fingerprint,
-            spec=spec,
-            records=tuple(records),
-            block=block,
-            artifact=artifact,
-            created_at=float(document.get("created_at") or 0.0),
-            nbytes=len(text.encode("utf-8")),
-        )
-
-    def _corrupt(self) -> None:
-        self.stats.corrupt += 1
-        WAREHOUSE_EVENTS.inc(outcome="corrupt")
-        return None
+        entry = _parse_entry(data, expected_key)
+        if entry is None:
+            self.stats.corrupt += 1
+            WAREHOUSE_EVENTS.inc(outcome="corrupt")
+        return entry
 
     # ------------------------------------------------------------------ #
     # Write side
@@ -281,16 +315,19 @@ class ResultWarehouse:
 
         A solo unit passes ``records`` (and an optional ``artifact``), a
         block unit its ``block``.  Returns whether a new entry landed on
-        disk.  An existing entry under the same key is left untouched
-        (content-addressed entries are immutable), and any failure —
-        unpicklable artifact, read-only filesystem — degrades to "not
-        stored".
+        disk.  A current entry under the same key is left untouched
+        (content-addressed entries are immutable); a file there that does
+        not read back as one is replaced.  Any failure — unpicklable
+        artifact, read-only filesystem — degrades to "not stored".
         """
         if not self.enabled:
             return False
         path = self._path(key)
-        if path.exists():
-            return False
+        try:
+            if _parse_entry(path.read_bytes(), key) is not None:
+                return False  # content-addressed entries are immutable
+        except OSError:
+            pass  # absent
         document: dict[str, Any] = {
             "version": DISK_FORMAT_VERSION,
             "key": key,
@@ -300,8 +337,12 @@ class ResultWarehouse:
             "created_at": time.time(),
             "spec": dict(spec),
         }
+        payload = b""
         if block is not None:
-            document["block"] = _encode_block(block)
+            try:
+                document["block"], payload = _encode_block(block)
+            except (ValueError, OverflowError):
+                return False  # a seed outside u64: the unit is not cacheable
         else:
             document["records"] = [dict(row) for row in records or ()]
         if artifact is not None:
@@ -312,21 +353,23 @@ class ResultWarehouse:
             except Exception:
                 return False  # an unstorable artifact must not poison the unit
         try:
-            text = json.dumps(document, separators=(",", ":"))
+            header = json.dumps(document, separators=(",", ":")).encode("ascii")
         except (TypeError, ValueError):
             return False  # non-JSON records: the unit is simply not cacheable
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             handle = tempfile.NamedTemporaryFile(
-                "w",
+                "wb",
                 dir=path.parent,
                 prefix=f".{key[:16]}.",
                 suffix=".tmp",
                 delete=False,
-                encoding="utf-8",
             )
             with handle:
-                handle.write(text)
+                handle.write(header)
+                if block is not None:
+                    handle.write(b"\n")
+                    handle.write(payload)
             os.replace(handle.name, path)
         except OSError:
             # Read-only or racing filesystem: stay a pure accelerator.
@@ -396,16 +439,25 @@ class ResultWarehouse:
         return {"scanned": scanned, "removed": removed}
 
     def export(self, key_prefix: str | None = None) -> dict[str, Any]:
-        """A portable JSON document of (a prefix-filtered subset of) entries."""
+        """A portable JSON document of (a prefix-filtered subset of) entries.
+
+        Each entry exports as its JSON document; a block entry's byte
+        payload rides along base64-encoded under
+        :data:`EXPORT_PAYLOAD_FIELD`.  Restoring one writes the document
+        without that field, a newline and the decoded payload.
+        """
         entries = self.entries()
         if key_prefix:
             entries = [entry for entry in entries if entry.key.startswith(key_prefix)]
         documents = []
         for entry in entries:
             try:
-                documents.append(json.loads(self._path(entry.key).read_text(encoding="utf-8")))
+                document, payload = _split(self._path(entry.key).read_bytes())
             except (OSError, ValueError):
                 continue  # raced away or corrupted since listing: skip
+            if len(payload) > 0:
+                document[EXPORT_PAYLOAD_FIELD] = base64.b64encode(payload).decode("ascii")
+            documents.append(document)
         return {
             "version": DISK_FORMAT_VERSION,
             "fingerprint": fingerprint_digest(),

@@ -89,7 +89,7 @@ class TestFingerprint:
     def test_captures_version_schema_and_registries(self) -> None:
         fingerprint = code_fingerprint()
         assert fingerprint["package_version"]
-        assert fingerprint["key_schema"] == 4
+        assert fingerprint["key_schema"] == 5
         assert "adpcm-encode" in fingerprint["registries"]["apps"]
         assert "hybrid-optimal" in fingerprint["registries"]["strategies"]
         assert "markov" in fingerprint["registries"]["scenarios"]

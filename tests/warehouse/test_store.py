@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import base64
 import json
+import tempfile
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.batch.engine import METRIC_COLUMNS, ColumnBlock, seed_column
 from repro.warehouse.store import (
     DISK_FORMAT_VERSION,
     ENV_NO_WAREHOUSE,
     ENV_WAREHOUSE_DIR,
+    EXPORT_PAYLOAD_FIELD,
     ResultWarehouse,
     default_warehouse,
     default_warehouse_dir,
@@ -91,10 +96,79 @@ def _block(seeds=(3, 1, 2**53 + 1)) -> ColumnBlock:
     return ColumnBlock(tuple(seeds), ("adpcm-encode", "hybrid-optimal", "storm"), columns)
 
 
-def _put_block(warehouse: ResultWarehouse, key: str = "b" * 64) -> bool:
+def _put_block(warehouse: ResultWarehouse, key: str = "b" * 64, block=None) -> bool:
     return warehouse.put(
-        key, spec=SPEC, kind="execute", engine="batched", block=_block(), fingerprint="fp"
+        key,
+        spec=SPEC,
+        kind="execute",
+        engine="batched",
+        block=block if block is not None else _block(),
+        fingerprint="fp",
     )
+
+
+def _assert_same_block(served: ColumnBlock, expected: ColumnBlock) -> None:
+    assert served.seeds == expected.seeds
+    assert served.labels == expected.labels
+    assert list(served.columns) == list(METRIC_COLUMNS)
+    for name in METRIC_COLUMNS:
+        assert served.columns[name].tobytes() == expected.columns[name].tobytes(), name
+
+
+def _read_entry(path) -> tuple[dict, bytes | None]:
+    """An entry file's header document and its payload (``None`` without a newline)."""
+    header, newline, payload = path.read_bytes().partition(b"\n")
+    return json.loads(header), payload if newline else None
+
+
+def _write_entry(path, document: dict, payload: bytes | None) -> None:
+    data = json.dumps(document).encode("utf-8")
+    path.write_bytes(data if payload is None else data + b"\n" + payload)
+
+
+#: Raw float64 bit patterns the byte layout must carry verbatim: signed
+#: zeros, infinities, quiet and signalling NaNs with payloads, subnormals.
+_SPECIAL_BITS = (
+    0x0000000000000000,
+    0x8000000000000000,
+    0x7FF0000000000000,
+    0xFFF0000000000000,
+    0x7FF8000000000000,
+    0x7FF0000000000001,
+    0xFFF8DEADBEEF0001,
+    0x0000000000000001,
+    0x000FFFFFFFFFFFFF,
+    0x800FFFFFFFFFFFFF,
+)
+_SEEDS = st.one_of(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.sampled_from((2**53 + 1, 2**63, 2**64 - 2, 2**64 - 1)),
+)
+_BITS = st.one_of(st.integers(min_value=0, max_value=2**64 - 1), st.sampled_from(_SPECIAL_BITS))
+
+
+@st.composite
+def _drawn_blocks(draw) -> ColumnBlock:
+    seeds = draw(st.lists(_SEEDS, min_size=1, max_size=6))
+    width = len(METRIC_COLUMNS) - 1
+    bits = draw(st.lists(_BITS, min_size=width * len(seeds), max_size=width * len(seeds)))
+    values = np.array(bits, dtype=np.uint64).view(np.float64).reshape(width, len(seeds))
+    columns = {"seed": seed_column(seeds)}
+    columns.update(zip(METRIC_COLUMNS[1:], values))
+    return ColumnBlock(tuple(seeds), ("adpcm-encode", "hybrid-optimal", "storm"), columns)
+
+
+def _block_field(name: str, value):
+    def damage(document: dict, payload: bytes):
+        document["block"][name] = value
+        return document, payload
+
+    return damage
+
+
+def _as_solo(document: dict, payload: bytes):
+    document = {name: value for name, value in document.items() if name != "block"}
+    return document | {"records": RECORDS}, payload
 
 
 class TestBlockUnits:
@@ -111,34 +185,62 @@ class TestBlockUnits:
         assert entry.records == ()
         assert (entry.specs, entry.rows) == (3, 3)
 
+    def test_block_bits_round_trip(self, tmp_path) -> None:
+        # Seeds anywhere in [0, 2**64) and any float64 bit pattern come
+        # back exactly: the payload is raw bytes, never a printed number.
+        @settings(max_examples=60, deadline=None, derandomize=True)
+        @given(block=_drawn_blocks())
+        def check(block: ColumnBlock) -> None:
+            warehouse = ResultWarehouse(tempfile.mkdtemp(dir=tmp_path))
+            assert _put_block(warehouse, block=block)
+            _assert_same_block(warehouse.get("b" * 64).block, block)
+
+        check()
+
     def test_block_stores_columns_not_rows(self, tmp_path) -> None:
         warehouse = ResultWarehouse(tmp_path)
         assert _put_block(warehouse)
-        document = json.loads((tmp_path / ("b" * 64 + ".json")).read_text())
-        assert set(document["block"]) == {"seeds", "labels", "columns"}
+        path = tmp_path / ("b" * 64 + ".json")
+        document, payload = _read_entry(path)
+        assert document["block"] == {
+            "rows": 3,
+            "labels": ["adpcm-encode", "hybrid-optimal", "storm"],
+            "columns": list(METRIC_COLUMNS[1:]),  # the seeds carry the seed column
+        }
         assert "records" not in document
-        assert "seed" not in document["block"]["columns"]  # the seeds carry it
+        # 8 bytes per seed and per metric column; the entry's size is the file's.
+        assert len(payload) == 8 * 3 * len(METRIC_COLUMNS)
+        assert warehouse.get("b" * 64).nbytes == path.stat().st_size
 
     @pytest.mark.parametrize(
         "damage",
         [
-            lambda block: block["columns"].pop("energy_nj"),
-            lambda block: block["columns"]["energy_nj"].pop(),
-            lambda block: block["columns"]["energy_nj"].__setitem__(0, 1),
-            lambda block: block["columns"]["energy_nj"].__setitem__(0, "1.0"),
-            lambda block: block["seeds"].__setitem__(0, 3.0),
-            lambda block: block["seeds"].__setitem__(0, True),
-            lambda block: block["labels"].pop(),
-            lambda block: block.clear(),
+            pytest.param(lambda document, payload: (document, payload[:-1]), id="payload-short"),
+            pytest.param(
+                lambda document, payload: (document, payload + b"\0"), id="payload-long"
+            ),
+            pytest.param(_block_field("rows", 2), id="rows-under"),
+            pytest.param(_block_field("rows", 4), id="rows-over"),
+            pytest.param(_block_field("rows", 0), id="rows-zero"),
+            pytest.param(_block_field("rows", True), id="rows-bool"),
+            pytest.param(_block_field("rows", "3"), id="rows-str"),
+            pytest.param(
+                _block_field("columns", [*METRIC_COLUMNS[2:0:-1], *METRIC_COLUMNS[3:]]),
+                id="columns-reordered",
+            ),
+            pytest.param(_block_field("columns", list(METRIC_COLUMNS[2:])), id="columns-missing"),
+            pytest.param(
+                _block_field("labels", ["adpcm-encode", "hybrid-optimal"]), id="labels-short"
+            ),
+            pytest.param(_as_solo, id="solo-with-payload"),
+            pytest.param(lambda document, payload: (document, None), id="block-without-payload"),
         ],
     )
     def test_malformed_block_is_corrupt_and_misses(self, tmp_path, damage) -> None:
         warehouse = ResultWarehouse(tmp_path)
         assert _put_block(warehouse)
         path = tmp_path / ("b" * 64 + ".json")
-        document = json.loads(path.read_text())
-        damage(document["block"])
-        path.write_text(json.dumps(document), encoding="utf-8")
+        _write_entry(path, *damage(*_read_entry(path)))
         assert warehouse.get("b" * 64) is None
         assert warehouse.stats.as_dict()["corrupt"] == 1
 
@@ -146,9 +248,9 @@ class TestBlockUnits:
         warehouse = ResultWarehouse(tmp_path)
         assert _put_block(warehouse)
         path = tmp_path / ("b" * 64 + ".json")
-        document = json.loads(path.read_text())
+        document, payload = _read_entry(path)
         document["records"] = RECORDS
-        path.write_text(json.dumps(document), encoding="utf-8")
+        _write_entry(path, document, payload)
         assert warehouse.get("b" * 64) is None
 
 
@@ -228,6 +330,16 @@ class TestCorruption:
         document["artifact"] = "bm90LXBpY2tsZQ=="  # valid base64, invalid pickle
         path.write_text(json.dumps(document), encoding="utf-8")
         assert warehouse.get("k" * 64) is None
+
+    def test_put_replaces_a_corrupt_entry(self, tmp_path) -> None:
+        # A file that no longer decodes must not block its own
+        # replacement; it is counted corrupt by the lookup, not by put.
+        warehouse = ResultWarehouse(tmp_path)
+        self._path(tmp_path).write_text("{broken", encoding="utf-8")
+        assert warehouse.get("k" * 64) is None
+        assert _put(warehouse) is True
+        assert warehouse.get("k" * 64).records == (RECORDS[0],)
+        assert warehouse.stats.as_dict() == {"hits": 1, "misses": 1, "stores": 1, "corrupt": 1}
 
     def test_corrupt_entries_are_skipped_by_listing(self, tmp_path) -> None:
         warehouse = ResultWarehouse(tmp_path)
@@ -319,6 +431,24 @@ class TestMaintenance:
             target = tmp_path / "restored" / (entry["key"] + ".json")
             target.write_text(json.dumps(entry), encoding="utf-8")
         assert {e.key for e in restored.entries()} == {"a" * 64, "b" * 64}
+
+    def test_export_restores_solo_and_block_entries(self, tmp_path) -> None:
+        warehouse = ResultWarehouse(tmp_path)
+        _put(warehouse, key="a" * 64)
+        assert _put_block(warehouse)
+        document = warehouse.export()
+        assert len(document["entries"]) == 2
+        # Restoring an entry writes its document as one line, then a
+        # newline and the decoded payload, if it has one.
+        (tmp_path / "restored").mkdir()
+        for entry in document["entries"]:
+            payload = entry.pop(EXPORT_PAYLOAD_FIELD, None)
+            target = tmp_path / "restored" / (entry["key"] + ".json")
+            _write_entry(target, entry, None if payload is None else base64.b64decode(payload))
+        restored = ResultWarehouse(tmp_path / "restored")
+        assert restored.get("a" * 64).records == (RECORDS[0],)
+        _assert_same_block(restored.get("b" * 64).block, _block())
+        assert restored.stats.corrupt == 0
 
     def test_export_key_prefix_filter(self, tmp_path) -> None:
         warehouse = ResultWarehouse(tmp_path)

@@ -90,3 +90,23 @@ class TestFigureReplay:
         fig4_feasible_region(engine="batched", **kwargs)
         fig4_feasible_region(engine="batched", **kwargs)
         assert stats.hits > hits
+
+
+class TestSelfHealing:
+    def test_a_truncated_block_is_replaced_by_the_next_campaign(self) -> None:
+        warehouse = default_warehouse()
+        session = Session()
+        session.campaign(SPEC, seeds=range(50), engine="batched")
+        (path,) = warehouse.directory.glob("*.json")
+        path.write_bytes(path.read_bytes()[:100])
+
+        def counted(run) -> dict[str, int]:
+            before = warehouse.stats.as_dict()
+            run()
+            return {name: value - before[name] for name, value in warehouse.stats.as_dict().items()}
+
+        def replay() -> None:
+            session.campaign(SPEC, seeds=range(50), engine="batched")
+
+        assert counted(replay) == {"hits": 0, "misses": 1, "stores": 1, "corrupt": 1}
+        assert counted(replay) == {"hits": 1, "misses": 0, "stores": 0, "corrupt": 0}
