@@ -1,12 +1,15 @@
-"""Benchmark: vectorized design-space engine vs the per-point Python sweeps.
+"""Benchmark: vectorized design-space engine vs the scalar reference walkers.
 
-The grid solver in :mod:`repro.batch.design` exists to make design-space
-studies — the Fig. 4 feasible region, the Table I chunk optimizations and
-the optimize/feasibility ablations — interactive.  This bench runs the
-same artefacts through both engines, verifies the results are identical
-(exact boundary/argmin, energies to ppm), and archives the measurement as
-``benchmarks/results/BENCH_designspace.json`` — the perf-trajectory
-artefact CI uploads next to ``BENCH_batch.json``::
+The grid solver in :mod:`repro.batch.design` is the only engine of the
+design kinds, and exists to make design-space studies — the Fig. 4
+feasible region, the Table I chunk optimizations and the
+optimize/feasibility ablations — interactive.  This bench times the
+scalar references (:func:`repro.core.feasibility.feasible_region`,
+:meth:`repro.core.optimizer.ChunkSizeOptimizer.optimize`) against the
+grid functions on the artefacts' own inputs, verifies the results are
+identical (exact boundary/argmin, energies to ppm), and archives the
+measurement as ``benchmarks/results/BENCH_designspace.json`` — the
+perf-trajectory artefact CI uploads next to ``BENCH_batch.json``::
 
     PYTHONPATH=src python benchmarks/bench_designspace.py --smoke
 
@@ -14,12 +17,14 @@ The bench **fails** (exit 1) when the end-to-end speedup drops below the
 5x floor or when any result diverges; the target the engine was built for
 is >=20x on the raw sweeps.
 
-Methodology: the task-profile cache is redirected to a temporary
-directory (hermetic), the *cold vs warm* profiling cost is recorded once
-to show the cache win, and the per-engine timings are then taken warm
-(best of N repeats) so the speedup isolates the engine itself rather than
-the shared cache.  ``--smoke`` measures fig4 + table1; the full mode adds
-the ablation suite and a scenario-rate grid.
+Methodology: both sides are called directly, never through a
+``Session``, so no repeat is served from the result warehouse.  The
+task-profile cache is redirected to a temporary directory (hermetic),
+the *cold vs warm* profiling cost is recorded once to show the cache
+win, and the timings are then taken warm (best of N repeats) so the
+speedup isolates the solver itself rather than the shared cache.
+``--smoke`` measures fig4 + table1; the full mode adds the sweep points
+of the four ablations and a scenario-rate grid.
 """
 
 from __future__ import annotations
@@ -33,16 +38,10 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.analysis import (
-    ablation_area_budget,
-    ablation_correction_strength,
-    ablation_drain_latency,
-    ablation_error_rate,
-    fig4_feasible_region,
-    table1_optimal_chunks,
-)
-from repro.batch.design import grid_optimal_chunks_for_rates
+from repro.apps.registry import get_application, paper_benchmarks
+from repro.batch.design import grid_feasible_region, grid_optimal_chunks_for_rates, grid_optimize
 from repro.core.config import PAPER_OPERATING_POINT
+from repro.core.feasibility import feasible_region
 from repro.core.optimizer import ChunkSizeOptimizer
 from repro.runtime.executor import characterize_app
 from repro.runtime.profile_cache import ENV_CACHE_DIR, default_cache
@@ -54,6 +53,19 @@ SPEEDUP_FLOOR = 5.0
 
 #: Relative tolerance on energy figures ("to ppm").
 ENERGY_RTOL = 1e-6
+
+#: The default sweep points of the four ablations of
+#: :mod:`repro.analysis.experiments`: (application, constraint field,
+#: values), where ``None`` marks the area-budget feasibility sweep.
+ABLATION_POINTS = (
+    ("g721-decode", "error_rate", (1e-8, 1e-7, 5e-7, 1e-6, 2e-6)),
+    (None, "area_overhead", (0.01, 0.02, 0.05, 0.10, 0.20)),
+    ("jpeg-decode", "correctable_bits", (1, 2, 4, 8)),
+    ("adpcm-encode", "drain_latency_cycles", (250, 500, 1000, 2000, 4000)),
+)
+
+#: The area-budget ablation's grid (``max_chunk_words=513``, stride 4).
+ABLATION_GRID = {"chunk_sizes": range(1, 514, 4), "correctable_bits": range(1, 19)}
 
 #: Rates of the full mode's scenario-rate-grid cell (what adaptive
 #: strategies evaluate per scenario level).
@@ -77,53 +89,59 @@ def _energies_close(a: float, b: float) -> bool:
     return abs(a - b) <= ENERGY_RTOL * scale
 
 
-def _check_fig4(behavioural, batched) -> list[str]:
+def _reference_optimize(app, constraints):
+    return ChunkSizeOptimizer(constraints).optimize(app)
+
+
+def _check_region(label: str, reference, grid) -> list[str]:
     problems = []
-    if behavioural.rows() != batched.rows():
-        problems.append("fig4 boundary differs between engines")
-    if behavioural.region.points != batched.region.points:
-        problems.append("fig4 grid points differ between engines")
+    if reference.boundary() != grid.boundary():
+        problems.append(f"{label} boundary differs from the reference")
+    if reference.points != grid.points:
+        problems.append(f"{label} grid points differ from the reference")
     return problems
 
 
-def _check_table1(behavioural, batched) -> list[str]:
+def _check_optimization(label: str, reference, grid) -> list[str]:
     problems = []
-    for name, row in behavioural.rows_by_app.items():
-        other = batched.rows_by_app[name]
-        if (row.chunk_words, row.num_checkpoints) != (
-            other.chunk_words,
-            other.num_checkpoints,
-        ):
-            problems.append(f"table1 argmin differs for {name}")
-        if not _energies_close(
-            row.predicted_energy_overhead, other.predicted_energy_overhead
-        ):
-            problems.append(f"table1 energy overhead diverges for {name}")
-    for name, optimization in behavioural.optimizations.items():
-        other = batched.optimizations[name]
-        for ours, theirs in zip(optimization.candidates, other.candidates):
-            if not _energies_close(ours.objective_pj, theirs.objective_pj):
-                problems.append(f"candidate energies diverge for {name}")
-                break
+    if (reference.chunk_words, reference.num_checkpoints) != (
+        grid.chunk_words,
+        grid.num_checkpoints,
+    ):
+        problems.append(f"{label} argmin differs")
+    if not _energies_close(
+        reference.best.energy_overhead_fraction, grid.best.energy_overhead_fraction
+    ):
+        problems.append(f"{label} energy overhead diverges")
+    for ours, theirs in zip(reference.candidates, grid.candidates):
+        if not _energies_close(ours.objective_pj, theirs.objective_pj):
+            problems.append(f"{label} candidate energies diverge")
+            break
     return problems
 
 
-def _check_ablations(behavioural, batched) -> list[str]:
-    problems = []
-    for ours, theirs in zip(behavioural, batched):
-        if ours.table_rows != theirs.table_rows:
-            problems.append(f"ablation rows differ ({ours.parameter})")
-    return problems
+def _run_table1(optimize, apps):
+    return [optimize(app, PAPER_OPERATING_POINT) for app in apps]
 
 
-def _run_ablations(engine: str):
-    constraints = PAPER_OPERATING_POINT
-    return (
-        ablation_error_rate(constraints=constraints, engine=engine),
-        ablation_area_budget(constraints=constraints, engine=engine),
-        ablation_correction_strength(constraints=constraints, engine=engine),
-        ablation_drain_latency(constraints=constraints, engine=engine),
-    )
+def _ablation_points():
+    """Every ablation sweep point as (label, application or None, constraints)."""
+    points = []
+    for name, field, values in ABLATION_POINTS:
+        app = get_application(name) if name is not None else None
+        for value in values:
+            constraints = PAPER_OPERATING_POINT.with_overrides(**{field: value})
+            points.append((f"ablation {field}={value}", app, constraints))
+    return points
+
+
+def _run_ablations(walk_region, optimize, points):
+    return [
+        walk_region(constraints=constraints, **ABLATION_GRID)
+        if app is None
+        else optimize(app, constraints)
+        for _, app, constraints in points
+    ]
 
 
 def _run_rate_grid_scalar(characterizations):
@@ -153,10 +171,19 @@ def _run_rate_grid_vectorized(characterizations):
     }
 
 
-def _measure_cells(repeats: int, full: bool) -> tuple[list[dict], float, float]:
-    from repro.apps.registry import paper_benchmarks
+def _cell(artefact: str, reference_seconds: float, grid_seconds: float, problems, **extra):
+    return {
+        "artefact": artefact,
+        **extra,
+        "reference_seconds": round(reference_seconds, 4),
+        "grid_seconds": round(grid_seconds, 4),
+        "speedup": round(reference_seconds / grid_seconds, 1),
+        "problems": problems,
+    }
 
-    # Cold vs warm characterization: the cache win shared by both engines
+
+def _measure_cells(repeats: int, full: bool) -> tuple[list[dict], float, float]:
+    # Cold vs warm characterization: the cache win shared by both sides
     # (input generation + workload walk on the first call, a content-keyed
     # memo hit afterwards).
     start = time.perf_counter()
@@ -170,74 +197,57 @@ def _measure_cells(repeats: int, full: bool) -> tuple[list[dict], float, float]:
 
     cells = []
 
-    behavioural_seconds, behavioural_fig4 = _best_of(
-        repeats, lambda: fig4_feasible_region()
-    )
-    batched_seconds, batched_fig4 = _best_of(
-        repeats, lambda: fig4_feasible_region(engine="batched")
-    )
+    reference_seconds, reference_fig4 = _best_of(repeats, feasible_region)
+    grid_seconds, grid_fig4 = _best_of(repeats, grid_feasible_region)
     cells.append(
-        {
-            "artefact": "fig4",
-            "grid_points": len(behavioural_fig4.region.points),
-            "behavioural_seconds": round(behavioural_seconds, 4),
-            "batched_seconds": round(batched_seconds, 4),
-            "speedup": round(behavioural_seconds / batched_seconds, 1),
-            "problems": _check_fig4(behavioural_fig4, batched_fig4),
-        }
+        _cell(
+            "fig4", reference_seconds, grid_seconds,
+            _check_region("fig4", reference_fig4, grid_fig4),
+            grid_points=len(reference_fig4.points),
+        )
     )
 
-    behavioural_seconds, behavioural_table1 = _best_of(
-        repeats, lambda: table1_optimal_chunks()
+    reference_seconds, reference_table1 = _best_of(
+        repeats, lambda: _run_table1(_reference_optimize, apps)
     )
-    batched_seconds, batched_table1 = _best_of(
-        repeats, lambda: table1_optimal_chunks(engine="batched")
-    )
+    grid_seconds, grid_table1 = _best_of(repeats, lambda: _run_table1(grid_optimize, apps))
+    problems = []
+    for app, ours, theirs in zip(apps, reference_table1, grid_table1):
+        problems += _check_optimization(f"table1 {app.name}", ours, theirs)
     cells.append(
-        {
-            "artefact": "table1",
-            "benchmarks": len(behavioural_table1.rows_by_app),
-            "behavioural_seconds": round(behavioural_seconds, 4),
-            "batched_seconds": round(batched_seconds, 4),
-            "speedup": round(behavioural_seconds / batched_seconds, 1),
-            "problems": _check_table1(behavioural_table1, batched_table1),
-        }
+        _cell("table1", reference_seconds, grid_seconds, problems, benchmarks=len(apps))
     )
 
     if full:
-        behavioural_seconds, behavioural_abl = _best_of(
-            repeats, lambda: _run_ablations("behavioural")
+        points = _ablation_points()
+        reference_seconds, reference_abl = _best_of(
+            repeats, lambda: _run_ablations(feasible_region, _reference_optimize, points)
         )
-        batched_seconds, batched_abl = _best_of(
-            repeats, lambda: _run_ablations("batched")
+        grid_seconds, grid_abl = _best_of(
+            repeats, lambda: _run_ablations(grid_feasible_region, grid_optimize, points)
         )
+        problems = []
+        for (label, app, _), ours, theirs in zip(points, reference_abl, grid_abl):
+            check = _check_region if app is None else _check_optimization
+            problems += check(label, ours, theirs)
         cells.append(
-            {
-                "artefact": "ablations",
-                "behavioural_seconds": round(behavioural_seconds, 4),
-                "batched_seconds": round(batched_seconds, 4),
-                "speedup": round(behavioural_seconds / batched_seconds, 1),
-                "problems": _check_ablations(behavioural_abl, batched_abl),
-            }
+            _cell("ablations", reference_seconds, grid_seconds, problems, points=len(points))
         )
 
-        behavioural_seconds, scalar_chunks = _best_of(
+        reference_seconds, scalar_chunks = _best_of(
             1, lambda: _run_rate_grid_scalar(characterizations)
         )
-        batched_seconds, vector_chunks = _best_of(
+        grid_seconds, vector_chunks = _best_of(
             repeats, lambda: _run_rate_grid_vectorized(characterizations)
         )
         cells.append(
-            {
-                "artefact": "rate-grid",
-                "rates": len(RATE_GRID),
-                "behavioural_seconds": round(behavioural_seconds, 4),
-                "batched_seconds": round(batched_seconds, 4),
-                "speedup": round(behavioural_seconds / batched_seconds, 1),
-                "problems": []
+            _cell(
+                "rate-grid", reference_seconds, grid_seconds,
+                []
                 if scalar_chunks == vector_chunks
-                else ["rate-grid argmin chunks differ between engines"],
-            }
+                else ["rate-grid argmin chunks differ from the reference"],
+                rates=len(RATE_GRID),
+            )
         )
 
     return cells, cold_profile_seconds, warm_profile_seconds
@@ -256,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=3,
         metavar="N",
-        help="timing repeats per engine; the best run is kept (default: 3)",
+        help="timing repeats per side; the best run is kept (default: 3)",
     )
     parser.add_argument(
         "--output",
@@ -278,8 +288,8 @@ def main(argv: list[str] | None = None) -> int:
     problems = [problem for cell in cells for problem in cell["problems"]]
     for cell in cells:
         print(
-            f"{cell['artefact']}: behavioural {cell['behavioural_seconds'] * 1000:.1f}ms, "
-            f"batched {cell['batched_seconds'] * 1000:.1f}ms "
+            f"{cell['artefact']}: reference {cell['reference_seconds'] * 1000:.1f}ms, "
+            f"grid {cell['grid_seconds'] * 1000:.1f}ms "
             f"-> {cell['speedup']:.0f}x"
             + (f"  PROBLEMS: {cell['problems']}" if cell["problems"] else "")
         )
@@ -308,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\n[{payload['mode']}] archived to {output}")
 
     if problems:
-        print(f"FAIL: engine results diverge: {problems}", file=sys.stderr)
+        print(f"FAIL: grid results diverge from the reference: {problems}", file=sys.stderr)
         return 1
     if min(speedups) < SPEEDUP_FLOOR:
         print(

@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import tempfile
 import time
@@ -93,7 +94,6 @@ def _fig4_replay(max_chunk_words: int, max_correctable_bits: int, stride: int) -
             max_chunk_words=max_chunk_words,
             max_correctable_bits=max_correctable_bits,
             chunk_stride=stride,
-            engine="batched",
         ).to_result_set(),
     )
     return result | {
@@ -230,7 +230,13 @@ def main(argv: list[str] | None = None) -> int:
     # the bench must not pollute (or be served by) the developer's store.
     staging = tempfile.mkdtemp(prefix="repro-bench-warehouse-")
     os.environ["REPRO_WAREHOUSE_DIR"] = staging
+    try:
+        return _bench(args)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
+
+def _bench(args: argparse.Namespace) -> int:
     if args.smoke:
         fig4 = _fig4_replay(max_chunk_words=128, max_correctable_bits=6, stride=4)
         campaign = _campaign_replay(seeds=200)

@@ -11,14 +11,13 @@ Regenerates the designer-facing views of the proposal:
 
 Run with:  python examples/design_space_exploration.py
 
-``--engine batched`` evaluates every sweep on the vectorized design
-engine (:mod:`repro.batch.design`) — identical tables, a fraction of the
-wall clock, which is what makes full-resolution exploration interactive:
+Every sweep runs on the vectorized grid solver of
+:mod:`repro.batch.design`, which is what makes full-resolution
+exploration interactive:
 
-    python examples/design_space_exploration.py --engine batched --full
+    python examples/design_space_exploration.py --full
 
-``--jobs N`` fans the per-benchmark optimizations out across processes
-(mostly useful for the behavioural engine).
+``--jobs N`` fans the per-benchmark optimizations out across processes.
 """
 
 from __future__ import annotations
@@ -32,19 +31,11 @@ from repro.analysis import (
     fig4_feasible_region,
     table1_optimal_chunks,
 )
-from repro.api.spec import ENGINES
 from repro.core import PAPER_OPERATING_POINT
 
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=(__doc__ or "").splitlines()[0])
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="behavioural",
-        help="design-space engine (batched = vectorized grid solver, "
-        "bit-identical results; default: behavioural)",
-    )
     parser.add_argument(
         "--jobs",
         type=int,
@@ -62,21 +53,13 @@ def main(argv: list[str] | None = None) -> None:
     constraints = PAPER_OPERATING_POINT
     start = time.perf_counter()
 
-    print(
-        fig4_feasible_region(
-            constraints, chunk_stride=1 if args.full else 4, engine=args.engine
-        ).render()
-    )
+    print(fig4_feasible_region(constraints, chunk_stride=1 if args.full else 4).render())
     print()
-    print(table1_optimal_chunks(constraints, jobs=args.jobs, engine=args.engine).render())
+    print(table1_optimal_chunks(constraints, jobs=args.jobs).render())
     print()
-    print(ablation_area_budget(constraints=constraints, engine=args.engine).render())
+    print(ablation_area_budget(constraints=constraints).render())
     print()
-    print(
-        ablation_error_rate(
-            constraints=constraints, jobs=args.jobs, engine=args.engine
-        ).render()
-    )
+    print(ablation_error_rate(constraints=constraints, jobs=args.jobs).render())
     print()
     print(
         "Reading the tables: the area budget caps how large (and how strongly\n"
@@ -84,7 +67,7 @@ def main(argv: list[str] | None = None) -> None:
         "higher rates favour smaller chunks because re-computation dominates,\n"
         "lower rates favour larger chunks because checkpoint triggers dominate."
     )
-    print(f"\n[{args.engine} engine, {time.perf_counter() - start:.2f}s]")
+    print(f"\n[{time.perf_counter() - start:.2f}s]")
 
 
 if __name__ == "__main__":

@@ -14,12 +14,11 @@ operating point.  This example asks the broader design-review questions:
    per environment.
 
 Run with:  python examples/pareto_explorer.py
-           python examples/pareto_explorer.py --app jpeg-decode --engine behavioural
+           python examples/pareto_explorer.py --app jpeg-decode
 
-The default ``--engine batched`` evaluates the whole grid as NumPy array
-operations; ``behavioural`` walks it point by point.  The fronts are
-bit-identical either way (that equivalence is regression-tested and
-benchmarked by ``benchmarks/bench_pareto.py``).
+The whole grid is evaluated as NumPy array operations, bit-identical to
+the point-by-point scalar reference (that equivalence is
+regression-tested and benchmarked by ``benchmarks/bench_pareto.py``).
 """
 
 from __future__ import annotations
@@ -29,18 +28,11 @@ import time
 
 from repro.analysis import cross_technology_sweep
 from repro.api import Session
-from repro.api.spec import ENGINES
 
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=(__doc__ or "").splitlines()[0])
     parser.add_argument("--app", default="adpcm-encode", help="application to explore")
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="batched",
-        help="pareto engine (bit-identical results; default: batched)",
-    )
     parser.add_argument(
         "--rates",
         nargs="+",
@@ -52,7 +44,7 @@ def main(argv: list[str] | None = None) -> None:
 
     # --- 1. per-node replays of the paper's design-space artefacts -------
     start = time.perf_counter()
-    nodes = cross_technology_sweep(applications=[args.app], engine=args.engine)
+    nodes = cross_technology_sweep(applications=[args.app])
     print(nodes.render())
     print(f"(swept {len(nodes.nodes)} nodes in {time.perf_counter() - start:.2f}s)")
     print()
@@ -60,11 +52,11 @@ def main(argv: list[str] | None = None) -> None:
     # --- 2. the multi-objective front ------------------------------------
     session = Session()
     start = time.perf_counter()
-    front = session.pareto(args.app, rate_levels=args.rates, engine=args.engine)
+    front = session.pareto(args.app, rate_levels=args.rates)
     elapsed = time.perf_counter() - start
     print(
-        f"Explored {front.evaluated_points} design points in {elapsed:.2f}s "
-        f"({args.engine} engine): {len(front)} are Pareto-optimal."
+        f"Explored {front.evaluated_points} design points in {elapsed:.2f}s: "
+        f"{len(front)} are Pareto-optimal."
     )
     print()
 

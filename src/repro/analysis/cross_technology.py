@@ -9,10 +9,11 @@ scaling story behind the paper's motivation (SMU rates grow as features
 shrink) can be read off as data: how the optimum chunk, its overheads and
 the feasible buffer space move across nodes.
 
-Both engines are available and bit-identical: ``engine="batched"`` solves
-each node's optimizations and feasibility grid through
-:mod:`repro.batch.design`; the default behavioural engine walks them point
-by point.
+Each node's optimizations and feasibility grid are solved by the grid
+solvers of :mod:`repro.batch.design`; the scalar walkers
+(:func:`repro.core.feasibility.feasible_region`,
+:class:`repro.core.optimizer.ChunkSizeOptimizer`) remain as the test
+references they are held bit-identical to.
 
 Examples
 --------
@@ -26,10 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..batch.design import grid_feasible_region, grid_optimize_characterization
 from ..core.config import DesignConstraints, PAPER_OPERATING_POINT
 from ..core.cost_model import PlatformCostParameters
-from ..core.feasibility import feasible_region
-from ..core.optimizer import ChunkSizeOptimizer
 from ..memmodel.technology import TechnologyNode, available_nodes, get_node
 from ..runtime.executor import characterize_app
 from .experiments import _resolve_app_refs
@@ -166,7 +166,6 @@ def cross_technology_sweep(
     applications=None,
     constraints: DesignConstraints | None = None,
     seed: int = 0,
-    engine: str | None = None,
     scale_overrides: dict[str, dict[str, float]] | None = None,
 ) -> CrossTechnologyResult:
     """Replay Table I and the Fig. 4 budget summary on every node.
@@ -183,10 +182,6 @@ def cross_technology_sweep(
     constraints:
         Operating point (defaults to the paper's); its ``correctable_bits``
         also selects the Fig. 4 summary column.
-    engine:
-        ``"batched"`` routes the optimizations and the feasibility grid
-        through :mod:`repro.batch.design`; ``None`` / ``"behavioural"``
-        walks them point by point.  Results are bit-identical either way.
     scale_overrides:
         Optional per-node-name field overrides applied via
         :meth:`TechnologyNode.scaled` before the replay — e.g.
@@ -194,34 +189,18 @@ def cross_technology_sweep(
         sensitivity study.
     """
     constraints = constraints if constraints is not None else PAPER_OPERATING_POINT
-    batched = engine == "batched"
-    if engine not in (None, "behavioural", "batched"):
-        raise ValueError(f"unknown engine {engine!r}; expected 'behavioural' or 'batched'")
     resolved_nodes = _resolve_nodes(nodes, scale_overrides)
     refs = _resolve_app_refs(applications)
     characterizations = [(app, characterize_app(app, seed)) for _, app in refs]
 
-    if batched:
-        from ..batch.design import grid_feasible_region, grid_optimize_characterization
-
-        sweep_region = grid_feasible_region
-        optimize = grid_optimize_characterization
-    else:
-        sweep_region = feasible_region
-
-        def optimize(characterization, constraints, platform):
-            return ChunkSizeOptimizer(constraints, platform).optimize_characterization(
-                characterization
-            )
-
     rows: list[CrossTechnologyRow] = []
     for node in resolved_nodes:
         platform = PlatformCostParameters.from_defaults(technology=node)
-        region = sweep_region(constraints=constraints, technology=node)
+        region = grid_feasible_region(constraints=constraints, technology=node)
         fig4_max_chunk = region.max_chunk_words(constraints.correctable_bits)
         fig4_max_t = region.max_correctable_bits(64)
         for app, characterization in characterizations:
-            result = optimize(characterization, constraints, platform)
+            result = grid_optimize_characterization(characterization, constraints, platform)
             best = result.best
             rows.append(
                 CrossTechnologyRow(

@@ -22,12 +22,12 @@ Each public function reproduces one evaluation artefact:
 Every harness expresses its workload as declarative
 :class:`~repro.api.spec.ExperimentSpec` runs executed through a
 :class:`~repro.api.session.Session` — pass ``session=`` or ``jobs=`` to
-fan the underlying simulations out across cores, and ``engine="batched"``
-(written into every spec the harness builds) to run on the NumPy
-engines of :mod:`repro.batch`: statistically
-equivalent for the fault-injection harnesses (fig5, timing, scenario
-sweeps), *bit-identical* for the design-space ones (fig4, table1, the
-optimize/feasibility ablations).  All functions return
+fan the underlying simulations out across cores.  The design-space
+harnesses (fig4, table1, the ablations) always run on the grid solvers
+of :mod:`repro.batch.design`; the fault-injection ones (fig5, timing,
+scenario sweeps) take ``engine="batched"``, written into every spec
+they build, to run on the statistically equivalent vectorized campaign
+engine instead of the behavioural one.  All functions return
 plain dataclasses with ``rows()`` / ``render()`` helpers plus a
 ``to_result_set()`` bridge into the machine-readable results layer shared
 by the CLI and the benchmarks.
@@ -43,9 +43,10 @@ from ..api.session import Session
 from ..api.spec import ExperimentSpec, SweepSpec
 from ..apps.base import StreamingApplication
 from ..apps.registry import PAPER_BENCHMARK_ORDER, canonical_name, get_application
+from ..batch.design import grid_optimize
 from ..core.config import DesignConstraints, PAPER_OPERATING_POINT
 from ..core.feasibility import FeasibleRegion
-from ..core.optimizer import ChunkSizeOptimizer, OptimizationResult
+from ..core.optimizer import OptimizationResult
 from ..core.strategies import HybridStrategy, MitigationStrategy, paper_strategies
 from . import paper_data
 from .tables import render_table
@@ -132,7 +133,6 @@ def fig4_spec(
     max_chunk_words: int,
     max_correctable_bits: int,
     chunk_stride: int,
-    engine: str = "behavioural",
 ) -> ExperimentSpec:
     """The declarative form of the Fig. 4 sweep."""
     return ExperimentSpec(
@@ -143,7 +143,6 @@ def fig4_spec(
             "max_correctable_bits": max_correctable_bits,
             "chunk_stride": chunk_stride,
         },
-        engine=engine,
     )
 
 
@@ -155,21 +154,13 @@ def fig4_feasible_region(
     session: Session | None = None,
     engine: str | None = None,
 ) -> Fig4Result:
-    """Reproduce the Fig. 4 sweep.
+    """Reproduce the Fig. 4 sweep on the grid solver of :mod:`repro.batch.design`.
 
     ``chunk_stride`` subsamples the x-axis (use >1 to speed up smoke runs).
-    ``engine="batched"`` evaluates the grid through the vectorized design
-    engine of :mod:`repro.batch.design` — bit-identical boundary, a
-    fraction of the wall clock.
+    ``engine`` is accepted and ignored: the sweep has one engine.
     """
     constraints = constraints if constraints is not None else PAPER_OPERATING_POINT
-    spec = fig4_spec(
-        constraints,
-        max_chunk_words,
-        max_correctable_bits,
-        chunk_stride,
-        engine=engine if engine is not None else "behavioural",
-    )
+    spec = fig4_spec(constraints, max_chunk_words, max_correctable_bits, chunk_stride)
     outcome = _session(session).run(spec)
     return Fig4Result(region=outcome.artifact, constraints=constraints)
 
@@ -269,21 +260,14 @@ def table1_optimal_chunks(
     jobs: int | None = None,
     engine: str | None = None,
 ) -> Table1Result:
-    """Reproduce Table I by running the chunk-size optimizer per benchmark.
+    """Reproduce Table I: one grid chunk-size optimization per benchmark.
 
-    ``engine="batched"`` solves each optimization through the vectorized
-    design engine — same argmin chunk, same candidate costs, bit for bit.
+    ``engine`` is accepted and ignored: the optimization has one engine.
     """
     constraints = constraints if constraints is not None else PAPER_OPERATING_POINT
     refs = _resolve_app_refs(applications)
     specs = [
-        ExperimentSpec(
-            app=ref,
-            kind="optimize",
-            constraints=constraints,
-            seed=seed,
-            engine=engine if engine is not None else "behavioural",
-        )
+        ExperimentSpec(app=ref, kind="optimize", constraints=constraints, seed=seed)
         for ref, _ in refs
     ]
     outcomes = _session(session).run_all(specs, jobs=jobs)
@@ -566,12 +550,11 @@ def fig5_energy(
     refs = _resolve_app_refs(applications)
     if not seeds:
         raise ValueError("at least one seed is required")
-    optimizer = ChunkSizeOptimizer(constraints)
 
     # Design-time sizing stays serial: one optimization per benchmark.
     chunk_plan: list[tuple[int, int]] = []
     for _, app in refs:
-        optimization = optimizer.optimize(app, seed=seeds[0])
+        optimization = grid_optimize(app, constraints, seed=seeds[0])
         suboptimal = optimization.suboptimal(suboptimal_factor)
         chunk_plan.append((optimization.chunk_words, suboptimal.chunk_words))
 
@@ -771,7 +754,6 @@ def ablation_error_rate(
     seed: int = 0,
     session: Session | None = None,
     jobs: int | None = None,
-    engine: str | None = None,
 ) -> AblationResult:
     """How the optimum chunk size and overhead move with the upset rate."""
     constraints = constraints if constraints is not None else PAPER_OPERATING_POINT
@@ -782,13 +764,7 @@ def ablation_error_rate(
         rates = [1e-8, 1e-7, 5e-7, 1e-6, 2e-6]
     ref, app = _ablation_app_ref(application)
     sweep = SweepSpec(
-        base=ExperimentSpec(
-            app=ref,
-            kind="optimize",
-            constraints=constraints,
-            seed=seed,
-            engine=engine if engine is not None else "behavioural",
-        ),
+        base=ExperimentSpec(app=ref, kind="optimize", constraints=constraints, seed=seed),
         parameters={"constraints.error_rate": tuple(rates)},
     )
     result_set = _session(session).sweep(sweep, jobs=jobs)
@@ -815,7 +791,6 @@ def ablation_area_budget(
     constraints: DesignConstraints | None = None,
     session: Session | None = None,
     jobs: int | None = None,
-    engine: str | None = None,
 ) -> AblationResult:
     """How the feasible buffer space shrinks as the area budget OV1 tightens."""
     constraints = constraints if constraints is not None else PAPER_OPERATING_POINT
@@ -826,7 +801,6 @@ def ablation_area_budget(
             kind="feasibility",
             constraints=constraints,
             params={"max_chunk_words": 513, "chunk_stride": 4},
-            engine=engine if engine is not None else "behavioural",
         ),
         parameters={"constraints.area_overhead": tuple(budgets)},
     )
@@ -867,7 +841,6 @@ def ablation_correction_strength(
     seed: int = 0,
     session: Session | None = None,
     jobs: int | None = None,
-    engine: str | None = None,
 ) -> AblationResult:
     """Impact of the L1' correction strength on the optimum and its area."""
     constraints = constraints if constraints is not None else PAPER_OPERATING_POINT
@@ -875,13 +848,7 @@ def ablation_correction_strength(
         strengths = [1, 2, 4, 8]
     ref, app = _ablation_app_ref(application)
     sweep = SweepSpec(
-        base=ExperimentSpec(
-            app=ref,
-            kind="optimize",
-            constraints=constraints,
-            seed=seed,
-            engine=engine if engine is not None else "behavioural",
-        ),
+        base=ExperimentSpec(app=ref, kind="optimize", constraints=constraints, seed=seed),
         parameters={"constraints.correctable_bits": tuple(strengths)},
     )
     result_set = _session(session).sweep(sweep, jobs=jobs)
@@ -909,7 +876,6 @@ def ablation_drain_latency(
     seed: int = 0,
     session: Session | None = None,
     jobs: int | None = None,
-    engine: str | None = None,
 ) -> AblationResult:
     """Sensitivity to the exposure window of produced data (calibration knob)."""
     constraints = constraints if constraints is not None else PAPER_OPERATING_POINT
@@ -917,13 +883,7 @@ def ablation_drain_latency(
         latencies = [250, 500, 1000, 2000, 4000]
     ref, app = _ablation_app_ref(application)
     sweep = SweepSpec(
-        base=ExperimentSpec(
-            app=ref,
-            kind="optimize",
-            constraints=constraints,
-            seed=seed,
-            engine=engine if engine is not None else "behavioural",
-        ),
+        base=ExperimentSpec(app=ref, kind="optimize", constraints=constraints, seed=seed),
         parameters={"constraints.drain_latency_cycles": tuple(latencies)},
     )
     result_set = _session(session).sweep(sweep, jobs=jobs)

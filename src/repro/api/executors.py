@@ -11,7 +11,8 @@ outcome of ``specs[i]`` — so any aggregate computed over the outcomes is
 bit-identical regardless of the backend or the number of workers.
 ``engine="batched"`` records do not depend on how seeds are grouped
 either (counter-based fault streams, workload profiled at seed 0), and
-the design kinds carry no randomness at all.
+the design kinds, which always run on the grid solvers of
+:mod:`repro.batch`, carry no randomness at all.
 
 :meth:`Executor.map` runs specs on their declared engines, and
 :meth:`Executor.block_runner` runs the seed blocks the warehouse planner
@@ -33,9 +34,7 @@ from typing import Any
 from ..batch import BatchTaskModel
 from ..batch.design import grid_feasible_region, grid_optimize
 from ..batch.engine import ColumnBlock, iter_column_blocks, join_blocks, records_from_columns
-from ..batch.pareto import grid_pareto_front, reference_pareto_front
-from ..core.feasibility import feasible_region
-from ..core.optimizer import ChunkSizeOptimizer
+from ..batch.pareto import grid_pareto_front
 from ..runtime.executor import TaskExecutor
 from ..telemetry import counter as _telemetry_counter
 from ..telemetry import histogram as _telemetry_histogram
@@ -132,12 +131,7 @@ def _execute_behavioural(spec: ExperimentSpec) -> RunOutcome:
 
 def _execute_optimization(spec: ExperimentSpec) -> RunOutcome:
     app = spec.resolve_app()
-    if spec.engine == "batched":
-        # Vectorized grid engine — bit-identical to the behavioural sweep
-        # (same candidates, same argmin), evaluated as array operations.
-        result = grid_optimize(app, spec.constraints, seed=spec.seed)
-    else:
-        result = ChunkSizeOptimizer(spec.constraints).optimize(app, seed=spec.seed)
+    result = grid_optimize(app, spec.constraints, seed=spec.seed)
     best = result.best
     record: dict[str, Any] = {
         "application": app.name,
@@ -160,8 +154,7 @@ def _execute_feasibility(spec: ExperimentSpec) -> RunOutcome:
     chunk_stride = int(params.pop("chunk_stride", 1))
     if params:
         raise ValueError(f"unknown feasibility params: {sorted(params)}")
-    sweep = grid_feasible_region if spec.engine == "batched" else feasible_region
-    region = sweep(
+    region = grid_feasible_region(
         constraints=spec.constraints,
         chunk_sizes=range(1, max_chunk_words + 1, chunk_stride),
         correctable_bits=range(1, max_correctable_bits + 1),
@@ -194,10 +187,7 @@ def _execute_pareto(spec: ExperimentSpec) -> RunOutcome:
             "(the default SMU mixture would silently ignore them)"
         )
     fault_model = build_fault_model(spec.fault_model, **spec.fault_params)
-    # Both engines are bit-identical (tests/batch/test_pareto.py); the
-    # scalar reference exists for exact-equality testing.
-    explore = grid_pareto_front if spec.engine == "batched" else reference_pareto_front
-    front = explore(
+    front = grid_pareto_front(
         app,
         constraints=spec.constraints,
         seed=spec.seed,
@@ -445,9 +435,9 @@ class BatchCampaignExecutor(Executor):
 
     Every other spec — behavioural runs, the design-space kinds and
     batched specs whose group has one seed — is delegated to ``fallback``
-    (default: a :class:`SerialExecutor`), which runs it on the engine it
-    declares; a parallel fallback thus spreads a one-seed-per-point sweep
-    across its workers.  The executor never changes a spec's engine.
+    (default: a :class:`SerialExecutor`), which runs it on the engine its
+    spec names; a parallel fallback thus spreads a one-seed-per-point
+    sweep across its workers.  The executor never changes a spec's engine.
 
     Every group's workload input is profiled at the canonical seed 0 and
     each run's fault stream is counter-based on its own seed

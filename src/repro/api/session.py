@@ -218,13 +218,12 @@ class Session:
             spec = CampaignSpec(base=spec, seeds=tuple(seeds) if seeds is not None else ())
         elif seeds is not None:
             raise ValueError("pass seeds inside the CampaignSpec, not alongside it")
-        if engine is None:
-            engine = spec.base.engine
-        elif engine != spec.base.engine:
+        if engine is not None and engine != spec.base.engine:
             # An explicit engine argument wins over the base spec, so e.g.
             # engine="behavioural" really cross-checks a batched spec
             # against the ground-truth engine instead of being ignored.
             spec = replace(spec, base=replace(spec.base, engine=engine))
+        engine = spec.base.engine
         with span("session.campaign") as campaign_span:
             log_event("campaign.start", seeds=len(spec.seeds), engine=engine)
             if spec.base.seed_grouped:
@@ -259,7 +258,6 @@ class Session:
         constraints: DesignConstraints | None = None,
         fault_model: str | None = None,
         fault_params: dict | None = None,
-        engine: str = "batched",
         executor: Executor | None = None,
         jobs: int | None = None,
     ):
@@ -276,9 +274,8 @@ class Session:
         (default: the SMU-dominated mixture).  When ``rate_levels`` is not
         given, an operating point with a non-paper ``error_rate`` pins the
         single rate level (the environment you asked about); otherwise the
-        explorer's default levels apply.  The default ``engine="batched"``
-        evaluates the grid vectorized; ``"behavioural"`` walks it point by
-        point — the fronts are bit-identical either way.
+        explorer's default levels apply.  The grid is evaluated by
+        :func:`~repro.batch.pareto.grid_pareto_front`.
 
         Examples
         --------
@@ -308,6 +305,5 @@ class Session:
             fault_params=dict(fault_params or {}),
             params=params,
             seed=seed,
-            engine=engine,
         )
         return self.run(spec, executor=executor, jobs=jobs).artifact

@@ -42,14 +42,12 @@ from . import registry
 #: Experiment kinds understood by :func:`repro.api.executors.execute_spec`.
 KINDS: tuple[str, ...] = ("execute", "optimize", "feasibility", "pareto")
 
-#: Execution engines.  ``"behavioural"`` replays every event through
-#: :class:`repro.runtime.executor.TaskExecutor` (for ``execute`` specs)
-#: or walks the design space point by point in Python (for ``optimize`` /
-#: ``feasibility`` specs).  ``"batched"`` selects the NumPy engines of
-#: :mod:`repro.batch`: the vectorized campaign engine (many seeds at
-#: once, statistically equivalent) for ``execute`` specs and the
-#: vectorized design-space engine (whole grid at once, bit-identical)
-#: for ``optimize`` / ``feasibility`` specs.
+#: Execution engines of ``execute`` specs.  ``"behavioural"`` replays
+#: every event through :class:`repro.runtime.executor.TaskExecutor`;
+#: ``"batched"`` runs the vectorized campaign engine of :mod:`repro.batch`
+#: (many seeds at once, statistically equivalent).  The design kinds
+#: (``optimize``, ``feasibility``, ``pareto``) have one engine, the grid
+#: solvers of :mod:`repro.batch`, and always read back ``"batched"``.
 ENGINES: tuple[str, ...] = ("behavioural", "batched")
 
 def checked_seed(seed: Any, where: str = "seed") -> int:
@@ -118,14 +116,14 @@ class ExperimentSpec:
     collect_trace:
         Whether the behavioural run records a detailed execution trace.
     engine:
-        Execution engine: ``"behavioural"`` (the default) replays
-        ``execute`` specs event by event through
-        :class:`~repro.runtime.executor.TaskExecutor` and walks
-        ``optimize``/``feasibility`` sweeps point by point;
-        ``"batched"`` selects the NumPy engines of :mod:`repro.batch` —
-        statistically equivalent (and much faster) for many-seed
-        campaigns, *bit-identical* (and much faster) for design-space
-        kinds.
+        Engine of an ``execute`` spec: ``"behavioural"`` (the default)
+        replays it event by event through
+        :class:`~repro.runtime.executor.TaskExecutor`; ``"batched"`` runs
+        the vectorized campaign engine of :mod:`repro.batch`,
+        statistically equivalent and much faster for many-seed
+        campaigns.  A design-kind spec always runs on the grid solvers
+        of :mod:`repro.batch` and reads back ``"batched"`` whatever it
+        declared, so its warehouse key names the engine that ran.
     """
 
     app: str | StreamingApplication | None = None
@@ -147,6 +145,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
+        if self.kind != "execute":
+            object.__setattr__(self, "engine", "batched")
         if self.engine == "batched" and self.collect_trace:
             raise ValueError("the batched engine does not record execution traces")
         object.__setattr__(self, "seed", checked_seed(self.seed))

@@ -34,6 +34,8 @@ explore the cross-technology multi-objective space (technology node x
 ECC family x correction strength x chunk size x fault-rate level) and
 extract exact Pareto fronts (:func:`grid_pareto_front`), again
 bit-identical to its scalar reference (:func:`reference_pareto_front`).
+These grid solvers are the only engine of ``optimize``, ``feasibility``
+and ``pareto`` specs; the scalar walkers remain as test references.
 
 Approximations relative to the behavioural engine (all documented in
 :mod:`repro.batch.model`): the workload content is frozen at seed 0's

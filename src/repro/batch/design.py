@@ -1,12 +1,14 @@
 """Vectorized design-space engine: Fig. 4 feasibility and Eq. 3–7 as grid ops.
 
-The behavioural design-space path evaluates the analytic cost model one
-point at a time in pure Python — :func:`repro.core.feasibility.feasible_region`
+The scalar references evaluate the analytic cost model one point at a
+time in pure Python — :func:`repro.core.feasibility.feasible_region`
 walks the (chunk size × correctable bits) grid, and
 :class:`repro.core.optimizer.ChunkSizeOptimizer` walks every candidate
 chunk size, each point re-deriving an SRAM geometry, a protected-memory
 estimate and the Eq. 1–2 cost terms.  This module evaluates the *whole
-grid at once* with NumPy:
+grid at once* with NumPy, and is the only engine of ``optimize`` and
+``feasibility`` specs; the scalar walkers stay as the references the
+tests and benchmarks hold it to:
 
 * :func:`grid_feasible_region` — the Fig. 4 sweep as a handful of array
   operations per correction strength;
@@ -26,13 +28,13 @@ transcendental calls (``log2``) are routed through :func:`math.log2` per
 unique operand rather than NumPy's SIMD implementations, whose last-ulp
 behaviour is not guaranteed to match libm.  The equivalence tests in
 ``tests/batch/test_design.py`` hold the grid engine to exact equality
-with the behavioural path over the full paper grid; treat any divergence
-as a bug here, not as noise.
+with the scalar references over the full paper grid; treat any
+divergence as a bug here, not as noise.
 
 Shared profiles: :func:`grid_optimize` characterizes the workload through
 :func:`repro.runtime.executor.characterize_task`, i.e. through the
 content-keyed profile cache, so the expensive step-walk happens once per
-(app, params, input) across both engines and every campaign path.
+(app, params, input) across the design and campaign engines.
 
 Blocking: like the rest of the batch layer, the design grids run out
 of core.  :func:`grid_optimal_chunks_for_rates` evaluates the rate axis
@@ -424,8 +426,7 @@ def grid_optimize_characterization(
     Evaluates every integer candidate in one array pass and returns the
     same :class:`OptimizationResult` — every candidate
     :class:`~repro.core.cost_model.CostBreakdown` bit-identical to the
-    behavioural sweep, and the argmin selected with the same first-of-ties
-    rule.
+    scalar sweep, and the argmin selected with the same first-of-ties rule.
     """
     if max_chunk_words <= 0:
         raise ValueError("max_chunk_words must be positive")

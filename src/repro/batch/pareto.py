@@ -781,8 +781,8 @@ def reference_pareto_front(
     Walks the exact same grid as :func:`grid_pareto_front` through
     :class:`~repro.core.cost_model.MitigationCostModel` one candidate at a
     time and filters dominance with :func:`reference_non_dominated`.  Kept
-    alongside the grid engine for exact-equality testing (and as the
-    ``engine="behavioural"`` path of ``kind="pareto"`` specs).
+    alongside the grid engine for exact-equality testing; ``kind="pareto"``
+    specs always run :func:`grid_pareto_front`.
     """
     grid = _resolve_grid(
         app, objectives, nodes, schemes, correctable_bits, rate_levels,

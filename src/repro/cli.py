@@ -37,9 +37,9 @@ terminal through the unified experiment API::
 Every subcommand accepts ``--format table|json|csv`` and ``--output PATH``
 for machine-readable results, and the behavioural workloads accept
 ``--jobs N`` to fan the underlying simulations out across CPU cores.
-``--engine batched`` switches to the NumPy engines — vectorized campaigns
-for fault injection, and a bit-identical vectorized grid solver for the
-design-space artefacts (fig4, table1, ablations, optimize sweeps).
+The fault-injection subcommands accept ``--engine batched`` to run on the
+vectorized campaign engine; the design-space artefacts (fig4, table1,
+ablations, pareto, optimize sweeps) always run on the grid solvers.
 ``--no-cache`` disables the on-disk/in-process task-profile cache
 (``~/.cache/repro``, relocatable via ``REPRO_CACHE_DIR``).  Completed
 results additionally land in the content-addressed warehouse
@@ -158,17 +158,15 @@ def _add_jobs_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_option(
-    parser: argparse.ArgumentParser, default: str = "behavioural"
-) -> None:
+def _add_engine_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
         choices=ENGINES,
-        default=default,
-        help="simulation engine: 'behavioural' replays every event / walks "
-        "the design space point by point, 'batched' vectorizes campaigns "
-        "(all seeds at once) and design-space sweeps (whole grid at once, "
-        f"bit-identical) (default: {default})",
+        default="behavioural",
+        help="engine of the fault-injection runs: 'behavioural' replays "
+        "every event, 'batched' vectorizes campaigns (all seeds at once); "
+        "design-space specs always run on the grid solvers "
+        "(default: behavioural)",
     )
 
 
@@ -283,9 +281,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=artefact_help[name])
         _add_constraint_options(sub)
         _add_output_options(sub)
-        _add_engine_option(sub)
         _add_cache_option(sub)
         if name in ("fig5", "timing", "all"):
+            _add_engine_option(sub)
             _add_seeds_option(sub)
         if name in ("table1", "fig5", "timing", "ablations", "all"):
             _add_jobs_option(sub)
@@ -423,7 +421,6 @@ def _build_parser() -> argparse.ArgumentParser:
         f"{', '.join(available_fault_models())}; default: the SMU-dominated mixture)",
     )
     pareto.add_argument("--seed", type=int, default=0, help="workload seed (default: 0)")
-    _add_engine_option(pareto, default="batched")
     _add_jobs_option(pareto)
     _add_constraint_options(pareto)
     _add_cache_option(pareto)
@@ -778,28 +775,25 @@ def _artefact_sections(args: argparse.Namespace, session: Session) -> list:
     seeds = tuple(getattr(args, "seeds", (0, 1, 2)))
     name = args.command
 
-    engine = getattr(args, "engine", None)
     sections: list[ResultSet] = []
     if name in ("fig4", "all"):
-        sections.append(fig4_feasible_region(constraints, session=session, engine=engine))
+        sections.append(fig4_feasible_region(constraints, session=session))
     if name in ("table1", "all"):
-        sections.append(
-            table1_optimal_chunks(constraints, session=session, jobs=jobs, engine=engine)
-        )
+        sections.append(table1_optimal_chunks(constraints, session=session, jobs=jobs))
     if name in ("fig5", "timing", "all"):
         fig5 = fig5_energy(
             constraints,
             seeds=seeds,
             session=session,
             jobs=jobs,
-            engine=engine,
+            engine=args.engine,
         )
         if name in ("fig5", "all"):
             sections.append(fig5)
         if name in ("timing", "all"):
             sections.append(timing_overhead(fig5=fig5))
     if name in ("ablations", "all"):
-        common = {"constraints": constraints, "session": session, "jobs": jobs, "engine": engine}
+        common = {"constraints": constraints, "session": session, "jobs": jobs}
         sections.append(ablation_error_rate(**common))
         sections.append(ablation_area_budget(**common))
         sections.append(ablation_correction_strength(**common))
@@ -1085,7 +1079,6 @@ def _run_sections(args: argparse.Namespace) -> list:
             seed=args.seed,
             constraints=_constraints_from_args(args),
             fault_model=args.fault_model,
-            engine=args.engine,
             jobs=args.jobs,
         )
         return [front.to_result_set()]

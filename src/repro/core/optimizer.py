@@ -147,9 +147,12 @@ def optimize_chunk_size(
     platform: PlatformCostParameters | None = None,
     seed: int = 0,
 ) -> OptimizationResult:
-    """One-call convenience wrapper used by examples and benchmarks."""
-    from .config import PAPER_OPERATING_POINT
+    """One-call optimization on the grid solver, used by examples and benchmarks.
 
-    constraints = constraints if constraints is not None else PAPER_OPERATING_POINT
-    optimizer = ChunkSizeOptimizer(constraints, platform)
-    return optimizer.optimize(app, seed=seed)
+    Returns what :meth:`ChunkSizeOptimizer.optimize` would, bit for bit;
+    the scalar walker stays as the reference the grid is tested against.
+    """
+    # Deferred: repro.batch.design imports this module.
+    from ..batch.design import grid_optimize
+
+    return grid_optimize(app, constraints, platform, seed=seed)

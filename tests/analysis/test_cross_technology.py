@@ -5,16 +5,41 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import cross_technology_sweep
-from repro.memmodel import NODE_65NM
+from repro.analysis.cross_technology import CrossTechnologyRow
+from repro.core.config import PAPER_OPERATING_POINT
+from repro.core.cost_model import PlatformCostParameters
+from repro.core.feasibility import feasible_region
+from repro.core.optimizer import ChunkSizeOptimizer
+from repro.memmodel import NODE_65NM, get_node
+from repro.runtime.executor import characterize_app
 
 
 class TestCrossTechnologySweep:
     def test_engines_bit_identical(self, small_adpcm_encode, small_g721_encode):
         apps = [small_adpcm_encode, small_g721_encode]
-        behavioural = cross_technology_sweep(applications=apps)
-        batched = cross_technology_sweep(applications=apps, engine="batched")
-        assert behavioural.table_rows == batched.table_rows
-        assert behavioural.nodes == ("45nm", "65nm", "90nm")
+        result = cross_technology_sweep(applications=apps)
+        assert result.nodes == ("45nm", "65nm", "90nm")
+        constraints = PAPER_OPERATING_POINT
+        for name in result.nodes:
+            node = get_node(name)
+            platform = PlatformCostParameters.from_defaults(technology=node)
+            region = feasible_region(constraints=constraints, technology=node)
+            for app, row in zip(apps, result.rows_for(name), strict=True):
+                optimizer = ChunkSizeOptimizer(constraints, platform)
+                best = optimizer.optimize_characterization(characterize_app(app, 0)).best
+                assert row == CrossTechnologyRow(
+                    technology=name,
+                    application=app.name,
+                    chunk_words=best.chunk_words,
+                    num_checkpoints=best.num_checkpoints,
+                    energy_overhead=best.energy_overhead_fraction,
+                    cycle_overhead=best.cycle_overhead_fraction,
+                    area_fraction=best.area_fraction,
+                    buffer_capacity_words=best.buffer_capacity_words,
+                    fig4_max_chunk_words=region.max_chunk_words(constraints.correctable_bits),
+                    fig4_max_t_at_64_words=region.max_correctable_bits(64),
+                    l1_area_mm2=region.l1_area_mm2,
+                )
 
     def test_row_shape_and_lookup(self, small_adpcm_encode):
         result = cross_technology_sweep(
@@ -68,8 +93,4 @@ class TestCrossTechnologySweep:
         with pytest.raises(ValueError, match="nodes must be unique"):
             cross_technology_sweep(
                 nodes=("65nm", "65nm"), applications=[small_adpcm_encode]
-            )
-        with pytest.raises(ValueError, match="unknown engine"):
-            cross_technology_sweep(
-                applications=[small_adpcm_encode], engine="quantum"
             )

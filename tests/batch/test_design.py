@@ -1,21 +1,23 @@
 """Cross-engine equivalence of the vectorized design-space engine.
 
 Unlike the batched *campaign* engine (statistically equivalent), the
-design engine must be **bit-identical** to the behavioural per-point
-sweeps: same Fig. 4 points and boundary, same Table I argmin chunks, same
-candidate cost breakdowns, float for float.  These tests hold it to exact
-equality over the full paper grid, over constraint variations, and —
-through the golden fixtures — to the repository's frozen history.
+design engine must be **bit-identical** to the scalar per-point walkers
+it replaced as the design kinds' only engine: same Fig. 4 points and
+boundary, same Table I argmin chunks, same candidate cost breakdowns,
+float for float.  These tests hold it to exact equality over the full
+paper grid, over constraint variations, and — through the golden
+fixtures — to the repository's frozen history.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import fig4_feasible_region, table1_optimal_chunks
+from repro.analysis import fig4_feasible_region, fig5_energy, table1_optimal_chunks
 from repro.api.executors import BatchCampaignExecutor, execute_spec
 from repro.api.spec import ExperimentSpec
 from repro.apps.registry import available_applications, get_application
@@ -25,9 +27,11 @@ from repro.batch.design import (
     grid_optimize,
     grid_optimize_characterization,
 )
+from repro.batch.pareto import reference_pareto_front
 from repro.core.config import PAPER_OPERATING_POINT
 from repro.core.feasibility import feasible_region
 from repro.core.optimizer import ChunkSizeOptimizer
+from repro.warehouse.planner import plan_units
 
 GOLDEN_FIXTURES = Path(__file__).parent.parent / "golden" / "fixtures"
 
@@ -148,67 +152,110 @@ class TestOptimizerEquivalence:
 
 
 class TestEngineRouting:
-    """engine="batched" reaches the grid solver through every API layer."""
+    """Design specs reach the grid solver through every API layer."""
 
     def test_execute_spec_dispatches_feasibility(self):
-        behavioural = execute_spec(
-            ExperimentSpec(kind="feasibility", params={"max_chunk_words": 64})
-        )
-        batched = execute_spec(
-            ExperimentSpec(
-                kind="feasibility", params={"max_chunk_words": 64}, engine="batched"
-            )
-        )
-        assert batched.records == behavioural.records
-        assert batched.artifact.points == behavioural.artifact.points
+        outcome = execute_spec(ExperimentSpec(kind="feasibility", params={"max_chunk_words": 64}))
+        reference = feasible_region(chunk_sizes=range(1, 65), correctable_bits=range(1, 19))
+        assert outcome.artifact.points == reference.points
+        assert [tuple(r.values()) for r in outcome.records] == reference.boundary()
 
     def test_execute_spec_dispatches_optimization(self, small_adpcm_encode):
-        behavioural = execute_spec(ExperimentSpec(app=small_adpcm_encode, kind="optimize"))
-        batched = execute_spec(
-            ExperimentSpec(app=small_adpcm_encode, kind="optimize", engine="batched")
-        )
-        assert batched.records == behavioural.records
-        assert batched.artifact.candidates == behavioural.artifact.candidates
+        outcome = execute_spec(ExperimentSpec(app=small_adpcm_encode, kind="optimize"))
+        reference = ChunkSizeOptimizer(PAPER_OPERATING_POINT).optimize(small_adpcm_encode)
+        assert outcome.artifact == reference
+        assert outcome.record["chunk_words"] == reference.chunk_words
 
     def test_batch_executor_serves_design_kinds_vectorized(
         self, small_adpcm_encode, engine_runs
     ):
         specs = [
-            ExperimentSpec(kind="feasibility", params={"max_chunk_words": 48}, engine="batched"),
-            ExperimentSpec(app=small_adpcm_encode, kind="optimize", engine="batched"),
+            ExperimentSpec(kind="feasibility", params={"max_chunk_words": 48}),
+            ExperimentSpec(app=small_adpcm_encode, kind="optimize"),
         ]
         outcomes = BatchCampaignExecutor().map(specs)
-        # The declared engine is kept and is the one that ran.
         assert [o.spec.engine for o in outcomes] == ["batched", "batched"]
         assert engine_runs("batched", kind="feasibility") == 1
         assert engine_runs("batched", kind="optimize") == 1
-        behavioural = [execute_spec(spec.with_overrides(engine="behavioural")) for spec in specs]
-        assert outcomes[0].artifact.points == behavioural[0].artifact.points
-        assert outcomes[1].record == behavioural[1].record
+        assert outcomes[0].artifact.points == feasible_region(chunk_sizes=range(1, 49)).points
+        assert outcomes[1].artifact == ChunkSizeOptimizer(PAPER_OPERATING_POINT).optimize(
+            small_adpcm_encode
+        )
 
-    def test_fig4_harness_engine(self):
-        behavioural = fig4_feasible_region()
-        batched = fig4_feasible_region(engine="batched")
-        assert batched.rows() == behavioural.rows()
-        assert batched.region.points == behavioural.region.points
+    def test_fig4_harness_matches_the_reference(self):
+        fig4 = fig4_feasible_region()
+        assert fig4.region.points == feasible_region().points
+        # The kept keyword is ignored: there is one engine.
+        assert fig4_feasible_region(engine="behavioural").rows() == fig4.rows()
 
-    def test_table1_harness_engine(self):
-        behavioural = table1_optimal_chunks()
-        batched = table1_optimal_chunks(engine="batched")
-        assert batched.rows_by_app == behavioural.rows_by_app
-        for name, optimization in batched.optimizations.items():
-            assert optimization.best == behavioural.optimizations[name].best
+    def test_table1_harness_matches_the_reference(self):
+        table1 = table1_optimal_chunks()
+        optimizer = ChunkSizeOptimizer(PAPER_OPERATING_POINT)
+        for name, optimization in table1.optimizations.items():
+            assert optimization == optimizer.optimize(get_application(name))
+        assert table1_optimal_chunks(engine="behavioural").rows_by_app == table1.rows_by_app
+
+
+class TestOneDesignEngine:
+    """A design spec runs on the grid solver whatever engine it declares."""
+
+    SPECS = {
+        "feasibility": dict(kind="feasibility", params={"max_chunk_words": 48}),
+        "optimize": dict(app="adpcm-encode", kind="optimize"),
+        "pareto": dict(
+            app="adpcm-encode",
+            kind="pareto",
+            params={
+                "nodes": ["65nm"],
+                "schemes": ["bch"],
+                "correctable_bits": [2, 4],
+                "rate_levels": [1e-6],
+                "max_chunk_words": 48,
+            },
+        ),
+    }
+
+    @pytest.fixture
+    def no_scalar_walkers(self, monkeypatch):
+        """Make every scalar design walker raise, wherever it is bound."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scalar design walker ran")
+
+        monkeypatch.setattr(ChunkSizeOptimizer, "optimize_characterization", refuse)
+        for walker in (feasible_region, reference_pareto_front):
+            for module in list(sys.modules.values()):
+                if getattr(module, "__name__", "").startswith("repro") and (
+                    getattr(module, walker.__name__, None) is walker
+                ):
+                    monkeypatch.setattr(module, walker.__name__, refuse)
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_declared_behavioural_runs_the_grid(self, kind, no_scalar_walkers, engine_runs):
+        declared = ExperimentSpec(**self.SPECS[kind], engine="behavioural")
+        batched = ExperimentSpec(**self.SPECS[kind], engine="batched")
+        assert declared.engine == "batched"
+        assert declared == batched
+        assert plan_units([declared])[0].key == plan_units([batched])[0].key
+        outcome = execute_spec(declared)
+        assert outcome.records
+        assert engine_runs("batched", kind=kind) == 1
+        assert engine_runs("behavioural", kind=kind) == 0
+
+    def test_fig5_sizes_on_the_grid(self, small_adpcm_encode, no_scalar_walkers):
+        result = fig5_energy(applications=[small_adpcm_encode], seeds=(0,), engine="batched")
+        assert result.outcome(small_adpcm_encode.name, "default").normalized_energy == 1.0
 
 
 class TestGoldenFixtures:
     """The vectorized path reproduces the committed golden artefacts."""
 
     def test_fig4_golden_reproduced_by_grid_engine(self):
-        payload = fig4_feasible_region(engine="batched").to_result_set().to_dict()
+        payload = fig4_feasible_region().to_result_set().to_dict()
         canonical = json.loads(json.dumps(payload, sort_keys=True))
         assert canonical == _golden_payload("fig4")
 
     def test_table1_golden_reproduced_by_grid_engine(self):
-        payload = table1_optimal_chunks(engine="batched").to_result_set().to_dict()
+        payload = table1_optimal_chunks().to_result_set().to_dict()
         canonical = json.loads(json.dumps(payload, sort_keys=True))
         assert canonical == _golden_payload("table1")

@@ -84,8 +84,9 @@ class TestBatchCampaignExecutor:
         assert engine_runs("batched") == 6
 
     def test_non_execute_kinds_fall_back(self, small_adpcm_encode, engine_runs):
-        # Everything but batched execute specs keeps its declared engine,
-        # behavioural execute specs included.
+        # Everything but batched execute specs runs on the fallback with
+        # its spec's engine: behavioural execute specs keep theirs, and a
+        # design spec always names the grid solver.
         behavioural = ExperimentSpec(app=small_adpcm_encode, strategy="hybrid-optimal", seed=3)
         specs = [
             ExperimentSpec(app=small_adpcm_encode, kind="optimize"),
@@ -94,8 +95,8 @@ class TestBatchCampaignExecutor:
         ]
         outcomes = BatchCampaignExecutor().map(specs)
         assert outcomes[0].record["chunk_words"] > 0
-        assert outcomes[0].spec.engine == "behavioural"
-        assert engine_runs("behavioural", kind="optimize") == 1
+        assert outcomes[0].spec.engine == "batched"
+        assert engine_runs("batched", kind="optimize") == 1
         assert outcomes[1].record["strategy"] == "default"
         assert engine_runs("batched") == 1
         assert outcomes[2].record == execute_spec(behavioural).record

@@ -493,15 +493,12 @@ class TestSpecIntegration:
         spec = ExperimentSpec(app="adpcm-encode", kind="pareto", params=self.PARAMS)
         assert ExperimentSpec.from_json(spec.to_json()) == spec
 
-    def test_engines_bit_identical_through_execute_spec(self, small_adpcm_encode):
-        base = ExperimentSpec(app=small_adpcm_encode, kind="pareto", params=self.PARAMS)
-        behavioural = execute_spec(base)
-        batched = execute_spec(ExperimentSpec(
-            app=small_adpcm_encode, kind="pareto", params=self.PARAMS, engine="batched"
-        ))
-        assert behavioural.artifact == batched.artifact
-        assert behavioural.records == batched.records
-        assert behavioural.records == behavioural.artifact.rows()
+    def test_execute_spec_matches_the_reference(self, small_adpcm_encode):
+        outcome = execute_spec(
+            ExperimentSpec(app=small_adpcm_encode, kind="pareto", params=self.PARAMS)
+        )
+        assert outcome.artifact == reference_pareto_front(small_adpcm_encode, **self.PARAMS)
+        assert outcome.records == outcome.artifact.rows()
 
     def test_unknown_params_rejected(self, small_adpcm_encode):
         spec = ExperimentSpec(
@@ -517,17 +514,14 @@ class TestSpecIntegration:
     def test_batch_campaign_executor_serves_pareto_vectorized(
         self, small_adpcm_encode, engine_runs
     ):
-        pareto_spec = ExperimentSpec(
-            app=small_adpcm_encode, kind="pareto", params=self.PARAMS, engine="batched"
-        )
-        optimize_spec = ExperimentSpec(app=small_adpcm_encode, kind="optimize", engine="batched")
+        pareto_spec = ExperimentSpec(app=small_adpcm_encode, kind="pareto", params=self.PARAMS)
+        optimize_spec = ExperimentSpec(app=small_adpcm_encode, kind="optimize")
         outcomes = BatchCampaignExecutor().map([pareto_spec, optimize_spec])
-        # The executor keeps the declared engine, and that engine ran.
+        # The spec names the engine that ran.
         assert outcomes[0].spec.kind == "pareto"
         assert outcomes[0].spec.engine == "batched"
         assert engine_runs("batched", kind="pareto") == 1
-        behavioural = execute_spec(pareto_spec.with_overrides(engine="behavioural"))
-        assert outcomes[0].artifact == behavioural.artifact
+        assert outcomes[0].artifact == reference_pareto_front(small_adpcm_encode, **self.PARAMS)
         assert outcomes[1].record["chunk_words"] > 0
 
     def test_session_pareto_returns_the_front(self, small_adpcm_encode):
@@ -541,14 +535,13 @@ class TestSpecIntegration:
             max_chunk_words=64,
         )
         assert isinstance(front, ParetoFront)
-        assert front == session.pareto(
+        assert front == reference_pareto_front(
             small_adpcm_encode,
-            ecc=("bch",),
+            schemes=("bch",),
             nodes=("65nm",),
             correctable_bits=(2, 4),
             rate_levels=(1e-6,),
             max_chunk_words=64,
-            engine="behavioural",
         )
 
     def test_invalid_axes_rejected(self, small_adpcm_encode):

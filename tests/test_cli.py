@@ -26,6 +26,16 @@ class TestArtefactCommands:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
+    @pytest.mark.parametrize(
+        "command", [["fig4"], ["table1"], ["ablations"], ["pareto", "--app", "adpcm-encode"]]
+    )
+    def test_design_subcommands_have_no_engine_flag(self, command, capsys):
+        # Design-space artefacts have one engine, the grid solver.
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--engine", "batched"])
+        assert exit_info.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
     def test_help_mentions_all_experiments(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])
@@ -280,14 +290,11 @@ class TestParetoCommand:
         assert "knee per rate level" in out
         assert "65nm" in out
 
-    def test_pareto_engines_emit_identical_json(self, capsys):
+    def test_pareto_emits_json_rows(self, capsys):
         assert main(self.ARGS + ["--format", "json"]) == 0
-        batched = json.loads(capsys.readouterr().out)
-        assert main(self.ARGS + ["--format", "json", "--engine", "behavioural"]) == 0
-        behavioural = json.loads(capsys.readouterr().out)
-        assert batched == behavioural
-        assert batched["rows"]
-        assert all(row["technology"] == "65nm" for row in batched["rows"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["rows"]
+        assert all(row["technology"] == "65nm" for row in payload["rows"])
 
     def test_pareto_objective_subset(self, capsys):
         assert main(self.ARGS + ["--objectives", "energy", "area", "--format", "csv"]) == 0

@@ -67,9 +67,9 @@ class TestCampaignReplay:
 class TestFigureReplay:
     def test_fig4_warm_replay_serves_region_and_recomputes_nothing(self) -> None:
         kwargs = dict(max_chunk_words=64, max_correctable_bits=4, chunk_stride=16)
-        cold = fig4_feasible_region(engine="batched", **kwargs)
+        cold = fig4_feasible_region(**kwargs)
         executed = _executed()
-        warm = fig4_feasible_region(engine="batched", **kwargs)
+        warm = fig4_feasible_region(**kwargs)
         assert _executed() == executed
         assert warm.to_result_set().to_json() == cold.to_result_set().to_json()
         # The rich artifact itself is served, not just the records: the
@@ -77,9 +77,9 @@ class TestFigureReplay:
         assert warm.region.boundary() == cold.region.boundary()
 
     def test_table1_warm_replay_is_bit_identical_and_zero_recompute(self) -> None:
-        cold = table1_optimal_chunks(applications=["adpcm-encode"], engine="batched")
+        cold = table1_optimal_chunks(applications=["adpcm-encode"])
         executed = _executed()
-        warm = table1_optimal_chunks(applications=["adpcm-encode"], engine="batched")
+        warm = table1_optimal_chunks(applications=["adpcm-encode"])
         assert _executed() == executed
         assert warm.to_result_set().to_json() == cold.to_result_set().to_json()
 
@@ -87,8 +87,8 @@ class TestFigureReplay:
         kwargs = dict(max_chunk_words=32, max_correctable_bits=2, chunk_stride=8)
         stats = default_warehouse().stats
         hits = stats.hits
-        fig4_feasible_region(engine="batched", **kwargs)
-        fig4_feasible_region(engine="batched", **kwargs)
+        fig4_feasible_region(**kwargs)
+        fig4_feasible_region(**kwargs)
         assert stats.hits > hits
 
 
