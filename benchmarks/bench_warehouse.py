@@ -25,7 +25,8 @@ and archives everything as ``benchmarks/results/BENCH_warehouse.json``::
 the full mode replays fig4 at paper scale and a 2000-seed campaign.
 Correctness bars (zero recompute, byte identity, cached fast path) are
 asserted in both modes — the benchmark doubles as the warm-replay gate.
-It exits 1 unless the warm replay beats recomputing.
+It exits 1 unless the warm replay is at least :data:`REPLAY_SPEEDUP_FLOOR`
+times faster than recomputing.
 """
 
 from __future__ import annotations
@@ -54,6 +55,11 @@ BENCH_STRATEGY = "hybrid-optimal"
 
 #: Timed repeats of each side of the replay-vs-recompute gate (best wins).
 BEST_OF = 3
+
+#: How many times faster than recomputing a warm campaign replay must be.
+#: A warm replay reads one entry per block, hashes 8 bytes per seed for its
+#: key and parses no float, so it stays far below simulating the seeds.
+REPLAY_SPEEDUP_FLOOR = 10.0
 
 
 def _spec() -> ExperimentSpec:
@@ -140,7 +146,7 @@ def _best_of(run) -> float:
 
 
 def _replay_vs_recompute(seeds: int) -> dict:
-    """A warm batched campaign replay must beat recomputing the campaign."""
+    """A warm batched campaign replay against recomputing the campaign."""
     # Seeds disjoint from the other sections, so the cold pass is cold.
     campaign = CampaignSpec(
         base=ExperimentSpec(app=BENCH_APP, strategy=BENCH_STRATEGY, engine="batched"),
@@ -162,7 +168,8 @@ def _replay_vs_recompute(seeds: int) -> dict:
         "cold_s": round(cold_s, 4),
         "warm_s": round(warm_s, 4),
         "off_s": round(off_s, 4),
-        "warm_beats_off": warm_s < off_s,
+        "speedup": round(off_s / warm_s, 1),
+        "speedup_floor": REPLAY_SPEEDUP_FLOOR,
     }
 
 
@@ -260,7 +267,8 @@ def _bench(args: argparse.Namespace) -> int:
           f"(vs {service['cold_s']:.2f}s cold), "
           f"{service['warehouse_events_total']:.0f} warehouse events on /v1/metrics")
     print(f"replay vs recompute: {versus['seeds']} seeds, warm {versus['warm_s'] * 1e3:.1f} ms "
-          f"vs warehouse off {versus['off_s'] * 1e3:.1f} ms (best of {BEST_OF})")
+          f"vs warehouse off {versus['off_s'] * 1e3:.1f} ms ({versus['speedup']}x, "
+          f"best of {BEST_OF})")
 
     summary = default_warehouse().summary()
     print(f"warehouse: {summary['entries']} entries, {summary['rows']} rows, "
@@ -288,8 +296,12 @@ def _bench(args: argparse.Namespace) -> int:
     output.parent.mkdir(parents=True, exist_ok=True)
     output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"\n[{payload['mode']}] archived to {output}")
-    if not versus["warm_beats_off"]:
-        print("FAIL: a warm campaign replay is slower than recomputing it", file=sys.stderr)
+    if versus["off_s"] < REPLAY_SPEEDUP_FLOOR * versus["warm_s"]:
+        print(
+            f"FAIL: a warm campaign replay is {versus['speedup']}x faster than recomputing "
+            f"it, below the {REPLAY_SPEEDUP_FLOOR:.0f}x floor",
+            file=sys.stderr,
+        )
         return 1
     return 0
 

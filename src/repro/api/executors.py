@@ -31,6 +31,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from ..batch import BatchTaskModel
 from ..batch.design import grid_feasible_region, grid_optimize
 from ..batch.engine import ColumnBlock, iter_column_blocks, join_blocks, records_from_columns
@@ -225,7 +227,7 @@ class BlockSimulator:
         self.base = base
         self._model: BatchTaskModel | None = None
 
-    def __call__(self, seeds: Sequence[int]) -> ColumnBlock:
+    def __call__(self, seeds: np.ndarray) -> ColumnBlock:
         if self._model is None:
             self._model = _build_batch_model(self.base)
             BATCH_GROUPS.inc()
@@ -273,8 +275,11 @@ class Executor(abc.ABC):
     def map(self, specs: Sequence[ExperimentSpec]) -> list[RunOutcome]:
         """Execute every spec and return outcomes in input order."""
 
-    def block_runner(self, base: ExperimentSpec) -> Callable[[Sequence[int]], ColumnBlock]:
-        """A callable simulating seed blocks of batched ``base`` (default: in process)."""
+    def block_runner(self, base: ExperimentSpec) -> Callable[[np.ndarray], ColumnBlock]:
+        """A callable simulating seed blocks (``uint64`` arrays) of batched ``base``.
+
+        The default runs them in process.
+        """
         return BlockSimulator(base)
 
     def close(self) -> None:

@@ -13,7 +13,8 @@ constraints (both are needed to size hybrid buffers) plus the spec's
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
+from types import MappingProxyType
 
 from ..apps.base import StreamingApplication
 from ..batch.design import grid_optimize
@@ -41,10 +42,9 @@ from ..scenarios.registry import (
     available_scenarios,
     build_scenario,
     register_scenario,
-    scenario_defaults,
     scenario_description,
+    scenario_factories,
     scenario_known,
-    signature_defaults,
 )
 
 __all__ = [
@@ -56,14 +56,12 @@ __all__ = [
     "build_fault_model",
     "build_scenario",
     "build_strategy",
-    "fault_model_defaults",
+    "factory_registries",
     "register_fault_model",
     "register_scenario",
     "register_strategy",
-    "scenario_defaults",
     "scenario_description",
     "scenario_known",
-    "strategy_defaults",
     "strategy_known",
 ]
 
@@ -270,14 +268,17 @@ def available_fault_models() -> list[str]:
     return sorted(_FAULT_MODELS)
 
 
-def strategy_defaults() -> dict[str, dict[str, str]]:
-    """Keyword defaults of every strategy factory (warehouse fingerprint)."""
-    return signature_defaults(_STRATEGIES)
+def factory_registries() -> dict[str, Mapping[str, Callable]]:
+    """The live strategy, fault-model and scenario registries, read-only, by kind.
 
-
-def fault_model_defaults() -> dict[str, dict[str, str]]:
-    """Keyword defaults of every fault-model factory (warehouse fingerprint)."""
-    return signature_defaults(_FAULT_MODELS)
+    What the warehouse code fingerprint reads factory names and keyword
+    defaults from (:func:`repro.warehouse.keys.code_fingerprint`).
+    """
+    return {
+        "strategies": MappingProxyType(_STRATEGIES),
+        "fault_models": MappingProxyType(_FAULT_MODELS),
+        "scenarios": scenario_factories(),
+    }
 
 
 def strategy_known(name: str) -> bool:

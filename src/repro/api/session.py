@@ -15,9 +15,10 @@ and exposes the three workload shapes every harness reduces to:
   sweep of :mod:`repro.batch.pareto`, returning a
   :class:`~repro.batch.pareto.ParetoFront`.
 
-Every entry point accepts an ``executor`` (or ``jobs``) override, so the
-same code runs serially or fans out across cores; outcome ordering — and
-therefore every aggregate — is identical either way.
+Every entry point accepts an ``executor`` override, and all but the
+single-spec :meth:`Session.pareto` a ``jobs`` one, so the same code runs
+serially or fans out across cores; outcome ordering — and therefore every
+aggregate — is identical either way.
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ class Session:
         from ..warehouse.planner import campaign_blocks
 
         if isinstance(spec, ExperimentSpec):
-            spec = CampaignSpec(base=spec, seeds=tuple(seeds) if seeds is not None else ())
+            spec = CampaignSpec(base=spec, seeds=seeds if seeds is not None else ())
         elif seeds is not None:
             raise ValueError("pass seeds inside the CampaignSpec, not alongside it")
         if engine is not None and engine != spec.base.engine:
@@ -259,7 +260,6 @@ class Session:
         fault_model: str | None = None,
         fault_params: dict | None = None,
         executor: Executor | None = None,
-        jobs: int | None = None,
     ):
         """Explore the cross-technology design space and return its Pareto front.
 
@@ -275,7 +275,9 @@ class Session:
         given, an operating point with a non-paper ``error_rate`` pins the
         single rate level (the environment you asked about); otherwise the
         explorer's default levels apply.  The grid is evaluated by
-        :func:`~repro.batch.pareto.grid_pareto_front`.
+        :func:`~repro.batch.pareto.grid_pareto_front`, as one spec on
+        ``executor`` (default: the session's), so there is nothing to fan
+        out across worker processes.
 
         Examples
         --------
@@ -306,4 +308,4 @@ class Session:
             params=params,
             seed=seed,
         )
-        return self.run(spec, executor=executor, jobs=jobs).artifact
+        return self.run(spec, executor=executor).artifact

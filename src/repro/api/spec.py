@@ -32,11 +32,14 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from typing import Any
 
+import numpy as np
+
 from ..apps.base import StreamingApplication
 from ..apps.registry import canonical_name, get_application
 from ..core.config import DesignConstraints, PAPER_OPERATING_POINT
 from ..scenarios.base import Scenario
 from ..scenarios.registry import available_scenarios, scenario_known
+from ..utils.rng import seed_array
 from . import registry
 
 #: Experiment kinds understood by :func:`repro.api.executors.execute_spec`.
@@ -55,6 +58,44 @@ def checked_seed(seed: Any, where: str = "seed") -> int:
     if isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and 0 <= seed < 2**64:
         return int(seed)
     raise ValueError(f"{where} must be an integer in [0, 2**64), got {seed!r}")
+
+
+def _first_outside(seeds: range) -> int:
+    """The first element of ``seeds`` outside ``[0, 2**64)`` (one must exist)."""
+    first = seeds[0]
+    if not 0 <= first < 2**64:
+        return first
+    if seeds.step > 0:
+        return seeds[-((first - 2**64) // seeds.step)]  # the first one >= 2**64
+    return seeds[first // -seeds.step + 1]  # the first negative one
+
+
+def checked_seeds(seeds: Any, where: str = "seeds") -> np.ndarray:
+    """``seeds`` as one read-only ``uint64`` array, each checked as by :func:`checked_seed`.
+
+    A ``range`` is checked by its bounds and an integer array by one
+    vectorized test.  Any other iterable whose elements are all exact
+    ``int`` is checked by its extremes; only one holding other types
+    (bools, floats, NumPy scalars) is checked element by element.  The
+    ``ValueError`` names the first element outside the domain.  An
+    array is always copied: one the caller still holds, or a view of a
+    buffer it does, could otherwise change the result after the check.
+    """
+    if isinstance(seeds, range):
+        if len(seeds) and not (0 <= min(seeds[0], seeds[-1]) and max(seeds[0], seeds[-1]) < 2**64):
+            checked_seed(_first_outside(seeds), where)
+        return seed_array(seeds)
+    if isinstance(seeds, np.ndarray) and seeds.ndim == 1 and seeds.dtype.kind in "iu":
+        if seeds.dtype.kind == "i" and len(seeds) and seeds.min() < 0:
+            checked_seed(seeds[np.argmax(seeds < 0)], where)
+        return seed_array(seeds.astype(np.uint64))
+    values = list(seeds)
+    if not (
+        set(map(type, values)) <= {int}
+        and (not values or (min(values) >= 0 and max(values) < 2**64))
+    ):
+        values = [checked_seed(seed, where) for seed in values]
+    return seed_array(values)
 
 
 def constraints_to_dict(constraints: DesignConstraints) -> dict[str, Any]:
@@ -371,7 +412,7 @@ class SweepSpec:
         return cls.from_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CampaignSpec:
     """The same experiment repeated under many independent fault seeds.
 
@@ -380,16 +421,23 @@ class CampaignSpec:
     base:
         The experiment to repeat (its own ``seed`` field is ignored).
     seeds:
-        Explicit seed sequence; empty means ``range(runs)``.
+        Explicit seeds: a ``range``, an integer array or any sequence of
+        integers in ``[0, 2**64)`` (see :func:`checked_seeds`); empty
+        means ``range(runs)``.  Held as one read-only ``uint64`` array,
+        the one the campaign's blocks, warehouse keys and fault streams
+        read; :meth:`to_dict` and :meth:`expand` turn it back into ints.
     runs:
         Number of runs when ``seeds`` is not given.
     metrics:
         Restrict aggregation to these metric names (empty = every numeric
         metric the runs produce except ``seed``).
+
+    Two campaigns are equal when their base specs, seeds (in order) and
+    metrics are.
     """
 
     base: ExperimentSpec
-    seeds: Sequence[int] = ()
+    seeds: Sequence[int] | np.ndarray = ()
     runs: int = 10
     metrics: Sequence[str] = ()
 
@@ -400,16 +448,25 @@ class CampaignSpec:
         runs = self.runs
         if not isinstance(runs, numbers.Integral) or isinstance(runs, bool) or runs < 1:
             raise ValueError(f"runs must be an integer of at least 1, got {runs!r}")
-        seeds = tuple(checked_seed(seed, "campaign seeds") for seed in self.seeds)
-        if not seeds:
-            seeds = tuple(range(runs))
+        seeds = checked_seeds(self.seeds, "campaign seeds")
+        if not len(seeds):
+            seeds = seed_array(range(runs))
         object.__setattr__(self, "seeds", seeds)
         object.__setattr__(self, "runs", len(seeds))
         object.__setattr__(self, "metrics", tuple(self.metrics))
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CampaignSpec):
+            return NotImplemented
+        return (
+            self.base == other.base
+            and self.metrics == other.metrics
+            and np.array_equal(self.seeds, other.seeds)
+        )
+
     def expand(self) -> list[ExperimentSpec]:
         """One concrete spec per seed, in seed order."""
-        return [replace(self.base, seed=seed) for seed in self.seeds]
+        return [replace(self.base, seed=seed) for seed in self.seeds.tolist()]
 
     def __len__(self) -> int:
         return len(self.seeds)
@@ -418,7 +475,7 @@ class CampaignSpec:
         """Flatten the campaign (base spec plus seeds) into a JSON-able dict."""
         return {
             "base": self.base.to_dict(),
-            "seeds": list(self.seeds),
+            "seeds": self.seeds.tolist(),
             "metrics": list(self.metrics),
         }
 

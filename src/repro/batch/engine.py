@@ -46,6 +46,7 @@ import numpy as np
 
 from ..core.strategies import RecoveryPolicy
 from ..runtime.executor import MAX_ROLLBACK_ATTEMPTS
+from ..utils.rng import seed_array
 from .model import BatchTaskModel, OutcomeProbabilities, RunLayout
 from .streaming import iter_blocks, note_blocks, note_peak_bytes
 from .substrate import SUBSTRATE, RunStreams
@@ -80,16 +81,27 @@ LABELS = ("application", "strategy", "scenario")
 class ColumnBlock:
     """One seed block's runs: a float64 entry per seed in every metric column.
 
-    ``labels`` holds the :data:`LABELS` values all runs share; rows take
-    their seed from ``seeds``, not the float ``seed`` column, so it is exact.
+    ``seeds`` is one read-only ``uint64`` array (any integer sequence
+    passed in is converted by :func:`~repro.utils.rng.seed_array`).
+    ``labels`` holds the :data:`LABELS` values all runs share.  Rows take
+    their seed from ``seeds`` as Python ints, not from the float ``seed``
+    column, so seeds above 2**53 print exactly.
     """
 
-    seeds: tuple[int, ...]
+    seeds: np.ndarray
     labels: tuple[str, ...]
     columns: Mapping[str, np.ndarray]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "seeds", seed_array(self.seeds))
 
-def seed_column(seeds: Sequence[int]) -> np.ndarray:
+    def __reduce__(self):
+        # Through __init__, so a block a process worker sends back keeps
+        # read-only seeds (NumPy unpickles arrays writeable).
+        return ColumnBlock, (self.seeds, self.labels, dict(self.columns))
+
+
+def seed_column(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
     """The float64 ``seed`` metric column of ``seeds``."""
     return np.asarray(seeds, dtype=np.float64)
 
@@ -302,7 +314,7 @@ def _simulate_restart(
 
 
 # ---------------------------------------------------------------------- #
-def _simulate_block(model: BatchTaskModel, seeds: Sequence[int]) -> dict[str, np.ndarray]:
+def _simulate_block(model: BatchTaskModel, seeds: np.ndarray) -> dict[str, np.ndarray]:
     """Simulate one block of seeds into host float64 metric columns.
 
     Seed-dependent schedules (stochastic scenario × scenario-reading
@@ -314,8 +326,8 @@ def _simulate_block(model: BatchTaskModel, seeds: Sequence[int]) -> dict[str, np
     """
     if model.schedule_seed_dependent:
         pieces = [
-            _simulate_layout_block(model, model.layout_for_seed(int(seed)), [seed])
-            for seed in seeds
+            _simulate_layout_block(model, model.layout_for_seed(seed), seeds[index : index + 1])
+            for index, seed in enumerate(seeds.tolist())
         ]
         if len(pieces) == 1:
             return pieces[0]
@@ -330,7 +342,7 @@ def _simulate_block(model: BatchTaskModel, seeds: Sequence[int]) -> dict[str, np
 
 
 def _simulate_layout_block(
-    model: BatchTaskModel, layout: RunLayout, seeds: Sequence[int]
+    model: BatchTaskModel, layout: RunLayout, seeds: np.ndarray
 ) -> dict[str, np.ndarray]:
     """Simulate one block of seeds that share a single run layout."""
     streams = model.make_streams(seeds)
@@ -380,7 +392,7 @@ def _simulate_layout_block(
 
 def iter_column_blocks(
     model: BatchTaskModel,
-    seeds: Sequence[int],
+    seeds: Sequence[int] | np.ndarray,
     block: int | None = None,
     label: str | None = None,
 ) -> Iterator[ColumnBlock]:
@@ -391,8 +403,9 @@ def iter_column_blocks(
     Per-run counter-based streams make the partition invisible: joining
     the yielded blocks equals a single-block run bit for bit.  ``label``
     names the rows' scenario (default: the scenario's description).
+    Each block's seeds are a view of one :func:`~repro.utils.rng.seed_array`.
     """
-    seeds = tuple(seeds)
+    seeds = seed_array(seeds)
     if label is None:
         label = model.scenario.describe() if model.scenario is not None else "none"
     labels = (model.app.name, model.strategy.name, label)
@@ -412,12 +425,12 @@ def join_blocks(blocks: Iterable[ColumnBlock]) -> ColumnBlock:
         name: np.concatenate([piece.columns[name] for piece in blocks])
         for name in METRIC_COLUMNS
     }
-    seeds = tuple(seed for piece in blocks for seed in piece.seeds)
+    seeds = np.concatenate([piece.seeds for piece in blocks])
     return ColumnBlock(seeds, blocks[0].labels, columns)
 
 
 def slice_block(block: ColumnBlock, piece: slice) -> ColumnBlock:
-    """The runs ``piece`` of ``block``; its columns are views, not copies."""
+    """The runs ``piece`` of ``block``; its seeds and columns are views, not copies."""
     columns = {name: column[piece] for name, column in block.columns.items()}
     return ColumnBlock(block.seeds[piece], block.labels, columns)
 
@@ -433,28 +446,30 @@ def records_from_columns(block: ColumnBlock) -> list[dict]:
     head = dict(zip(LABELS, block.labels))
     values = zip(*(block.columns[name].tolist() for name in names))
     records: list[dict] = []
-    for seed, row in zip(block.seeds, values):
+    for seed, row in zip(block.seeds.tolist(), values):
         record = {**head, "seed": seed}
         record.update(zip(names, row))
         records.append(record)
     return records
 
 
-def block_from_records(records: Sequence[Mapping], seeds: Sequence[int]) -> ColumnBlock:
+def block_from_records(
+    records: Sequence[Mapping], seeds: Sequence[int] | np.ndarray
+) -> ColumnBlock:
     """The :class:`ColumnBlock` behind batched ``records`` of ``seeds``.
 
     The inverse of :func:`records_from_columns`: raises ``ValueError``
     unless the block's rows reproduce ``records`` byte for byte.
     """
-    seeds = tuple(seeds)
+    seeds = seed_array(seeds)
     try:
         labels = tuple(records[0][name] for name in LABELS)
         columns = {"seed": seed_column(seeds)}
         for name in METRIC_COLUMNS[1:]:
             columns[name] = np.array([record[name] for record in records], dtype=np.float64)
     except (IndexError, KeyError, TypeError, ValueError) as error:
-        raise ValueError(f"not the batched rows of seeds {seeds}") from error
+        raise ValueError(f"not the batched rows of seeds {seeds.tolist()}") from error
     block = ColumnBlock(seeds, labels, columns)
     if json.dumps(records_from_columns(block)) != json.dumps(list(records)):
-        raise ValueError(f"not the batched rows of seeds {seeds}")
+        raise ValueError(f"not the batched rows of seeds {seeds.tolist()}")
     return block

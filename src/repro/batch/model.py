@@ -46,7 +46,7 @@ from ..core.config import DesignConstraints, PAPER_OPERATING_POINT
 from ..core.strategies import MitigationStrategy, RecoveryPolicy
 from ..ecc.base import Code, DecodeStatus
 from ..faults.models import FaultModel, default_smu_model
-from ..runtime.executor import profile_task
+from ..runtime.executor import profile_app
 from ..runtime.profile_cache import default_cache
 from ..scenarios.base import Scenario
 from ..soc.interrupt import DEFAULT_ENTRY_CYCLES, DEFAULT_EXIT_CYCLES
@@ -362,8 +362,9 @@ class BatchTaskModel:
     # ------------------------------------------------------------------ #
     def _build(self) -> None:
         # Shared with TaskExecutor (repro.runtime.executor.profile_task),
-        # so both engines plan from bit-identical profiles and schedules.
-        profile = profile_task(self.app, self.app.generate_input(_PROFILE_SEED))
+        # so both engines plan from bit-identical profiles and schedules;
+        # a warm build reaches it by seed, without regenerating the input.
+        profile = profile_app(self.app, _PROFILE_SEED)
         if profile.total_words == 0:
             raise ValueError("the task produced no output words; nothing to protect")
         self._profile = profile

@@ -421,7 +421,6 @@ def _build_parser() -> argparse.ArgumentParser:
         f"{', '.join(available_fault_models())}; default: the SMU-dominated mixture)",
     )
     pareto.add_argument("--seed", type=int, default=0, help="workload seed (default: 0)")
-    _add_jobs_option(pareto)
     _add_constraint_options(pareto)
     _add_cache_option(pareto)
     _add_metrics_option(pareto)
@@ -1079,7 +1078,6 @@ def _run_sections(args: argparse.Namespace) -> list:
             seed=args.seed,
             constraints=_constraints_from_args(args),
             fault_model=args.fault_model,
-            jobs=args.jobs,
         )
         return [front.to_result_set()]
 

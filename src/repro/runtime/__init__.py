@@ -7,6 +7,7 @@ from .executor import (
     TaskProfile,
     characterize_app,
     characterize_task,
+    profile_app,
     profile_task,
     run_task,
 )
@@ -21,6 +22,7 @@ __all__ = [
     "TaskProfile",
     "characterize_app",
     "characterize_task",
+    "profile_app",
     "profile_task",
     "run_task",
     "ProfileCache",

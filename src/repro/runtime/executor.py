@@ -156,16 +156,8 @@ def profile_task(
     return profile
 
 
-def characterize_task(app: StreamingApplication, task_input) -> "AppCharacterization":
-    """Static per-task characterization, derived from the cached profile.
-
-    Numerically identical to :meth:`StreamingApplication.characterize`
-    (the per-step sums commute), but routed through :func:`profile_task`
-    so design-time consumers — the chunk-size optimizer, hybrid strategy
-    sizing, the vectorized design engine — share one profiling run with
-    the execution engines instead of re-walking the workload.
-    """
-    profile = profile_task(app, task_input)
+def _characterize_profile(app: StreamingApplication, profile: TaskProfile) -> "AppCharacterization":
+    """The static characterization of ``app`` summed from one task's profile."""
     return AppCharacterization(
         name=app.name,
         steps=len(profile.step_words),
@@ -177,15 +169,53 @@ def characterize_task(app: StreamingApplication, task_input) -> "AppCharacteriza
     )
 
 
+def characterize_task(app: StreamingApplication, task_input) -> "AppCharacterization":
+    """Static per-task characterization, derived from the cached profile.
+
+    Numerically identical to :meth:`StreamingApplication.characterize`
+    (the per-step sums commute), but routed through :func:`profile_task`
+    so design-time consumers — the chunk-size optimizer, hybrid strategy
+    sizing, the vectorized design engine — share one profiling run with
+    the execution engines instead of re-walking the workload.
+    """
+    return _characterize_profile(app, profile_task(app, task_input))
+
+
+def profile_app(app: StreamingApplication, seed: int = 0) -> TaskProfile:
+    """Profile ``app`` on its seed-``seed`` generated input, memoized by seed.
+
+    The one path from a seed to its profile: model builds and
+    :func:`characterize_app` both read it.  A seed-keyed entry in the
+    profile cache's derived tier holds the content key under which
+    :func:`profile_task` stored the profile, so a warm call neither
+    regenerates the input (for g721-decode most of a model build) nor
+    pickles it for a key.  It answers through that same content-keyed
+    entry, so a hit is a fresh copy, bit-identical to a recomputation.
+    """
+    store = profile_cache.default_cache()
+    seed_key = store.key_for(app, ("profile-seed", seed)) if store.enabled else None
+    if seed_key is not None:
+        content_key = store.derived_get(seed_key)
+        payload = store.get(content_key) if content_key is not None else None
+        if payload is not None:
+            return TaskProfile(**payload)
+    task_input = app.generate_input(seed)
+    profile = profile_task(app, task_input, cache=store)
+    content_key = store.key_for(app, task_input) if seed_key is not None else None
+    if content_key is not None:
+        store.derived_put(seed_key, content_key)
+    return profile
+
+
 def characterize_app(app: StreamingApplication, seed: int = 0) -> "AppCharacterization":
     """Characterize ``app`` on its seed-``seed`` generated input, memoized.
 
     Design-time consumers (optimizer, strategy sizing, the vectorized
     design engine) all characterize on ``app.generate_input(seed)``; this
-    entry memoizes the *whole* step — including the input generation,
-    which is itself a non-trivial workload walk — keyed on the app's
-    content and the seed.  The characterization is a frozen dataclass, so
-    sharing the instance is safe.
+    entry memoizes the *whole* step, keyed on the app's content and the
+    seed, and on a miss sums the :func:`profile_app` profile, so it
+    shares that input walk with the model builds.  The characterization
+    is a frozen dataclass, so sharing the instance is safe.
     """
     store = profile_cache.default_cache()
     key = store.key_for(app, ("characterize-seed", seed)) if store.enabled else None
@@ -193,7 +223,7 @@ def characterize_app(app: StreamingApplication, seed: int = 0) -> "AppCharacteri
         hit = store.derived_get(key)
         if hit is not None:
             return hit
-    characterization = characterize_task(app, app.generate_input(seed))
+    characterization = _characterize_profile(app, profile_app(app, seed))
     if key is not None:
         store.derived_put(key, characterization)
     return characterization

@@ -17,7 +17,9 @@ parameters.
 from __future__ import annotations
 
 import inspect
-from collections.abc import Callable
+import types
+from collections.abc import Callable, Mapping
+from typing import Any
 
 from .base import (
     BurstScenario,
@@ -200,28 +202,53 @@ _SCENARIOS: dict[str, ScenarioFactory] = {
 # ---------------------------------------------------------------------- #
 # Public lookup / registration API
 # ---------------------------------------------------------------------- #
-def signature_defaults(factories: dict[str, Callable]) -> dict[str, dict[str, str]]:
-    """``repr`` of every keyword default across a registry's factories.
+def keyword_defaults(factory: Callable) -> dict[str, str]:
+    """``repr`` of every keyword default of one factory, as its signature reports it.
+
+    A factory whose signature cannot be introspected (a C callable) has
+    an empty mapping rather than failing key derivation.
+    """
+    try:
+        params = inspect.signature(factory).parameters
+    except (TypeError, ValueError):
+        return {}
+    return {
+        param.name: repr(param.default)
+        for param in params.values()
+        if param.default is not inspect.Parameter.empty
+    }
+
+
+def signature_defaults(factories: Mapping[str, Callable]) -> dict[str, dict[str, str]]:
+    """:func:`keyword_defaults` of every factory in a registry, by name.
 
     Part of the warehouse code fingerprint: registry *names* alone miss
     an in-place edit to a factory default (same name, different numbers),
-    which would silently serve stale cached results.  Factories whose
-    signature cannot be introspected (C callables) contribute an empty
-    mapping rather than failing key derivation.
+    which would silently serve stale cached results.
     """
-    defaults: dict[str, dict[str, str]] = {}
-    for name in sorted(factories):
-        try:
-            params = inspect.signature(factories[name]).parameters
-        except (TypeError, ValueError):
-            defaults[name] = {}
-            continue
-        defaults[name] = {
-            param.name: repr(param.default)
-            for param in params.values()
-            if param.default is not inspect.Parameter.empty
-        }
-    return defaults
+    return {name: keyword_defaults(factories[name]) for name in sorted(factories)}
+
+
+def defaults_token(factory: Callable) -> Any:
+    """A cheap stand-in for :func:`keyword_defaults`: equal tokens, equal defaults.
+
+    The signature of a plain function with no attributes of its own is
+    fixed by its code object, ``__defaults__`` and ``__kwdefaults__``, so
+    its token is those, each default by ``repr`` (an in-place change to
+    a mutable default shows).  Anything else (a class, a
+    ``functools.partial``, a function carrying ``__wrapped__`` or
+    ``__signature__``) reaches its defaults in ways no such token sees,
+    so its token is :func:`keyword_defaults` itself.
+    """
+    if type(factory) is types.FunctionType and not factory.__dict__:
+        keywords = factory.__kwdefaults__ or {}
+        return (
+            factory.__code__,
+            tuple(map(repr, factory.__defaults__ or ())),
+            tuple(keywords),
+            tuple(map(repr, keywords.values())),
+        )
+    return keyword_defaults(factory)
 
 
 def available_scenarios() -> list[str]:
@@ -229,9 +256,9 @@ def available_scenarios() -> list[str]:
     return sorted(_SCENARIOS)
 
 
-def scenario_defaults() -> dict[str, dict[str, str]]:
-    """Keyword defaults of every scenario factory (warehouse fingerprint)."""
-    return signature_defaults(_SCENARIOS)
+def scenario_factories() -> Mapping[str, ScenarioFactory]:
+    """The live scenario registry, read-only (warehouse fingerprint)."""
+    return types.MappingProxyType(_SCENARIOS)
 
 
 def scenario_known(name: str) -> bool:

@@ -25,8 +25,10 @@ from __future__ import annotations
 import json
 import urllib.error
 import urllib.request
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from typing import Any
+
+import numpy as np
 
 from ..api.executors import Executor, RunOutcome
 from ..api.results import ResultSet, parse_ndjson
@@ -232,12 +234,12 @@ class RemoteExecutor(Executor):
             for index, spec in enumerate(specs)
         ]
 
-    def block_runner(self, base: ExperimentSpec) -> Callable[[Sequence[int]], ColumnBlock]:
+    def block_runner(self, base: ExperimentSpec) -> Callable[[np.ndarray], ColumnBlock]:
         """Run each seed block as one ``campaign`` job and rebuild its columns."""
         base_dict = base.to_dict()
 
-        def run(seeds: Sequence[int]) -> ColumnBlock:
-            payload = {"kind": "campaign", "spec": {"base": base_dict, "seeds": list(seeds)}}
+        def run(seeds: np.ndarray) -> ColumnBlock:
+            payload = {"kind": "campaign", "spec": {"base": base_dict, "seeds": seeds.tolist()}}
             rows = self._run_job(payload, len(seeds))
             for row in rows:
                 del row[SPEC_INDEX_KEY]

@@ -82,7 +82,7 @@ def plan_shards(request: JobRequest) -> list[Shard]:
         base = group.base.to_dict()
         del base["seed"]
         for piece in iter_blocks(len(group.seeds)):
-            payload = {"base": base, "seeds": list(group.seeds[piece])}
+            payload = {"base": base, "seeds": group.seeds[piece].tolist()}
             shards.append(Shard(len(shards), group.indices[piece], payload))
     for start in range(0, len(solo), shard_size):
         chunk = tuple(solo[start : start + shard_size])

@@ -16,7 +16,7 @@ same bits:
 
 * the splitmix64 finalizer — :func:`mix64` / :func:`mix64_array`;
 * the key schedule, the stream identity of ``(seed, tag)`` —
-  :func:`stream_key` / :func:`stream_keys`;
+  :func:`stream_key` / :func:`stream_keys` (over a :func:`seed_array`);
 * the draw at ``(key, counter)`` and its 53-bit uniform —
   :meth:`CounterStream.uniform` / :func:`counter_uniforms`;
 * the Poisson rule — :func:`poisson_from_uniform` /
@@ -83,9 +83,38 @@ def stream_key(seed: int, tag: int) -> int:
     return mix64((mix64((int(seed) & _MASK64) ^ tag_mix) + _GAMMA) & _MASK64)
 
 
+def seed_array(seeds) -> np.ndarray:
+    """``seeds`` as one read-only ``uint64`` array.
+
+    A ``uint64`` array is taken as a read-only view, without a copy, and
+    a ``range`` is laid out arithmetically; any other sequence is copied
+    element by element.  The seeds must already be integers in
+    ``[0, 2**64)``: :func:`repro.api.spec.checked_seeds` validates
+    untrusted ones.
+    """
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        if not seeds.flags.writeable:
+            return seeds
+        array = seeds.view()
+    elif isinstance(seeds, range):
+        # Modulo 2**64 a negative step wraps, and every seed is in range.
+        array = np.arange(len(seeds), dtype=np.uint64)
+        array *= np.uint64(seeds.step & _MASK64)
+        array += np.uint64(seeds.start & _MASK64)
+    else:
+        array = np.array(seeds, dtype=np.uint64)
+    array.flags.writeable = False
+    return array
+
+
 def stream_keys(seeds, tag: int) -> np.ndarray:
-    """:func:`stream_key` of every seed, as a uint64 array."""
-    raw = np.asarray([int(s) & _MASK64 for s in seeds], dtype=np.uint64)
+    """:func:`stream_key` of every seed, as a uint64 array.
+
+    ``seeds`` is any integer array (a signed one wraps modulo 2**64, as
+    :func:`stream_key` reduces an int) or a sequence of ints in
+    ``[0, 2**64)``, mixed as a whole.
+    """
+    raw = np.asarray(seeds, dtype=np.uint64)
     tag_mix = np.uint64(mix64(tag * _GAMMA))
     return mix64_array(mix64_array(raw ^ tag_mix) + np.uint64(_GAMMA))
 

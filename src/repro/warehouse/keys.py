@@ -23,16 +23,27 @@ registry edit) must miss by construction.  Two functions establish that:
 
 :func:`unit_key` and :func:`block_key` combine both into the extended
 canonical hashes the warehouse stores under: SHA-256 over the canonical
-JSON of a solo unit's spec dict, or of a batched block's base spec and
-ordered seeds, plus the fingerprint digest.
+JSON of a solo unit's spec dict and the fingerprint digest, or of a
+batched block's base spec and the fingerprint followed by the block's
+ordered seeds as ``<u8`` bytes.
+
+Every key derivation needs the fingerprint digest, so
+:func:`fingerprint_digest` computes it once per registry state: it
+reads the fingerprint's sources once, keeps the digest beside a cheap
+token built from those same sources, and recomputes only when that
+token changes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Sequence
+from collections.abc import Callable, Mapping, Sequence
 from typing import Any
+
+import numpy as np
+
+from ..scenarios.registry import defaults_token, signature_defaults
 
 #: Bumped when the key derivation itself changes shape, so old entries
 #: can never be misread as answers to the new scheme.
@@ -46,7 +57,9 @@ from typing import Any
 #: v5: block units store raw bytes after a JSON header line (entry format
 #: v3); code of v4 meeting one under its own key would fail to decode it
 #: as text, so the keys rotate with the format.
-KEY_SCHEMA_VERSION = 5
+#: v6: a block key hashes its seeds as ``<u8`` bytes after the canonical
+#: JSON of its base and fingerprint, instead of a JSON seed list.
+KEY_SCHEMA_VERSION = 6
 
 
 def canonical_json(payload: Any) -> str:
@@ -64,6 +77,57 @@ def canonical_sha256(payload: Any) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
+def _fingerprint_sources() -> tuple[str, int, list[str], dict[str, Mapping[str, Callable]]]:
+    """Everything :func:`code_fingerprint` reads, uninspected.
+
+    The package version, the key schema, the application names and the
+    live strategy, fault-model and scenario factory registries.
+    """
+    from .. import __version__
+    from ..api.registry import factory_registries
+    from ..apps.registry import available_applications
+
+    return __version__, KEY_SCHEMA_VERSION, available_applications(), factory_registries()
+
+
+def _fingerprint(
+    version: str, schema: int, apps: list[str], registries: dict[str, Mapping[str, Callable]]
+) -> dict[str, Any]:
+    """The fingerprint of :func:`_fingerprint_sources`' values (a function of them alone)."""
+    return {
+        "package_version": version,
+        "key_schema": schema,
+        "registries": {
+            "apps": apps,
+            **{kind: sorted(factories) for kind, factories in registries.items()},
+        },
+        "factory_defaults": {
+            kind: signature_defaults(factories) for kind, factories in registries.items()
+        },
+    }
+
+
+def _token(
+    version: str, schema: int, apps: list[str], registries: dict[str, Mapping[str, Callable]]
+) -> tuple:
+    """A cheap stand-in for :func:`_fingerprint` of the same values.
+
+    Equal tokens give equal fingerprints: it holds the scalars and names
+    as they are, and each factory's
+    :func:`~repro.scenarios.registry.defaults_token` in place of its
+    introspected defaults.
+    """
+    return (
+        version,
+        schema,
+        tuple(apps),
+        tuple(
+            (kind, tuple((name, defaults_token(factory)) for name, factory in factories.items()))
+            for kind, factories in registries.items()
+        ),
+    )
+
+
 def code_fingerprint() -> dict[str, Any]:
     """The code/data identity folded into every warehouse key.
 
@@ -75,37 +139,33 @@ def code_fingerprint() -> dict[str, Any]:
     entries computed by different code can never be served as current
     results.
     """
-    from .. import __version__
-    from ..api.registry import (
-        available_fault_models,
-        available_scenarios,
-        available_strategies,
-        fault_model_defaults,
-        scenario_defaults,
-        strategy_defaults,
-    )
-    from ..apps.registry import available_applications
+    return _fingerprint(*_fingerprint_sources())
 
-    return {
-        "package_version": __version__,
-        "key_schema": KEY_SCHEMA_VERSION,
-        "registries": {
-            "apps": available_applications(),
-            "strategies": available_strategies(),
-            "fault_models": available_fault_models(),
-            "scenarios": available_scenarios(),
-        },
-        "factory_defaults": {
-            "strategies": strategy_defaults(),
-            "fault_models": fault_model_defaults(),
-            "scenarios": scenario_defaults(),
-        },
-    }
+
+#: The last (token, digest) pair :func:`fingerprint_digest` computed.
+_DIGEST_MEMO: tuple[tuple, str] | None = None
 
 
 def fingerprint_digest() -> str:
-    """SHA-256 hex digest of :func:`code_fingerprint`."""
-    return canonical_sha256(code_fingerprint())
+    """SHA-256 hex digest of :func:`code_fingerprint`, once per registry state.
+
+    The digest is kept beside the :func:`_token` of the sources it was
+    computed from and recomputed only when the current sources' token
+    differs, so a repeated call over plain-function factories costs one
+    token build and comparison, not one signature introspection per
+    factory and a canonical JSON encoding.  Bumping the version, registering a name,
+    or swapping or re-defaulting a factory (even in place) changes the
+    token and therefore every key.
+    """
+    global _DIGEST_MEMO
+    sources = _fingerprint_sources()
+    token = _token(*sources)
+    memo = _DIGEST_MEMO
+    if memo is not None and memo[0] == token:
+        return memo[1]
+    digest = canonical_sha256(_fingerprint(*sources))
+    _DIGEST_MEMO = (token, digest)
+    return digest
 
 
 def unit_key(spec: dict[str, Any], fingerprint: str) -> str:
@@ -113,11 +173,21 @@ def unit_key(spec: dict[str, Any], fingerprint: str) -> str:
     return canonical_sha256({"fingerprint": fingerprint, "spec": spec})
 
 
-def block_key(base: dict[str, Any], seeds: Sequence[int], fingerprint: str) -> str:
+def block_key(base: dict[str, Any], seeds: Sequence[int] | np.ndarray, fingerprint: str) -> str:
     """Extended canonical hash of one batched seed block.
 
-    ``base`` is the spec dict without its ``seed``; ``seeds`` are ordered.
-    Batched rows are composition-invariant, so a block only decides how
-    its seeds' rows are stored, never what they are.
+    SHA-256 over the canonical JSON of ``{base, fingerprint}`` followed by
+    the ordered ``seeds`` as ``<u8`` little-endian bytes, so a block key
+    costs 8 bytes of hashing per seed and no JSON.  ``base`` is the spec
+    dict without its ``seed``; ``seeds`` may be any integer sequence in
+    ``[0, 2**64)`` (a tuple, list, ``range`` or ``uint64`` array give the
+    same key).  The JSON document is self-delimiting, so no two
+    (base, fingerprint, seeds) triples share the hashed bytes.  Batched
+    rows are composition-invariant, so a block only decides how its
+    seeds' rows are stored, never what they are.
     """
-    return canonical_sha256({"base": base, "fingerprint": fingerprint, "seeds": list(seeds)})
+    digest = hashlib.sha256(
+        canonical_json({"base": base, "fingerprint": fingerprint}).encode("utf-8")
+    )
+    digest.update(np.ascontiguousarray(seeds, dtype="<u8"))
+    return digest.hexdigest()

@@ -45,10 +45,13 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from ..api.executors import Executor, RunOutcome
 from ..api.spec import ExperimentSpec
 from ..batch.engine import ColumnBlock, block_from_records, join_blocks, records_from_columns
 from ..batch.streaming import iter_blocks
+from ..utils.rng import seed_array
 from .keys import block_key, canonical_json, fingerprint_digest, unit_key
 from .store import ResultWarehouse, WarehouseEntry, WAREHOUSE_EVENTS, default_warehouse
 
@@ -63,7 +66,9 @@ class Unit:
     """One atomic warehouse block of a planned spec set.
 
     ``key is None`` marks an uncacheable unit: it always executes and is
-    never stored.  A block unit's ``spec`` is its base (no ``seed``).
+    never stored.  A block unit's ``spec`` is its base (no ``seed``) and
+    its ``seeds`` a view of its group's ``uint64`` seed array; a solo
+    unit has no seeds.
     """
 
     indices: tuple[int, ...]
@@ -71,16 +76,19 @@ class Unit:
     spec: dict[str, Any] | None
     kind: str
     engine: str
-    seeds: tuple[int, ...] = ()
+    seeds: np.ndarray | tuple[()] = ()
 
 
 @dataclass(frozen=True)
 class SeedGroup:
-    """Batched specs equal but for their seed: the first one, positions, seeds."""
+    """Batched specs equal but for their seed: the first one, positions, seeds.
+
+    ``seeds`` is one read-only ``uint64`` array, in ``indices`` order.
+    """
 
     base: ExperimentSpec
     indices: tuple[int, ...]
-    seeds: tuple[int, ...]
+    seeds: np.ndarray
 
 
 def _spec_payload(spec: ExperimentSpec, seedless: bool = False) -> dict[str, Any] | None:
@@ -135,7 +143,7 @@ def group_seeds(specs: Sequence[ExperimentSpec]) -> tuple[list[SeedGroup], list[
         if len(indices) == 1:
             solo.append(indices[0])
         else:
-            seeds = tuple(specs[index].seed for index in indices)
+            seeds = seed_array([specs[index].seed for index in indices])
             groups.append(SeedGroup(specs[indices[0]], tuple(indices), seeds))
     return groups, sorted(solo)
 
@@ -149,7 +157,7 @@ def plan_units(specs: Sequence[ExperimentSpec]) -> list[Unit]:
         spec = specs[index]
         if spec.seed_grouped:
             # Keyed like the one-seed campaign block of the same spec.
-            groups.append(SeedGroup(spec, (index,), (spec.seed,)))
+            groups.append(SeedGroup(spec, (index,), seed_array([spec.seed])))
             continue
         payload = _spec_payload(spec)
         key = None if payload is None else unit_key(payload, fingerprint)
@@ -165,26 +173,29 @@ def plan_units(specs: Sequence[ExperimentSpec]) -> list[Unit]:
 
 def campaign_blocks(
     base: ExperimentSpec,
-    seeds: Sequence[int],
-    compute: Callable[[tuple[int, ...]], ColumnBlock],
+    seeds: Sequence[int] | np.ndarray,
+    compute: Callable[[np.ndarray], ColumnBlock],
 ) -> Iterator[ColumnBlock]:
     """A batched campaign's seed blocks, in order, served or computed.
 
-    The seeds are cut into the block units :func:`plan_units` gives the
-    expanded campaign; ``compute(block_seeds)``, an executor's
-    :meth:`~repro.api.executors.Executor.block_runner`, fills (and
-    stores) a miss.
+    The seeds (one :func:`~repro.utils.rng.seed_array`) are cut into the
+    block units :func:`plan_units` gives the expanded campaign; each
+    block is a view of that array.  ``compute(block_seeds)``, an
+    executor's :meth:`~repro.api.executors.Executor.block_runner`, fills
+    (and stores) a miss.
     """
+    seeds = seed_array(seeds)
     warehouse = default_warehouse()
     payload = _spec_payload(base, seedless=True) if warehouse.enabled else None
     if warehouse.enabled and payload is None:
         WAREHOUSE_EVENTS.inc(len(seeds), outcome="uncacheable")
     fingerprint = fingerprint_digest()
     for piece in iter_blocks(len(seeds)):
-        block_seeds = tuple(seeds[piece])
+        block_seeds = seeds[piece]
         key = None if payload is None else block_key(payload, block_seeds, fingerprint)
         entry = warehouse.get(key) if key is not None else None
-        block = entry.block if entry is not None and entry.seeds == block_seeds else None
+        served = entry is not None and np.array_equal(entry.seeds, block_seeds)
+        block = entry.block if served else None
         if block is None:
             block = compute(block_seeds)
             if key is not None:
@@ -203,11 +214,13 @@ class _Missing(Exception):
     """A campaign block the warehouse does not hold."""
 
 
-def _missing(block_seeds: tuple[int, ...]) -> ColumnBlock:
+def _missing(block_seeds: np.ndarray) -> ColumnBlock:
     raise _Missing(block_seeds)
 
 
-def stored_campaign(base: ExperimentSpec, seeds: Sequence[int]) -> ColumnBlock | None:
+def stored_campaign(
+    base: ExperimentSpec, seeds: Sequence[int] | np.ndarray
+) -> ColumnBlock | None:
     """A batched campaign's runs if the warehouse holds every block, else ``None``."""
     try:
         return join_blocks(campaign_blocks(base, seeds, _missing))
@@ -290,7 +303,7 @@ class DeltaPlan:
                 continue
             records = [row for index in unit.indices for row in by_index[index].records]
             stored: dict[str, Any] = {"records": records}
-            if unit.seeds:
+            if len(unit.seeds):
                 try:
                     stored = {"block": block_from_records(records, unit.seeds)}
                 except ValueError:
@@ -330,7 +343,7 @@ class DeltaPlanner:
             entry = self.warehouse.get(unit.key)
             if entry is None:
                 continue
-            if entry.seeds != unit.seeds:
+            if not np.array_equal(entry.seeds, unit.seeds):
                 continue  # not this unit's shape or seeds: execute rather than trust it
             if unit.kind in ARTIFACT_KINDS and entry.artifact is None:
                 continue  # artifact consumers need more than the records

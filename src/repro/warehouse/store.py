@@ -102,8 +102,8 @@ class WarehouseEntry:
     nbytes: int = 0
 
     @property
-    def seeds(self) -> tuple[int, ...]:
-        """A block unit's seeds (none for a solo unit)."""
+    def seeds(self) -> np.ndarray | tuple[()]:
+        """A block unit's ``uint64`` seed array (an empty tuple for a solo unit)."""
         return self.block.seeds if self.block is not None else ()
 
     @property
@@ -121,9 +121,8 @@ def _encode_block(block: ColumnBlock) -> tuple[dict[str, Any], bytes]:
     """A block unit's header field and byte payload.
 
     The payload is the seeds as ``<u8``, then each of ``columns`` (in
-    the header's order) as ``<f8``.  Raises ``OverflowError`` for a seed
-    outside ``[0, 2**64)`` and ``ValueError`` for a column whose length
-    is not the seed count.
+    the header's order) as ``<f8``.  Raises ``ValueError`` for a column
+    whose length is not the seed count.
     """
     seeds = np.asarray(block.seeds, dtype="<u8")
     columns = np.stack([block.columns[name] for name in _BLOCK_COLUMNS]).astype("<f8", copy=False)
@@ -136,7 +135,7 @@ def _encode_block(block: ColumnBlock) -> tuple[dict[str, Any], bytes]:
 def _decode_block(header: Any, payload: memoryview) -> ColumnBlock | None:
     """Inverse of :func:`_encode_block`; ``None`` for any malformed unit.
 
-    The columns are read-only views of ``payload``.
+    The seeds and columns are read-only views of ``payload``.
     """
     if not isinstance(header, dict):
         return None
@@ -155,7 +154,7 @@ def _decode_block(header: Any, payload: memoryview) -> ColumnBlock | None:
     columns = np.frombuffer(payload, dtype="<f8", offset=8 * rows)
     decoded = {"seed": seed_column(seeds)}
     decoded.update(zip(_BLOCK_COLUMNS, columns.reshape(len(_BLOCK_COLUMNS), rows)))
-    return ColumnBlock(tuple(seeds.tolist()), tuple(labels), decoded)
+    return ColumnBlock(seeds, tuple(labels), decoded)
 
 
 def _split(data: bytes) -> tuple[Any, memoryview]:
@@ -341,8 +340,8 @@ class ResultWarehouse:
         if block is not None:
             try:
                 document["block"], payload = _encode_block(block)
-            except (ValueError, OverflowError):
-                return False  # a seed outside u64: the unit is not cacheable
+            except ValueError:
+                return False  # columns that do not match the seeds: not cacheable
         else:
             document["records"] = [dict(row) for row in records or ()]
         if artifact is not None:

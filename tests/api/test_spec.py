@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pickle
+import re
+import time
 
 import numpy as np
 import pytest
@@ -130,7 +132,7 @@ class TestSweepSpec:
 class TestCampaignSpec:
     def test_runs_expand_to_range_seeds(self):
         campaign = CampaignSpec(base=ExperimentSpec(app="adpcm-encode"), runs=4)
-        assert campaign.seeds == (0, 1, 2, 3)
+        assert campaign.seeds.tolist() == [0, 1, 2, 3]
         assert [s.seed for s in campaign.expand()] == [0, 1, 2, 3]
 
     def test_explicit_seeds_win(self):
@@ -149,7 +151,7 @@ class TestCampaignSpec:
 
     def test_integer_runs_of_any_integer_type_accepted(self):
         campaign = CampaignSpec(base=ExperimentSpec(app="adpcm-encode"), runs=np.int64(3))
-        assert campaign.seeds == (0, 1, 2)
+        assert campaign.seeds.tolist() == [0, 1, 2]
 
     @pytest.mark.parametrize("metrics", ("energy_nj", ["energy_nj", 3], 5))
     def test_metrics_must_be_a_sequence_of_names(self, metrics):
@@ -181,10 +183,86 @@ class TestSeedDomain:
         with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
             ExperimentSpec(app="adpcm-encode", seed=seed, engine=engine)
 
-    @pytest.mark.parametrize("seeds", ([1.5, 2.7], ["3"], [True], [0, -1], [2**64]))
-    def test_campaign_rejects_non_seeds(self, seeds):
-        with pytest.raises(ValueError, match="campaign seeds"):
+    @pytest.mark.parametrize(
+        ("seeds", "bad"),
+        [
+            ([1.5, 2.7], 1.5),
+            (["3"], "3"),
+            ([True], True),
+            ([0, -1], -1),
+            ([2**64], 2**64),
+            ((0, True), True),
+            ([0, True], True),
+            (np.array([True, False]), True),
+            ((0, 1.5), 1.5),
+            ([2.0], 2.0),
+            (np.array([0.0, 1.5]), 0.0),
+            ((0, -1), -1),
+            ([-1, 0], -1),
+            (range(-5, 5), -5),
+            (range(2, -3, -1), -1),
+            (np.array([0, 7, -1, -2]), -1),
+            ((2**64,), 2**64),
+            ([0, 2**64], 2**64),
+            (range(2**64 - 2, 2**64 + 3), 2**64),
+            (range(2**64 - 1, 2**70, 2**65), 2**64 - 1 + 2**65),
+            (np.array([0, 2**64], dtype=object), 2**64),
+        ],
+    )
+    def test_campaign_rejects_non_seeds(self, seeds, bad):
+        # In any container, the message names the first element outside the domain.
+        domain = r"campaign seeds must be an integer in \[0, 2\*\*64\), got "
+        with pytest.raises(ValueError, match=domain + ".*" + re.escape(str(bad))):
             CampaignSpec(base=ExperimentSpec(app="adpcm-encode"), seeds=seeds)
+
+    def test_campaign_seeds_are_one_read_only_uint64_array(self):
+        base = ExperimentSpec(app="adpcm-encode")
+        forms = ((3, 2**63, 7), [3, 2**63, 7], np.array([3, 2**63, 7], dtype=np.uint64))
+        campaigns = [CampaignSpec(base=base, seeds=form) for form in forms]
+        for campaign in campaigns:
+            assert campaign.seeds.dtype == np.uint64
+            assert not campaign.seeds.flags.writeable
+            assert campaign == campaigns[0]
+        assert campaigns[0] != CampaignSpec(base=base, seeds=(7, 2**63, 3))
+        assert campaigns[0] != CampaignSpec(base=base, seeds=(3, 2**63, 7), metrics=("energy_nj",))
+        stepped = CampaignSpec(base=base, seeds=range(0, 6, 2))
+        assert stepped == CampaignSpec(base=base, seeds=(0, 2, 4))
+        assert campaigns[0].to_dict()["seeds"] == [3, 2**63, 7]
+        assert CampaignSpec.from_dict(campaigns[0].to_dict()) == campaigns[0]
+        assert [spec.seed for spec in campaigns[0].expand()] == [3, 2**63, 7]
+
+    @staticmethod
+    def _writeable():
+        seeds = np.arange(3)
+        return seeds, seeds
+
+    @staticmethod
+    def _read_only_view():
+        buffer = np.arange(3, dtype=np.uint64)
+        view = buffer[:]
+        view.flags.writeable = False
+        return view, buffer
+
+    @staticmethod
+    def _read_only_owner():
+        seeds = np.arange(3, dtype=np.uint64)
+        seeds.flags.writeable = False
+        return seeds, seeds
+
+    @pytest.mark.parametrize("make", ["_writeable", "_read_only_view", "_read_only_owner"])
+    def test_campaign_copies_an_array_the_caller_can_still_change(self, make):
+        seeds, handle = getattr(self, make)()
+        campaign = CampaignSpec(base=ExperimentSpec(app="adpcm-encode"), seeds=seeds)
+        handle.flags.writeable = True  # an array that owns its data may be reopened
+        handle[0] = 7
+        assert campaign.seeds.tolist() == [0, 1, 2]
+
+    def test_a_million_seed_range_validates_by_its_bounds(self):
+        start = time.perf_counter()
+        campaign = CampaignSpec(base=ExperimentSpec(app="adpcm-encode"), seeds=range(10**6))
+        assert time.perf_counter() - start < 0.1
+        assert len(campaign) == campaign.runs == 10**6
+        assert campaign.seeds[-1] == 10**6 - 1
 
     def test_domain_edges_and_integer_types_are_accepted(self):
         top = ExperimentSpec(app="adpcm-encode", seed=2**64 - 1)
@@ -192,5 +270,5 @@ class TestSeedDomain:
         spec = ExperimentSpec(app="adpcm-encode", seed=np.int64(7))
         assert spec.seed == 7 and type(spec.seed) is int
         campaign = CampaignSpec(base=spec, seeds=(np.uint64(3), 0))
-        assert campaign.seeds == (3, 0)
-        assert all(type(seed) is int for seed in campaign.seeds)
+        assert campaign.seeds.tolist() == [3, 0]
+        assert all(type(seed) is int for seed in campaign.to_dict()["seeds"])

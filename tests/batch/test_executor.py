@@ -3,22 +3,33 @@
 from __future__ import annotations
 
 import json
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.api.executors import (
     BATCH_GROUPS,
     BatchCampaignExecutor,
     SerialExecutor,
+    _build_batch_model,
     execute_spec,
 )
 from repro.api.session import Session
 from repro.api.spec import CampaignSpec, ExperimentSpec
+from repro.batch.engine import (
+    block_from_records,
+    iter_column_blocks,
+    join_blocks,
+    records_from_columns,
+    slice_block,
+)
 from repro.core.config import PAPER_OPERATING_POINT
+from repro.warehouse import ResultWarehouse
 
 STRESS = PAPER_OPERATING_POINT.with_overrides(error_rate=5e-5)
 
@@ -131,6 +142,39 @@ class TestBatchCampaignExecutor:
         assert [outcome.record["seed"] for outcome in grouped] == list(seeds)
         report = Session().campaign(CampaignSpec(base=base, seeds=seeds))
         assert [row["seed"] for row in report.raw] == list(seeds)
+
+
+class TestSeedArrays:
+    """``ColumnBlock.seeds`` is one read-only ``uint64`` array on every path."""
+
+    SEEDS = [3, 2**53 + 1, 2**63, 2**64 - 1]
+
+    def test_every_block_path_keeps_a_read_only_uint64_array(self, tmp_path):
+        base = ExperimentSpec(app="adpcm-encode", strategy="default", engine="batched")
+        blocks = list(iter_column_blocks(_build_batch_model(base), self.SEEDS, block=3))
+        joined = join_blocks(blocks)
+        sliced = slice_block(joined, slice(1, 3))
+        rebuilt = block_from_records(records_from_columns(joined), self.SEEDS)
+        warehouse = ResultWarehouse(tmp_path)
+        assert warehouse.put(
+            "k" * 64, spec={}, kind="execute", engine="batched", block=joined, fingerprint="fp"
+        )
+        served = warehouse.get("k" * 64).block
+        shipped = pickle.loads(pickle.dumps(joined))  # a process worker's result
+        for block in (*blocks, joined, sliced, rebuilt, served, shipped):
+            assert isinstance(block.seeds, np.ndarray)
+            assert block.seeds.dtype == np.uint64
+            assert not block.seeds.flags.writeable
+        assert [len(block.seeds) for block in blocks] == [3, 1]
+        for block in (joined, rebuilt, served, shipped):
+            assert block.seeds.tolist() == self.SEEDS
+        assert sliced.seeds.tolist() == self.SEEDS[1:3]
+        assert np.shares_memory(sliced.seeds, joined.seeds)
+        rows = records_from_columns(served)
+        assert [row["seed"] for row in rows] == self.SEEDS
+        assert all(type(row["seed"]) is int for row in rows)
+        with pytest.raises(ValueError, match="read-only"):
+            joined.seeds[0] = 1
 
 
 class TestSessionEngine:

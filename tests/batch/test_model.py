@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.registry import PAPER_BENCHMARK_ORDER, get_application
 from repro.batch import BatchTaskModel, CumulativeRate, classify_outcomes, outcome_mixture
 from repro.batch.engine import iter_column_blocks, records_from_columns
 from repro.batch.substrate import SUBSTRATE
@@ -400,6 +401,35 @@ class TestOutcomeMixtureMemo:
         assert optimized == []
         assert second.outcomes == first.outcomes
         assert second.layout.schedule == first.layout.schedule
+
+
+class TestProfileBySeed:
+    """A model build reaches its profile by seed, without regenerating the input."""
+
+    @staticmethod
+    def _rows(app: str) -> list[dict]:
+        from repro.api.executors import execute_spec
+        from repro.api.spec import ExperimentSpec
+
+        spec = ExperimentSpec(app=app, strategy="hybrid-optimal", engine="batched", seed=5)
+        return execute_spec(spec).records
+
+    @pytest.mark.parametrize("app", PAPER_BENCHMARK_ORDER)
+    def test_second_build_regenerates_no_input(self, app, monkeypatch):
+        first = self._rows(app)
+
+        def regenerated(self, seed):
+            raise AssertionError(f"{self.name} regenerated its input for seed {seed}")
+
+        monkeypatch.setattr(type(get_application(app)), "generate_input", regenerated)
+        assert self._rows(app) == first
+
+    def test_builds_without_the_cache(self, monkeypatch):
+        from repro.runtime.profile_cache import ENV_NO_CACHE
+
+        cached = self._rows("adpcm-encode")
+        monkeypatch.setenv(ENV_NO_CACHE, "1")
+        assert self._rows("adpcm-encode") == cached
 
 
 class TestDistinctWords:

@@ -524,6 +524,10 @@ class TestSpecIntegration:
         assert outcomes[0].artifact == reference_pareto_front(small_adpcm_encode, **self.PARAMS)
         assert outcomes[1].record["chunk_words"] > 0
 
+    def test_session_pareto_takes_no_jobs(self):
+        with pytest.raises(TypeError, match="jobs"):
+            Session().pareto("adpcm-encode", jobs=2)
+
     def test_session_pareto_returns_the_front(self, small_adpcm_encode):
         session = Session()
         front = session.pareto(

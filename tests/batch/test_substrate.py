@@ -23,6 +23,7 @@ from repro.utils.rng import (
     poisson_from_uniform,
     poisson_from_uniforms,
     stream_key,
+    stream_keys,
 )
 
 sub = SUBSTRATE
@@ -168,6 +169,24 @@ class TestAgreementWithCounterStream:
     def test_keys_equal_stream_key(self):
         keys = sub.make_streams(self.SEEDS, self.TAG).keys
         assert keys.tolist() == [stream_key(seed, self.TAG) for seed in self.SEEDS]
+
+    def test_array_seeds_at_and_above_2_63(self):
+        # A uint64 seed array is mixed as a whole; it must draw exactly what
+        # the scalar stream of each seed draws, across the sign bit too.
+        seeds = np.array(
+            [0, 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64
+        )
+        streams = sub.make_streams(seeds, self.TAG)
+        assert streams.keys.tolist() == [stream_key(seed, self.TAG) for seed in seeds.tolist()]
+        assert streams.keys.tolist() == sub.make_streams(seeds.tolist(), self.TAG).keys.tolist()
+        scalar = [CounterStream(stream_key(seed, self.TAG)) for seed in seeds.tolist()]
+        for _ in range(3):
+            assert sub.uniform(streams).tolist() == [stream.uniform() for stream in scalar]
+
+    def test_signed_arrays_wrap_like_python_ints(self):
+        seeds = [-1, -(2**63), 0, 5]
+        wrapped = stream_keys(np.array(seeds), self.TAG)
+        assert wrapped.tolist() == [stream_key(seed, self.TAG) for seed in seeds]
 
     def test_uniforms_equal_counter_stream(self):
         streams = sub.make_streams(self.SEEDS, self.TAG)

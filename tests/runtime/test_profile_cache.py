@@ -15,7 +15,12 @@ from repro.api.session import Session
 from repro.api.spec import CampaignSpec
 from repro.core.config import PAPER_OPERATING_POINT
 from repro.core.optimizer import ChunkSizeOptimizer
-from repro.runtime.executor import characterize_task, profile_task
+from repro.runtime.executor import (
+    characterize_app,
+    characterize_task,
+    profile_app,
+    profile_task,
+)
 from repro.runtime.profile_cache import (
     ENV_NO_CACHE,
     ProfileCache,
@@ -65,6 +70,57 @@ class TestProfileCacheHits:
                           small_adpcm_encode.generate_input(0)),
         }
         assert len(keys) == 4
+
+    def test_profile_by_seed_is_a_fresh_copy_of_the_content_entry(
+        self, small_adpcm_encode, monkeypatch
+    ):
+        cache = default_cache()
+        reference = profile_task(small_adpcm_encode, small_adpcm_encode.generate_input(2))
+        first = profile_app(small_adpcm_encode, 2)  # regenerates once, keys by seed
+        assert dataclasses.asdict(first) == dataclasses.asdict(reference)
+        first.golden[0] ^= 0xFFFF
+        first.step_words.append(999)
+
+        def regenerated(self, seed):
+            raise AssertionError("a warm profile_app regenerated its input")
+
+        monkeypatch.setattr(type(small_adpcm_encode), "generate_input", regenerated)
+        hits = cache.stats.memory_hits
+        second = profile_app(small_adpcm_encode, 2)
+        assert dataclasses.asdict(second) == dataclasses.asdict(reference)
+        assert second is not first
+        # One derived hit (seed -> content key), one content-entry hit.
+        assert cache.stats.memory_hits == hits + 2
+
+    def test_profile_by_seed_separates_seeds(self, small_adpcm_encode):
+        for seed in (0, 1):
+            expected = profile_task(small_adpcm_encode, small_adpcm_encode.generate_input(seed))
+            for _ in range(2):
+                profile = profile_app(small_adpcm_encode, seed)
+                assert dataclasses.asdict(profile) == dataclasses.asdict(expected)
+
+    def test_characterization_and_profile_share_one_input_walk(
+        self, small_adpcm_encode, monkeypatch
+    ):
+        # Strategy sizing characterizes the app and the model build then
+        # profiles it: a cold process generates the seed's input once.
+        generate = type(small_adpcm_encode).generate_input
+        calls = []
+
+        def counted(self, seed):
+            calls.append(seed)
+            return generate(self, seed)
+
+        monkeypatch.setattr(type(small_adpcm_encode), "generate_input", counted)
+        characterization = characterize_app(small_adpcm_encode, 4)
+        profile = profile_app(small_adpcm_encode, 4)
+        assert calls == [4]
+        assert characterization == characterize_task(
+            small_adpcm_encode, generate(small_adpcm_encode, 4)
+        )
+        assert dataclasses.asdict(profile) == dataclasses.asdict(
+            profile_task(small_adpcm_encode, generate(small_adpcm_encode, 4))
+        )
 
     def test_same_content_shares_a_key(self, small_adpcm_encode):
         cache = default_cache()

@@ -171,7 +171,7 @@ class TestColumnarResults:
         block = _block(range(5))
         job = _submit_batched(JobQueue(), seeds=5, cached=block)
         assert job.cached and job.state == DONE
-        assert [result.seeds for result in job.shard_results] == [(0, 1, 2), (3, 4)]
+        assert [result.seeds.tolist() for result in job.shard_results] == [[0, 1, 2], [3, 4]]
         assert all(
             np.shares_memory(result.columns["energy_nj"], block.columns["energy_nj"])
             for result in job.shard_results

@@ -331,7 +331,7 @@ class TestSeedBlocks:
         for job_id in (cold["job_id"], warm["job_id"]):
             results = server.jobs.get(job_id).shard_results
             assert all(isinstance(result, ColumnBlock) for result in results)
-            assert [result.seeds for result in results] == [(0, 1, 2), (3, 4, 5), (6,)]
+            assert [result.seeds.tolist() for result in results] == [[0, 1, 2], [3, 4, 5], [6]]
             assert client.job(job_id)["rows_ready"] == 7
 
     def test_remote_sessions_submit_campaign_jobs(self, server, client, monkeypatch):

@@ -78,7 +78,7 @@ class TestValidPayloads:
             {"kind": "campaign", "spec": {"base": base, "seeds": [3, 1, 4]}}
         )
         assert request.specs == ()
-        assert request.campaign.seeds == (3, 1, 4)
+        assert request.campaign.seeds.tolist() == [3, 1, 4]
         assert request.runs == 3
         assert request.label.endswith("(3 seeds)")
 

@@ -36,6 +36,13 @@ class TestArtefactCommands:
         assert exit_info.value.code == 2
         assert "--engine" in capsys.readouterr().err
 
+    def test_pareto_has_no_jobs_flag(self, capsys):
+        # The subcommand runs one spec in process: there is nothing to fan out.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["pareto", "--app", "adpcm-encode", "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_help_mentions_all_experiments(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])

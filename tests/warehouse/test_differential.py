@@ -278,7 +278,7 @@ def test_campaign_job_rows_equal_the_in_process_campaign(state, runners, tmp_pat
     client = ServiceClient(runners["server"].url, timeout=60.0)
 
     def submit(campaign: CampaignSpec) -> tuple[dict, list[dict]]:
-        spec = {"base": campaign.base.to_dict(), "seeds": list(campaign.seeds)}
+        spec = {"base": campaign.base.to_dict(), "seeds": campaign.seeds.tolist()}
         job = client.submit({"kind": "campaign", "spec": spec})
         meta, rows = client.results(job["job_id"], wait=True)
         assert meta["state"] == "done"

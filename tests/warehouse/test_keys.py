@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,7 +92,7 @@ class TestFingerprint:
     def test_captures_version_schema_and_registries(self) -> None:
         fingerprint = code_fingerprint()
         assert fingerprint["package_version"]
-        assert fingerprint["key_schema"] == 5
+        assert fingerprint["key_schema"] == 6
         assert "adpcm-encode" in fingerprint["registries"]["apps"]
         assert "hybrid-optimal" in fingerprint["registries"]["strategies"]
         assert "markov" in fingerprint["registries"]["scenarios"]
@@ -133,6 +136,115 @@ class TestFingerprint:
         assert fingerprint_digest() != baseline
 
 
+    @pytest.fixture
+    def scratch_strategies(self, monkeypatch):
+        """The strategy registry, on a copy the test may register into."""
+        import repro.api.registry as api_registry
+
+        monkeypatch.setattr(api_registry, "_STRATEGIES", dict(api_registry._STRATEGIES))
+        return api_registry
+
+    def test_registering_a_name_moves_the_digest(self, scratch_strategies) -> None:
+        baseline = fingerprint_digest()
+        scratch_strategies.register_strategy("scratch", lambda app, constraints: None)
+        assert fingerprint_digest() != baseline
+        assert fingerprint_digest() == canonical_sha256(code_fingerprint())
+
+    def test_in_place_default_edits_move_the_digest(self, scratch_strategies) -> None:
+        # The same factory object, re-defaulted in place: only its
+        # __defaults__ / __kwdefaults__ say that its numbers changed.
+        def scratch(app, constraints, window=5, *, decay=0.5):
+            raise NotImplementedError
+
+        scratch_strategies.register_strategy("scratch", scratch)
+        digests = [fingerprint_digest()]
+        scratch.__defaults__ = (6,)
+        digests.append(fingerprint_digest())
+        scratch.__kwdefaults__["decay"] = 0.25
+        digests.append(fingerprint_digest())
+        assert len(set(digests)) == 3
+        assert digests[-1] == canonical_sha256(code_fingerprint())
+
+    @staticmethod
+    def _class_factory():
+        class Scratch:
+            def __init__(self, app, constraints, window=5):
+                raise NotImplementedError
+
+        def edit():
+            Scratch.__init__.__defaults__ = (6,)
+
+        return Scratch, edit
+
+    @staticmethod
+    def _wrapped_factory():
+        def inner(app, constraints, window=5):
+            raise NotImplementedError
+
+        @functools.wraps(inner)
+        def wrapper(*args, **kwargs):
+            return inner(*args, **kwargs)
+
+        def edit():
+            inner.__defaults__ = (6,)
+
+        return wrapper, edit
+
+    @staticmethod
+    def _partial_factory():
+        def scratch(app, constraints, *, window):
+            raise NotImplementedError
+
+        factory = functools.partial(scratch, window=5)
+
+        def edit():
+            factory.keywords["window"] = 6
+
+        return factory, edit
+
+    @staticmethod
+    def _mutable_default_factory():
+        levels = [1, 2]
+
+        def scratch(app, constraints, levels=levels):
+            raise NotImplementedError
+
+        def edit():
+            levels.append(3)
+
+        return scratch, edit
+
+    @pytest.mark.parametrize(
+        "make", ["_class_factory", "_wrapped_factory", "_partial_factory", "_mutable_default_factory"]
+    )
+    def test_defaults_reached_through_introspection_move_the_digest(
+        self, scratch_strategies, make
+    ) -> None:
+        # inspect.signature follows a class's __init__, a partial's
+        # keywords and a wrapper's __wrapped__, and reprs each default
+        # value: an in-place edit to any of them must rotate every key.
+        factory, edit = getattr(self, make)()
+        scratch_strategies.register_strategy("scratch", factory)
+        baseline = fingerprint_digest()
+        assert fingerprint_digest() == baseline
+        edit()
+        assert fingerprint_digest() != baseline
+        assert fingerprint_digest() == canonical_sha256(code_fingerprint())
+
+    def test_a_repeated_digest_introspects_no_signature(self, monkeypatch) -> None:
+        digest = fingerprint_digest()
+        calls = []
+        signature = inspect.signature
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return signature(*args, **kwargs)
+
+        monkeypatch.setattr(inspect, "signature", counting)
+        assert fingerprint_digest() == digest
+        assert calls == []
+
+
 class TestUnitKey:
     SPEC = {"app": "adpcm-encode", "seed": 0}
 
@@ -168,3 +280,46 @@ class TestBlockKey:
     def test_a_block_never_shares_a_solo_key(self) -> None:
         solo = dict(self.BASE, seed=3)
         assert block_key(self.BASE, (3,), "fp") != unit_key(solo, "fp")
+
+
+#: Seeds anywhere in [0, 2**64), with the float and sign-bit edges drawn often.
+_SEEDS = st.one_of(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.sampled_from((0, 2**53 + 1, 2**63 - 1, 2**63, 2**64 - 1)),
+)
+
+
+class TestBlockKeyOverBytes:
+    """A block key hashes its seeds as ``<u8`` bytes, whatever holds them."""
+
+    BASE = {"app": "adpcm-encode", "engine": "batched"}
+
+    @settings(max_examples=80, deadline=None)
+    @given(seeds=st.lists(_SEEDS, min_size=1, max_size=8), data=st.data())
+    def test_container_is_irrelevant_but_order_and_every_seed_count(self, seeds, data) -> None:
+        key = block_key(self.BASE, tuple(seeds), "fp")
+        assert block_key(self.BASE, list(seeds), "fp") == key
+        assert block_key(self.BASE, np.array(seeds, dtype=np.uint64), "fp") == key
+        permuted = data.draw(st.permutations(seeds))
+        if permuted != seeds:
+            assert block_key(self.BASE, permuted, "fp") != key
+        index = data.draw(st.integers(min_value=0, max_value=len(seeds) - 1))
+        other = data.draw(_SEEDS.filter(lambda seed: seed != seeds[index]))
+        changed = [*seeds[:index], other, *seeds[index + 1 :]]
+        assert block_key(self.BASE, changed, "fp") != key
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        start=_SEEDS,
+        step=st.integers(min_value=1, max_value=2**62),
+        count=st.integers(min_value=1, max_value=6),
+        descending=st.booleans(),
+    )
+    def test_a_range_keys_like_its_seeds(self, start, step, count, descending) -> None:
+        if descending:
+            seeds = range(start, max(start - count * step, -1), -step)
+        else:
+            seeds = range(start, min(start + count * step, 2**64), step)
+        key = block_key(self.BASE, seeds, "fp")
+        assert key == block_key(self.BASE, tuple(seeds), "fp")
+        assert key == block_key(self.BASE, np.array(list(seeds), dtype=np.uint64), "fp")

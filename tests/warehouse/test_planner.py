@@ -45,7 +45,7 @@ class TestGroupSeeds:
             _spec(seed=0, engine="batched", app="adpcm-decode"),
         ]
         (group,), solo = group_seeds(specs)
-        assert (group.indices, group.seeds) == ((0, 2), (3, 1))
+        assert (group.indices, group.seeds.tolist()) == ((0, 2), [3, 1])
         assert group.base is specs[0]
         assert solo == [1, 3, 4]
 
@@ -68,7 +68,7 @@ class TestPlanUnits:
         specs = [_spec(seed=s, engine="batched") for s in (2, 0, 1)]
         (unit,) = plan_units(specs)
         assert unit.indices == (0, 1, 2)
-        assert unit.seeds == (2, 0, 1)
+        assert unit.seeds.tolist() == [2, 0, 1]
         assert "seed" not in unit.spec  # the base spec: everything but the seed
         assert unit.engine == "batched"
 

@@ -108,7 +108,7 @@ def _put_block(warehouse: ResultWarehouse, key: str = "b" * 64, block=None) -> b
 
 
 def _assert_same_block(served: ColumnBlock, expected: ColumnBlock) -> None:
-    assert served.seeds == expected.seeds
+    assert np.array_equal(served.seeds, expected.seeds)
     assert served.labels == expected.labels
     assert list(served.columns) == list(METRIC_COLUMNS)
     for name in METRIC_COLUMNS:
@@ -177,7 +177,7 @@ class TestBlockUnits:
         assert _put_block(warehouse)
         entry = warehouse.get("b" * 64)
         expected = _block()
-        assert entry.block.seeds == expected.seeds
+        assert np.array_equal(entry.block.seeds, expected.seeds)
         assert entry.block.labels == expected.labels
         assert list(entry.block.columns) == list(METRIC_COLUMNS)
         for name in METRIC_COLUMNS:
