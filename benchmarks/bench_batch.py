@@ -19,7 +19,8 @@ counts under the default block size, recording the
 asserts a million-seed campaign stays under a fixed byte budget:
 out-of-core blocking means memory is O(block), not O(seeds).  The curve
 runs with the result warehouse off, so it measures the engine and
-writes nothing to the cache.
+writes nothing to the cache.  The engine cells run against a fresh,
+temporary warehouse, removed on exit, so no earlier run serves them.
 """
 
 from __future__ import annotations
@@ -27,9 +28,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import sys
+import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro.api.executors import ParallelExecutor
@@ -106,7 +110,7 @@ def _run_cell(strategy: str, params: dict, runs: int, jobs: int) -> dict:
     behavioural_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    batched = session.campaign(spec, engine="batched")
+    batched = session.campaign(replace(spec, base=replace(spec.base, engine="batched")))
     batched_seconds = time.perf_counter() - start
 
     agreement = _agreement(behavioural, batched, runs)
@@ -182,6 +186,17 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    # A fresh warehouse per run: the caller's store must neither serve the
+    # timed campaigns nor keep what they compute.
+    staging = tempfile.mkdtemp(prefix="repro-bench-batch-")
+    os.environ["REPRO_WAREHOUSE_DIR"] = staging
+    try:
+        return _bench(args)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
+def _bench(args: argparse.Namespace) -> int:
     strategies = SMOKE_STRATEGIES if args.smoke else FULL_STRATEGIES
     jobs = args.jobs if args.jobs is not None else (ParallelExecutor().jobs)
 

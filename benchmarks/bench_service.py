@@ -18,12 +18,14 @@ measures the service-layer costs that matter to a client —
 * **retained job memory**: bytes a finished 200-seed batched campaign job
   keeps alive in the server, measured with ``tracemalloc``; the bench
   fails above 128 KiB per job (row dicts took ~284 KiB, seed-block
-  columns take ~50 KiB),
+  columns take ~46 KiB),
 
 asserts the service's correctness contract (a campaign over HTTP is
 byte-identical to the in-process ``Session`` run, for both engines),
 archives a ``metrics.jsonl`` snapshot of the server's registry, and
-archives everything as ``benchmarks/results/BENCH_service.json``::
+archives everything as ``benchmarks/results/BENCH_service.json``.  It
+runs against a fresh, temporary result warehouse, removed on exit, so
+no earlier run answers the burst or the timed campaigns from disk::
 
     PYTHONPATH=src python benchmarks/bench_service.py --smoke
 
@@ -37,10 +39,13 @@ import argparse
 import gc
 import json
 import os
+import shutil
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 from repro import telemetry
@@ -119,16 +124,19 @@ def _last_shard_landed(client: ServiceClient, jobs: list[dict]) -> float:
 def _scale_reaction(client: ServiceClient, policy: ScalingPolicy, seeds: int) -> dict:
     """Seconds from a burst of jobs to the pool reaching max_workers,
     then from the burst's last shard landing back to min_workers."""
+    # Each job runs its own seeds, none of them the submit probes' seed 0:
+    # with the warehouse on, a job of stored seeds would be answered from
+    # disk and put no load on the pool.
     start = time.perf_counter()
     jobs = [
         client.submit(
             {
                 "kind": "campaign",
-                "spec": {"base": _spec().to_dict(), "seeds": list(range(seeds))},
+                "spec": {"base": _spec().to_dict(), "seeds": list(range(first, first + seeds))},
                 "shard_size": 1,
             }
         )
-        for _ in range(BURST_JOBS)
+        for first in range(seeds, seeds * (BURST_JOBS + 1), seeds)
     ]
     scale_up_s = None
     deadline = time.monotonic() + 60.0
@@ -273,12 +281,12 @@ def _scrape_metrics(client: ServiceClient) -> dict:
 
 def _byte_equality(server_url: str, seeds: int) -> dict:
     """Assert HTTP campaigns match in-process Session runs byte for byte."""
-    spec = _spec()
     local, remote = Session(), Session.connect(server_url)
     verdicts = {}
     for engine in ("behavioural", "batched"):
-        a = local.campaign(spec, seeds=range(seeds), engine=engine).to_result_set()
-        b = remote.campaign(spec, seeds=range(seeds), engine=engine).to_result_set()
+        spec = replace(_spec(), engine=engine)
+        a = local.campaign(spec, seeds=range(seeds)).to_result_set()
+        b = remote.campaign(spec, seeds=range(seeds)).to_result_set()
         identical = a.to_json() == b.to_json()
         assert identical, f"{engine} campaign over HTTP diverged from in-process run"
         verdicts[engine] = identical
@@ -300,6 +308,17 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    # A fresh warehouse per run, as the server's workers read it too: the
+    # caller's store must neither answer the burst nor keep what it computes.
+    staging = tempfile.mkdtemp(prefix="repro-bench-service-")
+    os.environ["REPRO_WAREHOUSE_DIR"] = staging
+    try:
+        return _bench(args)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
+def _bench(args: argparse.Namespace) -> int:
     mode = "thread" if args.smoke else "process"
     stream_seeds = 200 if args.smoke else 2000
     burst_seeds = 3 if args.smoke else 8

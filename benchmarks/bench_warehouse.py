@@ -38,6 +38,7 @@ import shutil
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro.analysis.experiments import fig4_feasible_region
@@ -111,11 +112,9 @@ def _fig4_replay(max_chunk_words: int, max_correctable_bits: int, stride: int) -
 
 def _campaign_replay(seeds: int) -> dict:
     session = Session()
+    spec = replace(_spec(), engine="batched")
     result = _replay(
-        "campaign",
-        lambda: session.campaign(
-            _spec(), seeds=range(seeds), engine="batched"
-        ).to_result_set(),
+        "campaign", lambda: session.campaign(spec, seeds=range(seeds)).to_result_set()
     )
     return result | {"seeds": seeds, "engine": "batched"}
 

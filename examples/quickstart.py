@@ -91,8 +91,8 @@ def main() -> None:
         metrics=("energy_nj", "total_cycles", "rollbacks", "output_correct"),
     )
     # Add jobs=4 (or executor=ParallelExecutor(jobs=...)) to fan out across
-    # cores, or engine="batched" to simulate every seed at once on the
-    # vectorized campaign engine; scenario="burst" (etc.) on the base spec
+    # cores.  On the base spec, engine="batched" simulates every seed at
+    # once on the vectorized campaign engine, and scenario="burst" (etc.)
     # swaps in a time-varying fault environment.
     report = session.campaign(campaign)
     print(report.render("Hybrid mitigation across 8 fault streams"))

@@ -16,7 +16,7 @@ the design kinds, which always run on the grid solvers of
 
 :meth:`Executor.map` runs specs on their declared engines, and
 :meth:`Executor.block_runner` runs the seed blocks the warehouse planner
-cuts for every batched seed group, under every executor.
+cuts for every campaign and batched seed group, under every executor.
 """
 
 from __future__ import annotations
@@ -28,14 +28,20 @@ import time
 import weakref
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
 from ..batch import BatchTaskModel
 from ..batch.design import grid_feasible_region, grid_optimize
-from ..batch.engine import ColumnBlock, iter_column_blocks, join_blocks, records_from_columns
+from ..batch.engine import (
+    ColumnBlock,
+    block_from_records,
+    iter_column_blocks,
+    join_blocks,
+    records_from_columns,
+)
 from ..batch.pareto import grid_pareto_front
 from ..runtime.executor import TaskExecutor
 from ..telemetry import counter as _telemetry_counter
@@ -276,11 +282,19 @@ class Executor(abc.ABC):
         """Execute every spec and return outcomes in input order."""
 
     def block_runner(self, base: ExperimentSpec) -> Callable[[np.ndarray], ColumnBlock]:
-        """A callable simulating seed blocks (``uint64`` arrays) of batched ``base``.
+        """A callable running seed blocks (``uint64`` arrays) of the ``execute`` spec ``base``.
 
-        The default runs them in process.
+        A batched base runs in process on one task model; a behavioural one
+        runs one spec per seed through :meth:`map`, packed as columns.
         """
-        return BlockSimulator(base)
+        if base.engine == "batched":
+            return BlockSimulator(base)
+
+        def run(seeds: np.ndarray) -> ColumnBlock:
+            outcomes = self.map([replace(base, seed=seed) for seed in seeds.tolist()])
+            return block_from_records([outcome.record for outcome in outcomes], seeds)
+
+        return run
 
     def close(self) -> None:
         """Release any resources held between :meth:`map` calls (no-op here)."""
@@ -458,6 +472,10 @@ class BatchCampaignExecutor(Executor):
     def close(self) -> None:
         """Release whatever resources the fallback executor holds."""
         self.fallback.close()
+
+    def block_runner(self, base: ExperimentSpec) -> Callable[[np.ndarray], ColumnBlock]:
+        """The fallback's runner: a block's seeds were planned already."""
+        return self.fallback.block_runner(base)
 
     def map(self, specs: Sequence[ExperimentSpec]) -> list[RunOutcome]:
         """Run ``specs`` through the warehouse planner on ``fallback`` (see class)."""

@@ -24,13 +24,12 @@ aggregate — is identical either way.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import replace
 from functools import partial
 from typing import Any
 
 from ..batch.engine import join_blocks, records_from_columns
 from ..core.config import DesignConstraints, PAPER_OPERATING_POINT
-from ..faults.campaign import CampaignReport, aggregate_columns, aggregate_runs
+from ..faults.campaign import CampaignReport, aggregate_columns
 from ..telemetry import log_event, span
 from ..telemetry import snapshot as _telemetry_snapshot
 from .executors import Executor, RunOutcome, SerialExecutor, make_executor
@@ -68,16 +67,15 @@ class Session:
         """Open a session that executes on a remote experiment server.
 
         The returned session is a thin HTTP client: every entry point
-        (``run`` / ``sweep`` / ``campaign``) submits its specs to the
-        ``repro-experiments serve`` instance at ``url`` as jobs on the
-        same queue the service CLI uses (one ``campaign`` job per missing
-        seed block of a batched campaign or seed group, one ``batch`` job
-        for the other specs), streams the outcome rows back,
-        and aggregates locally — so a campaign submitted over HTTP is
-        bit-identical (same rows, same order) to the in-process run, for
-        both engines.  Specs must be registry-named (serializable), and
-        rich artifacts (``optimize``/``pareto`` objects) stay server-side:
-        only metric records travel.
+        submits its work to the ``repro-experiments serve`` instance at
+        ``url`` as jobs on the same queue the service CLI uses (one
+        ``campaign`` job per missing seed block of a campaign or batched
+        seed group, one ``batch`` job for the other specs), streams the
+        rows back and aggregates locally — so a campaign submitted over
+        HTTP is bit-identical (same rows, same order) to the in-process
+        run, for both engines.  Specs must be registry-named
+        (serializable), and rich artifacts (``optimize``/``pareto``
+        objects) stay server-side: only metric records travel.
 
         >>> session = Session.connect("http://127.0.0.1:8077")  # doctest: +SKIP
         >>> session.campaign(spec).mean("energy_nj")  # doctest: +SKIP
@@ -149,7 +147,7 @@ class Session:
         # Deferred import: the warehouse depends on the executor layer.
         from ..warehouse.planner import plan_and_run
 
-        # One correlation span per entry: nested calls (campaign → run_all)
+        # One correlation span per entry: nested calls (sweep → run_all)
         # inherit the enclosing run ID, and Session.connect submits carry
         # it over the wire to the server.
         with span("session.run_all"):
@@ -194,7 +192,6 @@ class Session:
         seeds: Sequence[int] | None = None,
         executor: Executor | None = None,
         jobs: int | None = None,
-        engine: str | None = None,
     ) -> CampaignReport:
         """Run a multi-seed campaign and aggregate its metrics.
 
@@ -203,14 +200,14 @@ class Session:
         aggregation is order-stable: serial and parallel executors produce
         bit-identical reports for the same seed set.
 
-        The engine is a field of the base spec; ``engine=`` only writes
-        it there.  A batched ``execute`` campaign never expands its seeds
-        into specs: it walks them in ``REPRO_BATCH_BLOCK`` blocks, each
-        served from the warehouse or simulated by the executor's block
-        runner (one task model in process, one campaign job per block for
-        a :meth:`connect` session), keeps 8 bytes per (run, metric column)
-        and rebuilds ``raw`` rows from them on each read.  Every other
-        campaign runs its expanded specs through :meth:`run_all`.
+        The base spec alone picks the engine (``dataclasses.replace`` it to
+        run the other one).  No campaign expands its seeds into specs: it
+        walks them in ``REPRO_BATCH_BLOCK`` blocks, each served from the
+        warehouse or run by the executor's block runner (one task model
+        for a batched base, one spec per seed through ``map`` for a
+        behavioural one, one campaign job per block for a :meth:`connect`
+        session), keeps 8 bytes per (run, metric column) and rebuilds
+        ``raw`` rows from them on each read.
         """
         # Deferred import: the warehouse depends on the executor layer.
         from ..warehouse.planner import campaign_blocks
@@ -219,28 +216,16 @@ class Session:
             spec = CampaignSpec(base=spec, seeds=seeds if seeds is not None else ())
         elif seeds is not None:
             raise ValueError("pass seeds inside the CampaignSpec, not alongside it")
-        if engine is not None and engine != spec.base.engine:
-            # An explicit engine argument wins over the base spec, so e.g.
-            # engine="behavioural" really cross-checks a batched spec
-            # against the ground-truth engine instead of being ignored.
-            spec = replace(spec, base=replace(spec.base, engine=engine))
-        engine = spec.base.engine
         with span("session.campaign") as campaign_span:
-            log_event("campaign.start", seeds=len(spec.seeds), engine=engine)
-            if spec.base.seed_grouped:
-                runner = self._resolve_executor(executor, jobs).block_runner(spec.base)
-                block = join_blocks(campaign_blocks(spec.base, spec.seeds, runner))
-                rows = partial(records_from_columns, block)
-                report = aggregate_columns(block.columns, len(block.seeds), spec.metrics, rows)
-            else:
-                outcomes = self.run_all(spec.expand(), executor=executor, jobs=jobs)
-                report = aggregate_runs(
-                    [outcome.record for outcome in outcomes], metrics=spec.metrics
-                )
+            log_event("campaign.start", seeds=len(spec.seeds), engine=spec.base.engine)
+            runner = self._resolve_executor(executor, jobs).block_runner(spec.base)
+            block = join_blocks(campaign_blocks(spec.base, spec.seeds, runner))
+            rows = partial(records_from_columns, block)
+            report = aggregate_columns(block.columns, len(block.seeds), spec.metrics, rows)
             log_event(
                 "campaign.done",
                 seeds=len(spec.seeds),
-                engine=engine,
+                engine=spec.base.engine,
                 elapsed_s=round(campaign_span.elapsed(), 6),
             )
         return report

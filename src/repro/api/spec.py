@@ -17,9 +17,9 @@ For convenience the ``app`` field also accepts a live
 use reduced-size workloads that are not in the registry); such specs still
 pickle but refuse JSON serialization.
 
-:class:`SweepSpec` and :class:`CampaignSpec` are composites expanding into
-lists of concrete :class:`ExperimentSpec` runs — a cartesian parameter
-grid and a multi-seed campaign respectively.
+:class:`SweepSpec` expands into the concrete :class:`ExperimentSpec` runs
+of a cartesian parameter grid; :class:`CampaignSpec` is one ``execute``
+spec under many fault seeds, run as (base spec, seed blocks).
 """
 
 from __future__ import annotations
@@ -225,16 +225,6 @@ class ExperimentSpec:
             return self.scenario
         return self.scenario.describe()
 
-    @property
-    def seed_grouped(self) -> bool:
-        """Whether the spec runs vectorized together with its other seeds.
-
-        Only batched ``execute`` specs do: the warehouse planner groups
-        them by everything but the seed and stores them as seed blocks.
-        (Batched specs never collect traces; construction rejects that.)
-        """
-        return self.kind == "execute" and self.engine == "batched"
-
     def resolve_app(self) -> StreamingApplication:
         """Instantiate (or pass through) the spec's application."""
         if self.app is None:
@@ -419,7 +409,7 @@ class CampaignSpec:
     Attributes
     ----------
     base:
-        The experiment to repeat (its own ``seed`` field is ignored).
+        The ``execute`` spec to repeat (its own ``seed`` field is ignored).
     seeds:
         Explicit seeds: a ``range``, an integer array or any sequence of
         integers in ``[0, 2**64)`` (see :func:`checked_seeds`); empty
@@ -442,6 +432,8 @@ class CampaignSpec:
     metrics: Sequence[str] = ()
 
     def __post_init__(self) -> None:
+        if self.base.kind != "execute":
+            raise ValueError(f"a campaign repeats an 'execute' spec, got a {self.base.kind!r} base")
         names = self.metrics if isinstance(self.metrics, Sequence) else None
         if names is None or isinstance(names, str) or not all(isinstance(n, str) for n in names):
             raise ValueError(f"metrics must be a sequence of metric names, got {self.metrics!r}")
@@ -465,7 +457,7 @@ class CampaignSpec:
         )
 
     def expand(self) -> list[ExperimentSpec]:
-        """One concrete spec per seed, in seed order."""
+        """One concrete spec per seed, in seed order (campaigns run without them)."""
         return [replace(self.base, seed=seed) for seed in self.seeds.tolist()]
 
     def __len__(self) -> int:

@@ -21,10 +21,10 @@ per-event work.  This package simulates **many seeds at once** instead:
 Entry points: :class:`BatchTaskModel` (one campaign configuration) and
 :class:`~repro.api.executors.BlockSimulator` (the seed blocks of one
 base spec on one model), which the warehouse planner runs for every
-group of ``execute`` specs declared ``engine="batched"`` that differ
-only in their seed.  The engine is a field of the spec:
-``Session.campaign(engine=)`` and the harnesses' ``engine=`` only write
-it into the specs they build.
+batched campaign and every group of ``execute`` specs declared
+``engine="batched"`` that differ only in their seed.  The engine is a
+field of the spec: the harnesses' ``engine=`` only writes it into the
+specs they build.
 The *design-space* side — Fig. 4 feasibility and the Eq. 3–7 chunk-size
 optimization — is vectorized by :mod:`repro.batch.design`
 (:func:`grid_feasible_region`, :func:`grid_optimize`), which is

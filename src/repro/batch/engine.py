@@ -456,7 +456,7 @@ def records_from_columns(block: ColumnBlock) -> list[dict]:
 def block_from_records(
     records: Sequence[Mapping], seeds: Sequence[int] | np.ndarray
 ) -> ColumnBlock:
-    """The :class:`ColumnBlock` behind batched ``records`` of ``seeds``.
+    """The :class:`ColumnBlock` behind ``execute`` ``records`` of ``seeds``, on either engine.
 
     The inverse of :func:`records_from_columns`: raises ``ValueError``
     unless the block's rows reproduce ``records`` byte for byte.
@@ -468,8 +468,8 @@ def block_from_records(
         for name in METRIC_COLUMNS[1:]:
             columns[name] = np.array([record[name] for record in records], dtype=np.float64)
     except (IndexError, KeyError, TypeError, ValueError) as error:
-        raise ValueError(f"not the batched rows of seeds {seeds.tolist()}") from error
+        raise ValueError(f"not the execute rows of seeds {seeds.tolist()}") from error
     block = ColumnBlock(seeds, labels, columns)
     if json.dumps(records_from_columns(block)) != json.dumps(list(records)):
-        raise ValueError(f"not the batched rows of seeds {seeds.tolist()}")
+        raise ValueError(f"not the execute rows of seeds {seeds.tolist()}")
     return block

@@ -493,8 +493,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="seeds per shard of a behavioural campaign; a batched one is "
-        "sharded by its REPRO_BATCH_BLOCK seed blocks (default: 4)",
+        help="seeds per block shard of a behavioural campaign (default: 4); "
+        "a batched one is sharded by its REPRO_BATCH_BLOCK seed blocks",
     )
     submit.add_argument(
         "--wait",

@@ -6,9 +6,9 @@ comparison and the timing-overhead analysis are averages over such
 campaigns, because the number and placement of upsets varies run to run.
 
 :func:`aggregate_columns` is the single fold: it picks the metrics and
-turns their per-run columns into a :class:`CampaignReport`.  Behavioural
-campaigns reach it through :func:`aggregate_runs`, which turns per-run
-rows into columns; batched campaigns hand it their seed blocks' columns.
+turns their per-run columns into a :class:`CampaignReport`.  Campaigns on
+both engines hand it their seed blocks' columns; :func:`aggregate_runs`
+turns per-run rows into columns for callers that hold rows.
 :meth:`CampaignReport.to_result_set` exposes the aggregates through the
 uniform machine-readable results layer.
 """
@@ -45,7 +45,7 @@ class CampaignResult:
 
     ``values`` is a tuple of per-run floats when the runs arrived as rows
     (:func:`aggregate_runs`) and a float64 array when they arrived as
-    column blocks (a batched campaign).  Every statistic goes
+    column blocks (a campaign).  Every statistic goes
     through the same :mod:`statistics` code either way and is returned
     as a plain Python ``float``/``int``, so reports stay JSON-serializable
     and bit-identical across the two representations.

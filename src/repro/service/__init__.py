@@ -14,7 +14,7 @@ Quick start::
     # client (or ``repro-experiments submit``)
     from repro.api import Session
     session = Session.connect("http://127.0.0.1:8077")
-    results = session.campaign(spec, seeds=64, engine="batched")
+    results = session.campaign(batched_spec, seeds=range(64))
 
 Modules: :mod:`~repro.service.wire` (payload validation),
 :mod:`~repro.service.shards` (campaign sharding),

@@ -10,10 +10,9 @@ Two layers:
   streamed rows.  ``Session.connect(url)`` plugs one into an ordinary
   :class:`~repro.api.session.Session`, so ``run`` / ``sweep`` /
   ``campaign`` work unchanged against a remote server — including
-  ``engine="batched"`` campaigns and seed groups, whose missing seed
-  blocks each travel as one ``campaign`` job of (base spec, seeds); the
-  server cuts and runs the same blocks, so the composition-invariant
-  rows stay bit-identical to a local run.
+  campaigns and batched seed groups, whose missing seed blocks each
+  travel as one ``campaign`` job of (base spec, seeds); the server runs
+  the same units, so the rows stay bit-identical to a local run.
 
 Server-side validation failures surface as :class:`ServiceError`
 carrying the structured 400 body (message + valid choices), not a bare
@@ -192,10 +191,9 @@ class RemoteExecutor(Executor):
     """Run specs on an experiment server instead of in-process.
 
     :meth:`map` ships specs as one ``batch`` job, and :meth:`block_runner`
-    ships each seed block of a batched base spec as one ``campaign`` job.
-    The server shards and runs them itself; the batch engine's fault
-    streams are counter-based per seed, so every row matches a local run
-    exactly, whatever the block boundaries.
+    ships each seed block of a base spec as one ``campaign`` job.  The
+    server shards and runs them itself; a row depends only on its spec
+    and seed, so it matches a local run exactly, whatever the blocks.
     """
 
     def __init__(self, client: ServiceClient, label: str = "remote") -> None:

@@ -12,10 +12,10 @@ their shard lands.
 The queue is *persistent in-process*: finished jobs (and their rows) stay
 addressable for the lifetime of the server, which is what lets clients
 submit, disconnect and fetch results later.  A job keeps each shard's
-result as it landed: a seed block stays its
-:class:`~repro.batch.engine.ColumnBlock` and its rows are rendered only
-while a reader walks them.  A finished 200-seed batched campaign job
-holds ~50 KiB instead of the ~284 KiB its row dicts took.
+result as it landed: a seed block, of a campaign on either engine,
+stays its :class:`~repro.batch.engine.ColumnBlock` and its rows are
+rendered only while a reader walks them.  A finished 200-seed batched
+campaign job holds ~46 KiB instead of the ~284 KiB its row dicts took.
 """
 
 from __future__ import annotations
@@ -251,8 +251,8 @@ class JobQueue:
         job so dispatch/worker/completion events all carry it.
 
         ``cached`` — the whole request's result, which the result
-        warehouse already holds: a batched campaign's column block or one
-        record list per run — takes the fast path: the job enters the
+        warehouse already holds: a campaign's column block or one record
+        list per run — takes the fast path: the job enters the
         queue already ``done`` with every shard's part filled in, never
         touching the worker pool, so a repeat submission streams
         instantly.  The shard plan is still recorded (and counted as

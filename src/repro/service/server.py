@@ -446,10 +446,10 @@ class ExperimentServer:
         result feeds :meth:`JobQueue.submit`'s cached fast path and the
         job streams instantly.  Partially cached jobs go through the
         pool: the workers consult the warehouse per shard, so only the
-        genuinely missing units execute.  A batched campaign is looked up
-        by its block keys, the blocks its shards would compute, and its
-        stored column block goes to the job as it is; any other request
-        gets one record list per run.
+        genuinely missing units execute.  A campaign is looked up by its
+        block keys, the units its shards would compute, and its stored
+        column block goes to the job as it is; any other request gets one
+        record list per run.
         """
         from ..warehouse import DeltaPlanner, default_warehouse
         from ..warehouse.planner import stored_campaign

@@ -4,18 +4,18 @@ A *shard* is the unit the elastic worker pool schedules: one worker call
 over part of a job's results.  Shards follow the warehouse planner's
 grouping (:func:`repro.warehouse.planner.group_seeds`):
 
-* each seed block of a batched seed group — a batched campaign job, or
-  two or more batched specs of a job equal except for their seed — is
-  one shard with payload ``{"base": ..., "seeds": [...]}``.  The blocks
-  are the ``REPRO_BATCH_BLOCK`` blocks an in-process campaign cuts, so a
-  block stored by either side serves the other, and a small campaign is
-  one shard amortizing one task profile;
+* a campaign job, and each batched seed group of a job, is cut into
+  seed blocks, one shard each with payload ``{"base": ..., "seeds":
+  [...]}``: a batched one into the ``REPRO_BATCH_BLOCK`` blocks an
+  in-process campaign cuts, so a small campaign is one shard amortizing
+  one task profile; a behavioural one into blocks of ``shard_size``
+  seeds, so the pool spreads it;
 * every other spec — behavioural runs, design kinds, a lone batched
   spec — goes into shards of ``shard_size`` specs with payload
   ``{"specs": [...]}``.
 
-Rows do not depend on the cut (a behavioural spec depends only on
-itself, batched fault streams are counter-based per seed), so the shards
+Rows do not depend on the cut (a behavioural run depends only on its
+spec, batched fault streams are counter-based per seed), so the shards
 reassembled in result order are bit-identical to an in-process run.  The
 pool's scaling policy clamps its worker target to the outstanding shards.
 
@@ -32,7 +32,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from ..api.executors import BatchCampaignExecutor, BlockSimulator
+from ..api.executors import BatchCampaignExecutor, SerialExecutor
 from ..api.spec import ExperimentSpec
 from ..batch.engine import ColumnBlock, join_blocks, records_from_columns, slice_block
 from ..batch.streaming import iter_blocks
@@ -43,10 +43,10 @@ from .wire import JobRequest
 #: a spec list's records, one list per spec.
 ShardResult = ColumnBlock | list[list[dict[str, Any]]]
 
-#: Default specs per shard outside batched seed groups.  Small enough
-#: that a burst of modest behavioural campaigns produces real queue
-#: pressure for the scaler to react to, large enough to amortize
-#: dispatch overhead.
+#: Default specs per shard outside batched seed groups, and seeds per
+#: shard of a behavioural campaign.  Small enough that a burst of modest
+#: behavioural campaigns produces real queue pressure for the scaler to
+#: react to, large enough to amortize dispatch overhead.
 DEFAULT_SHARD_SIZE = 4
 
 
@@ -72,16 +72,16 @@ class Shard:
 def plan_shards(request: JobRequest) -> list[Shard]:
     """Partition a validated job into schedulable shards (see module docstring)."""
     shard_size = request.shard_size if request.shard_size is not None else DEFAULT_SHARD_SIZE
+    groups, solo = group_seeds(request.specs)  # a campaign job has no specs
     campaign = request.campaign
     if campaign is not None:
-        groups, solo = [SeedGroup(campaign.base, tuple(range(len(campaign))), campaign.seeds)], []
-    else:
-        groups, solo = group_seeds(request.specs)
+        groups.append(SeedGroup(campaign.base, tuple(range(len(campaign))), campaign.seeds))
     shards: list[Shard] = []
     for group in groups:
         base = group.base.to_dict()
         del base["seed"]
-        for piece in iter_blocks(len(group.seeds)):
+        block = None if group.base.engine == "batched" else shard_size
+        for piece in iter_blocks(len(group.seeds), block):
             payload = {"base": base, "seeds": group.seeds[piece].tolist()}
             shards.append(Shard(len(shards), group.indices[piece], payload))
     for start in range(0, len(solo), shard_size):
@@ -95,9 +95,9 @@ def execute_shard_payload(payload: Mapping[str, Any]) -> ShardResult:
     """Execute one shard work order and return its :data:`ShardResult`.
 
     The inverse of :attr:`Shard.payload`.  A seed block walks
-    :func:`~repro.warehouse.planner.campaign_blocks` on one task model,
-    exactly as an in-process campaign does, and returns the block's
-    columns; a spec list runs through one
+    :func:`~repro.warehouse.planner.campaign_blocks` on a serial block
+    runner, exactly as an in-process campaign does, and returns the
+    block's columns; a spec list runs through one
     :class:`~repro.api.executors.BatchCampaignExecutor` call and returns
     its records.  Both consult the warehouse with the same unit keys as
     an in-process run.  Module-level, dict-typed in and picklable out, so
@@ -105,7 +105,8 @@ def execute_shard_payload(payload: Mapping[str, Any]) -> ShardResult:
     """
     if "seeds" in payload:
         base = ExperimentSpec.from_dict(payload["base"])
-        return join_blocks(campaign_blocks(base, payload["seeds"], BlockSimulator(base)))
+        runner = SerialExecutor().block_runner(base)
+        return join_blocks(campaign_blocks(base, payload["seeds"], runner))
     specs = [ExperimentSpec.from_dict(entry) for entry in payload["specs"]]
     outcomes = BatchCampaignExecutor().map(specs)
     return [[dict(record) for record in outcome.records] for outcome in outcomes]
@@ -131,7 +132,7 @@ def shard_row_count(result: ShardResult) -> int:
 def split_result(result: ShardResult, shards: Sequence[Shard]) -> list[ShardResult]:
     """Cut a whole job's result into the results of its ``shards``.
 
-    ``result`` covers every run of the job in result order: a batched
+    ``result`` covers every run of the job in result order: a
     campaign's column block, whose shards are contiguous seed blocks
     (each part is a view of the block), or one record list per spec.
     Raises ``ValueError`` when ``result`` covers a different run count.

@@ -102,31 +102,28 @@ def spec_sha256(payload: Mapping[str, Any]) -> str:
 
 @dataclass(frozen=True)
 class JobRequest:
-    """A validated job: the payload plus the runs it executes.
+    """A validated job: the runs it executes and the hash of its payload.
 
     Attributes
     ----------
     kind:
         One of :data:`WIRE_KINDS`.
-    payload:
-        The canonicalized request payload (spec dicts re-serialized via
-        ``to_dict`` so the hash is insensitive to field order).
     specs:
         The concrete :class:`~repro.api.spec.ExperimentSpec` list the job
-        executes, in result order; empty for a batched campaign.
+        executes, in result order; empty for a campaign.
     label:
         Human-readable one-line description for listings and logs.
     spec_hash:
-        :func:`spec_sha256` of ``payload``.
+        :func:`spec_sha256` of the request payload, its spec dicts
+        re-serialized via ``to_dict`` so the hash ignores field order.
     shard_size:
-        Specs per shard outside batched seed groups (``None`` = the
-        planner's default).
+        Specs per shard outside batched seed groups, and seeds per shard
+        of a behavioural campaign (``None`` = the planner's default).
     campaign:
-        A batched campaign, kept whole: it runs as (base spec, seed blocks).
+        A campaign, kept whole: it runs as (base spec, seed blocks).
     """
 
     kind: str
-    payload: dict[str, Any]
     specs: tuple[ExperimentSpec, ...]
     label: str
     spec_hash: str
@@ -222,7 +219,7 @@ def validate_job_payload(payload: Any) -> JobRequest:
         if not isinstance(shard_size, int) or isinstance(shard_size, bool) or shard_size < 1:
             raise WireError("'shard_size' must be a positive integer")
 
-    batched: CampaignSpec | None = None
+    campaign: CampaignSpec | None = None
     if kind == "batch":
         raw_specs = payload.get("specs")
         if not isinstance(raw_specs, Sequence) or isinstance(raw_specs, (str, bytes)):
@@ -251,11 +248,7 @@ def validate_job_payload(payload: Any) -> JobRequest:
             )
         except (TypeError, ValueError) as error:
             raise WireError(f"spec: {error}") from None
-        if base.seed_grouped:
-            # Batched seeds run as (base spec, seed blocks), never per-seed specs.
-            specs, batched = (), campaign
-        else:
-            specs = tuple(campaign.expand())
+        specs = ()  # the seeds run as (base spec, seed blocks), never per-seed specs
         label = f"campaign {_spec_label(base)} ({len(campaign)} seeds)"
         canonical = {"kind": kind, "spec": campaign.to_dict()}
     else:  # sweep
@@ -274,12 +267,11 @@ def validate_job_payload(payload: Any) -> JobRequest:
         canonical["shard_size"] = shard_size
     return JobRequest(
         kind=kind,
-        payload=canonical,
         specs=specs,
         label=label,
         spec_hash=spec_sha256(canonical),
         shard_size=shard_size,
-        campaign=batched,
+        campaign=campaign,
     )
 
 

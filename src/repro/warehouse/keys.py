@@ -24,7 +24,7 @@ registry edit) must miss by construction.  Two functions establish that:
 :func:`unit_key` and :func:`block_key` combine both into the extended
 canonical hashes the warehouse stores under: SHA-256 over the canonical
 JSON of a solo unit's spec dict and the fingerprint digest, or of a
-batched block's base spec and the fingerprint followed by the block's
+seed block's base spec and the fingerprint followed by the block's
 ordered seeds as ``<u8`` bytes.
 
 Every key derivation needs the fingerprint digest, so
@@ -174,7 +174,7 @@ def unit_key(spec: dict[str, Any], fingerprint: str) -> str:
 
 
 def block_key(base: dict[str, Any], seeds: Sequence[int] | np.ndarray, fingerprint: str) -> str:
-    """Extended canonical hash of one batched seed block.
+    """Extended canonical hash of one seed block of ``execute`` runs.
 
     SHA-256 over the canonical JSON of ``{base, fingerprint}`` followed by
     the ordered ``seeds`` as ``<u8`` little-endian bytes, so a block key
@@ -182,9 +182,9 @@ def block_key(base: dict[str, Any], seeds: Sequence[int] | np.ndarray, fingerpri
     dict without its ``seed``; ``seeds`` may be any integer sequence in
     ``[0, 2**64)`` (a tuple, list, ``range`` or ``uint64`` array give the
     same key).  The JSON document is self-delimiting, so no two
-    (base, fingerprint, seeds) triples share the hashed bytes.  Batched
-    rows are composition-invariant, so a block only decides how its
-    seeds' rows are stored, never what they are.
+    (base, fingerprint, seeds) triples share the hashed bytes.  Rows are
+    composition-invariant on both engines, so a block only decides how
+    its seeds' rows are stored, never what they are.
     """
     digest = hashlib.sha256(
         canonical_json({"base": base, "fingerprint": fingerprint}).encode("utf-8")

@@ -9,20 +9,19 @@ order, bit-identical to a cold run.
 
 Unit granularity follows the engines' reproducibility contracts:
 
-* behavioural specs and all design-space kinds are one unit per spec —
-  their outcome depends only on the spec itself;
-* batched ``execute`` specs are cut per base spec (everything but the
-  seed) into consecutive seed **blocks** of ``REPRO_BATCH_BLOCK`` seeds,
-  one unit per block holding its metric columns.  Counter-based fault
-  streams make rows independent of block composition, so blocks hit or
-  miss independently and a partially synced campaign resumes as a delta
-  of its missing blocks.
+* design-space kinds are one unit per spec — their outcome depends only
+  on the spec itself;
+* ``execute`` specs are cut per base spec (everything but the seed) into
+  consecutive seed **blocks** of ``REPRO_BATCH_BLOCK`` seeds holding
+  their metric columns.  A batched block is one unit: counter-based
+  fault streams make rows independent of block composition, so a
+  partially synced campaign resumes as a delta of its missing blocks.
+  A behavioural block is one unit per seed, as a lone spec is.
 
-Only this module groups and cuts batched seeds: a *seed group*
-(:func:`group_seeds`) travels as (base spec, seed blocks) through
-:func:`campaign_blocks`, whether it is an in-process campaign, a
-``run_all`` group, a service campaign job or a service worker's shard,
-so a block stored by any of them serves the others.
+Only this module groups and cuts seeds: a campaign, a ``run_all`` seed
+group (:func:`group_seeds`) or a service worker's shard travels as
+(base spec, seed blocks) through :func:`campaign_blocks`, so a unit
+stored by any of them serves the others.
 
 Every unit is keyed on the spec's declared ``engine``, and no executor
 overrides it, so a unit's key always names the engine that computed it.
@@ -43,13 +42,20 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 import numpy as np
 
 from ..api.executors import Executor, RunOutcome
 from ..api.spec import ExperimentSpec
-from ..batch.engine import ColumnBlock, block_from_records, join_blocks, records_from_columns
+from ..batch.engine import (
+    ColumnBlock,
+    block_from_records,
+    join_blocks,
+    records_from_columns,
+    slice_block,
+)
 from ..batch.streaming import iter_blocks
 from ..utils.rng import seed_array
 from .keys import block_key, canonical_json, fingerprint_digest, unit_key
@@ -125,16 +131,16 @@ def _identity(spec: ExperimentSpec) -> tuple:
 
 
 def group_seeds(specs: Sequence[ExperimentSpec]) -> tuple[list[SeedGroup], list[int]]:
-    """The seed groups of two or more seeds, and every other spec's index.
+    """The batched seed groups of two or more seeds, and every other spec's index.
 
     A lone batched spec stays solo, so a parallel executor still spreads
-    a one-seed-per-point sweep.  Grouping only decides how seeds share a
-    task model, never a number.
+    a one-seed-per-point sweep; behavioural specs share no task model.
+    Grouping only decides how seeds share a task model, never a number.
     """
     members: dict[tuple, list[int]] = {}
     solo: list[int] = []
     for index, spec in enumerate(specs):
-        if spec.seed_grouped:
+        if spec.kind == "execute" and spec.engine == "batched":
             members.setdefault(_identity(spec), []).append(index)
         else:
             solo.append(index)
@@ -155,7 +161,7 @@ def plan_units(specs: Sequence[ExperimentSpec]) -> list[Unit]:
     units: list[Unit] = []
     for index in solo:
         spec = specs[index]
-        if spec.seed_grouped:
+        if spec.kind == "execute":
             # Keyed like the one-seed campaign block of the same spec.
             groups.append(SeedGroup(spec, (index,), seed_array([spec.seed])))
             continue
@@ -167,7 +173,7 @@ def plan_units(specs: Sequence[ExperimentSpec]) -> list[Unit]:
         for piece in iter_blocks(len(group.seeds)):
             seeds = group.seeds[piece]
             key = None if base is None else block_key(base, seeds, fingerprint)
-            units.append(Unit(group.indices[piece], key, base, "execute", "batched", seeds))
+            units.append(Unit(group.indices[piece], key, base, "execute", group.base.engine, seeds))
     return units
 
 
@@ -176,13 +182,13 @@ def campaign_blocks(
     seeds: Sequence[int] | np.ndarray,
     compute: Callable[[np.ndarray], ColumnBlock],
 ) -> Iterator[ColumnBlock]:
-    """A batched campaign's seed blocks, in order, served or computed.
+    """A campaign's seed blocks, in order, served or computed.
 
-    The seeds (one :func:`~repro.utils.rng.seed_array`) are cut into the
-    block units :func:`plan_units` gives the expanded campaign; each
-    block is a view of that array.  ``compute(block_seeds)``, an
-    executor's :meth:`~repro.api.executors.Executor.block_runner`, fills
-    (and stores) a miss.
+    The seeds (one :func:`~repro.utils.rng.seed_array`) are cut into
+    ``REPRO_BATCH_BLOCK`` blocks, each into the units :func:`plan_units`
+    gives the expanded campaign: the whole block if ``base`` is batched,
+    else one per seed.  ``compute(seeds)``, an executor's block runner,
+    fills a block's missing units in one call; each is stored alone.
     """
     seeds = seed_array(seeds)
     warehouse = default_warehouse()
@@ -190,24 +196,30 @@ def campaign_blocks(
     if warehouse.enabled and payload is None:
         WAREHOUSE_EVENTS.inc(len(seeds), outcome="uncacheable")
     fingerprint = fingerprint_digest()
+    store = partial(
+        warehouse.put, spec=payload, kind="execute", engine=base.engine, fingerprint=fingerprint
+    )
     for piece in iter_blocks(len(seeds)):
         block_seeds = seeds[piece]
-        key = None if payload is None else block_key(payload, block_seeds, fingerprint)
-        entry = warehouse.get(key) if key is not None else None
-        served = entry is not None and np.array_equal(entry.seeds, block_seeds)
-        block = entry.block if served else None
-        if block is None:
-            block = compute(block_seeds)
-            if key is not None:
-                warehouse.put(
-                    key,
-                    spec=payload,
-                    kind="execute",
-                    engine="batched",
-                    block=block,
-                    fingerprint=fingerprint,
-                )
-        yield block
+        if payload is None:
+            yield compute(block_seeds)
+            continue
+        width = len(block_seeds) if base.engine == "batched" else 1
+        units = [block_seeds[unit] for unit in iter_blocks(len(block_seeds), width)]
+        keys = [block_key(payload, unit, fingerprint) for unit in units]
+        entries = [warehouse.get(key) for key in keys]
+        parts = [
+            entry.block if entry is not None and np.array_equal(entry.seeds, unit) else None
+            for entry, unit in zip(entries, units)
+        ]
+        missing = [index for index, part in enumerate(parts) if part is None]
+        if missing:
+            fresh = compute(np.concatenate([units[index] for index in missing]))
+            offsets = np.cumsum([0] + [len(units[index]) for index in missing]).tolist()
+            for index, start, stop in zip(missing, offsets, offsets[1:]):
+                parts[index] = slice_block(fresh, slice(start, stop))
+                store(keys[index], block=parts[index])
+        yield join_blocks(parts)
 
 
 class _Missing(Exception):
@@ -218,10 +230,8 @@ def _missing(block_seeds: np.ndarray) -> ColumnBlock:
     raise _Missing(block_seeds)
 
 
-def stored_campaign(
-    base: ExperimentSpec, seeds: Sequence[int] | np.ndarray
-) -> ColumnBlock | None:
-    """A batched campaign's runs if the warehouse holds every block, else ``None``."""
+def stored_campaign(base: ExperimentSpec, seeds: Sequence[int] | np.ndarray) -> ColumnBlock | None:
+    """A campaign's runs if the warehouse holds every unit, else ``None``."""
     try:
         return join_blocks(campaign_blocks(base, seeds, _missing))
     except _Missing:
@@ -307,7 +317,7 @@ class DeltaPlan:
                 try:
                     stored = {"block": block_from_records(records, unit.seeds)}
                 except ValueError:
-                    continue  # not batched rows: they have no column form
+                    continue  # rows no engine emitted have no column form
             elif unit.kind in ARTIFACT_KINDS:
                 stored["artifact"] = by_index[unit.indices[0]].artifact
                 if stored["artifact"] is None:

@@ -10,10 +10,10 @@ One flat directory of ``<key>.json`` entries under
 * a solo unit is one JSON document: a spec with its records and — for
   design-space kinds — the pickled artifact (optimization result,
   feasible region, Pareto front);
-* a batched seed block is one JSON header line (its base spec and the
-  block's row count, labels and column names), a newline, then the
-  seeds and float metric columns as raw little-endian bytes, laid out
-  only by :func:`_encode_block` / :func:`_decode_block`.
+* a seed block of ``execute`` runs is one JSON header line (its base
+  spec and the block's row count, labels and column names), a newline,
+  then the seeds and float metric columns as raw little-endian bytes,
+  laid out only by :func:`_encode_block` / :func:`_decode_block`.
 
 Either way a warm replay reconstructs outcomes bit-identical to a cold
 run, and a block replay parses no float.

@@ -171,6 +171,13 @@ class TestCampaignSpec:
         )
         assert CampaignSpec.from_json(campaign.to_json()) == campaign
 
+    @pytest.mark.parametrize("kind", ("optimize", "feasibility", "pareto"))
+    def test_design_kind_base_rejected(self, kind):
+        # A design kind has no fault seeds: repeating it would silently
+        # run something else or nothing at all.
+        with pytest.raises(ValueError, match=f"got a '{kind}' base"):
+            CampaignSpec(base=ExperimentSpec(app="adpcm-encode", kind=kind), seeds=range(2))
+
 
 class TestSeedDomain:
     """Seeds are ints (not bools) in [0, 2**64), checked where specs are built."""

@@ -180,10 +180,9 @@ class TestSeedArrays:
 class TestSessionEngine:
     def test_campaign_engine_argument(self, small_adpcm_encode, engine_runs):
         session = Session(constraints=STRESS)
-        spec = CampaignSpec(
-            base=session.spec(small_adpcm_encode, strategy="default"), runs=16
-        )
-        report = session.campaign(spec, engine="batched")
+        base = session.spec(small_adpcm_encode, strategy="default")
+        spec = CampaignSpec(base=replace(base, engine="batched"), runs=16)
+        report = session.campaign(spec)
         assert report.runs == 16
         assert report["upsets_injected"].mean > 0
         assert engine_runs("batched") == 16
@@ -204,9 +203,14 @@ class TestSessionEngine:
         session = Session()
         with pytest.raises(ValueError, match="unknown engine"):
             session.campaign(
-                CampaignSpec(base=session.spec(small_adpcm_encode), runs=2),
-                engine="quantum",
+                CampaignSpec(base=session.spec(small_adpcm_encode, engine="quantum"), runs=2)
             )
+
+    def test_campaign_takes_no_engine_argument(self, small_adpcm_encode):
+        # The spec alone picks the engine; there is no second place to say it.
+        session = Session()
+        with pytest.raises(TypeError, match="engine"):
+            session.campaign(session.spec(small_adpcm_encode), seeds=range(2), engine="batched")
 
     def test_explicit_behavioural_overrides_batched_spec(self, small_adpcm_encode):
         # Cross-checking a batched spec against the ground truth must
@@ -218,7 +222,7 @@ class TestSessionEngine:
         )
         behavioural_base = batched_base.with_overrides(engine="behavioural")
         overridden = session.campaign(
-            CampaignSpec(base=batched_base, runs=4), engine="behavioural"
+            CampaignSpec(base=replace(batched_base, engine="behavioural"), runs=4)
         )
         reference = session.campaign(CampaignSpec(base=behavioural_base, runs=4))
         assert [dict(r) for r in overridden.raw] == [dict(r) for r in reference.raw]
@@ -228,11 +232,12 @@ class TestSessionEngine:
         # one model build per seed; the vectorized grouping is kept and
         # the caller's executor only serves non-batchable specs.
         session = Session(constraints=STRESS)
-        spec = CampaignSpec(base=session.spec(small_adpcm_encode, strategy="default"), runs=10)
+        base = session.spec(small_adpcm_encode, strategy="default")
+        spec = CampaignSpec(base=replace(base, engine="batched"), runs=10)
         groups = BATCH_GROUPS.value()
-        wrapped = session.campaign(spec, engine="batched", executor=SerialExecutor())
+        wrapped = session.campaign(spec, executor=SerialExecutor())
         assert BATCH_GROUPS.value() - groups == 1
-        default = session.campaign(spec, engine="batched")
+        default = session.campaign(spec)
         assert [dict(r) for r in wrapped.raw] == [dict(r) for r in default.raw]
 
     def test_single_spec_execution_respects_engine_field(self, small_adpcm_encode):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -153,6 +154,13 @@ class TestWireErrorsOverHTTP:
         error = self._submit_error(client, {"kind": "teleport"})
         assert "campaign" in error.choices["kind"]
 
+    def test_design_kind_campaign_is_a_structured_400(self, client):
+        base = {**SPEC, "kind": "optimize"}
+        error = self._submit_error(
+            client, {"kind": "campaign", "spec": {"base": base, "seeds": [0, 1]}}
+        )
+        assert "got a 'optimize' base" in str(error)
+
     def test_nan_parameter_is_a_structured_400(self, server):
         # Python's json.loads admits the non-RFC literal NaN, so it can
         # arrive over the wire — but it has no canonical hash, so the
@@ -242,14 +250,10 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("engine", ["behavioural", "batched"])
     def test_campaign_over_http_matches_in_process(self, server, engine):
-        spec = ExperimentSpec(**SPEC)
+        spec = ExperimentSpec(**SPEC, engine=engine)
         seeds = range(6)
-        local = Session().campaign(spec, seeds=seeds, engine=engine).to_result_set()
-        remote = (
-            Session.connect(server.url)
-            .campaign(spec, seeds=seeds, engine=engine)
-            .to_result_set()
-        )
+        local = Session().campaign(spec, seeds=seeds).to_result_set()
+        remote = Session.connect(server.url).campaign(spec, seeds=seeds).to_result_set()
         assert remote.to_json() == local.to_json()
 
     def test_run_over_http_matches_in_process(self, server):
@@ -346,6 +350,73 @@ class TestSeedBlocks:
         local = Session().campaign(self.BASE, seeds=range(5))
         assert json.dumps(report.raw) == json.dumps(local.raw)
         assert [o.records for o in outcomes] == [o.records for o in Session().run_all(group)]
+
+
+class TestBehaviouralCampaignJobs:
+    """A behavioural campaign job stays whole too: (base spec, seed blocks)."""
+
+    BASE = ExperimentSpec(**SPEC)
+
+    def _payload(self, seeds) -> dict:
+        return {"kind": "campaign", "spec": {"base": self.BASE.to_dict(), "seeds": list(seeds)}}
+
+    def test_server_builds_no_per_seed_specs(self, server, client, monkeypatch):
+        built, expanded = [], []
+        post_init, expand = ExperimentSpec.__post_init__, CampaignSpec.expand
+
+        def counting_post_init(spec):
+            # Workers run one spec per seed; the server around them builds none.
+            if not threading.current_thread().name.startswith("repro-worker-"):
+                built.append(spec.seed)
+            post_init(spec)
+
+        def counting_expand(campaign):
+            expanded.append(len(campaign))
+            return expand(campaign)
+
+        constructions = {}
+        with monkeypatch.context() as patch:
+            patch.setattr(ExperimentSpec, "__post_init__", counting_post_init)
+            patch.setattr(CampaignSpec, "expand", counting_expand)
+            for seeds in (range(20), range(1000, 1400)):
+                before = len(built)
+                job = client.submit(self._payload(seeds))
+                if len(seeds) == 20:
+                    meta, rows = client.results(job["job_id"], wait=True)
+                    assert meta["state"] == "done"
+                else:  # 400 behavioural runs are not worth waiting for
+                    client.cancel(job["job_id"])
+                constructions[len(seeds)] = len(built) - before
+        assert constructions[20] == constructions[400]
+        assert expanded == []
+        monkeypatch.setenv("REPRO_NO_WAREHOUSE", "1")
+        local = Session().campaign(CampaignSpec(base=self.BASE, seeds=tuple(range(20))))
+        assert [row.pop("_spec") for row in rows] == list(range(20))
+        assert json.dumps(rows) == json.dumps(local.raw)
+
+    def test_shard_size_seed_blocks_stay_column_blocks(self, server, client):
+        cold = client.submit(self._payload(range(10)))
+        _, cold_rows = client.results(cold["job_id"], wait=True)
+        shards = server.jobs.get(cold["job_id"]).shards
+        assert [shard.payload["seeds"] for shard in shards] == [
+            [0, 1, 2, 3],
+            [4, 5, 6, 7],
+            [8, 9],
+        ]
+        assert all(set(shard.payload) == {"base", "seeds"} for shard in shards)
+        warm = client.submit(self._payload(range(10)))
+        assert warm["cached"] is True
+        _, warm_rows = client.results(warm["job_id"], wait=True)
+        assert warm_rows == cold_rows
+        for job_id in (cold["job_id"], warm["job_id"]):
+            results = server.jobs.get(job_id).shard_results
+            assert all(isinstance(result, ColumnBlock) for result in results)
+            assert [result.seeds.tolist() for result in results] == [
+                [0, 1, 2, 3],
+                [4, 5, 6, 7],
+                [8, 9],
+            ]
+            assert client.job(job_id)["rows_ready"] == 10
 
 
 class TestWarehouseFastPath:

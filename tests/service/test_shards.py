@@ -1,11 +1,13 @@
-"""Shard-planning tests: behavioural blocks, batched seed-block shards."""
+"""Shard-planning tests: spec-list shards, campaign and batched seed-block shards."""
 
 from __future__ import annotations
 
-from repro.api.executors import BatchCampaignExecutor
+from dataclasses import replace
+
+from repro.api.executors import BatchCampaignExecutor, execute_spec
 from repro.api.session import Session
 from repro.api.spec import CampaignSpec, ExperimentSpec
-from repro.batch.engine import records_from_columns
+from repro.batch.engine import ColumnBlock, records_from_columns
 from repro.service.shards import DEFAULT_SHARD_SIZE, execute_shard_payload, plan_shards
 from repro.service.wire import validate_job_payload
 
@@ -24,10 +26,13 @@ def _batch(specs: list[ExperimentSpec], shard_size: int | None = None):
     return validate_job_payload(payload)
 
 
-def _campaign(seeds: int, engine: str = "batched"):
+def _campaign(seeds: int, engine: str = "batched", shard_size: int | None = None):
     base = ExperimentSpec(app="adpcm-encode", strategy="hybrid-optimal", engine=engine)
     spec = {"base": base.to_dict(), "seeds": list(range(seeds))}
-    return validate_job_payload({"kind": "campaign", "spec": spec})
+    payload: dict = {"kind": "campaign", "spec": spec}
+    if shard_size is not None:
+        payload["shard_size"] = shard_size
+    return validate_job_payload(payload)
 
 
 def _kind(shard) -> str:
@@ -77,10 +82,22 @@ class TestPlanShards:
         (shard,) = plan_shards(_campaign(1))
         assert shard.payload["seeds"] == [0]
 
-    def test_behavioural_campaign_keeps_per_seed_shards(self):
-        shards = plan_shards(_campaign(3, engine="behavioural"))
-        assert len(shards) == 1 and _kind(shards[0]) == "specs"
-        assert len(shards[0].payload["specs"]) == 3
+    def test_behavioural_campaign_ships_shard_size_seed_blocks(self, monkeypatch):
+        # A behavioural campaign stays whole on the wire; its seeds are cut
+        # by shard_size, not by the batched engine's block size, so a
+        # process pool still spreads it.
+        monkeypatch.setenv("REPRO_BATCH_BLOCK", "3")
+        shards = plan_shards(_campaign(10, engine="behavioural"))
+        assert [shard.payload["seeds"] for shard in shards] == [
+            [0, 1, 2, 3],
+            [4, 5, 6, 7],
+            [8, 9],
+        ]
+        assert [shard.spec_indices for shard in shards] == [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9)]
+        assert all(set(shard.payload) == {"base", "seeds"} for shard in shards)
+        assert shards[0].payload["base"]["engine"] == "behavioural"
+        assert "seed" not in shards[0].payload["base"]
+        assert len(plan_shards(_campaign(3, engine="behavioural", shard_size=1))) == 3
 
     def test_mixed_engines_split_correctly(self):
         shards = plan_shards(_batch(_specs(3) + _specs(5, engine="batched"), shard_size=2))
@@ -128,6 +145,19 @@ class TestPlanShards:
 
 
 class TestExecuteShardPayload:
+    def test_behavioural_block_payload_runs_every_seed(self, engine_runs):
+        (shard,) = plan_shards(_campaign(3, engine="behavioural"))
+        block = execute_shard_payload(shard.payload)
+        assert isinstance(block, ColumnBlock)
+        assert engine_runs("behavioural") == 3
+        assert engine_runs("batched") == 0
+        execute_shard_payload(shard.payload)  # served the units it stored
+        assert engine_runs("behavioural") == 3
+        base = ExperimentSpec(app="adpcm-encode", strategy="hybrid-optimal")
+        assert records_from_columns(block) == [
+            execute_spec(replace(base, seed=seed)).record for seed in range(3)
+        ]
+
     def test_behavioural_payload_runs(self, engine_runs):
         (shard,) = plan_shards(_batch(_specs(2), shard_size=2))
         assert list(shard.payload) == ["specs"]

@@ -63,14 +63,17 @@ class TestValidPayloads:
         assert request.specs[0].seed == 7
         assert len(request.spec_hash) == 64
 
-    def test_campaign_expands_seeds(self):
+    def test_behavioural_campaign_stays_a_campaign(self):
         request = validate_job_payload(
             {
                 "kind": "campaign",
                 "spec": {"base": {"app": "adpcm-encode"}, "seeds": [3, 1, 4]},
             }
         )
-        assert [spec.seed for spec in request.specs] == [3, 1, 4]
+        assert request.specs == ()
+        assert request.campaign.seeds.tolist() == [3, 1, 4]
+        assert request.campaign.base.engine == "behavioural"
+        assert request.runs == 3
 
     def test_batched_campaign_stays_a_campaign(self):
         base = ExperimentSpec(app="adpcm-encode", engine="batched").to_dict()
@@ -179,6 +182,13 @@ class TestStructuredErrors:
         )
         assert error.status == 400
         assert "metrics must be a sequence of metric names" in error.message
+
+    @pytest.mark.parametrize("kind", ("optimize", "feasibility", "pareto"))
+    def test_campaign_base_must_be_an_execute_spec(self, kind):
+        base = ExperimentSpec(app="adpcm-encode", kind=kind).to_dict()
+        error = self._error({"kind": "campaign", "spec": {"base": base, "seeds": [1, 2]}})
+        assert error.status == 400
+        assert f"got a '{kind}' base" in error.message
 
     def test_spec_seed_must_be_an_integer(self):
         error = self._error(_experiment(seed=2.5))

@@ -23,7 +23,7 @@ and for in-process executors its artifact, compared by canonical dump
 its own warehouse directory and draws the engines' block size
 (``REPRO_BATCH_BLOCK``) from 1, 7 and the default.
 
-A second property checks the one batched campaign path: a
+A second property checks the one campaign path, on both engines: a
 ``Session.campaign`` report equals :func:`aggregate_runs` over the cold
 solo ``execute_spec`` rows of its seeds — all seven statistics per metric
 and every ``raw`` row — under five cache states:
@@ -34,9 +34,9 @@ and every ``raw`` row — under five cache states:
 * campaign first — the campaign ran first, and ``Session.run_all`` over
   the expanded specs must be served its blocks, row for row.
 
-A third property submits each drawn batched campaign as a raw
-``campaign`` job through :class:`~repro.service.ServiceClient`, as the
-service-roundtrip benchmark does.  With ``_spec`` stripped, the streamed
+A third property submits each drawn campaign as a raw ``campaign`` job
+through :class:`~repro.service.ServiceClient`, as the service-roundtrip
+benchmark does.  With ``_spec`` stripped, the streamed
 rows must be byte-identical to ``Session().campaign(...).raw`` computed
 with the warehouse off, under five states:
 
@@ -133,7 +133,7 @@ _campaigns = st.builds(
             ("default", "hybrid-optimal", "hybrid-adaptive", "hybrid-estimating")
         ),
         scenario=st.sampled_from(("paper-constant", "storm", "markov")),
-        engine=st.just("batched"),
+        engine=st.sampled_from(ENGINES),
     ),
     seeds=st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=9, unique=True),
     metrics=st.sampled_from(((), ("energy_nj", "seed"), ("rollbacks", "total_cycles"))),
@@ -239,7 +239,7 @@ def test_served_outcomes_equal_cold_solo_recomputation(
 
 
 @pytest.mark.parametrize("state", CAMPAIGN_STATES)
-def test_batched_campaign_equals_aggregated_solo_rows(state, tmp_path, monkeypatch):
+def test_campaign_equals_aggregated_solo_rows(state, tmp_path, monkeypatch):
     @settings(max_examples=6, deadline=None, derandomize=True)
     @given(campaign=_campaigns, block=st.sampled_from(BLOCK_SIZES), data=st.data())
     def check(campaign, block, data):
@@ -269,6 +269,9 @@ def test_batched_campaign_equals_aggregated_solo_rows(state, tmp_path, monkeypat
             assert json.dumps(report.raw) == json.dumps(rows)
         if state in ("run_all-first", "campaign-first"):
             assert _executed() == executed, "the campaign recomputed stored blocks"
+        elif state == "partial" and len(campaign.seeds) > 1 and campaign.base.engine != "batched":
+            # One unit per behavioural seed: only the seeds past the prefix run.
+            assert _executed() == executed + len(campaign.seeds) - cut
 
     check()
 

@@ -64,6 +64,15 @@ class TestPlanUnits:
         assert [unit.indices for unit in units] == [(0,), (1,), (2,)]
         assert all(unit.key for unit in units)
 
+    def test_behavioural_spec_is_a_one_seed_block(self) -> None:
+        # Keyed like the one-seed unit a behavioural campaign stores for
+        # the same seed, so run_all and Session.campaign serve each other.
+        spec = _spec(seed=7)
+        (unit,) = plan_units([spec])
+        base = {k: v for k, v in spec.to_dict().items() if k != "seed"}
+        assert unit.key == block_key(base, (7,), fingerprint_digest())
+        assert (unit.seeds.tolist(), unit.engine) == ([7], "behavioural")
+
     def test_grouped_batched_specs_form_one_ordered_group(self) -> None:
         specs = [_spec(seed=s, engine="batched") for s in (2, 0, 1)]
         (unit,) = plan_units(specs)
@@ -145,7 +154,7 @@ class TestDeltaPlan:
         warehouse = ResultWarehouse(tmp_path)
         specs = [_spec(seed=s) for s in range(3)]
         plan = DeltaPlanner(warehouse).plan(specs)
-        merged = plan.merge([_outcome(spec, float(spec.seed)) for spec in specs])
+        merged = plan.merge([execute_spec(spec) for spec in specs])
         assert [outcome.records[0]["seed"] for outcome in merged] == [0, 1, 2]
         warm = DeltaPlanner(warehouse).plan(specs)
         assert warm.fully_cached
@@ -157,27 +166,24 @@ class TestDeltaPlan:
         warehouse = ResultWarehouse(tmp_path)
         first = [_spec(seed=s) for s in (0, 1)]
         plan = DeltaPlanner(warehouse).plan(first)
-        plan.merge([_outcome(spec, 1.0) for spec in first])
+        plan.merge([execute_spec(spec) for spec in first])
         widened = [_spec(seed=s) for s in (0, 1, 2, 3)]
         delta = DeltaPlanner(warehouse).plan(widened)
         assert delta.missing_indices() == [2, 3]
         assert [spec.seed for spec in delta.missing_specs()] == [2, 3]
-        merged = delta.merge([_outcome(spec, 2.0) for spec in delta.missing_specs()])
+        merged = delta.merge([execute_spec(spec) for spec in delta.missing_specs()])
         assert [outcome.records[0]["seed"] for outcome in merged] == [0, 1, 2, 3]
-        assert [outcome.records[0]["energy_nj"] for outcome in merged] == [
-            1.0,
-            1.0,
-            2.0,
-            2.0,
+        assert [outcome.records for outcome in merged] == [
+            execute_spec(spec).records for spec in widened
         ]
 
     def test_merge_interleaves_in_input_order(self, tmp_path) -> None:
         warehouse = ResultWarehouse(tmp_path)
-        DeltaPlanner(warehouse).plan([_spec(seed=1)]).merge([_outcome(_spec(seed=1), 1.0)])
+        DeltaPlanner(warehouse).plan([_spec(seed=1)]).merge([execute_spec(_spec(seed=1))])
         specs = [_spec(seed=s) for s in (2, 1, 0)]  # cached spec in the middle
         plan = DeltaPlanner(warehouse).plan(specs)
         assert plan.missing_indices() == [0, 2]
-        merged = plan.merge([_outcome(spec, 9.0) for spec in plan.missing_specs()])
+        merged = plan.merge([execute_spec(spec) for spec in plan.missing_specs()])
         assert [outcome.records[0]["seed"] for outcome in merged] == [2, 1, 0]
 
     def test_merge_rejects_wrong_outcome_count(self, tmp_path) -> None:
@@ -246,7 +252,7 @@ class TestArtifactRules:
     def test_execute_outcomes_do_not_require_an_artifact(self, tmp_path) -> None:
         warehouse = ResultWarehouse(tmp_path)
         spec = _spec()
-        DeltaPlanner(warehouse).plan([spec]).merge([_outcome(spec, 1.0)])
+        DeltaPlanner(warehouse).plan([spec]).merge([execute_spec(spec)])
         assert len(warehouse.entries()) == 1
 
 
@@ -254,7 +260,7 @@ class TestPlanAndRun:
     def test_full_hit_skips_the_executor_entirely(self, tmp_path, monkeypatch) -> None:
         monkeypatch.setenv("REPRO_WAREHOUSE_DIR", str(tmp_path))
         spec = _spec(seed=5)
-        plan_and_run([spec], _Run(lambda missing: [_outcome(s, 1.0) for s in missing]))
+        plan_and_run([spec], _Run(lambda missing: [execute_spec(s) for s in missing]))
 
         def exploding_run(missing):
             raise AssertionError("a fully cached plan must never call run()")
@@ -285,7 +291,7 @@ class TestPlanAndRun:
 
         def inner_run(missing):
             inner_calls.append(len(missing))
-            return [_outcome(s, 1.0) for s in missing]
+            return [execute_spec(s) for s in missing]
 
         def outer_run(missing):
             return plan_and_run(missing, _Run(inner_run))

@@ -8,6 +8,8 @@ via the process-wide ``repro_specs_executed_total`` counter.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.analysis.experiments import fig4_feasible_region, table1_optimal_chunks
 from repro.api.executors import SPECS_EXECUTED
 from repro.api.session import Session
@@ -40,9 +42,9 @@ class TestCampaignReplay:
 
     def test_batched_warm_replay_is_bit_identical_and_zero_recompute(self) -> None:
         session = Session()
-        cold = session.campaign(SPEC, seeds=range(4), engine="batched").to_result_set()
+        cold = session.campaign(replace(SPEC, engine="batched"), seeds=range(4)).to_result_set()
         executed = _executed()
-        warm = session.campaign(SPEC, seeds=range(4), engine="batched").to_result_set()
+        warm = session.campaign(replace(SPEC, engine="batched"), seeds=range(4)).to_result_set()
         assert warm.to_json() == cold.to_json()
         assert _executed() == executed
 
@@ -96,7 +98,7 @@ class TestSelfHealing:
     def test_a_truncated_block_is_replaced_by_the_next_campaign(self) -> None:
         warehouse = default_warehouse()
         session = Session()
-        session.campaign(SPEC, seeds=range(50), engine="batched")
+        session.campaign(replace(SPEC, engine="batched"), seeds=range(50))
         (path,) = warehouse.directory.glob("*.json")
         path.write_bytes(path.read_bytes()[:100])
 
@@ -106,7 +108,7 @@ class TestSelfHealing:
             return {name: value - before[name] for name, value in warehouse.stats.as_dict().items()}
 
         def replay() -> None:
-            session.campaign(SPEC, seeds=range(50), engine="batched")
+            session.campaign(replace(SPEC, engine="batched"), seeds=range(50))
 
         assert counted(replay) == {"hits": 0, "misses": 1, "stores": 1, "corrupt": 1}
         assert counted(replay) == {"hits": 1, "misses": 0, "stores": 0, "corrupt": 0}
