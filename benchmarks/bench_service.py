@@ -18,7 +18,7 @@ measures the service-layer costs that matter to a client —
 * **retained job memory**: bytes a finished 200-seed batched campaign job
   keeps alive in the server, measured with ``tracemalloc``; the bench
   fails above 128 KiB per job (row dicts took ~284 KiB, seed-block
-  columns take ~46 KiB),
+  columns take ~36 KiB),
 
 asserts the service's correctness contract (a campaign over HTTP is
 byte-identical to the in-process ``Session`` run, for both engines),

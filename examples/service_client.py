@@ -9,7 +9,8 @@ example is self-contained — point ``SERVICE_URL`` at a real
    elastic worker pool;
 2. discover the valid spec ingredients from ``GET /v1/registries``;
 3. submit a fault-injection campaign as JSON and watch its lifecycle;
-4. stream the results back as NDJSON while shards complete;
+4. stream the results back while shards complete (each seed block
+   travels once, as its bytes) and rebuild the rows;
 5. run the same campaign through ``Session.connect`` and check the
    transported rows are bit-identical to an in-process run;
 6. read the pool's scaling decisions from ``GET /v1/stats``.
@@ -19,7 +20,6 @@ Run with:  python examples/service_client.py
 
 from __future__ import annotations
 
-import json
 import os
 
 from repro.api import Session
@@ -57,17 +57,13 @@ def demo(url: str) -> None:
     print(f"spec hash  : {job['spec_sha256'][:16]}…")
     print()
 
-    # --- 4. stream the rows back as NDJSON --------------------------------
-    rows = 0
-    for line in client.stream_lines(job["job_id"]):
-        payload = json.loads(line)
-        if "__ndjson__" in payload:
-            continue  # header / completion trailer
-        rows += 1
+    # --- 4. stream the results back and rebuild the rows ------------------
+    meta, rows = client.results(job["job_id"])
     status = client.job(job["job_id"])
     print("=== Streamed (GET /v1/jobs/{id}/results) ===")
-    print(f"rows       : {rows}")
-    print(f"state      : {status['state']} in {status['duration_s']:.2f}s")
+    print(f"rows       : {len(rows)}")
+    print(f"state      : {meta['state']} in {status['duration_s']:.2f}s")
+    assert len(rows) == 20
     print()
 
     # --- 5. the same campaign through a connected Session ------------------

@@ -24,13 +24,6 @@ MISSING = "-"
 
 FORMATS: tuple[str, ...] = ("table", "json", "csv")
 
-#: Marker key identifying NDJSON metadata lines (header / trailers); every
-#: other line of an NDJSON document is one record.
-NDJSON_META_KEY = "__ndjson__"
-
-#: Format tag carried by the NDJSON header line.
-NDJSON_FORMAT = "repro.resultset/v1"
-
 
 def _infer_columns(records: Sequence[Mapping[str, Any]]) -> tuple[str, ...]:
     """Union of record keys, in first-seen order, skipping private keys."""
@@ -61,15 +54,15 @@ class ResultSet:
         Optional telemetry snapshot taken when the set was produced
         (attached by :meth:`Session.sweep` / :meth:`with_metrics`).
         Excluded from equality and from every serialized form
-        (``to_dict()``, NDJSON, CSV) — two runs with identical rows stay
+        (``to_dict()``, JSON, CSV) — two runs with identical rows stay
         equal and byte-identical regardless of telemetry.
     meta:
-        Optional NDJSON stream metadata (merged header + trailers:
-        ``spec_sha256``, ``job_id``, final ``state``, …) preserved by
-        :meth:`from_ndjson` so a parsed stream keeps its identity.  Like
-        ``metrics`` it is excluded from equality, ``to_dict()`` and CSV;
-        :meth:`to_ndjson` re-emits its ``spec_sha256`` so the round trip
-        does not silently drop the hash.
+        Optional metadata of the service stream the rows came from
+        (merged header and trailer: ``spec_sha256``, ``job_id``, final
+        ``state``, …), kept by
+        :meth:`~repro.service.client.ServiceClient.result_set` so a
+        fetched set keeps its identity.  Like ``metrics`` it is excluded
+        from equality and from every serialized form.
     """
 
     title: str
@@ -145,60 +138,6 @@ class ResultSet:
         """JSON form of :meth:`to_dict`."""
         return json.dumps(self.to_dict(), indent=indent)
 
-    def to_ndjson(self, spec_sha256: str | None = None) -> str:
-        """Newline-delimited JSON: one header line, then one line per row.
-
-        This is the wire format of the experiment service's streaming
-        results endpoint: the header line carries the title, column order,
-        optional footer and (when given) the canonical hash of the spec
-        that produced the rows, so a stream can be validated against the
-        spec it claims to answer.  :meth:`from_ndjson` is the exact
-        inverse (``from_ndjson(to_ndjson(rs)).to_json() == rs.to_json()``).
-        """
-        header: dict[str, Any] = {
-            NDJSON_META_KEY: NDJSON_FORMAT,
-            "title": self.title,
-            "columns": list(self.columns),
-        }
-        if self.footer:
-            header["footer"] = self.footer
-        if spec_sha256 is None and self.meta is not None:
-            # A set parsed from a stream keeps its identity on re-emit.
-            spec_sha256 = self.meta.get("spec_sha256")
-        if spec_sha256 is not None:
-            header["spec_sha256"] = spec_sha256
-        lines = [json.dumps(header)]
-        lines.extend(json.dumps(dict(record)) for record in self.records)
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_ndjson(cls, text: str) -> "ResultSet":
-        """Rebuild a result set from :meth:`to_ndjson` output.
-
-        Later metadata lines (e.g. the completion trailer a live stream
-        appends) merge into the header, so the text captured from a
-        streaming endpoint parses directly.  A document with no header
-        line is rejected — bare rows carry no title or column order.
-        The merged metadata (``spec_sha256``, ``job_id``, final
-        ``state``, …) is preserved on the :attr:`meta` attribute rather
-        than dropped, so the parsed set keeps the identity of the stream
-        it came from.
-        """
-        meta, records = parse_ndjson(text)
-        if meta is None:
-            raise ValueError(
-                "NDJSON document has no header line "
-                f"(expected a {NDJSON_META_KEY!r} object before the rows)"
-            )
-        columns = meta.get("columns")
-        return cls(
-            title=meta.get("title", ""),
-            columns=tuple(columns) if columns is not None else _infer_columns(records),
-            records=tuple(records),
-            footer=meta.get("footer", ""),
-            meta=dict(meta),
-        )
-
     def to_csv(self) -> str:
         """CSV with one header row (missing cells are left empty)."""
         buffer = io.StringIO()
@@ -230,35 +169,6 @@ class ResultSet:
     def write(self, path, fmt: str = "table") -> None:
         """Write the formatted result set to ``path``, creating parent dirs."""
         write_report(path, self.formatted(fmt))
-
-
-def parse_ndjson(text: str) -> tuple[dict[str, Any] | None, list[dict[str, Any]]]:
-    """Split an NDJSON document into (merged metadata, record rows).
-
-    Metadata lines are objects carrying :data:`NDJSON_META_KEY`; they merge
-    in order (header first, stream trailers last), letting callers read
-    e.g. ``meta["spec_sha256"]`` or the final job state without knowing
-    which line carried it.  Returns ``(None, rows)`` when the document has
-    no metadata at all.
-    """
-    meta: dict[str, Any] | None = None
-    records: list[dict[str, Any]] = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ValueError(f"NDJSON line {number} is not valid JSON: {error}") from None
-        if not isinstance(payload, dict):
-            raise ValueError(f"NDJSON line {number} is not an object")
-        if NDJSON_META_KEY in payload:
-            fields = {k: v for k, v in payload.items() if k != NDJSON_META_KEY}
-            meta = fields if meta is None else {**meta, **fields}
-        else:
-            records.append(payload)
-    return meta, records
 
 
 def write_report(path, text: str) -> None:

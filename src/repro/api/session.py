@@ -27,7 +27,7 @@ from collections.abc import Sequence
 from functools import partial
 from typing import Any
 
-from ..batch.engine import join_blocks, records_from_columns
+from ..batch.engine import join_blocks, records_from_columns, seed_column
 from ..core.config import DesignConstraints, PAPER_OPERATING_POINT
 from ..faults.campaign import CampaignReport, aggregate_columns
 from ..telemetry import log_event, span
@@ -221,7 +221,10 @@ class Session:
             runner = self._resolve_executor(executor, jobs).block_runner(spec.base)
             block = join_blocks(campaign_blocks(spec.base, spec.seeds, runner))
             rows = partial(records_from_columns, block)
-            report = aggregate_columns(block.columns, len(block.seeds), spec.metrics, rows)
+            columns = block.columns
+            if "seed" in spec.metrics:  # a block keeps its seeds once, as integers
+                columns = {**columns, "seed": seed_column(block.seeds)}
+            report = aggregate_columns(columns, len(block.seeds), spec.metrics, rows)
             log_event(
                 "campaign.done",
                 seeds=len(spec.seeds),

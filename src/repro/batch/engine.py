@@ -33,7 +33,9 @@ run's stream is a pure function of its seed, the block partition (and the
 batch composition) changes no emitted number.  The warehouse, the
 campaign report and finished service jobs keep :class:`ColumnBlock`
 columns and turn them into rows (:func:`records_from_columns`) only when
-rows are asked for.
+rows are asked for.  :func:`encode_block` / :func:`decode_block` are the
+one byte codec of a block, shared by warehouse entries, their export and
+the service's results stream.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
+from typing import Any
 
 import numpy as np
 
@@ -51,10 +54,9 @@ from .model import BatchTaskModel, OutcomeProbabilities, RunLayout
 from .streaming import iter_blocks, note_blocks, note_peak_bytes
 from .substrate import SUBSTRATE, RunStreams
 
-#: Order (and exact key spelling) of the per-run metric columns; the
-#: behavioural ``execute_spec`` worker produces the same keys.
+#: Order (and exact key spelling) of the per-run metric columns, which a
+#: row carries after its labels and ``seed`` as ``execute_spec`` does.
 METRIC_COLUMNS = (
-    "seed",
     "total_cycles",
     "useful_cycles",
     "checkpoint_cycles",
@@ -73,7 +75,7 @@ METRIC_COLUMNS = (
     "fully_mitigated",
 )
 
-#: Label keys leading every batched record, ahead of :data:`METRIC_COLUMNS`.
+#: Label keys leading every batched record, ahead of its seed and metrics.
 LABELS = ("application", "strategy", "scenario")
 
 
@@ -82,10 +84,11 @@ class ColumnBlock:
     """One seed block's runs: a float64 entry per seed in every metric column.
 
     ``seeds`` is one read-only ``uint64`` array (any integer sequence
-    passed in is converted by :func:`~repro.utils.rng.seed_array`).
-    ``labels`` holds the :data:`LABELS` values all runs share.  Rows take
-    their seed from ``seeds`` as Python ints, not from the float ``seed``
-    column, so seeds above 2**53 print exactly.
+    passed in is converted by :func:`~repro.utils.rng.seed_array`), the
+    block's only copy of its seeds: ``columns`` holds the
+    :data:`METRIC_COLUMNS`, and rows take their seed from ``seeds`` as
+    Python ints, so seeds above 2**53 print exactly.  ``labels`` holds the
+    :data:`LABELS` values all runs share.
     """
 
     seeds: np.ndarray
@@ -104,6 +107,47 @@ class ColumnBlock:
 def seed_column(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
     """The float64 ``seed`` metric column of ``seeds``."""
     return np.asarray(seeds, dtype=np.float64)
+
+
+def encode_block(block: ColumnBlock) -> tuple[dict[str, Any], bytes]:
+    """A block's codec header and byte payload.
+
+    The payload is the seeds as ``<u8``, then each of the header's
+    ``columns`` (the :data:`METRIC_COLUMNS`) as ``<f8``; the header also
+    names the row count and the labels.  Raises ``ValueError`` for a
+    column whose length is not the seed count.
+    """
+    seeds = np.asarray(block.seeds, dtype="<u8")
+    columns = np.stack([block.columns[name] for name in METRIC_COLUMNS]).astype("<f8", copy=False)
+    if columns.shape != (len(METRIC_COLUMNS), len(seeds)):
+        raise ValueError("block columns do not match its seeds")
+    header = {"rows": len(seeds), "labels": list(block.labels), "columns": list(METRIC_COLUMNS)}
+    return header, seeds.tobytes() + columns.tobytes()
+
+
+def decode_block(header: Any, payload: bytes | memoryview) -> ColumnBlock | None:
+    """Inverse of :func:`encode_block`; ``None`` for any malformed pair.
+
+    The seeds and columns are read-only views of ``payload``.
+    """
+    if not isinstance(header, dict):
+        return None
+    rows, labels = header.get("rows"), header.get("labels")
+    if not (
+        type(rows) is int
+        and rows > 0
+        and header.get("columns") == list(METRIC_COLUMNS)
+        and isinstance(labels, list)
+        and len(labels) == len(LABELS)
+        and set(map(type, labels)) == {str}
+        and len(payload) == 8 * rows * (1 + len(METRIC_COLUMNS))
+    ):
+        return None
+    seeds = np.frombuffer(payload, dtype="<u8", count=rows)
+    columns = np.frombuffer(payload, dtype="<f8", offset=8 * rows)
+    return ColumnBlock(
+        seeds, tuple(labels), dict(zip(METRIC_COLUMNS, columns.reshape(len(METRIC_COLUMNS), rows)))
+    )
 
 
 def _split_outcomes(
@@ -363,7 +407,6 @@ def _simulate_layout_block(
     else:
         deadline_met = (clock <= model.deadline_cycles).astype(np.float64)
     columns = {
-        "seed": seed_column(seeds),
         "total_cycles": clock.astype(np.float64),
         "useful_cycles": np.full(len(seeds), float(model.useful_cycles)),
         "checkpoint_cycles": totals.checkpoint_cycles.astype(np.float64),
@@ -442,13 +485,12 @@ def records_from_columns(block: ColumnBlock) -> list[dict]:
     ``execute_spec`` worker produces, so campaign aggregation, result
     sets and the figure harnesses consume them unchanged.
     """
-    names = METRIC_COLUMNS[1:]
     head = dict(zip(LABELS, block.labels))
-    values = zip(*(block.columns[name].tolist() for name in names))
+    values = zip(*(block.columns[name].tolist() for name in METRIC_COLUMNS))
     records: list[dict] = []
     for seed, row in zip(block.seeds.tolist(), values):
         record = {**head, "seed": seed}
-        record.update(zip(names, row))
+        record.update(zip(METRIC_COLUMNS, row))
         records.append(record)
     return records
 
@@ -464,9 +506,10 @@ def block_from_records(
     seeds = seed_array(seeds)
     try:
         labels = tuple(records[0][name] for name in LABELS)
-        columns = {"seed": seed_column(seeds)}
-        for name in METRIC_COLUMNS[1:]:
-            columns[name] = np.array([record[name] for record in records], dtype=np.float64)
+        columns = {
+            name: np.array([record[name] for record in records], dtype=np.float64)
+            for name in METRIC_COLUMNS
+        }
     except (IndexError, KeyError, TypeError, ValueError) as error:
         raise ValueError(f"not the execute rows of seeds {seeds.tolist()}") from error
     block = ColumnBlock(seeds, labels, columns)

@@ -11,12 +11,14 @@ Two layers:
   :class:`~repro.api.session.Session`, so ``run`` / ``sweep`` /
   ``campaign`` work unchanged against a remote server — including
   campaigns and batched seed groups, whose missing seed blocks each
-  travel as one ``campaign`` job of (base spec, seeds); the server runs
-  the same units, so the rows stay bit-identical to a local run.
+  travel as one ``campaign`` job of (base spec, seeds) and come back as
+  its codec bytes; the server runs the same units, so the rows stay
+  bit-identical to a local run.
 
-Server-side validation failures surface as :class:`ServiceError`
-carrying the structured 400 body (message + valid choices), not a bare
-HTTP error.
+:func:`read_results` is the one reader of the results stream.
+Server-side validation failures and streams that do not read back
+surface as :class:`ServiceError` (a 400 carries its message and the
+valid choices), not a bare HTTP error.
 """
 
 from __future__ import annotations
@@ -25,18 +27,21 @@ import json
 import urllib.error
 import urllib.request
 from collections.abc import Callable, Iterable, Iterator
+from dataclasses import replace
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
 
 from ..api.executors import Executor, RunOutcome
-from ..api.results import ResultSet, parse_ndjson
+from ..api.results import ResultSet
 from ..api.spec import ExperimentSpec
-from ..batch.engine import ColumnBlock, block_from_records
+from ..batch.engine import ColumnBlock, join_blocks, records_from_columns
 from ..telemetry import RUN_ID_HEADER, current_run_id, log_event, span
+from .wire import NDJSON_META_KEY, SPEC_INDEX_KEY, read_block_line
 
-#: Row key carrying the originating spec index over the wire.
-SPEC_INDEX_KEY = "_spec"
+#: A block line of a results stream: its spec indices and its block.
+SpecBlock = tuple[list[int], ColumnBlock]
 
 
 class ServiceError(RuntimeError):
@@ -61,6 +66,65 @@ class ServiceError(RuntimeError):
         except (ValueError, AttributeError):
             pass
         return cls(message, status=error.code, choices=choices)
+
+
+def read_results(
+    lines: Iterable[str], job_id: str
+) -> tuple[dict[str, Any], list[dict[str, Any]], list[SpecBlock]]:
+    """Read a job's results stream into ``(meta, rows, blocks)``.
+
+    ``meta`` merges the header and the trailer, header first; ``rows``
+    are the row lines, ``blocks`` each block line's spec indices and
+    decoded :class:`~repro.batch.engine.ColumnBlock` (views of the line's
+    bytes).  A stream that does not start with a header, a line that is
+    not a JSON object, a row without its spec index, a block that does
+    not decode or name one spec index per row, and a trailer that counts
+    other rows raise :class:`ServiceError` naming the job.
+    """
+    meta: dict[str, Any] | None = None
+    rows: list[dict[str, Any]] = []
+    blocks: list[SpecBlock] = []
+    for number, line in enumerate(lines, start=1):
+        where = f"job {job_id}: results line {number}"
+        try:
+            payload = json.loads(line)
+        except ValueError:
+            payload = None
+        if not isinstance(payload, dict):
+            raise ServiceError(f"{where} is not a JSON object")
+        specs = payload.get(SPEC_INDEX_KEY)
+        if NDJSON_META_KEY in payload:
+            del payload[NDJSON_META_KEY]
+            meta = {**(meta or {}), **payload}
+        elif meta is None:
+            raise ServiceError(f"{where} comes before the stream's header line")
+        elif type(specs) is int:
+            rows.append(payload)
+        elif (block := read_block_line(payload)) is None:
+            raise ServiceError(f"{where} is neither a row nor a block with its spec indices")
+        else:
+            blocks.append((specs, block))
+    if meta is None:
+        raise ServiceError(f"job {job_id}: the results stream has no header line")
+    count = len(rows) + sum(len(specs) for specs, _ in blocks)
+    if meta.get("rows", count) != count:
+        raise ServiceError(f"job {job_id}: the trailer counts {meta['rows']} rows, not {count}")
+    return meta, rows, blocks
+
+
+def spec_rows(rows: list[dict[str, Any]], blocks: list[SpecBlock]) -> list[dict[str, Any]]:
+    """Every row of a read stream in spec order, each with its spec index.
+
+    A block's rows are rebuilt through
+    :func:`~repro.batch.engine.records_from_columns`; rows of one spec
+    keep their stream order.
+    """
+    rows = list(rows)
+    for specs, block in blocks:
+        for index, row in zip(specs, records_from_columns(block)):
+            row[SPEC_INDEX_KEY] = index
+            rows.append(row)
+    return sorted(rows, key=itemgetter(SPEC_INDEX_KEY))
 
 
 class ServiceClient:
@@ -168,23 +232,21 @@ class ServiceClient:
         except urllib.error.HTTPError as error:
             raise ServiceError.from_http(error) from None
 
-    def results_text(self, job_id: str, wait: bool = True) -> str:
-        """The job's full NDJSON stream as one string."""
-        return "".join(line + "\n" for line in self.stream_lines(job_id, wait=wait))
-
     def results(self, job_id: str, wait: bool = True) -> tuple[dict[str, Any], list[dict]]:
         """Parsed results: ``(meta, rows)``.
 
         ``meta`` merges the stream's header and trailer (title, columns,
-        ``spec_sha256``, final ``state``, ``error`` if any); each row still
-        carries its :data:`SPEC_INDEX_KEY`.
+        ``spec_sha256``, final ``state``, ``error`` if any); ``rows`` come
+        in spec order, each still carrying its :data:`SPEC_INDEX_KEY`.
         """
-        meta, records = parse_ndjson(self.results_text(job_id, wait=wait))
-        return meta or {}, records
+        meta, rows, blocks = read_results(self.stream_lines(job_id, wait=wait), job_id)
+        return meta, spec_rows(rows, blocks)
 
     def result_set(self, job_id: str, wait: bool = True) -> ResultSet:
-        """The job's rows as a :class:`~repro.api.results.ResultSet`."""
-        return ResultSet.from_ndjson(self.results_text(job_id, wait=wait))
+        """The job's rows as a :class:`~repro.api.results.ResultSet`, ``meta`` kept."""
+        meta, rows = self.results(job_id, wait=wait)
+        result = ResultSet.from_records(meta.get("title", ""), rows, columns=meta.get("columns"))
+        return replace(result, meta=meta)
 
 
 class RemoteExecutor(Executor):
@@ -204,18 +266,20 @@ class RemoteExecutor(Executor):
     def __repr__(self) -> str:
         return f"RemoteExecutor({self.client.base_url!r})"
 
-    def _run_job(self, payload: dict[str, Any], runs: int) -> list[dict[str, Any]]:
-        """Submit one job, await it and return its rows (``_spec`` kept)."""
+    def _run_job(
+        self, payload: dict[str, Any], runs: int
+    ) -> tuple[list[dict[str, Any]], list[SpecBlock]]:
+        """Submit one job, await it and return its row lines and blocks."""
         with span("remote.map"):
             job = self.client.submit(payload)
-            self.last_job_id = job["job_id"]
-            log_event("client.submitted", job=job["job_id"], specs=runs, url=self.client.base_url)
-            meta, rows = self.client.results(job["job_id"], wait=True)
+            job_id = self.last_job_id = job["job_id"]
+            log_event("client.submitted", job=job_id, specs=runs, url=self.client.base_url)
+            meta, rows, blocks = read_results(self.client.stream_lines(job_id), job_id)
         state = meta.get("state")
         if state != "done":
             detail = meta.get("error") or f"job finished in state {state!r}"
-            raise ServiceError(f"remote job {job['job_id']} failed: {detail}")
-        return rows
+            raise ServiceError(f"remote job {job_id} failed: {detail}")
+        return rows, blocks
 
     def map(self, specs: Iterable[ExperimentSpec]) -> list[RunOutcome]:
         """Submit the specs as one ``batch`` job and await all outcomes."""
@@ -223,24 +287,25 @@ class RemoteExecutor(Executor):
         if not specs:
             return []
         payload = {"kind": "batch", "label": self.label, "specs": [s.to_dict() for s in specs]}
+        rows, blocks = self._run_job(payload, len(specs))
         grouped: dict[int, list[dict[str, Any]]] = {}
-        for row in self._run_job(payload, len(specs)):
-            index = int(row.pop(SPEC_INDEX_KEY))
-            grouped.setdefault(index, []).append(row)
+        for row in spec_rows(rows, blocks):
+            grouped.setdefault(row.pop(SPEC_INDEX_KEY), []).append(row)
         return [
             RunOutcome(spec=spec, records=grouped.get(index, []))
             for index, spec in enumerate(specs)
         ]
 
     def block_runner(self, base: ExperimentSpec) -> Callable[[np.ndarray], ColumnBlock]:
-        """Run each seed block as one ``campaign`` job and rebuild its columns."""
+        """Run each seed block as one ``campaign`` job and join the blocks it streams."""
         base_dict = base.to_dict()
 
         def run(seeds: np.ndarray) -> ColumnBlock:
             payload = {"kind": "campaign", "spec": {"base": base_dict, "seeds": seeds.tolist()}}
-            rows = self._run_job(payload, len(seeds))
-            for row in rows:
-                del row[SPEC_INDEX_KEY]
-            return block_from_records(rows, seeds)
+            rows, blocks = self._run_job(payload, len(seeds))
+            block = None if rows or not blocks else join_blocks(block for _, block in blocks)
+            if block is None or not np.array_equal(block.seeds, seeds):
+                raise ServiceError(f"remote job {self.last_job_id} returned other seeds' results")
+            return block
 
         return run

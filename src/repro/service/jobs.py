@@ -13,9 +13,9 @@ The queue is *persistent in-process*: finished jobs (and their rows) stay
 addressable for the lifetime of the server, which is what lets clients
 submit, disconnect and fetch results later.  A job keeps each shard's
 result as it landed: a seed block, of a campaign on either engine,
-stays its :class:`~repro.batch.engine.ColumnBlock` and its rows are
-rendered only while a reader walks them.  A finished 200-seed batched
-campaign job holds ~46 KiB instead of the ~284 KiB its row dicts took.
+stays its :class:`~repro.batch.engine.ColumnBlock`, streamed as its
+codec bytes.  A finished 200-seed batched campaign job holds ~36 KiB
+instead of the ~284 KiB its row dicts took.
 """
 
 from __future__ import annotations
@@ -23,20 +23,12 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..telemetry import counter as _telemetry_counter
 from ..telemetry import gauge as _telemetry_gauge
-from .shards import (
-    Shard,
-    ShardResult,
-    plan_shards,
-    shard_records,
-    shard_row_count,
-    split_result,
-)
+from .shards import Shard, ShardResult, plan_shards, shard_row_count, split_result
 from .wire import JobRequest
 
 #: Jobs accepted by the queue, by request kind.
@@ -95,43 +87,6 @@ SHARD_FAILED = "failed"
 SHARD_SKIPPED = "skipped"
 
 
-class SpecRecords(Sequence):
-    """A job's records, one list per spec (``None`` while pending).
-
-    A read-only view over the job's shard results: a column block renders
-    its rows when one of its specs is read, and the view keeps them until
-    the block's last spec has been read, so walking the specs in order
-    renders every block once.
-    """
-
-    def __init__(self, job: "Job") -> None:
-        self._job = job
-        self._slots: list[tuple[int, int]] | None = None
-        self._rendered: dict[int, list[list[dict[str, Any]]]] = {}
-
-    def __len__(self) -> int:
-        return self._job.request.runs
-
-    def __getitem__(self, index: int) -> list[dict[str, Any]] | None:
-        index = range(len(self))[index]  # negatives count from the end; IndexError ends iteration
-        if self._slots is None:
-            slots: list[tuple[int, int]] = [(0, 0)] * len(self)
-            for shard in self._job.shards:
-                for position, spec_index in enumerate(shard.spec_indices):
-                    slots[spec_index] = (shard.index, position)
-            self._slots = slots
-        shard_index, position = self._slots[index]
-        result = self._job.shard_results[shard_index]
-        if result is None:
-            return None
-        records = self._rendered.get(shard_index)
-        if records is None:
-            records = self._rendered[shard_index] = shard_records(result)
-        if position == len(records) - 1:
-            del self._rendered[shard_index]
-        return records[position]
-
-
 @dataclass
 class Job:
     """One submitted job and everything it has produced so far."""
@@ -167,23 +122,14 @@ class Job:
         end = self.finished_at if self.finished_at is not None else time.time()
         return end - self.started_at
 
-    @property
-    def records_per_spec(self) -> SpecRecords:
-        """The job's records, one list per spec (``None`` while pending).
-
-        Each access returns a fresh :class:`SpecRecords` view; hold one
-        while walking many specs so each column block renders once.
-        """
-        return SpecRecords(self)
-
     def ready_prefix(self) -> int:
-        """Number of leading specs whose records are available.
+        """Number of leading specs whose results are available.
 
-        Streaming emits rows in spec order, so only the contiguous
-        completed prefix is observable — that keeps a streamed result
-        byte-identical to the finished job's row order.  Every shard
-        lists its specs in ascending order, so the prefix ends at the
-        first spec of the earliest shard still without a result.
+        The results stream walks the specs in order, so only the
+        contiguous completed prefix is observable — that keeps a streamed
+        result in the finished job's row order.  Every shard lists its
+        specs in ascending order, so the prefix ends at the first spec of
+        the earliest shard still without a result.
         """
         return min(
             (

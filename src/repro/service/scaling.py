@@ -8,15 +8,18 @@ periodic tick resizes it toward the queue's *parallelism* —
 .. code:: python
 
     target = ceil(active_shards * parallelism)      # slots per worker = 1
+    target = min(target, active_shards)             # grow no further than the work
     target = clamp(target, min_workers, max_workers)
-    target = min(target, active_shards)             # never over-provision
+    target = max(target, current)                   # hold while shards run
 
 ``parallelism = 1.0`` stacks one shard per worker (scale aggressively);
-``parallelism = 0.5`` stacks two shards per worker, and so on.  When the
-queue has been empty for ``idle_timeout_s`` the pool scales back down to
-``min_workers``.  Every tick produces a :class:`ScalingDecision`, and the
-pool keeps the recent ones — ``GET /v1/stats`` exposes them so scale-up
-and idle scale-down are observable from outside.
+``parallelism = 0.5`` stacks two shards per worker, and so on.  While
+shards are outstanding the pool only grows, so a burst keeps its workers
+through its tail; once the queue has been empty for ``idle_timeout_s``
+the pool scales back down to ``min_workers``.  Every tick produces a
+:class:`ScalingDecision`, and the pool keeps the recent ones —
+``GET /v1/stats`` exposes them so scale-up and idle scale-down are
+observable from outside.
 """
 
 from __future__ import annotations
@@ -85,11 +88,9 @@ class ScalingPolicy:
                 reason="queue empty, within idle grace",
             )
         want = math.ceil(active_shards * self.parallelism)
-        target = max(self.min_workers, min(self.max_workers, want, active_shards))
+        target = max(self.min_workers, min(self.max_workers, want, active_shards), current)
         if target > current:
             reason = f"{active_shards} shard(s) outstanding: scale up to {target}"
-        elif target < current:
-            reason = f"{active_shards} shard(s) outstanding: scale down to {target}"
         else:
             reason = f"{active_shards} shard(s) outstanding: hold at {target}"
         return ScalingDecision(

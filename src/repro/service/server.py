@@ -9,8 +9,8 @@ Method    Path                            Purpose
 POST      ``/v1/experiments``             submit a job (202 + job id)
 GET       ``/v1/jobs``                    list all jobs
 GET       ``/v1/jobs/{id}``               one job's status + timings
-GET       ``/v1/jobs/{id}/results``       stream rows as NDJSON (``?wait=0`` for
-                                          a non-blocking snapshot)
+GET       ``/v1/jobs/{id}/results``       stream results as NDJSON (``?wait=0``
+                                          for a non-blocking snapshot)
 DELETE    ``/v1/jobs/{id}``               cancel a job
 GET       ``/v1/registries``              valid spec ingredient names
 GET       ``/v1/stats``                   queue depth, pool size, scaling log
@@ -19,10 +19,8 @@ GET       ``/v1/healthz``                 liveness probe
 
 Validation errors surface as structured 400 bodies (message + the
 registry's valid choices, via :class:`~repro.service.wire.WireError`) —
-never a traceback.  The results stream is the
-:meth:`~repro.api.results.ResultSet.to_ndjson` wire format: a header line
-carrying the job's label and canonical spec hash, one JSON object per
-row, and a completion trailer with the final state and column order.
+never a traceback.  The server is the one writer of the results stream
+(see :mod:`~repro.service.wire`), and it renders no rows from a block.
 """
 
 from __future__ import annotations
@@ -35,9 +33,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs, urlparse
 
-from ..api.results import NDJSON_FORMAT, NDJSON_META_KEY, _infer_columns
+from ..api.results import _infer_columns
 from ..api.spec import ENGINES, KINDS
 from ..apps.registry import available_applications
+from ..batch.engine import LABELS, METRIC_COLUMNS, ColumnBlock
 from ..telemetry import (
     PROMETHEUS_CONTENT_TYPE,
     RUN_ID_HEADER,
@@ -55,7 +54,15 @@ from .jobs import TERMINAL_STATES, JobQueue
 from .pool import WorkerPool
 from .scaling import ScalingPolicy
 from .shards import ShardResult
-from .wire import WIRE_KINDS, WireError, validate_job_payload
+from .wire import (
+    NDJSON_FORMAT,
+    NDJSON_META_KEY,
+    SPEC_INDEX_KEY,
+    WIRE_KINDS,
+    WireError,
+    block_line,
+    validate_job_payload,
+)
 
 log_event = partial(_log_event, logger_=get_logger("service"))
 
@@ -304,15 +311,19 @@ class _Handler(BaseHTTPRequestHandler):
         return 202
 
     def _stream_results(self, job, wait: bool) -> None:
-        """Emit the job's rows as NDJSON, following the job live if asked."""
+        """Write the job's results stream, following the job live if asked.
+
+        The walk follows the specs of the landed prefix in order: a seed
+        block is written once, at its first spec; other results row by row.
+        """
         service = self.server.service
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Cache-Control", "no-store")
         self.end_headers()
 
-        def emit(obj: dict) -> None:
-            self.wfile.write(json.dumps(obj).encode("utf-8") + b"\n")
+        def emit(*objects: dict) -> None:
+            self.wfile.write(b"".join(json.dumps(obj).encode("utf-8") + b"\n" for obj in objects))
             self.wfile.flush()
 
         emit(
@@ -323,22 +334,33 @@ class _Handler(BaseHTTPRequestHandler):
                 "spec_sha256": job.request.spec_hash,
             }
         )
-        # One view for the whole stream renders each column block once.
-        records_per_spec = job.records_per_spec
+        slots = {
+            index: (shard, position)
+            for shard in job.shards
+            for position, index in enumerate(shard.spec_indices)
+        }
         rows = 0
-        keys: dict[str, None] = {}  # every emitted key, first seen first
+        keys: dict[str, None] = {}  # every row key, first seen first
         emitted_specs = 0
         while True:
             # Read the state before the prefix: a job that finishes between
             # the two reads would otherwise end the stream short of rows.
             finished = job.state in TERMINAL_STATES
             ready = job.ready_prefix()
+            lines = []
             for index in range(emitted_specs, ready):
-                for record in records_per_spec[index] or ():
-                    row = {**record, "_spec": index}
-                    rows += 1
-                    keys.update(dict.fromkeys(row))
-                    emit(row)
+                shard, position = slots[index]
+                result = job.shard_results[shard.index]
+                if not isinstance(result, ColumnBlock):
+                    for record in result[position]:
+                        rows += 1
+                        keys.update(dict.fromkeys(record))
+                        lines.append({**record, SPEC_INDEX_KEY: index})
+                elif position == 0:
+                    rows += len(result.seeds)
+                    keys.update(dict.fromkeys((*LABELS, "seed", *METRIC_COLUMNS)))
+                    lines.append(block_line(shard.spec_indices, result))
+            emit(*lines)
             emitted_specs = ready
             if finished or not wait:
                 break

@@ -6,7 +6,7 @@ grouping (:func:`repro.warehouse.planner.group_seeds`):
 
 * a campaign job, and each batched seed group of a job, is cut into
   seed blocks, one shard each with payload ``{"base": ..., "seeds":
-  [...]}``: a batched one into the ``REPRO_BATCH_BLOCK`` blocks an
+  <uint64 view>}``: a batched one into the ``REPRO_BATCH_BLOCK`` blocks an
   in-process campaign cuts, so a small campaign is one shard amortizing
   one task profile; a behavioural one into blocks of ``shard_size``
   seeds, so the pool spreads it;
@@ -20,10 +20,10 @@ reassembled in result order are bit-identical to an in-process run.  The
 pool's scaling policy clamps its worker target to the outstanding shards.
 
 :func:`execute_shard_payload` is the module-level worker function that
-process workers run: a JSON-able payload in, a :data:`ShardResult` out.
+process workers run: a picklable payload in, a :data:`ShardResult` out.
 A seed block's result stays its :class:`~repro.batch.engine.ColumnBlock`
-from the worker to the finished job; rows are rendered from it only when
-a client reads them.
+from the worker to the finished job, and the results stream ships its
+codec bytes; only the client renders rows from it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Any
 
 from ..api.executors import BatchCampaignExecutor, SerialExecutor
 from ..api.spec import ExperimentSpec
-from ..batch.engine import ColumnBlock, join_blocks, records_from_columns, slice_block
+from ..batch.engine import ColumnBlock, join_blocks, slice_block
 from ..batch.streaming import iter_blocks
 from ..warehouse.planner import SeedGroup, campaign_blocks, group_seeds
 from .wire import JobRequest
@@ -61,7 +61,8 @@ class Shard:
     spec_indices:
         Indices into the job's results served by this shard, in order.
     payload:
-        The JSON-able work order shipped to a worker.
+        The work order shipped to a worker: JSON-able but for a seed
+        block's ``seeds``, a read-only ``uint64`` view.
     """
 
     index: int
@@ -82,7 +83,7 @@ def plan_shards(request: JobRequest) -> list[Shard]:
         del base["seed"]
         block = None if group.base.engine == "batched" else shard_size
         for piece in iter_blocks(len(group.seeds), block):
-            payload = {"base": base, "seeds": group.seeds[piece].tolist()}
+            payload = {"base": base, "seeds": group.seeds[piece]}
             shards.append(Shard(len(shards), group.indices[piece], payload))
     for start in range(0, len(solo), shard_size):
         chunk = tuple(solo[start : start + shard_size])
@@ -110,16 +111,6 @@ def execute_shard_payload(payload: Mapping[str, Any]) -> ShardResult:
     specs = [ExperimentSpec.from_dict(entry) for entry in payload["specs"]]
     outcomes = BatchCampaignExecutor().map(specs)
     return [[dict(record) for record in outcome.records] for outcome in outcomes]
-
-
-def shard_records(result: ShardResult) -> list[list[dict[str, Any]]]:
-    """A shard result's records, one list per spec of the shard, in order.
-
-    A column block renders one row per seed on every call.
-    """
-    if isinstance(result, ColumnBlock):
-        return [[record] for record in records_from_columns(result)]
-    return result
 
 
 def shard_row_count(result: ShardResult) -> int:

@@ -16,12 +16,19 @@ built, so a malformed request never reaches the executor layer (and never
 surfaces as a 500/traceback).
 
 :func:`spec_sha256` is the canonical content hash of a payload — the
-identity the streaming NDJSON header carries so a result stream can be
-matched to the spec that produced it.
+identity the results stream's header carries so a stream can be matched
+to the spec that produced it.
+
+The results stream (format :data:`NDJSON_FORMAT`) is a header line, one
+line per seed block (:func:`block_line`), one line per row of every other
+result (the row plus its ``"_spec"``) and a trailer with the final
+``state``, ``rows``, ``columns`` and ``error``.  The server writes it and
+:func:`~repro.service.client.read_results` reads it.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -36,10 +43,45 @@ from ..api.registry import (
 )
 from ..api.spec import ENGINES, KINDS, CampaignSpec, ExperimentSpec, SweepSpec
 from ..apps.registry import available_applications, canonical_name
+from ..batch.engine import ColumnBlock, decode_block, encode_block
 from ..warehouse.keys import canonical_json
 
 #: Job kinds accepted by ``POST /v1/experiments``.
 WIRE_KINDS: tuple[str, ...] = ("experiment", "campaign", "sweep", "batch")
+
+#: Key marking the results stream's metadata lines (header and trailer).
+NDJSON_META_KEY = "__ndjson__"
+
+#: Format tag carried by the results stream's header line.
+NDJSON_FORMAT = "repro.resultset/v2"
+
+#: Key carrying a result line's spec index (a row) or indices (a block).
+SPEC_INDEX_KEY = "_spec"
+
+
+def block_line(specs: Sequence[int], block: ColumnBlock) -> dict[str, Any]:
+    """The results-stream line of the seed block answering ``specs``.
+
+    ``{"_spec": [...], "block": ..., "payload": ...}``: the
+    :func:`~repro.batch.engine.encode_block` header and its bytes in
+    base64, the pair ``warehouse export`` ships for a block entry.
+    """
+    header, payload = encode_block(block)
+    encoded = base64.b64encode(payload).decode("ascii")
+    return {SPEC_INDEX_KEY: list(specs), "block": header, "payload": encoded}
+
+
+def read_block_line(line: Mapping[str, Any]) -> ColumnBlock | None:
+    """The block of a :func:`block_line`; ``None`` unless it decodes with one spec index per row."""
+    specs = line.get(SPEC_INDEX_KEY)
+    try:
+        payload = base64.b64decode(line["payload"])
+    except (KeyError, TypeError, ValueError):
+        return None
+    block = decode_block(line.get("block"), payload)
+    if not isinstance(specs, list) or block is None or len(specs) != len(block.seeds):
+        return None
+    return block if {*map(type, specs)} == {int} else None
 
 
 class WireError(Exception):

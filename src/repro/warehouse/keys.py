@@ -173,21 +173,34 @@ def unit_key(spec: dict[str, Any], fingerprint: str) -> str:
     return canonical_sha256({"fingerprint": fingerprint, "spec": spec})
 
 
-def block_key(base: dict[str, Any], seeds: Sequence[int] | np.ndarray, fingerprint: str) -> str:
-    """Extended canonical hash of one seed block of ``execute`` runs.
+def block_keys(
+    base: dict[str, Any], fingerprint: str
+) -> Callable[[Sequence[int] | np.ndarray], str]:
+    """The extended canonical hash of each seed block of ``execute`` runs of ``base``.
 
     SHA-256 over the canonical JSON of ``{base, fingerprint}`` followed by
-    the ordered ``seeds`` as ``<u8`` little-endian bytes, so a block key
-    costs 8 bytes of hashing per seed and no JSON.  ``base`` is the spec
-    dict without its ``seed``; ``seeds`` may be any integer sequence in
-    ``[0, 2**64)`` (a tuple, list, ``range`` or ``uint64`` array give the
-    same key).  The JSON document is self-delimiting, so no two
-    (base, fingerprint, seeds) triples share the hashed bytes.  Rows are
-    composition-invariant on both engines, so a block only decides how
-    its seeds' rows are stored, never what they are.
+    the ordered seeds as ``<u8`` little-endian bytes.  The prefix is
+    hashed once; each key copies that state, so it costs 8 bytes of
+    hashing per seed and no JSON.  ``base`` is the spec dict without its
+    ``seed``; the seeds may be any integer sequence in ``[0, 2**64)`` (a
+    tuple, list, ``range`` or ``uint64`` array give the same key).  The
+    JSON document is self-delimiting, so no two (base, fingerprint, seeds)
+    triples share the hashed bytes.  Rows are composition-invariant on
+    both engines, so a block only decides how its seeds' rows are stored,
+    never what they are.
     """
-    digest = hashlib.sha256(
+    prefix = hashlib.sha256(
         canonical_json({"base": base, "fingerprint": fingerprint}).encode("utf-8")
     )
-    digest.update(np.ascontiguousarray(seeds, dtype="<u8"))
-    return digest.hexdigest()
+
+    def key(seeds: Sequence[int] | np.ndarray) -> str:
+        digest = prefix.copy()
+        digest.update(np.ascontiguousarray(seeds, dtype="<u8"))
+        return digest.hexdigest()
+
+    return key
+
+
+def block_key(base: dict[str, Any], seeds: Sequence[int] | np.ndarray, fingerprint: str) -> str:
+    """The key of one seed block of ``base``, as :func:`block_keys` gives it."""
+    return block_keys(base, fingerprint)(seeds)

@@ -58,7 +58,7 @@ from ..batch.engine import (
 )
 from ..batch.streaming import iter_blocks
 from ..utils.rng import seed_array
-from .keys import block_key, canonical_json, fingerprint_digest, unit_key
+from .keys import block_keys, canonical_json, fingerprint_digest, unit_key
 from .store import ResultWarehouse, WarehouseEntry, WAREHOUSE_EVENTS, default_warehouse
 
 #: Kinds whose outcomes carry a rich artifact consumers rely on
@@ -170,9 +170,10 @@ def plan_units(specs: Sequence[ExperimentSpec]) -> list[Unit]:
         units.append(Unit((index,), key, payload, spec.kind, spec.engine))
     for group in groups:
         base = _spec_payload(group.base, seedless=True)
+        keyer = None if base is None else block_keys(base, fingerprint)
         for piece in iter_blocks(len(group.seeds)):
             seeds = group.seeds[piece]
-            key = None if base is None else block_key(base, seeds, fingerprint)
+            key = None if keyer is None else keyer(seeds)
             units.append(Unit(group.indices[piece], key, base, "execute", group.base.engine, seeds))
     return units
 
@@ -199,14 +200,15 @@ def campaign_blocks(
     store = partial(
         warehouse.put, spec=payload, kind="execute", engine=base.engine, fingerprint=fingerprint
     )
+    keyer = None if payload is None else block_keys(payload, fingerprint)
     for piece in iter_blocks(len(seeds)):
         block_seeds = seeds[piece]
-        if payload is None:
+        if keyer is None:
             yield compute(block_seeds)
             continue
         width = len(block_seeds) if base.engine == "batched" else 1
         units = [block_seeds[unit] for unit in iter_blocks(len(block_seeds), width)]
-        keys = [block_key(payload, unit, fingerprint) for unit in units]
+        keys = [keyer(unit) for unit in units]
         entries = [warehouse.get(key) for key in keys]
         parts = [
             entry.block if entry is not None and np.array_equal(entry.seeds, unit) else None

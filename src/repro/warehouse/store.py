@@ -13,7 +13,8 @@ One flat directory of ``<key>.json`` entries under
 * a seed block of ``execute`` runs is one JSON header line (its base
   spec and the block's row count, labels and column names), a newline,
   then the seeds and float metric columns as raw little-endian bytes,
-  laid out only by :func:`_encode_block` / :func:`_decode_block`.
+  laid out only by the block codec the service's results stream shares,
+  :func:`~repro.batch.engine.encode_block` / ``decode_block``.
 
 Either way a warm replay reconstructs outcomes bit-identical to a cold
 run, and a block replay parses no float.
@@ -41,7 +42,7 @@ from typing import Any
 
 import numpy as np
 
-from ..batch.engine import LABELS, METRIC_COLUMNS, ColumnBlock, seed_column
+from ..batch.engine import ColumnBlock, decode_block, encode_block
 from ..runtime.profile_cache import default_cache_dir
 from ..telemetry import counter as _telemetry_counter
 from .keys import fingerprint_digest
@@ -57,9 +58,6 @@ ENV_NO_WAREHOUSE = "REPRO_NO_WAREHOUSE"
 #: v3: a block unit is a JSON header line, a newline, then its seeds
 #: (``<u8``) and metric columns (``<f8``) as raw bytes.
 DISK_FORMAT_VERSION = 3
-
-#: The stored columns of a block: the seed column is rebuilt from the seeds.
-_BLOCK_COLUMNS = METRIC_COLUMNS[1:]
 
 #: Export field carrying an entry's byte payload, base64-encoded.
 EXPORT_PAYLOAD_FIELD = "payload"
@@ -117,46 +115,6 @@ class WarehouseEntry:
         return len(self.seeds) or len(self.records)
 
 
-def _encode_block(block: ColumnBlock) -> tuple[dict[str, Any], bytes]:
-    """A block unit's header field and byte payload.
-
-    The payload is the seeds as ``<u8``, then each of ``columns`` (in
-    the header's order) as ``<f8``.  Raises ``ValueError`` for a column
-    whose length is not the seed count.
-    """
-    seeds = np.asarray(block.seeds, dtype="<u8")
-    columns = np.stack([block.columns[name] for name in _BLOCK_COLUMNS]).astype("<f8", copy=False)
-    if columns.shape != (len(_BLOCK_COLUMNS), len(seeds)):
-        raise ValueError("block columns do not match its seeds")
-    header = {"rows": len(seeds), "labels": list(block.labels), "columns": list(_BLOCK_COLUMNS)}
-    return header, seeds.tobytes() + columns.tobytes()
-
-
-def _decode_block(header: Any, payload: memoryview) -> ColumnBlock | None:
-    """Inverse of :func:`_encode_block`; ``None`` for any malformed unit.
-
-    The seeds and columns are read-only views of ``payload``.
-    """
-    if not isinstance(header, dict):
-        return None
-    rows, labels = header.get("rows"), header.get("labels")
-    if not (
-        type(rows) is int
-        and rows > 0
-        and header.get("columns") == list(_BLOCK_COLUMNS)
-        and isinstance(labels, list)
-        and len(labels) == len(LABELS)
-        and set(map(type, labels)) == {str}
-        and len(payload) == 8 * rows * (1 + len(_BLOCK_COLUMNS))
-    ):
-        return None
-    seeds = np.frombuffer(payload, dtype="<u8", count=rows)
-    columns = np.frombuffer(payload, dtype="<f8", offset=8 * rows)
-    decoded = {"seed": seed_column(seeds)}
-    decoded.update(zip(_BLOCK_COLUMNS, columns.reshape(len(_BLOCK_COLUMNS), rows)))
-    return ColumnBlock(seeds, tuple(labels), decoded)
-
-
 def _split(data: bytes) -> tuple[Any, memoryview]:
     """An entry file's JSON document and the bytes after its first newline.
 
@@ -181,7 +139,7 @@ def _parse_entry(data: bytes, key: str) -> WarehouseEntry | None:
     spec, records = document.get("spec"), document.get("records", [])
     fingerprint = document.get("fingerprint")
     is_block = "block" in document
-    block = _decode_block(document["block"], payload) if is_block else None
+    block = decode_block(document["block"], payload) if is_block else None
     if (
         not isinstance(spec, dict)
         or not isinstance(fingerprint, str)
@@ -339,7 +297,7 @@ class ResultWarehouse:
         payload = b""
         if block is not None:
             try:
-                document["block"], payload = _encode_block(block)
+                document["block"], payload = encode_block(block)
             except ValueError:
                 return False  # columns that do not match the seeds: not cacheable
         else:

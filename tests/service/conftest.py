@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import io
+from types import SimpleNamespace
+
 import pytest
 
 from repro.service import ExperimentServer, ScalingPolicy, ServiceClient
+from repro.service.client import read_results, spec_rows
+from repro.service.server import _Handler
 
 
 @pytest.fixture
@@ -30,3 +35,33 @@ def server(fast_policy):
 def client(server) -> ServiceClient:
     """A client bound to the test server."""
     return ServiceClient(server.url, timeout=60.0)
+
+
+def _write_stream(job, wait: bool = False) -> list[str]:
+    jobs = SimpleNamespace(wait_for_change=lambda predicate, timeout: None)
+    handler = SimpleNamespace(
+        server=SimpleNamespace(service=SimpleNamespace(jobs=jobs)),
+        send_response=lambda status: None,
+        send_header=lambda name, value: None,
+        end_headers=lambda: None,
+        wfile=io.BytesIO(),
+    )
+    _Handler._stream_results(handler, job, wait=wait)
+    return handler.wfile.getvalue().decode("utf-8").splitlines()
+
+
+@pytest.fixture(scope="session")
+def write_stream():
+    """The lines the server's results writer emits for a job, without HTTP."""
+    return _write_stream
+
+
+@pytest.fixture(scope="session")
+def stream_job():
+    """Read a job back through the server's writer and the client's reader: (meta, rows)."""
+
+    def stream(job, wait: bool = False):
+        meta, rows, blocks = read_results(_write_stream(job, wait=wait), job.id)
+        return meta, spec_rows(rows, blocks)
+
+    return stream

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.batch.engine import METRIC_COLUMNS, ColumnBlock, records_from_columns, seed_column
+from repro.batch.engine import METRIC_COLUMNS, ColumnBlock, records_from_columns
 from repro.service.jobs import (
     CANCELLED,
     DONE,
@@ -47,7 +47,7 @@ class TestLifecycle:
         assert job.state == RUNNING
         assert job.shard_states[shard.index] == SHARD_DISPATCHED
 
-    def test_complete_all_shards_finishes_job(self):
+    def test_complete_all_shards_finishes_job(self, stream_job):
         queue = JobQueue()
         job = _submit(queue, seeds=4, shard_size=2)
         while (claimed := queue.claim_shard(timeout=0)) is not None:
@@ -55,7 +55,7 @@ class TestLifecycle:
             queue.complete_shard(job.id, shard.index, _records(shard))
         assert job.state == DONE
         assert job.ready_prefix() == 4
-        assert [records[0]["seed"] for records in job.records_per_spec] == [0, 1, 2, 3]
+        assert [row["seed"] for row in stream_job(job)[1]] == [0, 1, 2, 3]
 
     def test_out_of_order_completion_streams_in_order(self):
         queue = JobQueue()
@@ -139,14 +139,13 @@ def _block(seeds) -> ColumnBlock:
     seeds = tuple(seeds)
     values = np.arange(len(seeds), dtype=np.float64) + seeds[0] * 10
     columns = {name: values.copy() for name in METRIC_COLUMNS}
-    columns["seed"] = seed_column(seeds)
     return ColumnBlock(seeds, ("adpcm-encode", "default", "none"), columns)
 
 
 class TestColumnarResults:
-    """Seed-block shards keep their column blocks; rows render on read."""
+    """Seed-block shards keep their column blocks; only the reader renders rows."""
 
-    def test_blocks_stream_in_spec_order(self, monkeypatch):
+    def test_blocks_stream_in_spec_order(self, monkeypatch, stream_job):
         monkeypatch.setenv("REPRO_BATCH_BLOCK", "2")
         queue = JobQueue()
         job = _submit_batched(queue, seeds=4)
@@ -159,14 +158,16 @@ class TestColumnarResults:
         assert job.state == DONE
         assert job.ready_prefix() == 4
         assert all(isinstance(result, ColumnBlock) for result in job.shard_results)
-        rows = [records[0] for records in job.records_per_spec]
+        meta, rows = stream_job(job)
+        assert [row.pop("_spec") for row in rows] == [0, 1, 2, 3]
+        assert meta["rows"] == 4
         assert [row["seed"] for row in rows] == [0, 1, 2, 3]
         assert [row["energy_nj"] for row in rows] == [0.0, 1.0, 20.0, 21.0]
         assert rows == records_from_columns(_block([0, 1])) + records_from_columns(
             _block([2, 3])
         )
 
-    def test_cached_block_is_split_into_shard_views(self, monkeypatch):
+    def test_cached_block_is_split_into_shard_views(self, monkeypatch, stream_job):
         monkeypatch.setenv("REPRO_BATCH_BLOCK", "3")
         block = _block(range(5))
         job = _submit_batched(JobQueue(), seeds=5, cached=block)
@@ -176,9 +177,11 @@ class TestColumnarResults:
             np.shares_memory(result.columns["energy_nj"], block.columns["energy_nj"])
             for result in job.shard_results
         )
-        assert [records[0] for records in job.records_per_spec] == records_from_columns(block)
+        rows = stream_job(job)[1]
+        assert [row.pop("_spec") for row in rows] == list(range(5))
+        assert rows == records_from_columns(block)
 
-    def test_cached_records_fill_spec_list_shards(self):
+    def test_cached_records_fill_spec_list_shards(self, stream_job):
         queue = JobQueue()
         records = [[{"seed": index}] for index in range(4)]
         payload = {
@@ -188,20 +191,19 @@ class TestColumnarResults:
         }
         job = queue.submit(validate_job_payload(payload), cached=records)
         assert job.shard_results == [records[:3], records[3:]]
-        assert list(job.records_per_spec) == records
+        assert stream_job(job)[1] == [{"seed": index, "_spec": index} for index in range(4)]
         assert job.describe()["rows_ready"] == 4
 
     def test_cached_result_must_cover_every_run(self):
         with pytest.raises(ValueError, match="covers 3 runs"):
             _submit_batched(JobQueue(), seeds=4, cached=_block(range(3)))
 
-    def test_pending_specs_read_as_none(self, monkeypatch):
+    def test_snapshot_streams_the_landed_prefix(self, monkeypatch, stream_job):
         monkeypatch.setenv("REPRO_BATCH_BLOCK", "2")
         queue = JobQueue()
         job = _submit_batched(queue, seeds=4)
         _, first = queue.claim_shard(timeout=0)
         queue.complete_shard(job.id, first.index, _block(first.payload["seeds"]))
-        records = job.records_per_spec
-        assert len(records) == 4
-        assert [entry is None for entry in records] == [False, False, True, True]
-        assert records[-3][0]["seed"] == 1
+        meta, rows = stream_job(job)
+        assert meta["state"] == RUNNING and meta["rows"] == 2
+        assert [(row["_spec"], row["seed"]) for row in rows] == [(0, 0), (1, 1)]

@@ -40,13 +40,13 @@ def _policy(**overrides) -> ScalingPolicy:
 
 
 class TestThreadPool:
-    def test_runs_a_job_to_done(self):
+    def test_runs_a_job_to_done(self, stream_job):
         queue = JobQueue()
         job = _submit(queue, seeds=4, shard_size=2)
         with WorkerPool(queue, policy=_policy(), mode="thread"):
             assert _wait_for(lambda: job.state == DONE)
         assert job.ready_prefix() == 4
-        assert [records[0]["seed"] for records in job.records_per_spec] == [0, 1, 2, 3]
+        assert [row["seed"] for row in stream_job(job)[1]] == [0, 1, 2, 3]
 
     def test_scales_up_under_load_and_down_when_idle(self, monkeypatch):
         # The four jobs are identical; without this the result warehouse

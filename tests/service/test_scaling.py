@@ -42,9 +42,17 @@ class TestTarget:
         assert policy.target(100, 4, 0.0).target == 4
 
     def test_never_exceeds_active_shards(self):
-        # The over-provision bug: 8 workers for a 3-shard campaign.
+        # The over-provision bug: scaling up to 8 workers for a 3-shard campaign.
         policy = ScalingPolicy(min_workers=1, init_workers=1, max_workers=8)
-        assert policy.target(3, 8, 0.0).target == 3
+        assert policy.target(3, 1, 0.0).target == 3
+
+    def test_holds_its_size_while_shards_are_outstanding(self):
+        # A burst's tail keeps its workers; only the idle timeout scales down.
+        policy = ScalingPolicy(min_workers=1, init_workers=1, max_workers=8)
+        decision = policy.target(1, 3, 0.0)
+        assert decision.target == 3
+        assert not decision.changed
+        assert "hold" in decision.reason
 
     def test_parallelism_stacks_shards_per_worker(self):
         policy = ScalingPolicy(min_workers=1, init_workers=1, max_workers=8, parallelism=0.5)

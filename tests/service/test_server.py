@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
-import io
+import base64
 import json
 import threading
 import time
 import urllib.error
 import urllib.request
+from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from repro.api.executors import SerialExecutor
 from repro.api.session import Session
 from repro.api.spec import CampaignSpec, ExperimentSpec
 from repro.batch.engine import ColumnBlock
-from repro.service import ServiceClient, ServiceError
+from repro.service import RemoteExecutor, ServiceClient, ServiceError
 
 SPEC = {"app": "adpcm-encode", "strategy": "hybrid-optimal"}
 
@@ -178,17 +181,23 @@ class TestWireErrorsOverHTTP:
 
 
 class TestStreaming:
-    def test_stream_has_header_rows_trailer(self, client):
+    def test_stream_has_header_block_trailer(self, client):
         job = client.submit(
             {"kind": "campaign", "spec": {"base": SPEC, "seeds": [0, 1]}}
         )
         lines = [json.loads(line) for line in client.stream_lines(job["job_id"])]
-        assert lines[0]["__ndjson__"] == "repro.resultset/v1"
+        assert lines[0]["__ndjson__"] == "repro.resultset/v2"
         assert lines[0]["job_id"] == job["job_id"]
         assert lines[-1]["__ndjson__"] == "end"
         assert lines[-1]["state"] == "done"
         assert lines[-1]["rows"] == 2
-        assert [line["seed"] for line in lines[1:-1]] == [0, 1]
+        # The campaign's one seed block travels once, as its codec bytes.
+        (block,) = lines[1:-1]
+        assert block["_spec"] == [0, 1]
+        assert block["block"]["rows"] == 2
+        payload = base64.b64decode(block["payload"])
+        assert np.frombuffer(payload, dtype="<u8", count=2).tolist() == [0, 1]
+        assert lines[-1]["columns"][:4] == ["application", "strategy", "scenario", "seed"]
 
     def test_snapshot_does_not_wait(self, client):
         job = client.submit(
@@ -203,35 +212,27 @@ class TestStreaming:
         assert lines[-1]["__ndjson__"] == "end"
         client.cancel(job["job_id"])
 
-    def test_job_finishing_mid_read_streams_every_row(self):
+    def test_job_finishing_mid_read_streams_every_row(self, write_stream):
         # The last shard lands between the stream's prefix read and its
         # state check; the stream must still end with every row.
         from repro.service.jobs import DONE, RUNNING
-        from repro.service.server import _Handler
 
         class Job:
             id = "job-race"
             request = SimpleNamespace(label="race", spec_hash="0" * 64)
             error = None
             state = RUNNING
-            records_per_spec = [[{"seed": 0}], None]
+            shards = [SimpleNamespace(index=0, spec_indices=(0,)),
+                      SimpleNamespace(index=1, spec_indices=(1,))]
+            shard_results = [[[{"seed": 0}]], None]
 
             def ready_prefix(self):
-                ready = 1 if self.records_per_spec[1] is None else 2
-                self.records_per_spec[1] = [{"seed": 1}]
+                ready = 1 if self.shard_results[1] is None else 2
+                self.shard_results[1] = [[{"seed": 1}]]
                 self.state = DONE
                 return ready
 
-        jobs = SimpleNamespace(wait_for_change=lambda predicate, timeout: None)
-        handler = SimpleNamespace(
-            server=SimpleNamespace(service=SimpleNamespace(jobs=jobs)),
-            send_response=lambda status: None,
-            send_header=lambda name, value: None,
-            end_headers=lambda: None,
-            wfile=io.BytesIO(),
-        )
-        _Handler._stream_results(handler, Job(), wait=True)
-        lines = [json.loads(line) for line in handler.wfile.getvalue().splitlines()]
+        lines = [json.loads(line) for line in write_stream(Job(), wait=True)]
         assert [line["seed"] for line in lines[1:-1]] == [0, 1]
         assert lines[-1]["rows"] == 2
 
@@ -269,6 +270,31 @@ class TestBitIdentity:
         local = Session().sweep(sweep)
         remote = Session.connect(server.url).sweep(sweep)
         assert remote.to_json() == local.to_json()
+
+    def test_mixed_batch_job_reads_back_in_spec_order(self, client, monkeypatch):
+        # A batched seed group (specs 0, 2 and 4) travels as one block line
+        # between the row lines of solo behavioural and design specs.
+        monkeypatch.setenv("REPRO_NO_WAREHOUSE", "1")
+        batched = ExperimentSpec(**SPEC, engine="batched")
+        behavioural = ExperimentSpec(**SPEC)
+        specs = [
+            replace(batched, seed=0),
+            replace(behavioural, seed=0),
+            replace(batched, seed=5),
+            ExperimentSpec(app="adpcm-encode", kind="optimize"),
+            replace(batched, seed=2**63),
+            replace(behavioural, seed=1),
+        ]
+        job = client.submit({"kind": "batch", "specs": [spec.to_dict() for spec in specs]})
+        meta, rows = client.results(job["job_id"], wait=True)
+        local = SerialExecutor().map(specs)
+        assert meta["state"] == "done"
+        assert [row.pop("_spec") for row in rows] == list(range(len(specs)))
+        assert json.dumps(rows) == json.dumps([row for o in local for row in o.records])
+        lines = [json.loads(line) for line in client.stream_lines(job["job_id"])]
+        assert [line["_spec"] for line in lines if "block" in line] == [[0, 2, 4]]
+        remote = RemoteExecutor(client).map(specs)
+        assert json.dumps([o.records for o in remote]) == json.dumps([o.records for o in local])
 
 
 class TestSeedBlocks:
@@ -316,7 +342,7 @@ class TestSeedBlocks:
         job = client.submit(self._payload(range(7)))
         client.results(job["job_id"], wait=True)
         shards = server.jobs.get(job["job_id"]).shards
-        assert [shard.payload["seeds"] for shard in shards] == [[0, 1, 2], [3, 4, 5], [6]]
+        assert [shard.payload["seeds"].tolist() for shard in shards] == [[0, 1, 2], [3, 4, 5], [6]]
         assert all(set(shard.payload) == {"base", "seeds"} for shard in shards)
         assert client.job(job["job_id"])["shards"]["total"] == 3
         monkeypatch.delenv("REPRO_BATCH_BLOCK")
@@ -398,7 +424,7 @@ class TestBehaviouralCampaignJobs:
         cold = client.submit(self._payload(range(10)))
         _, cold_rows = client.results(cold["job_id"], wait=True)
         shards = server.jobs.get(cold["job_id"]).shards
-        assert [shard.payload["seeds"] for shard in shards] == [
+        assert [shard.payload["seeds"].tolist() for shard in shards] == [
             [0, 1, 2, 3],
             [4, 5, 6, 7],
             [8, 9],

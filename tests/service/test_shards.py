@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from repro.api.executors import BatchCampaignExecutor, execute_spec
 from repro.api.session import Session
 from repro.api.spec import CampaignSpec, ExperimentSpec
@@ -58,7 +60,10 @@ class TestPlanShards:
         assert request.specs == () and request.runs == 32
         (shard,) = plan_shards(request)
         assert shard.spec_indices == tuple(range(32))
-        assert shard.payload["seeds"] == list(range(32))
+        # The payload carries the campaign's read-only uint64 seed view, not a copy.
+        assert shard.payload["seeds"].dtype == np.uint64
+        assert not shard.payload["seeds"].flags.writeable
+        assert shard.payload["seeds"].tolist() == list(range(32))
         assert "seed" not in shard.payload["base"]
 
     def test_batched_specs_split_into_seed_blocks(self, monkeypatch):
@@ -72,7 +77,7 @@ class TestPlanShards:
     def test_batched_block_follows_engine_block_size(self, monkeypatch):
         monkeypatch.setenv("REPRO_BATCH_BLOCK", "3")
         shards = plan_shards(_campaign(7))
-        assert [shard.payload["seeds"] for shard in shards] == [[0, 1, 2], [3, 4, 5], [6]]
+        assert [shard.payload["seeds"].tolist() for shard in shards] == [[0, 1, 2], [3, 4, 5], [6]]
         assert [shard.spec_indices for shard in shards] == [(0, 1, 2), (3, 4, 5), (6,)]
         assert all(set(shard.payload) == {"base", "seeds"} for shard in shards)
         monkeypatch.setenv("REPRO_BATCH_BLOCK", "0")  # unlimited: one shard
@@ -80,7 +85,7 @@ class TestPlanShards:
 
     def test_one_seed_batched_campaign_is_one_block(self):
         (shard,) = plan_shards(_campaign(1))
-        assert shard.payload["seeds"] == [0]
+        assert shard.payload["seeds"].tolist() == [0]
 
     def test_behavioural_campaign_ships_shard_size_seed_blocks(self, monkeypatch):
         # A behavioural campaign stays whole on the wire; its seeds are cut
@@ -88,7 +93,7 @@ class TestPlanShards:
         # process pool still spreads it.
         monkeypatch.setenv("REPRO_BATCH_BLOCK", "3")
         shards = plan_shards(_campaign(10, engine="behavioural"))
-        assert [shard.payload["seeds"] for shard in shards] == [
+        assert [shard.payload["seeds"].tolist() for shard in shards] == [
             [0, 1, 2, 3],
             [4, 5, 6, 7],
             [8, 9],

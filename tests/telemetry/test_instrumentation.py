@@ -67,7 +67,7 @@ class TestSweepMetrics:
         assert counter_total(result.metrics, "repro_specs_executed_total") == 2.0
         # The snapshot never leaks into the serialized forms.
         assert "metrics" not in result.to_dict()
-        assert "metrics" not in result.to_ndjson()
+        assert "metrics" not in result.to_csv()
         bare = result.with_metrics(None)
         assert bare.metrics is None
         assert bare == result  # compare=False: telemetry never breaks equality

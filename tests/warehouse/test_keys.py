@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.warehouse.keys import (
     block_key,
+    block_keys,
     canonical_json,
     canonical_sha256,
     code_fingerprint,
@@ -323,3 +324,33 @@ class TestBlockKeyOverBytes:
         key = block_key(self.BASE, seeds, "fp")
         assert key == block_key(self.BASE, tuple(seeds), "fp")
         assert key == block_key(self.BASE, np.array(list(seeds), dtype=np.uint64), "fp")
+
+
+class TestBlockKeysOfOneBase:
+    """A walk keys its blocks from one hashed prefix; every key stays as it was."""
+
+    BASE = {"app": "adpcm-encode", "engine": "batched"}
+
+    #: Keys of schema v6 before the prefix was shared, one per seed container.
+    PINNED = (
+        (
+            (0, 2**63 - 1, 2**63, 2**64 - 1),
+            "8b6b932315a293702186d872b1c0d33d65c5b3d3d3ae0d74f088614d9b51b021",
+        ),
+        (
+            range(2**63, 2**63 + 4),
+            "bb6b486df5ca82ea968bfd4013d74bb5f40936910475befd72f9f678f93782ac",
+        ),
+        (
+            np.array([2**63 + 5, 7], dtype=np.uint64),
+            "54431dddfab73464bd283810347cb4cd8e54d6d010d25a0133f6c8ed9b292bd4",
+        ),
+        ((1,), "3ed9adb3280873a5f81251498593e14fa5aac64a84b4be71c3a8397e6dec3f8c"),
+    )
+
+    def test_one_prefix_serves_every_block_byte_identically(self) -> None:
+        key = block_keys(self.BASE, "fp")
+        # Twice over: keying a block must not advance the shared prefix.
+        for _ in range(2):
+            for seeds, pinned in self.PINNED:
+                assert key(seeds) == block_key(self.BASE, seeds, "fp") == pinned

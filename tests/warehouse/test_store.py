@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch.engine import METRIC_COLUMNS, ColumnBlock, seed_column
+from repro.batch.engine import METRIC_COLUMNS, ColumnBlock
 from repro.warehouse.store import (
     DISK_FORMAT_VERSION,
     ENV_NO_WAREHOUSE,
@@ -90,8 +90,8 @@ class TestRoundTrip:
 
 
 def _block(seeds=(3, 1, 2**53 + 1)) -> ColumnBlock:
-    columns = {"seed": seed_column(seeds)}
-    for offset, name in enumerate(METRIC_COLUMNS[1:]):
+    columns = {}
+    for offset, name in enumerate(METRIC_COLUMNS):
         columns[name] = np.arange(len(seeds), dtype=np.float64) / 3.0 + offset
     return ColumnBlock(tuple(seeds), ("adpcm-encode", "hybrid-optimal", "storm"), columns)
 
@@ -150,11 +150,10 @@ _BITS = st.one_of(st.integers(min_value=0, max_value=2**64 - 1), st.sampled_from
 @st.composite
 def _drawn_blocks(draw) -> ColumnBlock:
     seeds = draw(st.lists(_SEEDS, min_size=1, max_size=6))
-    width = len(METRIC_COLUMNS) - 1
+    width = len(METRIC_COLUMNS)
     bits = draw(st.lists(_BITS, min_size=width * len(seeds), max_size=width * len(seeds)))
     values = np.array(bits, dtype=np.uint64).view(np.float64).reshape(width, len(seeds))
-    columns = {"seed": seed_column(seeds)}
-    columns.update(zip(METRIC_COLUMNS[1:], values))
+    columns = dict(zip(METRIC_COLUMNS, values))
     return ColumnBlock(tuple(seeds), ("adpcm-encode", "hybrid-optimal", "storm"), columns)
 
 
@@ -205,11 +204,11 @@ class TestBlockUnits:
         assert document["block"] == {
             "rows": 3,
             "labels": ["adpcm-encode", "hybrid-optimal", "storm"],
-            "columns": list(METRIC_COLUMNS[1:]),  # the seeds carry the seed column
+            "columns": list(METRIC_COLUMNS),  # the seeds carry the seed column
         }
         assert "records" not in document
         # 8 bytes per seed and per metric column; the entry's size is the file's.
-        assert len(payload) == 8 * 3 * len(METRIC_COLUMNS)
+        assert len(payload) == 8 * 3 * (1 + len(METRIC_COLUMNS))
         assert warehouse.get("b" * 64).nbytes == path.stat().st_size
 
     @pytest.mark.parametrize(
@@ -225,10 +224,10 @@ class TestBlockUnits:
             pytest.param(_block_field("rows", True), id="rows-bool"),
             pytest.param(_block_field("rows", "3"), id="rows-str"),
             pytest.param(
-                _block_field("columns", [*METRIC_COLUMNS[2:0:-1], *METRIC_COLUMNS[3:]]),
+                _block_field("columns", [*METRIC_COLUMNS[1::-1], *METRIC_COLUMNS[2:]]),
                 id="columns-reordered",
             ),
-            pytest.param(_block_field("columns", list(METRIC_COLUMNS[2:])), id="columns-missing"),
+            pytest.param(_block_field("columns", list(METRIC_COLUMNS[1:])), id="columns-missing"),
             pytest.param(
                 _block_field("labels", ["adpcm-encode", "hybrid-optimal"]), id="labels-short"
             ),
