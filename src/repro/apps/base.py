@@ -9,9 +9,10 @@ structure, so every workload implements :class:`StreamingApplication`:
 * every step consumes the input, the explicit **codec state**, and
   produces a few 32-bit **output words** plus an estimate of the processor
   cycles and additional L1 data accesses it costs on the ARM9-class core;
-* steps are **deterministic functions of (input, step index, state)** so
-  the runtime can re-execute any phase from the state captured at the
-  previous checkpoint — which is exactly the paper's rollback.
+* steps are **pure functions of (input, step index, state)**.  A fault
+  never reaches codec state, so a step re-executed after a rollback or
+  restart is the step the fault-free profile recorded, and the runtime
+  replays it from that profile instead of executing it again.
 
 The per-step cycle estimates are derived from operation counts of the
 inner loops (documented per application) rather than from instruction-set
@@ -133,9 +134,9 @@ class StreamingApplication(abc.ABC):
     def run_step(self, task_input: Any, step_index: int, state: Any) -> StepResult:
         """Execute step ``step_index`` from ``state`` and return its result.
 
-        Must be a pure function of its arguments: the runtime re-invokes it
-        during rollback with the state captured at the previous checkpoint
-        and expects bit-identical output words.
+        Must be a pure function of its arguments: the runtime profiles the
+        task once, fault free, and replays every step of every run,
+        rollbacks and restarts included, from that profile.
         """
 
     @abc.abstractmethod

@@ -1,6 +1,6 @@
 """Behavioural execution engine: runs a workload under a mitigation strategy.
 
-The :class:`TaskExecutor` is where everything meets: it executes a
+The :class:`TaskExecutor` is where everything meets: it replays a
 streaming application step by step on the behavioural platform, writes the
 produced data into the vulnerable L1, exposes it to the fault injector,
 drains it through the memory's ECC path (the paper's Fig. 2(a) read
@@ -8,6 +8,13 @@ check), and reacts to detected errors according to the mitigation
 strategy — ignoring them (*Default*), relying on inline correction (*HW*),
 restarting the task (*SW*), or servicing a Read Error Interrupt and
 rolling back one chunk (*Hybrid*, Fig. 2(b)).
+
+Steps are replayed from the task's fault-free :class:`TaskProfile`, not
+re-executed.  A step is a pure function of (input, step, state), and in
+this model a fault never reaches codec state: the state lives outside the
+simulated memories (L1' buffers zeros for its region).  So a step re-run
+after a rollback or restart writes and costs exactly what the profiled
+step did.
 
 It produces a :class:`~repro.soc.stats.SimulationStats` with the energy,
 cycle, recovery and correctness figures that the Fig. 5 and timing
@@ -274,19 +281,19 @@ class TaskExecutor:
         self.scenario = scenario
 
     # ------------------------------------------------------------------ #
-    # Profiling
-    # ------------------------------------------------------------------ #
-    def _profile(self, task_input) -> TaskProfile:
-        return profile_task(self.app, task_input)
-
-    # ------------------------------------------------------------------ #
     # Public entry point
     # ------------------------------------------------------------------ #
     def run(self, task_input=None) -> ExecutionResult:
-        """Execute the task once and return the full result."""
+        """Execute the task once and return the full result.
+
+        Without ``task_input`` the task is the app's seed-``seed`` input,
+        replayed from its memoized profile (:func:`profile_app`), so a warm
+        run generates no input.
+        """
         if task_input is None:
-            task_input = self.app.generate_input(self.seed)
-        profile = self._profile(task_input)
+            profile = profile_app(self.app, self.seed)
+        else:
+            profile = profile_task(self.app, task_input)
         if profile.total_words == 0:
             raise ValueError("the task produced no output words; nothing to protect")
 
@@ -330,7 +337,6 @@ class TaskExecutor:
 
         runner = _RunState(
             executor=self,
-            task_input=task_input,
             profile=profile,
             schedule=schedule,
             platform=platform,
@@ -369,7 +375,6 @@ class _RunState:
     def __init__(
         self,
         executor: TaskExecutor,
-        task_input,
         profile: TaskProfile,
         schedule: CheckpointSchedule,
         platform: Platform,
@@ -378,11 +383,8 @@ class _RunState:
         trace: ExecutionTrace,
         state_words: int,
     ) -> None:
-        self.executor = executor
-        self.app = executor.app
         self.strategy = executor.strategy
         self.constraints = executor.constraints
-        self.task_input = task_input
         self.profile = profile
         self.schedule = schedule
         self.platform = platform
@@ -432,11 +434,9 @@ class _RunState:
     # ------------------------------------------------------------------ #
     def _execute_phases(self, accept_errors: bool = False) -> list[int]:
         output: list[int] = []
-        state = self.app.initial_state(self.task_input)
         first_pass = self.stats.task_restarts == 0
 
         for phase in self.schedule.phases:
-            committed_state = state
             attempts = 0
             while True:
                 category = (
@@ -444,14 +444,14 @@ class _RunState:
                 )
                 start_cycle = self.platform.clock.cycles
                 self.trace.record(EventKind.PHASE_START, start_cycle, phase.index)
-                phase_words, end_state, base_address = self._run_phase_steps(
-                    phase, committed_state, len(output), category
+                phase_words, base_address = self._run_phase_steps(
+                    phase, len(output), category
                 )
                 phase_cycles = self.platform.clock.cycles - start_cycle
-                self._inject_phase_faults(phase, base_address, len(phase_words), phase_cycles)
+                self._inject_phase_faults(phase, base_address, phase_words, phase_cycles)
 
                 drained, had_uncorrectable, corrected = self._drain_chunk(
-                    base_address, len(phase_words), category
+                    base_address, phase_words, category
                 )
                 attempt_cycles = self.platform.clock.cycles - start_cycle
                 if attempts == 0 and first_pass:
@@ -487,7 +487,6 @@ class _RunState:
                 if self.strategy.uses_checkpoints:
                     self._commit_checkpoint(phase, drained)
                 output.extend(drained)
-                state = end_state
                 self.trace.record(EventKind.PHASE_END, self.platform.clock.cycles, phase.index)
                 break
         return output
@@ -496,22 +495,29 @@ class _RunState:
     # Phase execution
     # ------------------------------------------------------------------ #
     def _run_phase_steps(
-        self, phase: Phase, state, words_before: int, category: str
-    ):
-        """Execute the streaming steps of one phase, writing output into L1."""
+        self, phase: Phase, words_before: int, category: str
+    ) -> tuple[int, int]:
+        """Replay the steps of one phase from the profile, writing output into L1.
+
+        Each step charges its profiled compute cycles and L1 traffic, then
+        writes its slice of the golden stream; the phase's words start at
+        ``words_before``, the output committed so far.  Returns the number
+        of words written and the L1 address of the first.
+        """
+        profile = self.profile
         base_address = words_before % self.l1.capacity_words
-        phase_words: list[int] = []
+        written = 0
         for step_index in range(phase.first_step, phase.last_step + 1):
-            result = self.app.run_step(self.task_input, step_index, state)
-            state = result.state
-            self.cpu.execute(result.cycles, category=category)
-            self._charge_abstract_l1_traffic(result.l1_reads, result.l1_writes)
-            for word in result.output_words:
-                address = (base_address + len(phase_words)) % self.l1.capacity_words
-                self.l1.write_word(address, word)
+            self.cpu.execute(profile.step_cycles[step_index], category=category)
+            self._charge_abstract_l1_traffic(
+                profile.step_reads[step_index], profile.step_writes[step_index]
+            )
+            for _ in range(profile.step_words[step_index]):
+                address = (base_address + written) % self.l1.capacity_words
+                self.l1.write_word(address, profile.golden[words_before + written])
                 self.cpu.stall(self.l1.access_cycles)
-                phase_words.append(word)
-        return phase_words, state, base_address
+                written += 1
+        return written, base_address
 
     def _charge_abstract_l1_traffic(self, reads: int, writes: int) -> None:
         """Charge energy and stall cycles for the step's internal L1 traffic."""

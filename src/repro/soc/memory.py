@@ -6,6 +6,10 @@ A :class:`MemoryDevice` stores codewords produced by an attached
 the stored bits, and reports decode outcomes to its caller — which is how
 the Read Error Interrupt of the paper's Fig. 2(a) gets raised.
 
+Only a word an upset struck since its last write is decoded on read.  An
+untouched word still holds ``encode(data)``, which every code decodes to
+``(data, CLEAN)``, so the device returns that without calling the decoder.
+
 Three roles are distinguished only by configuration:
 
 * **Scratchpad (L1)** — the vulnerable 64 KB SRAM; unprotected, SECDED, or
@@ -101,6 +105,9 @@ class MemoryDevice:
         self.estimate = estimate if estimate is not None else self._derive_estimate()
         self.stats = MemoryAccessStats()
         self._storage: dict[int, int] = {}
+        #: The data of every stored word no upset has struck since it was
+        #: last written (or scrubbed): its codeword is ``encode`` of it.
+        self._clean: dict[int, int] = {}
         if access_cycles is None:
             period_ns = 1e9 / frequency_hz
             access_cycles = max(1, int(-(-self.access_time_ns // period_ns)))
@@ -181,12 +188,15 @@ class MemoryDevice:
         """Encode ``value`` and store it at word ``index``."""
         self._check_address(index)
         self._storage[index] = self.code.encode(value)
+        self._clean[index] = value
         self.stats.writes += 1
         self._charge(CATEGORY_MEMORY_WRITE, self.write_energy_pj)
 
     def read_word(self, index: int) -> DecodeResult:
-        """Read and decode the word at ``index``.
+        """Read the word at ``index``, decoding it if an upset struck it.
 
+        A word no upset struck since its last write reads back as the data
+        written, CLEAN: the code's clean round trip, without the decoder.
         Reading an address never written returns a CLEAN zero word, which
         matches SRAM-after-reset behaviour closely enough for the
         behavioural model.
@@ -194,6 +204,9 @@ class MemoryDevice:
         self._check_address(index)
         self.stats.reads += 1
         self._charge(CATEGORY_MEMORY_READ, self.read_energy_pj)
+        data = self._clean.get(index)
+        if data is not None:
+            return DecodeResult(data=data, status=DecodeStatus.CLEAN)
         stored = self._storage.get(index)
         if stored is None:
             return DecodeResult(data=0, status=DecodeStatus.CLEAN)
@@ -204,6 +217,7 @@ class MemoryDevice:
             # Write back the corrected word (scrub-on-read) so the same
             # upset is not re-corrected on every subsequent access.
             self._storage[index] = self.code.encode(result.data)
+            self._clean[index] = result.data
         elif result.status is DecodeStatus.DETECTED_UNCORRECTABLE:
             self.stats.errors_detected += 1
             self.stats.errors_uncorrectable += 1
@@ -226,6 +240,7 @@ class MemoryDevice:
     def clear(self) -> None:
         """Erase all stored contents (does not reset statistics)."""
         self._storage.clear()
+        self._clean.clear()
 
     # ------------------------------------------------------------------ #
     # Fault injection
@@ -235,7 +250,8 @@ class MemoryDevice:
 
         Returns ``True`` if the event landed on a written word (and
         therefore corrupted live state), ``False`` if it struck an unused
-        word and has no architectural effect.
+        word and has no architectural effect.  A word an event lands on is
+        decoded on every read until it is next written or scrubbed.
         """
         self._check_address(event.word_index)
         self.stats.upsets_injected += 1
@@ -249,6 +265,7 @@ class MemoryDevice:
         for position in valid_positions:
             corrupted ^= 1 << position
         self._storage[event.word_index] = corrupted
+        self._clean.pop(event.word_index, None)
         self.stats.bit_flips_injected += len(valid_positions)
         return True
 

@@ -3,10 +3,12 @@
 ``fig4`` (feasible region), ``table1`` (optimum chunk sizes) and ``fig5``
 (normalized energy under fault injection, seeds 0-2) are compared
 **exactly** against committed fixtures produced by the seed
-implementation.  The batched engine is then compared **statistically**
-against the same frozen fig5 numbers, closing the loop: the fast engine
-is held to the behavioural truth, and the behavioural truth is held to
-the repository's history.
+implementation.  ``behavioural_faulty`` pins behavioural rows whose runs
+decode, scrub, roll back and restart, so those paths are held exactly
+rather than only through fig5's rare upsets.  The batched engine is then
+compared **statistically** against the same frozen fig5 numbers, closing
+the loop: the fast engine is held to the behavioural truth, and the
+behavioural truth is held to the repository's history.
 
 Regenerate deliberately with ``pytest tests/golden --update-golden``.
 """
@@ -19,7 +21,9 @@ import pytest
 
 from repro.analysis import fig4_feasible_region, fig5_energy, table1_optimal_chunks
 from repro.analysis.experiments import fig5_specs, scenario_sweep
-from repro.api.executors import BatchCampaignExecutor
+from repro.api.executors import BatchCampaignExecutor, execute_spec
+from repro.api.registry import available_strategies
+from repro.api.spec import ExperimentSpec
 from repro.apps.registry import PAPER_BENCHMARK_ORDER, get_application
 from repro.core.config import PAPER_OPERATING_POINT
 from repro.core.optimizer import ChunkSizeOptimizer
@@ -30,6 +34,85 @@ FIG5_SEEDS = (0, 1, 2)
 #: Sample size of the batched engine when it is checked against the
 #: frozen behavioural numbers.
 BATCHED_SEEDS = tuple(range(48))
+
+#: The faulty behavioural fixture: three codec families under every
+#: registered strategy in a constant, a storm and a Markov environment.
+FAULTY_APPS = ("adpcm-decode", "jpeg-decode", "g721-decode")
+FAULTY_STRATEGIES = (
+    "default",
+    "sw-mitigation",
+    "hw-mitigation",
+    "hybrid",
+    "hybrid-optimal",
+    "hybrid-suboptimal",
+    "hybrid-adaptive",
+    "hybrid-estimating",
+)
+FAULTY_SCENARIOS = ("paper-constant", "storm", "markov")
+
+#: 10x and 50x the paper's rate.  The optimizer finds no feasible chunk
+#: there, so ``hybrid`` at fixed chunk sizes stands in for the
+#: optimizer-sized strategies.
+RAISED_ERROR_RATES = (1e-5, 5e-5)
+RAISED_RATE_STRATEGIES = (
+    ("default", {}),
+    ("sw-mitigation", {}),
+    ("hw-mitigation", {}),
+    ("hybrid", {"chunk_words": 16}),
+    ("hybrid", {"chunk_words": 64}),
+    ("hybrid-adaptive", {}),
+    ("hybrid-estimating", {}),
+)
+
+#: Recovery counters the raised-rate rows must all exercise.
+RECOVERY_COUNTERS = (
+    "rollbacks",
+    "task_restarts",
+    "errors_corrected_inline",
+    "silent_corruptions",
+)
+
+
+def _faulty_specs() -> list[ExperimentSpec]:
+    """The behavioural specs of the ``behavioural_faulty`` fixture, in order."""
+    specs = [
+        ExperimentSpec(
+            app=app,
+            strategy=strategy,
+            strategy_params={"chunk_words": 32} if strategy == "hybrid" else {},
+            scenario=scenario,
+            seed=seed,
+        )
+        for app in FAULTY_APPS
+        for strategy in FAULTY_STRATEGIES
+        for scenario in FAULTY_SCENARIOS
+        for seed in FIG5_SEEDS
+    ]
+    for rate in RAISED_ERROR_RATES:
+        constraints = PAPER_OPERATING_POINT.with_overrides(error_rate=rate)
+        specs.extend(
+            ExperimentSpec(
+                app=app,
+                strategy=strategy,
+                strategy_params=params,
+                constraints=constraints,
+                seed=seed,
+            )
+            for app in FAULTY_APPS
+            for strategy, params in RAISED_RATE_STRATEGIES
+            for seed in FIG5_SEEDS
+        )
+    return specs
+
+
+def _faulty_row(spec: ExperimentSpec) -> dict:
+    """One behavioural row, tagged with the spec fields the record omits."""
+    return {
+        **execute_spec(spec).record,
+        "spec_strategy": spec.strategy,
+        "spec_strategy_params": dict(spec.strategy_params),
+        "error_rate": spec.constraints.error_rate,
+    }
 
 
 class TestGoldenArtefacts:
@@ -43,6 +126,26 @@ class TestGoldenArtefacts:
         golden.check(
             "fig5", fig5_energy(seeds=FIG5_SEEDS).to_result_set().to_dict()
         )
+
+    def test_behavioural_faulty_rows(self, golden):
+        """Rows whose runs detect, correct, roll back, restart and corrupt.
+
+        fig5 runs at the paper rate, where a run sees about 0.2 upsets, so
+        it pins the decode and recovery paths only statistically; these
+        rows pin them exactly, row by row.
+        """
+        assert set(FAULTY_STRATEGIES) == set(available_strategies()), (
+            "every registered strategy belongs in the faulty fixture"
+        )
+        specs = _faulty_specs()
+        rows = [_faulty_row(spec) for spec in specs]
+        raised = [
+            row for spec, row in zip(specs, rows)
+            if spec.constraints.error_rate in RAISED_ERROR_RATES
+        ]
+        for counter in RECOVERY_COUNTERS:
+            assert sum(row[counter] for row in raised) > 0, counter
+        golden.check("behavioural_faulty", {"rows": rows})
 
     def test_stochastic_scenario_sweep(self, golden):
         """Stochastic environments + estimator regret, frozen end to end.

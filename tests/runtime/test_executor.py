@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core.config import PAPER_OPERATING_POINT
@@ -208,3 +210,91 @@ class TestRunTaskFaultModelForwarding:
         # were dropped the default SMU mixture would be used instead and no
         # pattern would ever be drawn from ours.
         assert model.calls == result.stats.upsets_injected
+
+
+def spying(app):
+    """A copy of ``app`` that counts the calls which generate or execute its task.
+
+    The counts live outside the instance, so the copy's profile-cache key
+    (its class name and ``__dict__``) stays the same while they change.
+    """
+    calls: Counter = Counter()
+
+    class Spy(type(app)):
+        def generate_input(self, seed=0):
+            calls["generate_input"] += 1
+            return super().generate_input(seed)
+
+        def initial_state(self, task_input):
+            calls["initial_state"] += 1
+            return super().initial_state(task_input)
+
+        def run_step(self, task_input, step_index, state):
+            calls["run_step"] += 1
+            return super().run_step(task_input, step_index, state)
+
+    spy = Spy.__new__(Spy)
+    spy.__dict__.update(vars(app))
+    return spy, calls
+
+
+def _row(result) -> tuple:
+    """Everything a run reports: its stats, energy ledger and output stream."""
+    return result.stats.as_dict(), result.stats.energy.breakdown(), result.output
+
+
+#: One strategy per recovery path: rollback, restart, inline correction.
+RECOVERING_STRATEGIES = {
+    "hybrid": lambda: HybridStrategy(8),
+    "sw": SwMitigationStrategy,
+    "hw": HwMitigationStrategy,
+}
+
+
+class TestReplayFromProfile:
+    """A run replays its task from the fault-free profile, exactly."""
+
+    @pytest.mark.parametrize("strategy", sorted(RECOVERING_STRATEGIES))
+    def test_warm_run_generates_and_executes_nothing(
+        self, small_adpcm_encode, stress_constraints, strategy
+    ):
+        spy, calls = spying(small_adpcm_encode)
+        events = 0
+        for seed in range(3):
+            executor = TaskExecutor(
+                spy,
+                RECOVERING_STRATEGIES[strategy](),
+                constraints=stress_constraints,
+                seed=seed,
+            )
+            cold = executor.run()
+            assert calls["run_step"] > 0  # the first run profiled the seed
+            calls.clear()
+            warm = executor.run()
+            assert calls == Counter()
+            assert _row(warm) == _row(cold)
+            events += warm.stats.rollbacks + warm.stats.task_restarts
+            events += warm.stats.errors_corrected_inline
+        assert events > 0  # recovery actually replayed steps
+
+    @pytest.mark.parametrize("strategy", sorted(RECOVERING_STRATEGIES))
+    def test_row_is_the_same_under_any_cache_state(
+        self, small_adpcm_encode, stress_constraints, strategy, monkeypatch
+    ):
+        def row(seed, task_input=None):
+            executor = TaskExecutor(
+                small_adpcm_encode,
+                RECOVERING_STRATEGIES[strategy](),
+                constraints=stress_constraints,
+                seed=seed,
+            )
+            return _row(executor.run(task_input))
+
+        seeds = range(3)
+        cold = [row(seed) for seed in seeds]
+        warm = [row(seed) for seed in seeds]
+        given = [row(seed, small_adpcm_encode.generate_input(seed)) for seed in seeds]
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        uncached = [row(seed) for seed in seeds]
+        assert warm == cold == given == uncached
+
