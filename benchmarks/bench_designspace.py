@@ -44,7 +44,8 @@ from repro.core.config import PAPER_OPERATING_POINT
 from repro.core.feasibility import feasible_region
 from repro.core.optimizer import ChunkSizeOptimizer
 from repro.runtime.executor import characterize_app
-from repro.runtime.profile_cache import ENV_CACHE_DIR, default_cache
+from repro.runtime.profile_cache import default_cache
+from repro.warehouse import ENV_CACHE_DIR
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -276,8 +277,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # Hermetic profile cache: never reads or pollutes ~/.cache/repro, and
-    # the first characterization in this process is genuinely cold.
+    # Hermetic stores: the warehouse root is a temp dir, never
+    # ~/.cache/repro, and the profile memo starts empty, so the first
+    # characterization in this process is genuinely cold.
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
         os.environ[ENV_CACHE_DIR] = tmp
         default_cache().clear()

@@ -38,7 +38,8 @@ from pathlib import Path
 
 from repro.batch.pareto import grid_pareto_front, reference_pareto_front
 from repro.runtime.executor import characterize_app
-from repro.runtime.profile_cache import ENV_CACHE_DIR, default_cache
+from repro.runtime.profile_cache import default_cache
+from repro.warehouse import ENV_CACHE_DIR
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -158,7 +159,8 @@ def main(argv: list[str] | None = None) -> int:
 
         apps = tuple(available_applications())
 
-    # Hermetic profile cache: never reads or pollutes ~/.cache/repro.
+    # Hermetic stores: the warehouse root is a temp dir, never
+    # ~/.cache/repro, and the profile memo starts empty.
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
         os.environ[ENV_CACHE_DIR] = tmp
         default_cache().clear()

@@ -40,12 +40,12 @@ for machine-readable results, and the behavioural workloads accept
 The fault-injection subcommands accept ``--engine batched`` to run on the
 vectorized campaign engine; the design-space artefacts (fig4, table1,
 ablations, pareto, optimize sweeps) always run on the grid solvers.
-``--no-cache`` disables the on-disk/in-process task-profile cache
-(``~/.cache/repro``, relocatable via ``REPRO_CACHE_DIR``).  Completed
-results additionally land in the content-addressed warehouse
-(``~/.cache/repro/warehouse``, see ``REPRO_WAREHOUSE_DIR``), so re-running
-an artefact or campaign replays instantly from disk; set
-``REPRO_NO_WAREHOUSE=1`` to force cold runs.
+Completed results land in the content-addressed warehouse
+(``~/.cache/repro/warehouse``; ``REPRO_CACHE_DIR`` relocates the root,
+``REPRO_WAREHOUSE_DIR`` the warehouse), so re-running an artefact or
+campaign replays instantly from disk; set ``REPRO_NO_WAREHOUSE=1`` to
+force cold runs.  Task profiles are memoized per process only
+(``REPRO_NO_CACHE=1`` turns the memo off).
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ from .batch.pareto import (
 from .core.config import PAPER_OPERATING_POINT
 from .ecc.redundancy import available_schemes
 from .memmodel.technology import available_nodes
-from .runtime.profile_cache import configure as configure_profile_cache
 
 #: The paper artefacts and the composite ``all``.
 ARTEFACTS: tuple[str, ...] = ("fig4", "table1", "fig5", "timing", "ablations", "all")
@@ -167,16 +166,6 @@ def _add_engine_option(parser: argparse.ArgumentParser) -> None:
         "every event, 'batched' vectorizes campaigns (all seeds at once); "
         "design-space specs always run on the grid solvers "
         "(default: behavioural)",
-    )
-
-
-def _add_cache_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the task-profile cache (in-process memo and the "
-        "on-disk store under ~/.cache/repro, see REPRO_CACHE_DIR); "
-        "profiles are then recomputed for every use",
     )
 
 
@@ -281,7 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=artefact_help[name])
         _add_constraint_options(sub)
         _add_output_options(sub)
-        _add_cache_option(sub)
         if name in ("fig5", "timing", "all"):
             _add_engine_option(sub)
             _add_seeds_option(sub)
@@ -293,7 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_spec_options(run)
     run.add_argument("--seed", type=int, default=0, help="workload/fault seed (default: 0)")
     _add_constraint_options(run)
-    _add_cache_option(run)
     _add_output_options(run)
 
     campaign = subparsers.add_parser(
@@ -309,7 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_constraint_options(campaign)
     _add_jobs_option(campaign)
     _add_engine_option(campaign)
-    _add_cache_option(campaign)
     _add_metrics_option(campaign)
     _add_output_options(campaign)
 
@@ -340,7 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_engine_option(sweep)
     _add_constraint_options(sweep)
     _add_jobs_option(sweep)
-    _add_cache_option(sweep)
     _add_metrics_option(sweep)
     _add_output_options(sweep)
 
@@ -422,7 +407,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     pareto.add_argument("--seed", type=int, default=0, help="workload seed (default: 0)")
     _add_constraint_options(pareto)
-    _add_cache_option(pareto)
     _add_metrics_option(pareto)
     _add_output_options(pareto)
 
@@ -569,7 +553,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_spec_options(scn_run)
     scn_run.add_argument("--seed", type=int, default=0, help="workload/fault seed (default: 0)")
     _add_constraint_options(scn_run)
-    _add_cache_option(scn_run)
     _add_output_options(scn_run)
 
     scn_sweep = scenario_sub.add_parser(
@@ -600,7 +583,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_constraint_options(scn_sweep)
     _add_jobs_option(scn_sweep)
     _add_engine_option(scn_sweep)
-    _add_cache_option(scn_sweep)
     _add_output_options(scn_sweep)
 
     # --- result warehouse ------------------------------------------------- #
@@ -1107,8 +1089,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "serve":
         return _serve(args)
-    if getattr(args, "no_cache", False):
-        configure_profile_cache(memory=False, disk=False)
     try:
         if args.command == "stats" and args.watch:
             from .service.client import ServiceClient

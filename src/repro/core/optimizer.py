@@ -130,7 +130,7 @@ class ChunkSizeOptimizer:
         Profiling goes through the content-keyed task-profile cache
         (:mod:`repro.runtime.profile_cache`), so repeated optimizations of
         the same (app, params, input) — strategy sizing, Table I, the
-        ablation sweeps — walk the workload once per session.
+        ablation sweeps — walk the workload once per process.
         """
         from ..runtime.executor import characterize_app, characterize_task
 

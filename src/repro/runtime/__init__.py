@@ -12,7 +12,7 @@ from .executor import (
     run_task,
 )
 from .isr import ReadErrorServiceRoutine
-from .profile_cache import ProfileCache, cache_stats, configure as configure_profile_cache
+from .profile_cache import ProfileCache
 from .trace import EventKind, ExecutionTrace, TraceEvent
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
     "profile_task",
     "run_task",
     "ProfileCache",
-    "cache_stats",
-    "configure_profile_cache",
     "ReadErrorServiceRoutine",
     "EventKind",
     "ExecutionTrace",

@@ -127,11 +127,7 @@ def _profile_uncached(app: StreamingApplication, task_input) -> TaskProfile:
     return TaskProfile(step_words, step_cycles, step_reads, step_writes, golden)
 
 
-def profile_task(
-    app: StreamingApplication,
-    task_input,
-    cache: profile_cache.ProfileCache | None = None,
-) -> TaskProfile:
+def profile_task(app: StreamingApplication, task_input) -> TaskProfile:
     """Run the task fault-free and collect its per-step cost profile.
 
     The single profiling path shared by the behavioural executor, the
@@ -139,10 +135,10 @@ def profile_task(
     optimizer, so their task skeletons cannot drift apart.  Results are
     memoized through the content-keyed
     :mod:`~repro.runtime.profile_cache` (one profile per (app, params,
-    input) across a whole session); a cache hit returns a bit-identical
-    fresh copy, so cached and uncached runs are indistinguishable.
+    input) per process); a cache hit returns a bit-identical fresh copy,
+    so cached and uncached runs are indistinguishable.
     """
-    store = cache if cache is not None else profile_cache.default_cache()
+    store = profile_cache.default_cache()
     key = store.key_for(app, task_input) if store.enabled else None
     if key is not None:
         payload = store.get(key)
@@ -207,7 +203,7 @@ def profile_app(app: StreamingApplication, seed: int = 0) -> TaskProfile:
         if payload is not None:
             return TaskProfile(**payload)
     task_input = app.generate_input(seed)
-    profile = profile_task(app, task_input, cache=store)
+    profile = profile_task(app, task_input)
     content_key = store.key_for(app, task_input) if seed_key is not None else None
     if content_key is not None:
         store.derived_put(seed_key, content_key)

@@ -13,6 +13,7 @@ from .keys import canonical_json, canonical_sha256, code_fingerprint, fingerprin
 from .planner import ARTIFACT_KINDS, DeltaPlan, DeltaPlanner, Unit, plan_and_run, plan_units
 from .store import (
     DISK_FORMAT_VERSION,
+    ENV_CACHE_DIR,
     ENV_NO_WAREHOUSE,
     ENV_WAREHOUSE_DIR,
     ResultWarehouse,
@@ -28,6 +29,7 @@ __all__ = [
     "DISK_FORMAT_VERSION",
     "DeltaPlan",
     "DeltaPlanner",
+    "ENV_CACHE_DIR",
     "ENV_NO_WAREHOUSE",
     "ENV_WAREHOUSE_DIR",
     "ResultWarehouse",

@@ -1,11 +1,11 @@
 """The content-addressed on-disk result warehouse.
 
 One flat directory of ``<key>.json`` entries under
-``~/.cache/repro/warehouse`` (sharing the profile-cache root, so
-``REPRO_CACHE_DIR`` relocates both stores together;
-``REPRO_WAREHOUSE_DIR`` overrides just the warehouse, and
-``REPRO_NO_WAREHOUSE=1`` disables it entirely).  Each entry is one
-*unit* of completed work, in one of two shapes:
+``~/.cache/repro/warehouse`` (``REPRO_CACHE_DIR`` relocates the cache
+root, ``REPRO_WAREHOUSE_DIR`` the warehouse itself, and
+``REPRO_NO_WAREHOUSE=1`` disables it entirely).  It is the package's
+only on-disk store.  Each entry is one *unit* of completed work, in one
+of two shapes:
 
 * a solo unit is one JSON document: a spec with its records and — for
   design-space kinds — the pickled artifact (optimization result,
@@ -19,13 +19,12 @@ One flat directory of ``<key>.json`` entries under
 Either way a warm replay reconstructs outcomes bit-identical to a cold
 run, and a block replay parses no float.
 
-The warehouse follows the profile cache's durability discipline: writes
-go to a temp file in the target directory and land via ``os.replace``
-(concurrent writers race benignly — last atomic rename wins, both wrote
-the same content), and any unreadable, truncated or mistyped entry
-degrades to a miss (→ recomputation) rather than an error; the next
-store of that unit replaces it.  The store is a pure accelerator: it
-can never change results, only skip recomputing them.
+Durability: writes go to a temp file in the target directory and land
+via ``os.replace`` (concurrent writers race benignly — last atomic
+rename wins, both wrote the same content), and any unreadable, truncated
+or mistyped entry degrades to a miss (→ recomputation) rather than an
+error; the next store of that unit replaces it.  The store is a pure
+accelerator: it can never change results, only skip recomputing them.
 """
 
 from __future__ import annotations
@@ -43,9 +42,11 @@ from typing import Any
 import numpy as np
 
 from ..batch.engine import ColumnBlock, decode_block, encode_block
-from ..runtime.profile_cache import default_cache_dir
 from ..telemetry import counter as _telemetry_counter
 from .keys import fingerprint_digest
+
+#: Environment variable relocating the cache root (default ``~/.cache/repro``).
+ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
 #: Environment variable overriding the warehouse directory.
 ENV_WAREHOUSE_DIR = "REPRO_WAREHOUSE_DIR"
@@ -73,11 +74,15 @@ WAREHOUSE_EVENTS = _telemetry_counter(
 
 
 def default_warehouse_dir() -> Path:
-    """``$REPRO_WAREHOUSE_DIR``, or ``<cache root>/warehouse``."""
+    """``$REPRO_WAREHOUSE_DIR``, or ``<cache root>/warehouse``.
+
+    The cache root is ``$REPRO_CACHE_DIR``, or ``~/.cache/repro``.
+    """
     override = os.environ.get(ENV_WAREHOUSE_DIR)
     if override:
         return Path(override)
-    return default_cache_dir() / "warehouse"
+    root = os.environ.get(ENV_CACHE_DIR)
+    return (Path(root) if root else Path.home() / ".cache" / "repro") / "warehouse"
 
 
 def _disabled_by_env() -> bool:

@@ -143,12 +143,14 @@ class TestOptimizerEquivalence:
         assert vectorized == reference
 
     def test_grid_optimize_shares_the_profile_cache(self, small_adpcm_encode):
-        from repro.runtime.profile_cache import default_cache
+        from repro.runtime.profile_cache import CACHE_EVENTS
 
         ChunkSizeOptimizer(PAPER_OPERATING_POINT).optimize(small_adpcm_encode, seed=0)
-        hits_before = default_cache().stats.memory_hits
+        hits = CACHE_EVENTS.value(outcome="derived_hit")
+        misses = CACHE_EVENTS.value(outcome="miss")
         grid_optimize(small_adpcm_encode, PAPER_OPERATING_POINT, seed=0)
-        assert default_cache().stats.memory_hits > hits_before
+        assert CACHE_EVENTS.value(outcome="derived_hit") > hits
+        assert CACHE_EVENTS.value(outcome="miss") == misses
 
 
 class TestEngineRouting:

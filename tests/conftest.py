@@ -22,17 +22,17 @@ from repro.apps.adpcm import AdpcmDecodeApp, AdpcmEncodeApp  # noqa: E402
 from repro.apps.g721 import G721DecodeApp, G721EncodeApp  # noqa: E402
 from repro.apps.jpeg import JpegDecodeApp  # noqa: E402
 from repro.core.config import DesignConstraints, PAPER_OPERATING_POINT  # noqa: E402
-from repro.runtime.profile_cache import ENV_CACHE_DIR  # noqa: E402
-from repro.warehouse import ENV_WAREHOUSE_DIR  # noqa: E402
+from repro.warehouse import ENV_CACHE_DIR, ENV_WAREHOUSE_DIR  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
 def _isolated_stores(tmp_path, monkeypatch):
-    """Keep the task-profile cache and the result warehouse hermetic per test.
+    """Keep the task-profile memo and the result warehouse hermetic per test.
 
-    Both on-disk stores are redirected into the test's tmp dir (never the
-    developer's ``~/.cache/repro``) and the in-process profile memo is
-    cleared, so no test observes profiles or results computed by another.
+    The warehouse, the one on-disk store, is redirected into the test's
+    tmp dir (never the developer's ``~/.cache/repro``) and the in-process
+    profile memo is cleared, so no test observes profiles or results
+    computed by another.
     """
     from repro.runtime.profile_cache import default_cache
 

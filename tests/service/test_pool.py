@@ -55,9 +55,12 @@ class TestThreadPool:
         monkeypatch.setenv("REPRO_NO_WAREHOUSE", "1")
         queue = JobQueue()
         with WorkerPool(queue, policy=_policy(max_workers=3), mode="thread") as pool:
-            jobs = [_submit(queue, seeds=4, shard_size=1) for _ in range(4)]
+            # A one-seed shard takes a few milliseconds: the burst must
+            # outlast several 0.05 s scaling ticks, or it can finish
+            # before any tick sees it.
+            jobs = [_submit(queue, seeds=40, shard_size=1) for _ in range(4)]
             saw_scale_up = _wait_for(lambda: pool.worker_count() >= 3, timeout=10.0)
-            assert saw_scale_up, "pool never scaled up under a 16-shard burst"
+            assert saw_scale_up, "pool never scaled up under a 160-shard burst"
             assert _wait_for(lambda: all(job.state == DONE for job in jobs))
             assert _wait_for(lambda: pool.worker_count() == 1, timeout=10.0), (
                 "pool never scaled back down to min_workers after going idle"

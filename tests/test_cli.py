@@ -99,6 +99,19 @@ class TestSpecCommands:
         assert row["seed"] == 3
         assert row["output_correct"] == 1.0
 
+    def test_profile_memo_has_no_flag_only_the_environment_switch(self, capsys, monkeypatch):
+        argv = ["run", "--app", "adpcm-encode", "--strategy", "hybrid-optimal", "--format", "json"]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--no-cache"])
+        assert excinfo.value.code == 2
+        assert "--no-cache" in capsys.readouterr().err
+        monkeypatch.setenv("REPRO_NO_WAREHOUSE", "1")
+        assert main(argv) == 0
+        memoized = capsys.readouterr().out
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == memoized
+
     def test_run_rejects_a_negative_seed(self, capsys):
         assert main(["run", "--app", "adpcm-encode", "--seed", "-1"]) == 2
         assert "seed must be an integer" in capsys.readouterr().err

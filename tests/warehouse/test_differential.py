@@ -68,9 +68,8 @@ from repro.api.session import Session
 from repro.api.spec import ENGINES, CampaignSpec, ExperimentSpec
 from repro.batch.streaming import ENV_BLOCK
 from repro.faults.campaign import aggregate_runs
-from repro.runtime.profile_cache import ENV_CACHE_DIR
 from repro.service import ExperimentServer, ScalingPolicy, ServiceClient
-from repro.warehouse.store import ENV_NO_WAREHOUSE, ENV_WAREHOUSE_DIR
+from repro.warehouse.store import ENV_CACHE_DIR, ENV_NO_WAREHOUSE, ENV_WAREHOUSE_DIR
 
 EXECUTORS = ("serial", "parallel", "batched", "remote")
 CACHE_STATES = ("cold", "warm", "partial", "cross-engine")
@@ -184,7 +183,7 @@ def runners(tmp_path_factory):
     parallel = ParallelExecutor(jobs=2)
     with pytest.MonkeyPatch.context() as patch:
         # Fork the worker pool before the server starts its threads.
-        patch.setenv(ENV_CACHE_DIR, str(tmp_path_factory.mktemp("profiles")))
+        patch.setenv(ENV_CACHE_DIR, str(tmp_path_factory.mktemp("warehouse-root")))
         parallel.map([ExperimentSpec(app="adpcm-encode", seed=seed) for seed in (0, 1)])
     policy = ScalingPolicy(min_workers=1, init_workers=1, max_workers=2)
     with ExperimentServer(port=0, policy=policy, mode="thread") as server:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.batch.engine import METRIC_COLUMNS, ColumnBlock
 from repro.warehouse.store import (
     DISK_FORMAT_VERSION,
+    ENV_CACHE_DIR,
     ENV_NO_WAREHOUSE,
     ENV_WAREHOUSE_DIR,
     EXPORT_PAYLOAD_FIELD,
@@ -276,6 +277,19 @@ class TestEnvironment:
     def test_default_dir_shares_the_cache_root(self, monkeypatch) -> None:
         monkeypatch.delenv(ENV_WAREHOUSE_DIR, raising=False)
         assert default_warehouse_dir().name == "warehouse"
+
+    def test_cache_dir_relocates_the_warehouse_root(self, tmp_path, monkeypatch) -> None:
+        monkeypatch.delenv(ENV_WAREHOUSE_DIR, raising=False)
+        monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / "root"))
+        assert default_warehouse_dir() == tmp_path / "root" / "warehouse"
+        assert _put(ResultWarehouse())
+        assert (tmp_path / "root" / "warehouse" / ("k" * 64 + ".json")).is_file()
+
+    def test_default_root_is_the_home_cache(self, tmp_path, monkeypatch) -> None:
+        monkeypatch.delenv(ENV_WAREHOUSE_DIR, raising=False)
+        monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
+        monkeypatch.setenv("HOME", str(tmp_path))
+        assert default_warehouse_dir() == tmp_path / ".cache" / "repro" / "warehouse"
 
     def test_default_warehouse_is_process_wide(self) -> None:
         assert default_warehouse() is default_warehouse()
